@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
-#   1. Release build + full ctest suite (the tier-1 gate from ROADMAP.md)
+#   1. Release build + full ctest suite (the tier-1 gate from ROADMAP.md),
+#      then the repo benchmark's own ctest (quantile_test + fompi_bench
+#      --smoke with its fleet correctness checks)
 #   2. Seeded chaos gate: the fault-injection suite (hashtable + DSDE +
 #      KV-service workloads under a survivable fault plan, seeds 11/22/33
 #      baked into tests/test_fault.cpp and tests/test_kv.cpp) repeated to
@@ -47,9 +49,20 @@ cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+# Repo benchmark smoke (< 10 s): benchmark/ is its own CMake project over
+# ../src; its ctest runs quantile_test and `fompi_bench --smoke`, whose
+# fleet rounds fail on a broken retirement identity or an illegal final
+# read of any key.
+cmake -S benchmark -B build-benchmark -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake --build build-benchmark
+ctest --test-dir build-benchmark --output-on-failure
+
 # Chaos determinism: each Chaos test runs its workload twice per seed and
 # asserts identical injected/retried/failed counters; repeating the whole
-# suite catches any schedule-order dependence the single run misses.
+# suite catches any schedule-order dependence the single run misses. The
+# KvChaos suite also holds the writer-death sweep (the writer killed at
+# every op index of one replicated put; survivors must never hang), whose
+# lock revocations race the survivors' reads differently on every run.
 ./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
   --gtest_brief=1
 ./build/tests/test_kv --gtest_filter='KvChaos.*' --gtest_repeat=3 \

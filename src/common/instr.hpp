@@ -53,6 +53,7 @@ enum class Op : std::uint32_t {
   kv_scrub_repair,   ///< one diverged cell repaired by the scrub
   kv_drain_chunk,    ///< one re-replication chunk drained (frozen image get)
   kv_recovery,       ///< one completed heal() pass (any outcome)
+  kv_round,          ///< one KV driver round (every live copy's AMOs overlapped)
   kCount,
 };
 

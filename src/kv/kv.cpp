@@ -208,21 +208,6 @@ rdma::OpStatus KvStore::amo_write(int t, std::size_t off, std::uint64_t v) {
   return wait_req(req);
 }
 
-rdma::OpStatus KvStore::amo_read2(int t1, std::size_t off1, std::uint64_t* v1,
-                                  int t2, std::size_t off2,
-                                  std::uint64_t* v2) {
-  // Both reads are in flight before either is awaited, so they overlap on
-  // the wire: a generation check piggybacked this way adds ~no round trip
-  // to the epoch check it rides with (the sim_kv AMO budgets rely on it).
-  auto r1 =
-      win_.rfetch_and_op(nullptr, v1, Elem::u64, RedOp::no_op, t1, off1);
-  auto r2 =
-      win_.rfetch_and_op(nullptr, v2, Elem::u64, RedOp::no_op, t2, off2);
-  const auto s1 = wait_req(r1);
-  const auto s2 = wait_req(r2);
-  return s1 != rdma::OpStatus::ok ? s1 : s2;
-}
-
 // --- versioned routing -------------------------------------------------------
 //
 // The routing table carries a generation word: even = stable, odd = a
@@ -334,13 +319,6 @@ void KvStore::apply_routing(const std::vector<std::uint64_t>& old) {
 
 rdma::OpStatus KvStore::refresh_routing() { return fetch_routing(); }
 
-rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
-                                         std::uint64_t value) {
-  const int shard = shard_of(key);
-  const Copy c = copy_of(shard, replica);
-  return write_region(c.rank, shard, replica, key, value, false);
-}
-
 // --- failover ----------------------------------------------------------------
 
 bool KvStore::any_peer_dead() const {
@@ -359,247 +337,395 @@ void KvStore::fail_over(int shard) {
   count(Op::kv_failover);
 }
 
-rdma::OpStatus KvStore::maybe_revoke(int t, std::size_t ver_off,
-                                     std::uint64_t stuck_ver) {
-  // A writer that died between lock (v -> odd) and release leaves the
-  // seqlock wedged. Only ever force-release when a death has actually been
-  // observed; the CAS makes revocation race-safe against a live writer's
-  // own release. The cell's last in-flight write may or may not have
-  // landed — fail-stop semantics, either value is a legal outcome.
-  //
-  // The status matters to the caller: when the cell's HOST is dead, the
-  // version is frozen odd forever and the revocation CAS (a mutating AMO)
-  // retires peer_dead without touching the image — the spin can never be
-  // released and the caller must retire typed instead of waiting.
-  if (!any_peer_dead()) return rdma::OpStatus::ok;
-  std::uint64_t prev = 0;
-  return amo_cas(t, ver_off, stuck_ver, stuck_ver + 1, &prev);
-}
+// --- region-op machine -------------------------------------------------------
+//
+// One KV op against ONE copy of a shard. issue() posts the current round's
+// request-based AMOs (at most three, all in flight together); advance()
+// consumes their results and picks the next state. The drivers own the
+// waiting: drive() runs machines in lockstep on the calling thread, and
+// ClientFiber parks on the same handles. AMOs of one round may land in any
+// order, so every step that needs ordering is split across rounds: v1
+// before the {key, value} body, v2 after it; the lock before the value
+// write; the value write and the epoch bump before the release.
 
-// --- seqlock cell protocol ----------------------------------------------------
+struct KvStore::RegionOp {
+  enum class Kind : std::uint8_t { read, put, erase };
+  enum class Step : std::uint8_t { done, next, contended };
+  enum class State : std::uint8_t {
+    epoch,    // read: [generation] + [shard epoch] (+ top key, v1)
+    top,      // top key (a claim CAS for puts) + top version
+    reclaim,  // CAS a tombstoned key word to our key
+    head,     // chain head
+    cell,     // chain cell key + version + next
+    v1,       // read: version before the body
+    body,     // read: key + value
+    v2,       // read: version after the body
+    acquire,  // fresh overflow cell: FAA next_free
+    fill,     // rput the whole cell {key, version 2, value, next}
+    link,     // CAS the chain head to the new cell
+    lock,     // version read while odd, else CAS even -> odd
+    revoke,   // CAS a version a dead writer left odd forward
+    write,    // value (or tombstone key) write + epoch bump
+    release,  // version + 2
+    bump,     // fresh insert: epoch bump only
+    done,
+  };
 
-rdma::OpStatus KvStore::seq_read(int t, std::size_t cell_off,
-                                 std::uint64_t key, std::uint64_t* value,
-                                 bool* found) {
-  Backoff bo;
-  int stuck = 0;
-  while (true) {
-    std::uint64_t v1 = 0;
-    auto st = amo_read(t, cell_off + kVerOff, &v1);
-    if (st != rdma::OpStatus::ok) return st;
-    if (v1 == 0) {  // insert claimed but not linearized yet: a legal miss
-      *found = false;
-      return rdma::OpStatus::ok;
+  void begin(KvStore& kv, Kind k, int s, bool rep, std::uint64_t ky,
+             std::uint64_t val) {
+    *this = RegionOp{};
+    kind = k;
+    shard = s;
+    replica = rep;
+    key = ky;
+    value = val;
+    const Copy c = kv.copy_of(s, rep);
+    t = c.rank;
+    l = kv.layout_of(c);
+    epoch_off = kv.epoch_off_of(c);
+    slot = kv.slot_of(ky);
+    if (k == Kind::read) {
+      with_gen = kv.routing_suspect();
+      with_epoch = kv.cfg_.client_cache && !rep;
     }
-    if ((v1 & 1) != 0) {  // write in progress
-      ++stats_.read_retries;
-      count(Op::kv_read_retry);
-      if (++stuck > kRevokeSpins) {
-        // Host died with the cell locked: the frozen image stays odd
+    st = with_gen || with_epoch ? State::epoch : State::top;
+  }
+
+  void issue(KvStore& kv) {
+    round_st = rdma::OpStatus::ok;
+    const std::size_t top = l.off_table(slot);
+    switch (st) {
+      case State::epoch:
+        if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
+        if (with_epoch) read(kv, t, epoch_off, &ep);
+        // Fuse the top-cell read unless the round is full or the key is
+        // cached (then the epoch alone decides a likely hit).
+        fused = !(with_gen && with_epoch) &&
+                !(with_epoch && kv.cache_[static_cast<std::size_t>(shard)]
+                                        .count(key) != 0);
+        if (!fused) break;
+        [[fallthrough]];
+      case State::top:
+        if (kind == Kind::put) {
+          cas(kv, top, 0, key, &w[0]);
+        } else {
+          read(kv, t, top, &w[0]);
+        }
+        read(kv, t, top + kVerOff, &w[1]);
+        break;
+      case State::reclaim: cas(kv, at, kTombstone, key, &w[0]); break;
+      case State::head: read(kv, t, l.off_chain(slot), &w[0]); break;
+      case State::cell:
+        read(kv, t, l.off_heap(idx), &w[0]);
+        read(kv, t, l.off_heap(idx) + kVerOff, &w[1]);
+        read(kv, t, l.off_cell_next(idx), &w[2]);
+        break;
+      case State::v1:
+      case State::v2: read(kv, t, cell + kVerOff, &w[0]); break;
+      case State::body:
+        read(kv, t, cell, &w[0]);
+        read(kv, t, cell + kValOff, &w[1]);
+        break;
+      case State::acquire: {
+        const std::uint64_t one = 1;
+        req[nreq++] = kv.win_.rfetch_and_op(&one, &w[0], Elem::u64,
+                                            RedOp::sum, t, l.off_next_free());
+        break;
+      }
+      case State::fill:
+        req[nreq++] = kv.win_.rput(img, sizeof img, t, l.off_heap(idx));
+        break;
+      case State::link: cas(kv, l.off_chain(slot), head, idx + 1, &w[0]); break;
+      case State::lock:
+        locking = (ver & 1) == 0;
+        if (locking) {
+          cas(kv, cell + kVerOff, ver, ver + 1, &w[0]);
+        } else {
+          read(kv, t, cell + kVerOff, &w[0]);
+        }
+        break;
+      case State::revoke: cas(kv, cell + kVerOff, ver, ver + 1, &w[0]); break;
+      case State::write:
+        // Erase overwrites the KEY word (readers then miss) and leaves the
+        // value word alone.
+        if (kind == Kind::erase) {
+          store(kv, cell, kTombstone, RedOp::replace);
+        } else {
+          store(kv, cell + kValOff, value, RedOp::replace);
+        }
+        store(kv, epoch_off, 1, RedOp::sum);
+        break;
+      case State::release:
+        store(kv, cell + kVerOff, ver + 2, RedOp::replace);
+        break;
+      case State::bump: store(kv, epoch_off, 1, RedOp::sum); break;
+      case State::done: break;
+    }
+  }
+
+  void fold(rdma::OpStatus s) {
+    if (s != rdma::OpStatus::ok && round_st == rdma::OpStatus::ok) {
+      round_st = s;
+    }
+  }
+
+  /// Blocking wait for every request of the round.
+  void collect(KvStore& kv) {
+    for (int i = 0; i < nreq; ++i) fold(kv.wait_req(req[i]));
+  }
+
+  Step advance(KvStore& kv) {
+    nreq = 0;
+    // Past the lock a failure still releases, so it cannot wedge the cell.
+    if (round_st != rdma::OpStatus::ok && st != State::write &&
+        st != State::revoke) {
+      return finish(held != rdma::OpStatus::ok ? held : round_st);
+    }
+    const auto s = static_cast<std::size_t>(shard);
+    switch (st) {
+      case State::epoch:
+        if (with_gen && gen != kv.gen_seen_) {
+          return finish(kv.handle_gen_mismatch(gen));
+        }
+        if (with_epoch) {
+          auto& entries = kv.cache_[s];
+          if (ep == kv.epoch_seen_[s]) {
+            const auto it = entries.find(key);
+            if (it != entries.end()) {
+              hit = found = true;
+              value = it->second;
+              ++kv.stats_.cache_hits;
+              count(Op::kv_cache_hit);
+              return finish(rdma::OpStatus::ok);
+            }
+          } else {  // a writer bumped the epoch: drop the shard's view
+            entries.clear();
+            kv.epoch_seen_[s] = ep;
+          }
+          ++kv.stats_.cache_misses;
+          count(Op::kv_cache_miss);
+        }
+        if (!fused) return go(State::top);
+        [[fallthrough]];
+      case State::top:
+        if (w[0] == key || (kind == Kind::put && w[0] == 0)) {
+          cell = l.off_table(slot);
+          return located(kv, w[1]);
+        }
+        if (kind == Kind::put && w[0] == kTombstone) {
+          at = l.off_table(slot);
+          ver = w[1];
+          return go(State::reclaim);
+        }
+        if (w[0] == 0) return finish(rdma::OpStatus::ok);  // never claimed
+        slow = true;
+        return go(State::head);
+      case State::reclaim:
+        if (w[0] == kTombstone || w[0] == key) {
+          cell = at;  // ver holds the snapshot taken beside the key word
+          return go(State::lock);
+        }
+        // Lost the race: re-examine the top slot, or walk on.
+        if (at == l.off_table(slot)) return contend(State::top);
+        return follow(nxt);
+      case State::head:
+        head = w[0];
+        return follow(head);
+      case State::cell:
+        if (w[0] == key) {
+          cell = l.off_heap(idx);
+          return located(kv, w[1]);
+        }
+        if (kind == Kind::put && w[0] == kTombstone) {
+          at = l.off_heap(idx);
+          ver = w[1];
+          nxt = w[2];
+          return go(State::reclaim);
+        }
+        return follow(w[2]);
+      case State::v1: return located(kv, w[0]);
+      case State::body:
+        got_key = w[0];
+        value = w[1];
+        return go(State::v2);
+      case State::v2:
+        if (w[0] == ver) {
+          // The key re-read inside the snapshot catches a cell that was
+          // tombstoned and reclaimed by another key since we located it.
+          found = got_key == key;
+          if (!found) value = 0;
+          return finish(rdma::OpStatus::ok);
+        }
+        retried(kv);  // version moved underneath us: reread
+        return contend(State::v1);
+      case State::acquire:
+        FOMPI_REQUIRE(w[0] < l.heap_slots, ErrClass::no_mem,
+                      "kv shard overflow heap exhausted");
+        // Published fully formed (version even and nonzero, value in
+        // place) before the link: reachable implies readable.
+        idx = w[0];
+        img[0] = key;
+        img[1] = 2;
+        img[2] = value;
+        img[3] = head;
+        return go(State::fill);
+      case State::fill: return go(State::link);
+      case State::link:
+        if (w[0] == head) {
+          cell = l.off_heap(idx);
+          return go(State::bump);
+        }
+        head = img[3] = w[0];  // lost the link race: relink at the new head
+        return contend(State::fill);
+      case State::lock:
+        if (locking && w[0] == ver) return go(State::write);
+        ver = w[0];
+        if ((ver & 1) != 0) return stuck_odd(kv, State::lock);
+        return locking ? contend(State::lock) : go(State::lock);
+      case State::revoke:
+        // The cell's host died with it locked: the frozen image stays odd
         // forever and revocation cannot land. Retire typed so the caller
-        // fails over to the other copy instead of spinning on the corpse.
-        if (maybe_revoke(t, cell_off + kVerOff, v1) ==
-            rdma::OpStatus::peer_dead) {
-          return rdma::OpStatus::peer_dead;
-        }
-        stuck = 0;
-      }
-      bo.pause();
-      fabric_->yield_check();
-      continue;
+        // fails over instead of spinning on the corpse.
+        if (round_st == rdma::OpStatus::peer_dead) return finish(round_st);
+        return contend(resume);
+      case State::write:
+        held = round_st;
+        return go(State::release);
+      case State::release: return finish(held);
+      case State::bump: return finish(rdma::OpStatus::ok);
+      case State::done: break;
     }
-    // Key re-read inside the version snapshot: the cell may have been
-    // tombstoned and reclaimed by a different key since we located it.
-    std::uint64_t k = 0;
-    st = amo_read(t, cell_off, &k);
-    if (st != rdma::OpStatus::ok) return st;
-    std::uint64_t val = 0;
-    st = amo_read(t, cell_off + kValOff, &val);
-    if (st != rdma::OpStatus::ok) return st;
-    std::uint64_t v2 = 0;
-    st = amo_read(t, cell_off + kVerOff, &v2);
-    if (st != rdma::OpStatus::ok) return st;
-    if (v1 == v2) {
-      *found = (k == key);
-      *value = *found ? val : 0;
-      return rdma::OpStatus::ok;
-    }
-    ++stats_.read_retries;  // version moved underneath us: reread
-    count(Op::kv_read_retry);
-    bo.pause();
-    fabric_->yield_check();
+    return Step::done;
   }
-}
 
-rdma::OpStatus KvStore::seq_write(int t, int shard, bool replica,
-                                  std::size_t cell_off, std::uint64_t value) {
-  // value == kTombstone means erase: the KEY word is overwritten (readers
-  // then miss), the value word is left alone.
-  Backoff bo;
-  int stuck = 0;
-  std::uint64_t v = 0;
-  while (true) {  // lock: CAS version even -> odd
-    auto st = amo_read(t, cell_off + kVerOff, &v);
-    if (st != rdma::OpStatus::ok) return st;
-    if ((v & 1) == 0) {
-      std::uint64_t prev = 0;
-      st = amo_cas(t, cell_off + kVerOff, v, v + 1, &prev);
-      if (st != rdma::OpStatus::ok) return st;
-      if (prev == v) break;
-    } else if (++stuck > kRevokeSpins) {
-      if (maybe_revoke(t, cell_off + kVerOff, v) ==
-          rdma::OpStatus::peer_dead) {
-        return rdma::OpStatus::peer_dead;  // host dead, lock frozen odd
-      }
+  // --- state-transition helpers ---------------------------------------------
+  Step go(State s) {
+    st = s;
+    return Step::next;
+  }
+  Step contend(State s) {
+    st = s;
+    slow = true;
+    return Step::contended;
+  }
+  Step finish(rdma::OpStatus s) {
+    status = s;
+    st = State::done;
+    if (s != rdma::OpStatus::ok) found = false;
+    return Step::done;
+  }
+  /// The chain continues at link `n` (cell index + 1), or ended.
+  Step follow(std::uint64_t n) {
+    if (n != 0) {
+      idx = n - 1;
+      return go(State::cell);
+    }
+    if (kind != Kind::put) return finish(rdma::OpStatus::ok);  // absent
+    return go(State::acquire);
+  }
+  /// The key's cell is `cell` and `v` a version read beside it: writers
+  /// lock from there, readers take it as the snapshot's v1.
+  Step located(KvStore& kv, std::uint64_t v) {
+    ver = v;
+    if (kind != Kind::read) return go(State::lock);
+    if (v == 0) return finish(rdma::OpStatus::ok);  // not linearized: miss
+    if ((v & 1) == 0) return go(State::body);
+    retried(kv);
+    return stuck_odd(kv, State::v1);
+  }
+  /// A writer holds the cell. Once a death has been observed, a lock
+  /// stuck past kRevokeSpins is force-released by CAS; against a live
+  /// writer's own release the CAS simply fails. The cell's last in-flight
+  /// write may or may not have landed: fail-stop, either value is legal.
+  Step stuck_odd(KvStore& kv, State again) {
+    if (++stuck > kRevokeSpins) {
       stuck = 0;
+      if (kv.any_peer_dead()) {
+        resume = again;
+        slow = true;
+        return go(State::revoke);
+      }
     }
-    bo.pause();
-    fabric_->yield_check();
+    return contend(again);
   }
-  auto st = value == kTombstone ? amo_write(t, cell_off, kTombstone)
-                                : amo_write(t, cell_off + kValOff, value);
-  // Release even on failure so a typed fault does not wedge the cell.
-  const auto rel = amo_write(t, cell_off + kVerOff, v + 2);
-  if (st == rdma::OpStatus::ok) st = rel;
-  if (st != rdma::OpStatus::ok) return st;
-  // Invalidate every client's cached view of the shard: one AMO.
-  return amo_add(t, epoch_off(shard, replica), 1);
-}
+  void retried(KvStore& kv) {
+    ++kv.stats_.read_retries;
+    count(Op::kv_read_retry);
+  }
 
-// --- cell location ------------------------------------------------------------
+  // --- request helpers (typed: faults retire as statuses) ------------------
+  void read(KvStore& kv, int target, std::size_t off, std::uint64_t* out) {
+    req[nreq++] = kv.win_.rfetch_and_op(nullptr, out, Elem::u64,
+                                        RedOp::no_op, target, off);
+  }
+  void cas(KvStore& kv, std::size_t off, std::uint64_t expect,
+           std::uint64_t desired, std::uint64_t* out) {
+    req[nreq++] =
+        kv.win_.rcompare_and_swap(&desired, &expect, out, Elem::u64, t, off);
+  }
+  void store(KvStore& kv, std::size_t off, std::uint64_t v, RedOp op) {
+    req[nreq++] = kv.win_.raccumulate(&v, 1, Elem::u64, op, t, off);
+  }
 
-rdma::OpStatus KvStore::locate(int t, const BucketLayout& l,
-                               std::uint64_t key, bool claim,
-                               std::uint64_t value, std::size_t* cell_off,
-                               bool* fresh_insert) {
-  const std::size_t slot = slot_of(key);
-  *cell_off = 0;
-  *fresh_insert = false;
+  Kind kind = Kind::read;
+  State st = State::done, resume = State::done;
+  int shard = 0, t = 0, stuck = 0, nreq = 0;
+  bool replica = false, with_gen = false, with_epoch = false, fused = false;
+  bool locking = false;
+  bool slow = false;   ///< left the top-cell path (chain walk or retry)
+  bool hit = false;    ///< served from the epoch-validated cache
+  bool found = false;
+  BucketLayout l;
+  std::size_t slot = 0, epoch_off = 0, cell = 0, at = 0;
+  std::uint64_t key = 0, value = 0, ver = 0, head = 0, idx = 0, nxt = 0;
+  std::uint64_t gen = 0, ep = 0, got_key = 0;
+  std::uint64_t w[3] = {};    ///< words fetched by this round
+  std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
+  rdma::OpStatus status = rdma::OpStatus::ok;
+  rdma::OpStatus round_st = rdma::OpStatus::ok;
+  rdma::OpStatus held = rdma::OpStatus::ok;  ///< value-write status
+  core::RmaRequest req[3];
+};
+
+// --- drivers -----------------------------------------------------------------
+
+void KvStore::drive(RegionOp* const* ops, int n) {
   Backoff bo;
-  while (true) {  // restarted only by tombstone-reclaim races
-    if (claim) {
-      std::uint64_t prev = 0;
-      auto st = amo_cas(t, l.off_table(slot), 0, key, &prev);
-      if (st != rdma::OpStatus::ok) return st;
-      if (prev == 0 || prev == key) {  // claimed fresh or already ours
-        *cell_off = l.off_table(slot);
-        return rdma::OpStatus::ok;
-      }
-      if (prev == kTombstone) {  // reclaim the erased top cell
-        std::uint64_t p2 = 0;
-        st = amo_cas(t, l.off_table(slot), kTombstone, key, &p2);
-        if (st != rdma::OpStatus::ok) return st;
-        if (p2 == kTombstone) {
-          *cell_off = l.off_table(slot);
-          return rdma::OpStatus::ok;
-        }
-        bo.pause();  // lost the reclaim race: re-examine the slot
-        fabric_->yield_check();
-        continue;
-      }
-    } else {
-      std::uint64_t top = 0;
-      const auto st = amo_read(t, l.off_table(slot), &top);
-      if (st != rdma::OpStatus::ok) return st;
-      if (top == key) {
-        *cell_off = l.off_table(slot);
-        return rdma::OpStatus::ok;
-      }
-      if (top == 0) return rdma::OpStatus::ok;  // slot never claimed: miss
+  while (true) {
+    bool live = false;
+    for (int i = 0; i < n; ++i) {
+      if (ops[i]->st == RegionOp::State::done) continue;
+      ops[i]->issue(*this);
+      live = true;
     }
-
-    // Walk the overflow chain (atomic one-sided reads, as fig7a).
-    std::uint64_t head = 0;
-    auto st = amo_read(t, l.off_chain(slot), &head);
-    if (st != rdma::OpStatus::ok) return st;
-    while (head != 0) {
-      const auto idx = static_cast<std::size_t>(head - 1);
-      std::uint64_t k = 0;
-      st = amo_read(t, l.off_heap(idx), &k);
-      if (st != rdma::OpStatus::ok) return st;
-      if (k == key) {
-        *cell_off = l.off_heap(idx);
-        return rdma::OpStatus::ok;
+    if (!live) return;
+    count(Op::kv_round);
+    for (int i = 0; i < n; ++i) ops[i]->collect(*this);
+    bool contended = false;
+    for (int i = 0; i < n; ++i) {
+      if (ops[i]->nreq > 0 &&
+          ops[i]->advance(*this) == RegionOp::Step::contended) {
+        contended = true;
       }
-      if (claim && k == kTombstone) {  // reclaim an erased chain cell
-        std::uint64_t p2 = 0;
-        st = amo_cas(t, l.off_heap(idx), kTombstone, key, &p2);
-        if (st != rdma::OpStatus::ok) return st;
-        if (p2 == kTombstone || p2 == key) {
-          *cell_off = l.off_heap(idx);
-          return rdma::OpStatus::ok;
-        }
-      }
-      st = amo_read(t, l.off_cell_next(idx), &head);
-      if (st != rdma::OpStatus::ok) return st;
     }
-    if (!claim) return rdma::OpStatus::ok;  // exhausted: miss
-
-    // Fresh overflow insert: acquire a cell, publish it fully formed
-    // (version already even and nonzero, value in place), then link it at
-    // the chain head — reachable implies readable, no seqlock pass needed.
-    const std::uint64_t one = 1;
-    std::uint64_t idx = 0;
-    auto freq = win_.rfetch_and_op(&one, &idx, Elem::u64, RedOp::sum, t,
-                                   l.off_next_free());
-    st = wait_req(freq);
-    if (st != rdma::OpStatus::ok) return st;
-    FOMPI_REQUIRE(idx < l.heap_slots, ErrClass::no_mem,
-                  "kv shard overflow heap exhausted");
-    const std::uint64_t cell[3] = {key, 2, value};
-    auto preq =
-        win_.rput(cell, 24, t, l.off_heap(static_cast<std::size_t>(idx)));
-    st = wait_req(preq);  // cell words complete before the link lands
-    if (st != rdma::OpStatus::ok) return st;
-    while (true) {
-      std::uint64_t chead = 0;
-      st = amo_read(t, l.off_chain(slot), &chead);
-      if (st != rdma::OpStatus::ok) return st;
-      auto nreq = win_.rput(&chead, 8, t,
-                            l.off_cell_next(static_cast<std::size_t>(idx)));
-      st = wait_req(nreq);
-      if (st != rdma::OpStatus::ok) return st;
-      std::uint64_t prev = 0;
-      st = amo_cas(t, l.off_chain(slot), chead, idx + 1, &prev);
-      if (st != rdma::OpStatus::ok) return st;
-      if (prev == chead) break;
+    if (contended) {
       bo.pause();
       fabric_->yield_check();
     }
-    *cell_off = l.off_heap(static_cast<std::size_t>(idx));
-    *fresh_insert = true;
-    return rdma::OpStatus::ok;
   }
 }
 
-// --- region-level ops --------------------------------------------------------
-
-rdma::OpStatus KvStore::read_region(int t, const BucketLayout& l,
-                                    std::uint64_t key, std::uint64_t* value,
-                                    bool* found) {
-  *found = false;
-  *value = 0;
-  std::size_t cell = 0;
-  bool fresh = false;
-  const auto st = locate(t, l, key, /*claim=*/false, 0, &cell, &fresh);
-  if (st != rdma::OpStatus::ok || cell == 0) return st;
-  return seq_read(t, cell, key, value, found);
+void KvStore::drive(RegionOp& op) {
+  RegionOp* p = &op;
+  drive(&p, 1);
 }
 
-rdma::OpStatus KvStore::write_region(int t, int shard, bool replica,
-                                     std::uint64_t key, std::uint64_t value,
-                                     bool is_erase) {
-  std::size_t cell = 0;
-  bool fresh = false;
-  const auto st =
-      locate(t, layout_for(shard, replica), key, /*claim=*/!is_erase, value,
-             &cell, &fresh);
-  if (st != rdma::OpStatus::ok) return st;
-  if (cell == 0) return rdma::OpStatus::ok;  // erase of an absent key
-  if (fresh) {  // already published whole; just invalidate caches
-    return amo_add(t, epoch_off(shard, replica), 1);
-  }
-  return seq_write(t, shard, replica, cell, is_erase ? kTombstone : value);
+rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
+                                         std::uint64_t value) {
+  RegionOp op;
+  op.begin(*this, RegionOp::Kind::put, shard_of(key), replica, key, value);
+  drive(op);
+  return op.status;
 }
 
 // --- client ops --------------------------------------------------------------
@@ -619,153 +745,113 @@ rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
   return rdma::OpStatus::data_loss;
 }
 
-rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
+rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
+                              bool erase) {
   require_user_key(key);
-  ++stats_.puts;
+  ++(erase ? stats_.erases : stats_.puts);
   const auto gst = check_generation();
   if (gst != rdma::OpStatus::ok) return gst;
   const int shard = shard_of(key);
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
-  }
-  if (degraded_[static_cast<std::size_t>(shard)]) {
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, /*replica=*/true, key, value, false);
-  }
-  auto st = write_region(owner_of(shard), shard, false, key, value, false);
-  if (st == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
-    fail_over(shard);
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, value, false);
-  }
-  if (st != rdma::OpStatus::ok || !cfg_.replicate) return st;
-  const auto rst =
-      write_region(replica_of(shard), shard, true, key, value, false);
-  if (rst == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;  // primary holds the write: absorbed
-    return rdma::OpStatus::ok;
-  }
-  return rst;
-}
-
-rdma::OpStatus KvStore::erase(std::uint64_t key) {
-  require_user_key(key);
-  ++stats_.erases;
-  const auto gst = check_generation();
-  if (gst != rdma::OpStatus::ok) return gst;
-  const int shard = shard_of(key);
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
-  }
-  if (degraded_[static_cast<std::size_t>(shard)]) {
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, 0, /*is_erase=*/true);
-  }
-  auto st = write_region(owner_of(shard), shard, false, key, 0, true);
-  if (st == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
-    fail_over(shard);
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, 0, true);
-  }
-  if (st != rdma::OpStatus::ok || !cfg_.replicate) return st;
-  const auto rst = write_region(replica_of(shard), shard, true, key, 0, true);
-  if (rst == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
-    return rdma::OpStatus::ok;
-  }
-  return rst;
-}
-
-rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
-                            bool* found) {
-  require_user_key(key);
-  ++stats_.gets;
-  *found = false;
-  *value = 0;
-  const int shard = shard_of(key);
-  const bool suspect = routing_suspect();
   if (!degraded_[static_cast<std::size_t>(shard)] &&
       !win_.peer_alive(owner_of(shard))) {
     fail_over(shard);
   }
   const bool deg = degraded_[static_cast<std::size_t>(shard)];
-  const int t = deg ? replica_of(shard) : owner_of(shard);
-  if (deg && !win_.peer_alive(t)) return data_loss_on(shard);
-
-  bool gen_checked = !suspect;
-  if (cfg_.client_cache && !deg) {
-    std::uint64_t ep = 0;
-    rdma::OpStatus est;
-    if (suspect) {
-      // The generation check rides alongside the epoch check: both AMOs
-      // in flight together, so validation costs one overlapped round
-      // trip, not two serialized ones (the 1.5x post-recovery p99 budget
-      // depends on this).
-      std::uint64_t g = 0;
-      est = amo_read2(cfg_.routing_rank, 0, &g, t, epoch_off(shard, false),
-                      &ep);
-      if (est == rdma::OpStatus::ok) {
-        gen_checked = true;
-        if (g != gen_seen_) return handle_gen_mismatch(g);
-      }
-    } else {
-      est = amo_read(t, epoch_off(shard, false), &ep);
-    }
-    if (est == rdma::OpStatus::ok) {
-      auto& entries = cache_[static_cast<std::size_t>(shard)];
-      if (ep == epoch_seen_[static_cast<std::size_t>(shard)]) {
-        const auto it = entries.find(key);
-        if (it != entries.end()) {
-          *value = it->second;
-          *found = true;
-          ++stats_.cache_hits;
-          count(Op::kv_cache_hit);
-          return rdma::OpStatus::ok;
-        }
-      } else {  // a writer bumped the epoch: drop the whole shard's view
-        entries.clear();
-        epoch_seen_[static_cast<std::size_t>(shard)] = ep;
-      }
-    }
-    ++stats_.cache_misses;
-    count(Op::kv_cache_miss);
-  }
-  if (!gen_checked) {
-    const auto gst = check_generation();
-    if (gst != rdma::OpStatus::ok) return gst;
-  }
-
-  auto st = read_region(t, layout_for(shard, deg), key, value, found);
-  if (st == rdma::OpStatus::peer_dead && !deg) {
+  if (deg && !win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
+  const auto kind = erase ? RegionOp::Kind::erase : RegionOp::Kind::put;
+  RegionOp own, rep;
+  own.begin(*this, kind, shard, deg, key, value);
+  const bool both = !deg && cfg_.replicate;
+  if (both) rep.begin(*this, kind, shard, true, key, value);
+  RegionOp* ops[] = {&own, &rep};
+  drive(ops, both ? 2 : 1);
+  if (deg) return own.status;
+  if (own.status == rdma::OpStatus::peer_dead) {
     ++stats_.peer_dead_ops;
     fail_over(shard);
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    st = read_region(rep, layout_for(shard, true), key, value, found);
+    if (!win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
+    if (!both) {  // unreplicated: the write moves to the replica region
+      rep.begin(*this, kind, shard, true, key, value);
+      drive(rep);
+    }
+    return rep.status;
   }
-  if (st == rdma::OpStatus::ok && *found && cfg_.client_cache && !deg &&
-      !degraded_[static_cast<std::size_t>(shard)]) {
-    cache_[static_cast<std::size_t>(shard)][key] = *value;
+  if (both && rep.status == rdma::OpStatus::peer_dead) {
+    ++stats_.peer_dead_ops;  // the owner holds the write: absorbed
+    return own.status;
   }
+  return own.status != rdma::OpStatus::ok ? own.status : rep.status;
+}
+
+rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
+  return write(key, value, /*erase=*/false);
+}
+
+rdma::OpStatus KvStore::erase(std::uint64_t key) {
+  return write(key, 0, /*erase=*/true);
+}
+
+rdma::OpStatus KvStore::read_begin(std::uint64_t key, RegionOp* op) {
+  require_user_key(key);
+  ++stats_.gets;
+  const int shard = shard_of(key);
+  if (!degraded_[static_cast<std::size_t>(shard)] &&
+      !win_.peer_alive(owner_of(shard))) {
+    fail_over(shard);
+  }
+  const bool deg = degraded_[static_cast<std::size_t>(shard)];
+  if (deg && !win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
+  op->begin(*this, RegionOp::Kind::read, shard, deg, key, 0);
+  return rdma::OpStatus::pending;
+}
+
+rdma::OpStatus KvStore::read_end(RegionOp* op, std::uint64_t* value,
+                                 bool* found) {
+  const int shard = op->shard;
+  const auto s = static_cast<std::size_t>(shard);
+  *found = false;
+  *value = 0;
+  if (op->status == rdma::OpStatus::peer_dead && !op->replica) {
+    ++stats_.peer_dead_ops;
+    fail_over(shard);
+    if (!win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
+    op->begin(*this, RegionOp::Kind::read, shard, true, op->key, 0);
+    drive(*op);
+  }
+  if (op->status != rdma::OpStatus::ok || !op->found) return op->status;
+  *found = true;
+  *value = op->value;
+  // Cache only under the epoch this read validated against: another fiber
+  // may have moved epoch_seen_ while this one was parked.
+  if (op->with_epoch && !op->hit && !degraded_[s] &&
+      epoch_seen_[s] == op->ep) {
+    cache_[s][op->key] = op->value;
+  }
+  return op->status;
+}
+
+rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
+                            bool* found) {
+  RegionOp op;
+  const auto st = read_begin(key, &op);
+  if (st == rdma::OpStatus::pending) {
+    drive(op);
+    return read_end(&op, value, found);
+  }
+  *found = false;
+  *value = 0;
   return st;
 }
 
 // --- closed-loop client fleet -------------------------------------------------
 //
-// Each fiber pulls ops off a shared per-rank cursor. The dominant path — a
-// cache-validating get that hits, or a top-cell versioned read — runs as an
-// explicit-handle AMO pipeline (the fiber parks on each in-flight word),
-// so one rank keeps `fibers` ops in flight. Rare paths (chain walks,
-// seqlock retries, writes, degraded routing) fall back to the blocking
-// client ops: correct, just momentarily unoverlapped.
+// Each fiber pulls ops off a shared per-rank cursor. A get's top-cell
+// rounds (cache validation fused with the top-cell read, then the seqlock
+// body and v2) park the fiber on their AMOs, so one rank keeps `fibers`
+// reads in flight; a read that turns into a chain walk or a seqlock retry
+// finishes on the blocking driver. Writes run blocking to completion: in
+// four overlapped rounds they stall siblings less than a parked sibling
+// holding a cell lock would stall everyone.
 
 struct KvStore::ClientFiber final : fabric::progress::Fiber {
   struct FleetOp {
@@ -777,8 +863,7 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
               std::size_t* cursor, FleetResult* res)
       : kv(kv), ops(ops), cursor(cursor), res(res) {}
 
-  void record(bool is_read, std::uint64_t t0,
-              rdma::OpStatus st = rdma::OpStatus::ok) {
+  void record(rdma::OpStatus st) {
     // Retirement identity: every pulled op lands in exactly one bucket, so
     // issued == ok + peer_dead + retry_routing + data_loss + failed_other
     // (the chaos tests assert this).
@@ -790,7 +875,7 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
       default: ++res->failed_other; break;
     }
     const std::uint64_t dur = now_ns() - t0;
-    if (is_read) {
+    if (ops[at].is_read) {
       ++res->reads;
       res->read_hist.add(dur);
     } else {
@@ -801,151 +886,49 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
                 ops[at].key, dur);
   }
 
-  void blocking_op(std::uint64_t t0) {
-    std::uint64_t v = 0;
-    bool found = false;
-    const auto st = ops[at].is_read
-                        ? kv.get(ops[at].key, &v, &found)
-                        : kv.put(ops[at].key, ops[at].key * 31 + 7);
-    record(ops[at].is_read, t0, st);
-  }
-
   void step(fabric::progress::Scheduler& s) override {
     FOMPI_FIBER_BEGIN();
     while (*cursor < ops.size()) {
       at = (*cursor)++;
       ++res->issued;
       t0 = now_ns();
-      shard = kv.shard_of(ops[at].key);
-      target = kv.owner_of(shard);  // trace label even on the slow path
-      if (!ops[at].is_read || kv.routing_suspect() ||
-          kv.degraded_[static_cast<std::size_t>(shard)] ||
-          !kv.win_.peer_alive(target)) {
-        // Writes, degraded routing, and any post-death op (which must
-        // validate the routing generation) take the blocking path.
-        blocking_op(t0);
+      target = kv.owner_of(kv.shard_of(ops[at].key));  // trace label
+      if (!ops[at].is_read) {
+        record(kv.put(ops[at].key, ops[at].key * 31 + 7));
         continue;
       }
-      l = kv.layout_for(shard, false);
-      ++kv.stats_.gets;
-      if (kv.cfg_.client_cache) {
-        // Pipelined cache validation: one awaited epoch AMO.
-        req = kv.win_.rfetch_and_op(nullptr, &ep, Elem::u64, RedOp::no_op,
-                                    target, kv.epoch_off(shard, false));
-        FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-        req.dismiss();
-        if (wake_status() != rdma::OpStatus::ok) {
-          --kv.stats_.gets;  // hand the whole op to the blocking path
-          blocking_op(t0);
-          continue;
-        }
-        if (ep == kv.epoch_seen_[static_cast<std::size_t>(shard)]) {
-          if (cache_lookup()) {
-            record(true, t0);
-            continue;
+      st = kv.read_begin(ops[at].key, &op);
+      if (st == rdma::OpStatus::pending) {
+        do {
+          op.issue(kv);
+          count(Op::kv_round);
+          for (ri = 0; ri < op.nreq; ++ri) {  // read AMOs: one handle each
+            FOMPI_FIBER_AWAIT(s, op.req[ri].handles()[0]);
+            op.fold(wake_status());
+            op.req[ri].dismiss();
           }
-        } else {
-          kv.cache_[static_cast<std::size_t>(shard)].clear();
-          kv.epoch_seen_[static_cast<std::size_t>(shard)] = ep;
-        }
-        ++kv.stats_.cache_misses;
-        count(Op::kv_cache_miss);
+          next = op.advance(kv);
+        } while (next == RegionOp::Step::next && !op.slow);
+        if (next != RegionOp::Step::done) kv.drive(op);
+        if (op.hit) ++res->cache_hits;
+        st = kv.read_end(&op, &v, &found);
       }
-      // Pipelined top-cell versioned read.
-      req = kv.win_.rfetch_and_op(nullptr, &top, Elem::u64, RedOp::no_op,
-                                  target, l.off_table(kv.slot_of(ops[at].key)));
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (wake_status() != rdma::OpStatus::ok) {
-        fallback_whole_read(t0);
-        continue;
-      }
-      if (top == 0) {  // empty slot: a miss, complete
-        record(true, t0);
-        continue;
-      }
-      if (top != ops[at].key) {  // collision chain: rare, blocking walk
-        fallback_located_read(t0);
-        continue;
-      }
-      cell = l.off_table(kv.slot_of(ops[at].key));
-      req = kv.win_.rfetch_and_op(nullptr, &v1, Elem::u64, RedOp::no_op,
-                                  target, cell + kVerOff);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (wake_status() != rdma::OpStatus::ok || (v1 & 1) != 0) {
-        fallback_located_read(t0);
-        continue;
-      }
-      if (v1 == 0) {  // claimed, not linearized: a legal miss
-        record(true, t0);
-        continue;
-      }
-      req = kv.win_.rfetch_and_op(nullptr, &kw, Elem::u64, RedOp::no_op,
-                                  target, cell);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      req = kv.win_.rfetch_and_op(nullptr, &val, Elem::u64, RedOp::no_op,
-                                  target, cell + kValOff);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      req = kv.win_.rfetch_and_op(nullptr, &v2, Elem::u64, RedOp::no_op,
-                                  target, cell + kVerOff);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (wake_status() != rdma::OpStatus::ok || v1 != v2) {
-        ++kv.stats_.read_retries;  // torn snapshot: resolve blocking
-        count(Op::kv_read_retry);
-        fallback_located_read(t0);
-        continue;
-      }
-      if (kw == ops[at].key && kv.cfg_.client_cache &&
-          !kv.degraded_[static_cast<std::size_t>(shard)]) {
-        kv.cache_[static_cast<std::size_t>(shard)][ops[at].key] = val;
-      }
-      record(true, t0);
+      record(st);
     }
     FOMPI_FIBER_END();
-  }
-
-  bool cache_lookup() {
-    auto& entries = kv.cache_[static_cast<std::size_t>(shard)];
-    const auto it = entries.find(ops[at].key);
-    if (it == entries.end()) return false;
-    ++kv.stats_.cache_hits;
-    ++res->cache_hits;
-    count(Op::kv_cache_hit);
-    return true;
-  }
-
-  void fallback_whole_read(std::uint64_t t0_) {
-    --kv.stats_.gets;
-    --kv.stats_.cache_misses;  // get() re-counts the full op
-    blocking_op(t0_);
-  }
-
-  void fallback_located_read(std::uint64_t t0_) {
-    std::uint64_t v = 0;
-    bool found = false;
-    const auto st = kv.read_region(target, l, ops[at].key, &v, &found);
-    if (st == rdma::OpStatus::peer_dead) {
-      kv.fail_over(shard);
-    } else if (st == rdma::OpStatus::ok && found && kv.cfg_.client_cache &&
-               !kv.degraded_[static_cast<std::size_t>(shard)]) {
-      kv.cache_[static_cast<std::size_t>(shard)][ops[at].key] = v;
-    }
-    record(true, t0_, st);
   }
 
   KvStore& kv;
   const std::vector<FleetOp>& ops;
   std::size_t* cursor;
   FleetResult* res;
-  std::size_t at = 0, cell = 0;
-  std::uint64_t t0 = 0, ep = 0, top = 0, v1 = 0, v2 = 0, kw = 0, val = 0;
-  int shard = 0, target = 0;
-  BucketLayout l;
-  core::RmaRequest req;
+  RegionOp op;
+  RegionOp::Step next = RegionOp::Step::done;
+  rdma::OpStatus st = rdma::OpStatus::ok;
+  std::size_t at = 0;
+  std::uint64_t t0 = 0, v = 0;
+  int target = 0, ri = 0;
+  bool found = false;
 };
 
 KvStore::FleetResult KvStore::run_fleet(fabric::RankCtx& ctx,

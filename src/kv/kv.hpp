@@ -7,16 +7,26 @@
 // data path. Each shard region reuses the CAS-bucket scheme (kv/bucket.hpp)
 // with widened cells {key, version, value(, next)}:
 //
+//   * region ops — every access to one copy of a shard is a RegionOp: a
+//     small state machine whose rounds post at most three request-based
+//     AMOs together. Drivers own the waiting: drive() overlaps any number
+//     of machines on the calling thread, the fleet's fibers park on the
+//     same handles.
 //   * get  — a one-sided versioned read: the 8-byte version word is a
-//     seqlock over RMA (odd = write in progress). The reader atomically
-//     reads version / value / version and retries on mismatch; version 0
-//     means the insert has not linearized yet and reads as a miss.
-//   * put / erase — remote-CAS chains: claim the key word (CAS), lock the
-//     cell (CAS version even -> odd), write the value (accumulate-replace,
-//     atomic), release (version + 2), then bump the shard's version-epoch
-//     word with a single AMO. New keys on the overflow path reuse the
+//     seqlock over RMA (odd = write in progress). Rounds {top key, v1} ->
+//     {key, value} -> v2, retried on mismatch; version 0 means the insert
+//     has not linearized yet and reads as a miss.
+//   * put / erase — one write() that runs the owner and replica machines
+//     in lockstep: {claim CAS, version read} -> lock CAS -> {value or
+//     tombstone write, epoch bump} -> release, four overlapped rounds for
+//     a top-cell write. The epoch bump lands while the cell is locked, so
+//     a reader that sees the new value can never meet a cache still
+//     validated by the old epoch. New keys on the overflow path reuse the
 //     hashtable's fetch_add + link-at-head protocol; erase tombstones the
-//     key word so the slot can be reclaimed.
+//     key word so the slot can be reclaimed. A non-ok status means
+//     "unknown effect": the copies may disagree (the replica may be ahead
+//     of a failed owner) until the scrub's version-winner rule reconciles
+//     them.
 //   * client cache — per-shard epoch-stamped: all cached entries of a
 //     shard are valid exactly while the shard's epoch word is unchanged,
 //     so a cache hit costs ONE remote AMO (the epoch check) instead of the
@@ -42,10 +52,11 @@
 //     data_loss, never a stale frozen value.
 //
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
-// fibers on the PR 8 progress engine — each client rank keeps `fibers`
-// ops in flight, hot-path reads/writes fully pipelined (awaits), rare slow
-// paths (chain walks, new-cell links, failover) taken blocking — and
-// records per-op-class latencies into trace LatencyHistos.
+// fibers on the progress engine. Each client rank keeps `fibers` ops in
+// flight: reads park their fiber on every top-cell round, and a read that
+// turns into a chain walk or a seqlock retry finishes on the blocking
+// driver; writes run to completion on the blocking driver. Per-op-class
+// latencies go into trace LatencyHistos.
 #pragma once
 
 #include <cstdint>
@@ -151,8 +162,10 @@ class KvStore {
   void destroy(fabric::RankCtx& ctx);
 
   // --- blocking one-sided client ops --------------------------------------
-  /// Typed statuses: ok, or the first failure observed (peer_dead when
-  /// both the owner and — if enabled — the replica are unreachable).
+  /// Writes both copies in lockstep. ok, or: owner dead -> the replica's
+  /// status (data_loss when it died too); replica dead -> absorbed; any
+  /// other failure -> the first one seen, with the write's effect unknown
+  /// (one copy may hold it; scrub() reconciles the pair).
   rdma::OpStatus put(std::uint64_t key, std::uint64_t value);
   rdma::OpStatus erase(std::uint64_t key);
   /// Versioned one-sided read; `*found` false on miss. Serves from the
@@ -236,6 +249,7 @@ class KvStore {
   FleetResult run_fleet(fabric::RankCtx& ctx, const FleetConfig& fc);
 
  private:
+  struct RegionOp;
   struct ClientFiber;
   friend struct ClientFiber;
   struct DrainFiber;
@@ -255,15 +269,8 @@ class KvStore {
   std::size_t copy_base(const Copy& c) const;
   std::size_t epoch_off_of(const Copy& c) const { return copy_base(c); }
   BucketLayout layout_of(const Copy& c) const;
-  /// Compatibility wrappers routing through the fetched table.
-  std::size_t region_base(int shard, bool replica) const {
-    return copy_base(copy_of(shard, replica));
-  }
   std::size_t epoch_off(int shard, bool replica) const {
-    return region_base(shard, replica);
-  }
-  BucketLayout layout_for(int shard, bool replica) const {
-    return layout_of(copy_of(shard, replica));
+    return epoch_off_of(copy_of(shard, replica));
   }
   std::size_t slot_of(std::uint64_t key) const;
 
@@ -304,44 +311,30 @@ class KvStore {
   // Typed-status AMO helpers (request-based, so faults never raise).
   rdma::OpStatus wait_req(core::RmaRequest& req);
   rdma::OpStatus amo_read(int t, std::size_t off, std::uint64_t* v);
-  /// Two AMO reads issued back to back, awaited together: the generation
-  /// check overlaps the epoch check, costing no extra round trip.
-  rdma::OpStatus amo_read2(int t1, std::size_t off1, std::uint64_t* v1,
-                           int t2, std::size_t off2, std::uint64_t* v2);
   rdma::OpStatus amo_cas(int t, std::size_t off, std::uint64_t expect,
                          std::uint64_t desired, std::uint64_t* prev);
   rdma::OpStatus amo_add(int t, std::size_t off, std::uint64_t add);
   rdma::OpStatus amo_write(int t, std::size_t off, std::uint64_t v);
 
-  /// Locates key's cell in the region: *cell_off = byte offset of its
-  /// {key, version, value} words, 0 if absent. `claim` makes it claim a
-  /// cell for the key (top slot, tombstone reclaim, or fresh overflow
-  /// cell); *fresh_insert reports that the cell was newly linked with the
-  /// value already published (no seqlock update needed).
-  rdma::OpStatus locate(int t, const BucketLayout& l, std::uint64_t key,
-                        bool claim, std::uint64_t value,
-                        std::size_t* cell_off, bool* fresh_insert);
-  /// Seqlock write of `value` into the located cell + epoch bump.
-  rdma::OpStatus seq_write(int t, int shard, bool replica,
-                           std::size_t cell_off, std::uint64_t value);
-  /// Seqlock read: *found/*value; retries odd/changed versions.
-  rdma::OpStatus seq_read(int t, std::size_t cell_off, std::uint64_t key,
-                          std::uint64_t* value, bool* found);
-  /// Full uncached read from one region (locate + seq_read).
-  rdma::OpStatus read_region(int t, const BucketLayout& l, std::uint64_t key,
-                             std::uint64_t* value, bool* found);
-  /// put/erase applied to one region (primary or replica copy).
-  rdma::OpStatus write_region(int t, int shard, bool replica,
-                              std::uint64_t key, std::uint64_t value,
-                              bool is_erase);
+  // --- region-op drivers ----------------------------------------------------
+  /// Blocking driver: each round issues every live machine's AMOs, waits
+  /// for all of them, then advances each; contention backs off through
+  /// Backoff + yield_check. Returns when every machine is done.
+  void drive(RegionOp* const* ops, int n);
+  void drive(RegionOp& op);
+  /// put (erase = false) and erase: the owner and replica machines in
+  /// lockstep, or the surviving copy alone when the shard is degraded.
+  rdma::OpStatus write(std::uint64_t key, std::uint64_t value, bool erase);
+  /// Routes a get: arms `op` for the shard's serving copy and returns
+  /// pending, or returns the op's typed retirement (data_loss).
+  rdma::OpStatus read_begin(std::uint64_t key, RegionOp* op);
+  /// Retires a driven read: fails over to the replica on an owner
+  /// peer_dead, fills the cache, copies the result out.
+  rdma::OpStatus read_end(RegionOp* op, std::uint64_t* value, bool* found);
   /// Marks `shard` degraded (first peer_dead / liveness miss on its owner).
   void fail_over(int shard);
   /// Retires an op addressed at a shard whose owner AND replica are dead.
   rdma::OpStatus data_loss_on(int shard);
-  /// Dead-writer seqlock recovery: force-release a version word left odd
-  /// by a killed rank (only attempted once a death was observed).
-  rdma::OpStatus maybe_revoke(int t, std::size_t cell_off,
-                              std::uint64_t stuck_ver);
   bool any_peer_dead() const;
 
   KvConfig cfg_;

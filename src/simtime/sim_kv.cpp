@@ -20,7 +20,7 @@ double kv_read_p99_us(const KvParams& p, bool degraded) {
 
 double kv_put_us(const KvParams& p, bool degraded) {
   const int regions = (p.replicate && !degraded) ? 2 : 1;
-  return regions * p.put_amos * p.amo_us;
+  return p.put_rounds * p.amo_us + regions * p.put_amos * p.amo_service_us;
 }
 
 double kv_hot_shard_mass(const KvParams& p) {

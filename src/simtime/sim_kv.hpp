@@ -21,8 +21,11 @@ struct KvParams {
   /// Remote words of the full versioned read: epoch + top key + seqlock
   /// {v1, key, value, v2} snapshot.
   int uncached_amos = 6;
-  /// Remote ops of a put against one region: top CAS + lock CAS + value
-  /// write + release + epoch bump (+ the located read).
+  /// Overlapped rounds of a top-cell put: {claim CAS, version read} ->
+  /// lock CAS -> {value write, epoch bump} -> release. Both copies run in
+  /// lockstep, so replication adds AMOs but no rounds.
+  int put_rounds = 4;
+  /// Remote AMOs a put issues against one region (the six above).
   int put_amos = 6;
   bool replicate = true;     ///< puts fan out to the replica region (x2)
   double hit_rate = 0.80;    ///< healthy-mode cache hit fraction
@@ -57,9 +60,14 @@ double kv_read_us(const KvParams& p, bool degraded = false);
 /// distribution at the uncached cost.
 double kv_read_p99_us(const KvParams& p, bool degraded = false);
 
-/// Mean modeled put latency (us): per-region CAS-chain cost, doubled by
-/// write-through replication while the shard is healthy (degraded mode
-/// writes the surviving replica only).
+/// Mean modeled put latency (us):
+///
+///   put_rounds * amo_us + issued_AMOs * amo_service_us
+///
+/// one network round trip per overlapped round plus the origin's issue
+/// overhead per AMO. Write-through replication doubles the AMOs while the
+/// shard is healthy (degraded mode writes the surviving replica only):
+/// 4 * 2.4 + 12 * 0.416 = 14.6 us healthy, 12.1 us degraded.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
 /// Probability mass of the hottest shard under the Zipf(s) key popularity

@@ -330,10 +330,17 @@ TEST(Batch, StripedModelLatencyDecreasesWithChannels) {
 
 TEST(Batch, StripingReducesModeledWallTime) {
   const std::size_t big = std::size_t{1} << 20;
+  // The blocking put also copies 1 MiB on the host (~50-100 us depending on
+  // memory bandwidth), which does not shrink with channels and overlaps the
+  // modeled wait. Stretch model time so the modeled latency, not the host
+  // copy, decides the wall time on any machine.
+  constexpr double kScale = 4.0;
   auto timed_put = [&](int channels) {
     NicConfig nc;
     nc.channels = channels;
-    Domain dom(internode(2, Injection::model, nc));
+    DomainConfig cfg = internode(2, Injection::model, nc);
+    cfg.time_scale = kScale;
+    Domain dom(cfg);
     Nic& nic = dom.nic(0);
     AlignedBuffer mem(2 * big);
     const RegionDesc d = dom.registry().register_region(1, mem.data(), 2 * big);
@@ -349,7 +356,8 @@ TEST(Batch, StripingReducesModeledWallTime) {
   };
   const double t1 = timed_put(1);
   const double t4 = timed_put(4);
-  // Modeled: ~153 us at 1 channel vs ~40 us at 4; generous noise margin.
+  // Modeled: ~153 us at 1 channel vs ~40 us at 4 (x kScale); generous noise
+  // margin.
   // Under TSan the shadow cost of the 1 MiB copy (which does not shrink
   // with channels) swamps the modeled wait, so only the stripe counters
   // above are meaningful there — the ratio is asserted unsanitized.

@@ -4,8 +4,10 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "common/instr.hpp"
 #include "core/window.hpp"
@@ -17,11 +19,22 @@ using fabric::RankCtx;
 
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so every byte
+// is a named, zeroed member: implicit padding would put stack garbage into
+// the test names and make them differ from run to run.
 struct ModeCase {
   rdma::Delivery delivery;
+  std::uint8_t pad0[3];
   int ranks_per_node;
   bool shuffle;
+  std::uint8_t pad1[3];
 };
+static_assert(std::has_unique_object_representations_v<ModeCase>);
+
+constexpr ModeCase mode(rdma::Delivery delivery, int ranks_per_node,
+                        bool shuffle) {
+  return {delivery, {}, ranks_per_node, shuffle, {}};
+}
 
 class CommModes : public ::testing::TestWithParam<ModeCase> {};
 
@@ -83,11 +96,11 @@ TEST_P(CommModes, LargeTransfersCrossProtocolThreshold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, CommModes,
-    ::testing::Values(ModeCase{rdma::Delivery::immediate, 0, false},
-                      ModeCase{rdma::Delivery::immediate, 1, false},
-                      ModeCase{rdma::Delivery::deferred, 1, false},
-                      ModeCase{rdma::Delivery::deferred, 1, true},
-                      ModeCase{rdma::Delivery::deferred, 2, true}));
+    ::testing::Values(mode(rdma::Delivery::immediate, 0, false),
+                      mode(rdma::Delivery::immediate, 1, false),
+                      mode(rdma::Delivery::deferred, 1, false),
+                      mode(rdma::Delivery::deferred, 1, true),
+                      mode(rdma::Delivery::deferred, 2, true)));
 
 TEST(Comm, StridedPutWithDatatypes) {
   fabric::run_ranks(2, [](RankCtx& ctx) {

@@ -80,15 +80,22 @@ TEST(Kv, OverwriteAndTombstoneReclaim) {
   fabric::run_ranks(2, [](RankCtx& ctx) {
     KvStore store(ctx);
     if (ctx.rank() == 0) {
+      // Every write runs the owner and replica copies in lockstep; a scrub
+      // after each one must find the pair already in agreement.
+      const int s = store.shard_of(42);
       EXPECT_EQ(store.put(42, 1), OpStatus::ok);
+      EXPECT_EQ(store.scrub(s).repairs, 0u);
       EXPECT_EQ(store.put(42, 2), OpStatus::ok);  // in-place seqlock update
+      EXPECT_EQ(store.scrub(s).repairs, 0u);
       std::uint64_t v = 0;
       bool found = false;
       EXPECT_EQ(store.get(42, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 2u);
       EXPECT_EQ(store.erase(42), OpStatus::ok);
+      EXPECT_EQ(store.scrub(s).repairs, 0u);
       EXPECT_EQ(store.put(42, 3), OpStatus::ok);  // reclaims the tombstone
+      EXPECT_EQ(store.scrub(s).repairs, 0u);
       EXPECT_EQ(store.get(42, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 3u);
@@ -120,8 +127,135 @@ TEST(Kv, CollisionsSpillToOverflowChains) {
       }
     }
     ctx.barrier();
+    if (ctx.rank() == 0) {
+      // Single writer, every top slot already taken: a fresh overflow
+      // insert, a chain-cell overwrite and erase, then a different key
+      // reclaiming the tombstone, all through the lockstep write. The
+      // first scrub settles races of the concurrent phase above; after
+      // that the two copies must agree after every write.
+      for (int s = 0; s < cfg.shards; ++s) store.scrub(s);
+      const std::uint64_t a = 900001;
+      std::uint64_t b = a + 1;
+      while (store.shard_of(b) != store.shard_of(a)) ++b;
+      const int s = store.shard_of(a);
+      const auto expect = [&](std::uint64_t k, bool present,
+                              std::uint64_t want) {
+        std::uint64_t v = 0;
+        bool found = !present;
+        ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+        EXPECT_EQ(found, present) << "key " << k;
+        if (present) {
+          EXPECT_EQ(v, want) << "key " << k;
+        }
+        EXPECT_EQ(store.scrub(s).repairs, 0u) << "copies diverged on " << k;
+      };
+      ASSERT_EQ(store.put(a, 1), OpStatus::ok);  // fresh overflow insert
+      expect(a, true, 1);
+      ASSERT_EQ(store.put(a, 2), OpStatus::ok);  // chain-cell overwrite
+      expect(a, true, 2);
+      ASSERT_EQ(store.erase(a), OpStatus::ok);  // chain-cell erase
+      expect(a, false, 0);
+      ASSERT_EQ(store.put(b, 3), OpStatus::ok);  // reclaims a's tombstone
+      expect(b, true, 3);
+      expect(a, false, 0);
+    }
+    ctx.barrier();
     store.destroy(ctx);
   });
+}
+
+TEST(Kv, ReplicatedWriteRoundCounts) {
+  // One driver round overlaps every live copy's AMOs, so a replicated
+  // top-cell put costs the four rounds of one copy: {claim CAS, version
+  // read} -> lock CAS -> {value write, epoch bump} -> release. (The
+  // op_from_string round trip of Op::kv_round is covered by
+  // TraceNames.OpToStringRoundTripsExhaustively.)
+  KvConfig cfg;
+  cfg.shards = 2;
+  cfg.table_slots = 1;  // a second key of the shard goes to the chain
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    if (ctx.rank() == 0) {
+      const auto rounds = [](auto&& op) {
+        const std::uint64_t before = op_counters().get(Op::kv_round);
+        EXPECT_EQ(op(), OpStatus::ok);
+        return op_counters().get(Op::kv_round) - before;
+      };
+      const std::uint64_t a = 1;
+      std::uint64_t b = 2;
+      while (store.shard_of(b) != store.shard_of(a)) ++b;
+      std::uint64_t v = 0;
+      bool found = false;
+      EXPECT_EQ(rounds([&] { return store.put(a, 1); }), 4u);  // fresh claim
+      EXPECT_EQ(rounds([&] { return store.put(a, 2); }), 4u);  // overwrite
+      EXPECT_LE(rounds([&] { return store.put(b, 3); }), 6u);  // new chain cell
+      EXPECT_LE(rounds([&] { return store.put(b, 4); }), 6u);  // chain depth 1
+      // Uncached get: {epoch, top key, v1} -> {key, value} -> v2; a warm
+      // cache hit is the epoch round alone.
+      EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 3u);
+      EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 1u);
+      EXPECT_EQ(v, 2u);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(Kv, ReaderSeeingNewValueNeverLeavesPeerCacheStale) {
+  // Ranks 0 and 1 share a node (fast intra-node AMOs); the writer, rank 2,
+  // sits behind a network whose AMO round trip is stretched to ~5 ms. B
+  // (rank 1) caches the key, the writer overwrites it, and A (rank 0, the
+  // shard owner, uncached) polls until it reads the new value, then flags
+  // B. B's next get must return the new value too. That holds only if the
+  // epoch bump lands before the release: a bump issued after the release
+  // leaves a full round trip in which A reads the new value while B's
+  // epoch check still validates its stale cache entry.
+  fabric::FabricOptions opts;
+  opts.domain.nranks = 3;
+  opts.domain.ranks_per_node = 2;
+  opts.domain.inject = rdma::Injection::model;
+  opts.domain.time_scale = 100;
+  opts.domain.model.amo_base_ns = 50000;  // x100: a 5 ms inter-node AMO
+  opts.hang_timeout_ns = 60'000'000'000;  // a stuck poll fails, not hangs
+  std::atomic<bool> a_saw_new{false};
+  fabric::run_ranks(
+      3,
+      [&](RankCtx& ctx) {
+        KvConfig cfg;
+        cfg.client_cache = ctx.rank() != 0;  // A must not serve from cache
+        KvStore store(ctx, cfg);
+        const auto key = key_owned_by(store, 0);
+        ASSERT_EQ(store.replica_of(store.shard_of(key)), 1);
+        if (ctx.rank() == 0) {
+          ASSERT_EQ(store.put(key, 1), OpStatus::ok);
+        }
+        ctx.barrier();
+        std::uint64_t v = 0;
+        bool found = false;
+        if (ctx.rank() == 1) {
+          ASSERT_EQ(store.get(key, &v, &found), OpStatus::ok);
+          ASSERT_EQ(store.get(key, &v, &found), OpStatus::ok);
+          ASSERT_EQ(store.stats().cache_hits, 1u);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 2) {
+          ASSERT_EQ(store.put(key, 2), OpStatus::ok);
+        } else if (ctx.rank() == 0) {
+          do {
+            ASSERT_EQ(store.get(key, &v, &found), OpStatus::ok);
+          } while (v != 2);
+          a_saw_new = true;
+        } else {
+          while (!a_saw_new) ctx.yield_check();
+          ASSERT_EQ(store.get(key, &v, &found), OpStatus::ok);
+          EXPECT_TRUE(found);
+          EXPECT_EQ(v, 2u) << "B served its cached value after A read the "
+                              "new one";
+        }
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
 }
 
 TEST(Kv, RoutingTableFetchMatchesAuthoritativeMap) {
@@ -389,6 +523,69 @@ TEST(KvChaos, DeterministicAcrossSeeds) {
     EXPECT_EQ(a.failed, 0u)
         << "transient-only plan must not exhaust retry budgets";
   }
+}
+
+TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
+  // The lockstep write locks both copies in the same round, so a writer
+  // that dies can leave BOTH copies odd. Kill the writer (rank 2, host of
+  // neither copy) at every op index of one replicated put. Survivors' gets
+  // must retire ok with the old or the new value (revoking the dead
+  // writer's lock) or typed peer_dead, and never hang; a survivor's put
+  // then revokes the other copy's lock and leaves the pair in agreement.
+  constexpr std::uint64_t kPad = 10000;  // the put starts at this op index
+  std::uint64_t put_ops = 0;
+  for (std::uint64_t k = 0;; ++k) {
+    fabric::FabricOptions opts;
+    opts.domain.nranks = 3;
+    opts.domain.ranks_per_node = 1;
+    opts.domain.fault.kill_rank = 2;
+    opts.domain.fault.kill_at_op = kPad + k;
+    opts.errors_return = true;
+    opts.hang_timeout_ns = 60'000'000'000;  // a hang fails, typed timeout
+    std::atomic<bool> put_done{false};
+    std::atomic<int> survivors{0};
+    fabric::run_ranks(
+        3,
+        [&](RankCtx& ctx) {
+          KvStore store(ctx);
+          const auto key = key_owned_by(store, 0);
+          const int s = store.shard_of(key);
+          if (ctx.rank() == 0) {
+            ASSERT_EQ(store.put(key, 1), OpStatus::ok);
+          }
+          ctx.barrier();  // last collective: the kill lands in the put
+          if (ctx.rank() == 2) {
+            ASSERT_LT(ctx.nic().issued_ops(), kPad);
+            while (ctx.nic().issued_ops() < kPad) store.shard_epoch(s);
+            ASSERT_EQ(store.put(key, 2), OpStatus::ok);
+            put_ops = ctx.nic().issued_ops() - kPad;
+            put_done = true;
+            return;  // no further op: the scheduled kill never fires
+          }
+          while (store.peer_alive(2) && !put_done) ctx.yield_check();
+          std::uint64_t v = 0;
+          bool found = false;
+          const auto st = store.get(key, &v, &found);
+          if (st == OpStatus::ok) {
+            EXPECT_TRUE(found);
+            EXPECT_TRUE(v == 1 || v == 2 || v == 3)
+                << "illegal value " << v << " after a kill at op " << k;
+          } else {
+            EXPECT_EQ(st, OpStatus::peer_dead) << "kill at op " << k;
+          }
+          if (ctx.rank() == 0) {
+            ASSERT_EQ(store.put(key, 3), OpStatus::ok);
+            ASSERT_EQ(store.get(key, &v, &found), OpStatus::ok);
+            EXPECT_EQ(v, 3u);
+            EXPECT_EQ(store.scrub(s).repairs, 0u) << "kill at op " << k;
+          }
+          survivors.fetch_add(1);
+        },
+        opts);
+    EXPECT_EQ(survivors.load(), 2) << "kill at op " << k;
+    if (put_done) break;  // the kill site moved past the put's last op
+  }
+  EXPECT_EQ(put_ops, 12u) << "a replicated top-cell put is 2 x 6 AMOs";
 }
 
 // --- shard-owner failover -----------------------------------------------------

@@ -385,6 +385,10 @@ TEST(SimKv, DegradedTailNoBetterThanHealthy) {
   // Degraded puts write one region instead of two: cheaper per op, which
   // is the one silver lining the SLO table shows.
   EXPECT_LT(kv_put_us(p, true), kv_put_us(p, false));
+  // Lockstep copies: four overlapped rounds either way, plus the origin
+  // issue overhead of 12 (healthy) or 6 (degraded) AMOs.
+  EXPECT_NEAR(kv_put_us(p, false), 4 * 2.4 + 12 * 0.416, 1e-9);
+  EXPECT_NEAR(kv_put_us(p, true), 4 * 2.4 + 6 * 0.416, 1e-9);
 }
 
 TEST(SimKv, ThroughputMonotoneAndSaturating) {
