@@ -32,13 +32,11 @@
 #      1.5x of healthy — exiting non-zero on violation)
 #   5. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
 #      must be valid JSON and must have dropped zero events
-#   6. Fault fast-path gate: arming an (idle) fault plan must not tax the
-#      measured put8 issue path, and no fault may fire in its timed loop
-#   7. Batch fast-path gate: an enabled-but-idle throughput config
-#      (channels + adaptive thresholds, no open batch) must not tax the
-#      blocking put8 issue path and must ring no coalesced doorbells
-#   8. Scheduler fast-path gate: a constructed-but-idle fiber scheduler
-#      must not tax the blocking put8 issue path (mirror of gate 7)
+#   6. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an
+#      armed-but-idle fault plan, throughput config (channels + adaptive
+#      thresholds, no open batch) or fiber scheduler must not tax the
+#      blocking put8 issue path, and must not fire a fault or ring a
+#      coalesced doorbell in its timed loop
 #
 # Runs from any directory; everything lands in build/ and build-tsan/.
 set -eu
@@ -106,81 +104,50 @@ if dropped > 0:
              "(flight-recorder ring too small for the smoke run)")
 EOF
 
-# Fault fast-path gate. The armed-idle case runs with a fault plan whose
-# every scheduled site lands inside the warmup, so its timed loop must (a)
-# record zero fault counters and (b) cost about the same as the plain
-# blocking put8 (generous 1.5x bound: both numbers are ~17-19 ns and share
-# the scheduler noise of the one-core host).
-python3 - <<'EOF'
+# Idle-tax gates. An armed-but-idle feature must leave the blocking put8
+# issue path within BOUND x the plain baseline, and its timed loop must
+# bump none of the listed counters. Both samples are ~17-19 ns on a
+# one-core host and single runs can be scheduler-noise outliers of 3x or
+# more, so a gate with ATTEMPTS > 1 regenerates BENCH_fastpath.json and
+# re-checks before failing.
+#   idle_tax_gate CASE BOUND ATTEMPTS [COUNTER...]
+idle_tax_gate() {
+  case_name=$1 bound=$2 attempts=$3
+  shift 3
+  attempt=1
+  until python3 - "$case_name" "$bound" "$@" <<'EOF'
 import json, sys
+name, bound, counters = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
 cases = {c["name"]: c for c in json.load(open("BENCH_fastpath.json"))["cases"]}
 base = cases["put8_blocking_immediate"]["ns_per_op"]
-armed = cases["put8_blocking_fault_armed_idle"]
-for counter in ("fault_injected", "op_retried", "op_failed"):
-    if armed.get(counter, 0) != 0:
-        sys.exit(f"armed-idle bench: {counter}={armed[counter]} in the "
-                 "timed loop (fault sites leaked past the warmup)")
-if armed["ns_per_op"] > 1.5 * base:
-    sys.exit(f"armed-idle put8 {armed['ns_per_op']:.1f} ns/op vs baseline "
-             f"{base:.1f} ns/op: arming a fault plan taxes the fast path")
-EOF
-
-# Batch fast-path gate. Enabling throughput mode (4 channels + adaptive
-# thresholds) with no open batch must leave the blocking put8 issue path
-# within 1.25x of the plain baseline and ring zero coalesced doorbells.
-# Both samples are ~17 ns on this one-core host and single runs can be
-# scheduler-noise outliers of 3x or more, so on a miss we regenerate the
-# whole JSON and re-check (up to 3 attempts) before failing.
-batch_gate() {
-  python3 - <<'EOF'
-import json, sys
-cases = {c["name"]: c for c in json.load(open("BENCH_fastpath.json"))["cases"]}
-base = cases["put8_blocking_immediate"]["ns_per_op"]
-idle = cases["put8_blocking_batch_idle"]
-for counter in ("doorbell_ring", "batched_op"):
+idle = cases[name]
+for counter in counters:
     if idle.get(counter, 0) != 0:
-        sys.exit(f"batch-idle bench: {counter}={idle[counter]} in the timed "
-                 "loop (throughput mode batched a blocking fast-path put)")
-if idle["ns_per_op"] > 1.25 * base:
-    sys.exit(f"batch-idle put8 {idle['ns_per_op']:.1f} ns/op vs baseline "
-             f"{base:.1f} ns/op: idle throughput mode taxes the fast path")
+        sys.exit(f"{name}: {counter}={idle[counter]} in the timed loop")
+if idle["ns_per_op"] > bound * base:
+    sys.exit(f"{name} {idle['ns_per_op']:.1f} ns/op vs baseline "
+             f"{base:.1f} ns/op: over the {bound}x idle-tax bound")
 EOF
+  do
+    if [ "$attempt" -ge "$attempts" ]; then
+      echo "$case_name idle-tax gate failed on $attempt attempt(s)" >&2
+      exit 1
+    fi
+    attempt=$((attempt + 1))
+    echo "$case_name idle-tax gate: rerunning bench_fastpath" \
+      "(attempt $attempt)" >&2
+    ./build/bench/bench_fastpath > BENCH_fastpath.json
+  done
 }
-attempt=1
-until batch_gate; do
-  if [ "$attempt" -ge 3 ]; then
-    echo "batch fast-path gate failed on $attempt attempts" >&2
-    exit 1
-  fi
-  attempt=$((attempt + 1))
-  echo "batch fast-path gate: rerunning bench_fastpath (attempt $attempt)" >&2
-  ./build/bench/bench_fastpath > BENCH_fastpath.json
-done
 
-# Scheduler fast-path gate. A constructed-but-idle fiber Scheduler (no
-# fibers adopted) must leave the blocking put8 issue path within 1.25x of
-# the plain baseline. Same noise handling as the batch gate: regenerate
-# and re-check up to 3 attempts before failing.
-sched_gate() {
-  python3 - <<'EOF'
-import json, sys
-cases = {c["name"]: c for c in json.load(open("BENCH_fastpath.json"))["cases"]}
-base = cases["put8_blocking_immediate"]["ns_per_op"]
-idle = cases["put8_blocking_sched_idle"]
-if idle["ns_per_op"] > 1.25 * base:
-    sys.exit(f"sched-idle put8 {idle['ns_per_op']:.1f} ns/op vs baseline "
-             f"{base:.1f} ns/op: an idle fiber scheduler taxes the fast path")
-EOF
-}
-attempt=1
-until sched_gate; do
-  if [ "$attempt" -ge 3 ]; then
-    echo "scheduler fast-path gate failed on $attempt attempts" >&2
-    exit 1
-  fi
-  attempt=$((attempt + 1))
-  echo "scheduler fast-path gate: rerunning bench_fastpath (attempt $attempt)" >&2
-  ./build/bench/bench_fastpath > BENCH_fastpath.json
-done
+# Fault plan armed with every scheduled site inside the warmup: no fault
+# may fire in the timed loop. Generous bound, no rerun.
+idle_tax_gate put8_blocking_fault_armed_idle 1.5 1 \
+  fault_injected op_retried op_failed
+# Throughput mode enabled (4 channels + adaptive thresholds) with no open
+# batch: no coalesced doorbell may ring.
+idle_tax_gate put8_blocking_batch_idle 1.25 3 doorbell_ring batched_op
+# A constructed-but-idle fiber scheduler (no fibers adopted).
+idle_tax_gate put8_blocking_sched_idle 1.25 3
 
 echo "ci OK"

@@ -76,7 +76,6 @@ KvStore::KvStore(fabric::RankCtx& ctx, KvConfig cfg)
   routing_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   degraded_.assign(static_cast<std::size_t>(cfg_.shards), false);
   cache_.assign(static_cast<std::size_t>(cfg_.shards), {});
-  epoch_seen_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   const auto st = fetch_routing();
   FOMPI_REQUIRE(st == rdma::OpStatus::ok, ErrClass::internal,
                 "kv routing-table fetch failed");
@@ -102,7 +101,7 @@ std::size_t KvStore::shard_region_bytes() const {
   l.heap_slots = cfg_.heap_slots;
   l.table_stride = kTopStride;
   l.cell_stride = kCellStride;
-  return 16 + l.region_bytes();  // [epoch][pad] + buckets
+  return 16 + l.region_bytes();  // [probe word][pad] + buckets
 }
 
 std::size_t KvStore::copy_base(const Copy& c) const {
@@ -144,13 +143,6 @@ int KvStore::owner_of(int shard) const { return copy_of(shard, false).rank; }
 
 int KvStore::replica_of(int shard) const { return copy_of(shard, true).rank; }
 
-std::uint64_t KvStore::shard_epoch(int shard, bool replica) {
-  std::uint64_t ep = 0;
-  amo_read(replica ? replica_of(shard) : owner_of(shard),
-           epoch_off(shard, replica), &ep);
-  return ep;
-}
-
 std::size_t KvStore::cached_entries(int shard) const {
   return cache_[static_cast<std::size_t>(shard)].size();
 }
@@ -158,8 +150,8 @@ std::size_t KvStore::cached_entries(int shard) const {
 rdma::OpStatus KvStore::probe_owner(int shard) {
   // Identity accumulate (+0): pure reads are served from a dead rank's
   // frozen memory image under the fail-stop model, so only a mutating AMO
-  // yields the typed peer_dead. Adding zero leaves the epoch untouched.
-  return amo_add(owner_of(shard), epoch_off(shard, false), 0);
+  // yields the typed peer_dead. Adding zero leaves the region header as is.
+  return amo_add(owner_of(shard), copy_base(copy_of(shard, false)), 0);
 }
 
 // --- typed-status AMO helpers ------------------------------------------------
@@ -212,8 +204,8 @@ rdma::OpStatus KvStore::amo_write(int t, std::size_t off, std::uint64_t v) {
 //
 // The routing table carries a generation word: even = stable, odd = a
 // reconfiguration is in flight. Clients that have observed a death validate
-// their cached generation with one AMO per op (piggybacked on the epoch
-// check where one exists); a mismatch retires the op as typed
+// their cached generation with one AMO per op (in a read's first round);
+// a mismatch retires the op as typed
 // retry_routing and — once the generation is stable again — re-fetches a
 // consistent {generation, table} pair. Before any death the generation
 // cannot have moved, so the healthy fast path skips all of this for the
@@ -308,10 +300,8 @@ void KvStore::apply_routing(const std::vector<std::uint64_t>& old) {
   for (int s = 0; s < cfg_.shards; ++s) {
     const auto i = static_cast<std::size_t>(s);
     if (old.size() == routing_.size() && old[i] != routing_[i]) {
-      // The shard's copies moved: epoch stamps taken against the old
-      // primary region are meaningless against the new one.
+      // The shard's copies moved: entries hold the old primary's versions.
       cache_[i].clear();
-      epoch_seen_[i] = 0;
     }
     degraded_[i] = !win_.peer_alive(copy_of(s, false).rank);
   }
@@ -331,7 +321,7 @@ bool KvStore::any_peer_dead() const {
 void KvStore::fail_over(int shard) {
   if (degraded_[static_cast<std::size_t>(shard)]) return;
   degraded_[static_cast<std::size_t>(shard)] = true;
-  // Primary-stamped epochs can no longer be validated: drop the cache.
+  // Entries hold versions of the primary copy, which no longer serves.
   cache_[static_cast<std::size_t>(shard)].clear();
   ++stats_.failovers;
   count(Op::kv_failover);
@@ -346,14 +336,14 @@ void KvStore::fail_over(int shard) {
 // ClientFiber parks on the same handles. AMOs of one round may land in any
 // order, so every step that needs ordering is split across rounds: v1
 // before the {key, value} body, v2 after it; the lock before the value
-// write; the value write and the epoch bump before the release.
+// write; the value write before the release.
 
 struct KvStore::RegionOp {
   enum class Kind : std::uint8_t { read, put, erase };
   enum class Step : std::uint8_t { done, next, contended };
   enum class State : std::uint8_t {
-    epoch,    // read: [generation] + [shard epoch] (+ top key, v1)
-    top,      // top key (a claim CAS for puts) + top version
+    check,    // cached read: [generation] + the cached cell's version
+    top,      // [generation] + top key (a claim CAS for puts) + version
     reclaim,  // CAS a tombstoned key word to our key
     head,     // chain head
     cell,     // chain cell key + version + next
@@ -365,9 +355,8 @@ struct KvStore::RegionOp {
     link,     // CAS the chain head to the new cell
     lock,     // version read while odd, else CAS even -> odd
     revoke,   // CAS a version a dead writer left odd forward
-    write,    // value (or tombstone key) write + epoch bump
+    write,    // value (or tombstone key) write
     release,  // version + 2
-    bump,     // fresh insert: epoch bump only
     done,
   };
 
@@ -380,32 +369,34 @@ struct KvStore::RegionOp {
     key = ky;
     value = val;
     const Copy c = kv.copy_of(s, rep);
+    home = pack_copy(c);
     t = c.rank;
     l = kv.layout_of(c);
-    epoch_off = kv.epoch_off_of(c);
     slot = kv.slot_of(ky);
-    if (k == Kind::read) {
-      with_gen = kv.routing_suspect();
-      with_epoch = kv.cfg_.client_cache && !rep;
-    }
-    st = with_gen || with_epoch ? State::epoch : State::top;
+    st = State::top;
+    if (k != Kind::read) return;
+    with_gen = kv.routing_suspect();
+    with_cache = kv.cfg_.client_cache && !rep;
+    if (!with_cache) return;
+    const auto& entries = kv.cache_[static_cast<std::size_t>(s)];
+    const auto it = entries.find(ky);
+    if (it == entries.end()) return;
+    cell = l.off_table(slot);
+    ver = it->second.version;
+    value = it->second.value;
+    st = State::check;
   }
 
   void issue(KvStore& kv) {
     round_st = rdma::OpStatus::ok;
     const std::size_t top = l.off_table(slot);
     switch (st) {
-      case State::epoch:
+      case State::check:
         if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
-        if (with_epoch) read(kv, t, epoch_off, &ep);
-        // Fuse the top-cell read unless the round is full or the key is
-        // cached (then the epoch alone decides a likely hit).
-        fused = !(with_gen && with_epoch) &&
-                !(with_epoch && kv.cache_[static_cast<std::size_t>(shard)]
-                                        .count(key) != 0);
-        if (!fused) break;
-        [[fallthrough]];
+        read(kv, t, cell + kVerOff, &w[0]);
+        break;
       case State::top:
+        if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
         if (kind == Kind::put) {
           cas(kv, top, 0, key, &w[0]);
         } else {
@@ -453,12 +444,10 @@ struct KvStore::RegionOp {
         } else {
           store(kv, cell + kValOff, value, RedOp::replace);
         }
-        store(kv, epoch_off, 1, RedOp::sum);
         break;
       case State::release:
         store(kv, cell + kVerOff, ver + 2, RedOp::replace);
         break;
-      case State::bump: store(kv, epoch_off, 1, RedOp::sum); break;
       case State::done: break;
     }
   }
@@ -481,33 +470,27 @@ struct KvStore::RegionOp {
         st != State::revoke) {
       return finish(held != rdma::OpStatus::ok ? held : round_st);
     }
-    const auto s = static_cast<std::size_t>(shard);
+    if (with_gen && gen != kv.gen_seen_) {
+      return finish(kv.handle_gen_mismatch(gen));
+    }
+    with_gen = false;  // validated once per op, in its first round
     switch (st) {
-      case State::epoch:
-        if (with_gen && gen != kv.gen_seen_) {
-          return finish(kv.handle_gen_mismatch(gen));
+      case State::check:
+        // Unchanged version: the top cell, which every access to the key
+        // checks first, still holds the pair. The hit linearizes here.
+        if (w[0] == ver) {
+          hit = found = true;
+          ++kv.stats_.cache_hits;
+          count(Op::kv_cache_hit);
+          return finish(rdma::OpStatus::ok);
         }
-        if (with_epoch) {
-          auto& entries = kv.cache_[s];
-          if (ep == kv.epoch_seen_[s]) {
-            const auto it = entries.find(key);
-            if (it != entries.end()) {
-              hit = found = true;
-              value = it->second;
-              ++kv.stats_.cache_hits;
-              count(Op::kv_cache_hit);
-              return finish(rdma::OpStatus::ok);
-            }
-          } else {  // a writer bumped the epoch: drop the shard's view
-            entries.clear();
-            kv.epoch_seen_[s] = ep;
-          }
+        kv.cache_[static_cast<std::size_t>(shard)].erase(key);
+        return go(State::top);
+      case State::top:
+        if (with_cache) {
           ++kv.stats_.cache_misses;
           count(Op::kv_cache_miss);
         }
-        if (!fused) return go(State::top);
-        [[fallthrough]];
-      case State::top:
         if (w[0] == key || (kind == Kind::put && w[0] == 0)) {
           cell = l.off_table(slot);
           return located(kv, w[1]);
@@ -571,10 +554,7 @@ struct KvStore::RegionOp {
         return go(State::fill);
       case State::fill: return go(State::link);
       case State::link:
-        if (w[0] == head) {
-          cell = l.off_heap(idx);
-          return go(State::bump);
-        }
+        if (w[0] == head) return finish(rdma::OpStatus::ok);
         head = img[3] = w[0];  // lost the link race: relink at the new head
         return contend(State::fill);
       case State::lock:
@@ -592,7 +572,6 @@ struct KvStore::RegionOp {
         held = round_st;
         return go(State::release);
       case State::release: return finish(held);
-      case State::bump: return finish(rdma::OpStatus::ok);
       case State::done: break;
     }
     return Step::done;
@@ -670,15 +649,16 @@ struct KvStore::RegionOp {
   Kind kind = Kind::read;
   State st = State::done, resume = State::done;
   int shard = 0, t = 0, stuck = 0, nreq = 0;
-  bool replica = false, with_gen = false, with_epoch = false, fused = false;
+  bool replica = false, with_gen = false, with_cache = false;
   bool locking = false;
   bool slow = false;   ///< left the top-cell path (chain walk or retry)
-  bool hit = false;    ///< served from the epoch-validated cache
+  bool hit = false;    ///< served from the version-validated cache
   bool found = false;
+  std::uint32_t home = 0;  ///< pack_copy() of the copy this op addresses
   BucketLayout l;
-  std::size_t slot = 0, epoch_off = 0, cell = 0, at = 0;
+  std::size_t slot = 0, cell = 0, at = 0;
   std::uint64_t key = 0, value = 0, ver = 0, head = 0, idx = 0, nxt = 0;
-  std::uint64_t gen = 0, ep = 0, got_key = 0;
+  std::uint64_t gen = 0, got_key = 0;
   std::uint64_t w[3] = {};    ///< words fetched by this round
   std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
   rdma::OpStatus status = rdma::OpStatus::ok;
@@ -728,6 +708,18 @@ rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
   return op.status;
 }
 
+rdma::OpStatus KvStore::debug_read_copy(std::uint64_t key, bool replica,
+                                        std::uint64_t* value, bool* found) {
+  RegionOp op;
+  op.begin(*this, RegionOp::Kind::read, shard_of(key), replica, key, 0);
+  op.with_cache = false;  // always the full seqlock read of that copy
+  op.st = RegionOp::State::top;
+  drive(op);
+  *found = op.found;
+  *value = op.found ? op.value : 0;
+  return op.status;
+}
+
 // --- client ops --------------------------------------------------------------
 
 namespace {
@@ -749,9 +741,12 @@ rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
                               bool erase) {
   require_user_key(key);
   ++(erase ? stats_.erases : stats_.puts);
+  const int shard = shard_of(key);
+  // The write moves the cell's version anyway; dropping the entry first
+  // spares the next get a doomed check round.
+  cache_[static_cast<std::size_t>(shard)].erase(key);
   const auto gst = check_generation();
   if (gst != rdma::OpStatus::ok) return gst;
-  const int shard = shard_of(key);
   if (!degraded_[static_cast<std::size_t>(shard)] &&
       !win_.peer_alive(owner_of(shard))) {
     fail_over(shard);
@@ -821,11 +816,13 @@ rdma::OpStatus KvStore::read_end(RegionOp* op, std::uint64_t* value,
   if (op->status != rdma::OpStatus::ok || !op->found) return op->status;
   *found = true;
   *value = op->value;
-  // Cache only under the epoch this read validated against: another fiber
-  // may have moved epoch_seen_ while this one was parked.
-  if (op->with_epoch && !op->hit && !degraded_[s] &&
-      epoch_seen_[s] == op->ep) {
-    cache_[s][op->key] = op->value;
+  // Cache a clean snapshot (v1 == v2, even, nonzero) of a TOP cell only
+  // (a copy of the key nearer the top can shadow a chain cell without
+  // moving its version), and only while the copy the machine read still
+  // serves as primary: a parked read can straddle a routing change.
+  if (op->with_cache && !op->hit && op->cell == op->l.off_table(op->slot) &&
+      !degraded_[s] && pack_copy(copy_of(shard, false)) == op->home) {
+    cache_[s][op->key] = CacheEntry{op->ver, op->value};
   }
   return op->status;
 }
@@ -845,13 +842,14 @@ rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
 
 // --- closed-loop client fleet -------------------------------------------------
 //
-// Each fiber pulls ops off a shared per-rank cursor. A get's top-cell
-// rounds (cache validation fused with the top-cell read, then the seqlock
-// body and v2) park the fiber on their AMOs, so one rank keeps `fibers`
-// reads in flight; a read that turns into a chain walk or a seqlock retry
-// finishes on the blocking driver. Writes run blocking to completion: in
-// four overlapped rounds they stall siblings less than a parked sibling
-// holding a cell lock would stall everyone.
+// Each fiber pulls ops off a shared per-rank cursor. A get's rounds (the
+// cached version check, or the top-cell read, the seqlock body and v2)
+// park the fiber on their AMOs, so one rank keeps `fibers` reads in
+// flight; a cache hit never leaves the fiber, and a read that turns into a
+// chain walk or a seqlock retry finishes on the blocking driver. Writes
+// run blocking to completion: in four overlapped rounds they stall
+// siblings less than a parked sibling holding a cell lock would stall
+// everyone.
 
 struct KvStore::ClientFiber final : fabric::progress::Fiber {
   struct FleetOp {

@@ -17,26 +17,30 @@
 //     {key, value} -> v2, retried on mismatch; version 0 means the insert
 //     has not linearized yet and reads as a miss.
 //   * put / erase — one write() that runs the owner and replica machines
-//     in lockstep: {claim CAS, version read} -> lock CAS -> {value or
-//     tombstone write, epoch bump} -> release, four overlapped rounds for
-//     a top-cell write. The epoch bump lands while the cell is locked, so
-//     a reader that sees the new value can never meet a cache still
-//     validated by the old epoch. New keys on the overflow path reuse the
+//     in lockstep: {claim CAS, version read} -> lock CAS -> value or
+//     tombstone write -> release, four overlapped rounds and five AMOs per
+//     copy for a top-cell write. New keys on the overflow path reuse the
 //     hashtable's fetch_add + link-at-head protocol; erase tombstones the
 //     key word so the slot can be reclaimed. A non-ok status means
 //     "unknown effect": the copies may disagree (the replica may be ahead
 //     of a failed owner) until the scrub's version-winner rule reconciles
 //     them.
-//   * client cache — per-shard epoch-stamped: all cached entries of a
-//     shard are valid exactly while the shard's epoch word is unchanged,
-//     so a cache hit costs ONE remote AMO (the epoch check) instead of the
-//     uncached read's six.
+//   * client cache — per key: an entry is {version, value} of the key's
+//     TOP cell on the shard's primary copy, filled from a clean snapshot.
+//     A cell's key and value change only while its version is odd (or
+//     where no entry can name it: an unclaimed slot, a reclaimed
+//     tombstone, an unlinked overflow cell) and versions only grow, so an
+//     unchanged version proves the top cell still holds the pair, and
+//     every access to the key looks there first. Chain cells are not
+//     cached: a key can sit in two cells, and the copy nearer the top
+//     shadows the other without moving its version. A hit is ONE round;
+//     a write to another key leaves it warm.
 //   * replication / failover — writes fan out to a replica region on rank
 //     (owner+1)%p; a client observing the owner dead (fail-stop liveness
 //     or a typed peer_dead status) marks the shard degraded and routes to
-//     the replica. Degraded reads bypass the cache (primary-stamped
-//     epochs cannot be validated against the replica), which is the
-//     modeled SLO degradation bench_kv measures.
+//     the replica. Degraded reads bypass the cache (its entries hold
+//     versions of the primary copy's cells, which the replica's need not
+//     match), which is the modeled SLO degradation bench_kv measures.
 //   * self-healing recovery (DESIGN.md §13) — heal() turns the degraded
 //     state back into a healthy one: the lowest alive rank is elected
 //     coordinator, CAS-claims the routing generation word (even = stable,
@@ -46,17 +50,17 @@
 //     the paper's decoupling claim doing fault-tolerance work), reconciles
 //     the pair with a version-winner scrub, publishes the new entries and
 //     releases the generation. Clients validate the generation with one
-//     AMO overlapped with their epoch check (only once a death has been
-//     observed — zero healthy-path cost) and retire racing ops with typed
-//     retry_routing; a shard whose owner AND replica died retires
+//     AMO overlapped with their first read round (only once a death has
+//     been observed — zero healthy-path cost) and retire racing ops with
+//     typed retry_routing; a shard whose owner AND replica died retires
 //     data_loss, never a stale frozen value.
 //
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
 // fibers on the progress engine. Each client rank keeps `fibers` ops in
-// flight: reads park their fiber on every top-cell round, and a read that
-// turns into a chain walk or a seqlock retry finishes on the blocking
-// driver; writes run to completion on the blocking driver. Per-op-class
-// latencies go into trace LatencyHistos.
+// flight: reads park their fiber on the cached version check and on every
+// top-cell round, and a read that turns into a chain walk or a seqlock
+// retry finishes on the blocking driver; writes run to completion on the
+// blocking driver. Per-op-class latencies go into trace LatencyHistos.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +82,7 @@ struct KvConfig {
   std::size_t table_slots = 64;  ///< top cells per shard
   std::size_t heap_slots = 256;  ///< overflow cells per shard
   bool replicate = true;         ///< write-through replica at (owner+1)%p
-  bool client_cache = true;      ///< epoch-stamped read cache
+  bool client_cache = true;      ///< version-validated read cache
   /// Rank hosting the routing table + generation word. A dead routing home
   /// makes further reconfiguration impossible (documented limitation);
   /// tests place it on a high rank to exercise coordinator takeover.
@@ -169,7 +173,7 @@ class KvStore {
   rdma::OpStatus put(std::uint64_t key, std::uint64_t value);
   rdma::OpStatus erase(std::uint64_t key);
   /// Versioned one-sided read; `*found` false on miss. Serves from the
-  /// epoch-validated cache when possible.
+  /// version-validated cache when possible.
   rdma::OpStatus get(std::uint64_t key, std::uint64_t* value, bool* found);
 
   // --- routing / introspection ---------------------------------------------
@@ -181,13 +185,11 @@ class KvStore {
   }
   /// Fail-stop liveness view of a rank (forwarded from the window).
   bool peer_alive(int rank) const { return win_.peer_alive(rank); }
-  /// Typed one-sided probe of a shard primary's epoch word: ok while the
-  /// owner serves, peer_dead once it was killed (confinement assertions).
+  /// Typed one-sided probe of a shard primary's region header: ok while
+  /// the owner serves, peer_dead once it was killed (confinement checks).
   rdma::OpStatus probe_owner(int shard);
   const KvStats& stats() const noexcept { return stats_; }
   const KvConfig& config() const noexcept { return cfg_; }
-  /// One-sided read of a shard's version-epoch word (owner or replica copy).
-  std::uint64_t shard_epoch(int shard, bool replica = false);
   /// Keys currently cached for `shard` on this client.
   std::size_t cached_entries(int shard) const;
 
@@ -216,6 +218,9 @@ class KvStore {
   /// deliberately diverging the pair so a scrub has something to repair.
   rdma::OpStatus debug_write_copy(std::uint64_t key, bool replica,
                                   std::uint64_t value);
+  /// Read twin of debug_write_copy: a versioned read of ONE copy.
+  rdma::OpStatus debug_read_copy(std::uint64_t key, bool replica,
+                                 std::uint64_t* value, bool* found);
 
   // --- closed-loop DES client fleet ---------------------------------------
   struct FleetConfig {
@@ -267,11 +272,7 @@ class KvStore {
   int spare_slots() const { return cfg_.spare_factor * shards_per_rank_; }
   /// Byte offset of a physical copy's region in its host rank's window.
   std::size_t copy_base(const Copy& c) const;
-  std::size_t epoch_off_of(const Copy& c) const { return copy_base(c); }
   BucketLayout layout_of(const Copy& c) const;
-  std::size_t epoch_off(int shard, bool replica) const {
-    return epoch_off_of(copy_of(shard, replica));
-  }
   std::size_t slot_of(std::uint64_t key) const;
 
   // --- versioned routing ----------------------------------------------------
@@ -347,10 +348,12 @@ class KvStore {
   std::uint64_t gen_seen_ = 0;          ///< generation the table was read at
   std::vector<bool> degraded_;          ///< per shard, client-local view
 
-  // Epoch-stamped cache: entries of shard s are valid iff the shard's
-  // current epoch equals epoch_seen_[s].
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> cache_;
-  std::vector<std::uint64_t> epoch_seen_;
+  // Per-key cache: the version at which the key's top cell in shard s's
+  // primary copy held {key, value}; valid while that version is unchanged.
+  struct CacheEntry {
+    std::uint64_t version, value;
+  };
+  std::vector<std::unordered_map<std::uint64_t, CacheEntry>> cache_;
   KvStats stats_;
 };
 

@@ -259,14 +259,12 @@ rdma::OpStatus KvStore::repair_cell(const Copy& loser, std::size_t cell_off,
     st = amo_write(loser.rank, cell_off + kValOff, value);
   }
   // Release at (at least) the winner's version so the pair compares equal
-  // on the next scrub pass; never release below our own lock.
+  // on the next scrub pass; never release below our own lock. The release
+  // also invalidates cached entries: their version is now in the past.
   std::uint64_t rel = locked_ver + 2;
   if ((winner_ver & 1) == 0 && winner_ver > rel) rel = winner_ver;
   const auto relst = amo_write(loser.rank, cell_off + kVerOff, rel);
-  if (st == rdma::OpStatus::ok) st = relst;
-  if (st != rdma::OpStatus::ok) return st;
-  // Invalidate cached views of the repaired region.
-  return amo_add(loser.rank, epoch_off_of(loser), 1);
+  return st == rdma::OpStatus::ok ? relst : st;
 }
 
 // --- scrub -------------------------------------------------------------------

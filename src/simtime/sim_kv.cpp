@@ -5,22 +5,32 @@
 
 namespace fompi::sim {
 
+namespace {
+/// One network round trip per round plus the origin's issue cost per AMO.
+double rounds_us(const KvParams& p, int rounds, int amos) {
+  return rounds * p.amo_us + amos * p.amo_service_us;
+}
+// A hit is one round (the cached cell's version); the full versioned read
+// is three: {top key, v1} -> {key, value} -> v2.
+double cached_us(const KvParams& p) { return rounds_us(p, 1, p.cached_amos); }
+double uncached_us(const KvParams& p) {
+  return rounds_us(p, 3, p.uncached_amos);
+}
+}  // namespace
+
 double kv_read_us(const KvParams& p, bool degraded) {
-  const double cached = p.cached_amos * p.amo_us;
-  const double uncached = p.uncached_amos * p.amo_us;
   const double h = degraded ? 0.0 : p.hit_rate;  // degraded bypasses cache
-  return h * cached + (1.0 - h) * uncached;
+  return h * cached_us(p) + (1.0 - h) * uncached_us(p);
 }
 
 double kv_read_p99_us(const KvParams& p, bool degraded) {
   const double miss_mass = degraded ? 1.0 : 1.0 - p.hit_rate;
-  if (miss_mass >= 0.01) return p.uncached_amos * p.amo_us;
-  return p.cached_amos * p.amo_us;
+  return miss_mass >= 0.01 ? uncached_us(p) : cached_us(p);
 }
 
 double kv_put_us(const KvParams& p, bool degraded) {
   const int regions = (p.replicate && !degraded) ? 2 : 1;
-  return p.put_rounds * p.amo_us + regions * p.put_amos * p.amo_service_us;
+  return rounds_us(p, p.put_rounds, regions * p.put_amos);
 }
 
 double kv_hot_shard_mass(const KvParams& p) {
@@ -67,8 +77,8 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
 }
 
 double kv_post_recovery_p99_us(const KvParams& p) {
-  // The generation check rides the epoch check (overlapped AMOs), so the
-  // healed read path's tail equals the healthy tail.
+  // The generation check rides the read's first round (overlapped AMOs),
+  // so the healed read path's tail equals the healthy tail.
   return kv_read_p99_us(p, /*degraded=*/false);
 }
 

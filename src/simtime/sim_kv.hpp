@@ -16,17 +16,17 @@ struct KvParams {
   /// One inter-node AMO round trip (Gemini FADD/CSWAP latency; matches the
   /// inter_op latency the figure benches charge).
   double amo_us = 2.4;
-  /// Remote words touched by a cache-validated hit: the shard epoch check.
+  /// Remote words of a cache-validated hit: the cached cell's version.
   int cached_amos = 1;
-  /// Remote words of the full versioned read: epoch + top key + seqlock
-  /// {v1, key, value, v2} snapshot.
-  int uncached_amos = 6;
+  /// Remote words of the full versioned read of a top cell: {top key, v1}
+  /// -> {key, value} -> v2.
+  int uncached_amos = 5;
   /// Overlapped rounds of a top-cell put: {claim CAS, version read} ->
-  /// lock CAS -> {value write, epoch bump} -> release. Both copies run in
-  /// lockstep, so replication adds AMOs but no rounds.
+  /// lock CAS -> value write -> release. Both copies run in lockstep, so
+  /// replication adds AMOs but no rounds.
   int put_rounds = 4;
-  /// Remote AMOs a put issues against one region (the six above).
-  int put_amos = 6;
+  /// Remote AMOs a put issues against one region (the five above).
+  int put_amos = 5;
   bool replicate = true;     ///< puts fan out to the replica region (x2)
   double hit_rate = 0.80;    ///< healthy-mode cache hit fraction
   double read_ratio = 0.95;  ///< fraction of client ops that are gets
@@ -49,7 +49,12 @@ struct KvParams {
   int scrub_amos = 8;
 };
 
-/// Mean modeled get latency (us). Degraded mode (owner dead, replica
+/// Mean modeled get latency (us), each read charged like a put: one round
+/// trip per round plus the origin's issue overhead per AMO,
+///
+///   h * (1 * amo_us + 1 * svc) + (1 - h) * (3 * amo_us + 5 * svc)
+///
+/// = 2.8 us cached, 9.3 us uncached. Degraded mode (owner dead, replica
 /// serving) bypasses the client cache, so every read pays the full
 /// versioned-read cost — the SLO degradation bench_kv measures.
 double kv_read_us(const KvParams& p, bool degraded = false);
@@ -67,7 +72,7 @@ double kv_read_p99_us(const KvParams& p, bool degraded = false);
 /// one network round trip per overlapped round plus the origin's issue
 /// overhead per AMO. Write-through replication doubles the AMOs while the
 /// shard is healthy (degraded mode writes the surviving replica only):
-/// 4 * 2.4 + 12 * 0.416 = 14.6 us healthy, 12.1 us degraded.
+/// 4 * 2.4 + 10 * 0.416 = 13.8 us healthy, 11.7 us degraded.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
 /// Probability mass of the hottest shard under the Zipf(s) key popularity
@@ -95,9 +100,10 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
                       std::uint64_t cells, std::uint64_t chunk = 2048);
 
 /// Modeled post-recovery p99 get latency (us): recovery restores the
-/// healthy read path exactly (the generation check OVERLAPS the epoch
-/// check — two AMOs in flight together — so it adds no serialized round
-/// trip and the healthy cached/uncached AMO budgets are unchanged).
+/// healthy read path exactly (the generation check OVERLAPS the read's
+/// first round — AMOs in flight together — so it adds no serialized
+/// round trip and the healthy cached/uncached round budgets are
+/// unchanged).
 double kv_post_recovery_p99_us(const KvParams& p);
 
 }  // namespace fompi::sim

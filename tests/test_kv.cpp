@@ -1,4 +1,4 @@
-// KV service: sharded routing, versioned one-sided reads, epoch-stamped
+// KV service: sharded routing, versioned one-sided reads, version-validated
 // client caching, the Zipfian fleet generator, seqlock coherence under a
 // concurrent writer, seeded chaos determinism, and shard-owner failover.
 #include <gtest/gtest.h>
@@ -167,8 +167,8 @@ TEST(Kv, CollisionsSpillToOverflowChains) {
 TEST(Kv, ReplicatedWriteRoundCounts) {
   // One driver round overlaps every live copy's AMOs, so a replicated
   // top-cell put costs the four rounds of one copy: {claim CAS, version
-  // read} -> lock CAS -> {value write, epoch bump} -> release. (The
-  // op_from_string round trip of Op::kv_round is covered by
+  // read} -> lock CAS -> value write -> release. (The op_from_string round
+  // trip of Op::kv_round is covered by
   // TraceNames.OpToStringRoundTripsExhaustively.)
   KvConfig cfg;
   cfg.shards = 2;
@@ -188,13 +188,21 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       bool found = false;
       EXPECT_EQ(rounds([&] { return store.put(a, 1); }), 4u);  // fresh claim
       EXPECT_EQ(rounds([&] { return store.put(a, 2); }), 4u);  // overwrite
-      EXPECT_LE(rounds([&] { return store.put(b, 3); }), 6u);  // new chain cell
-      EXPECT_LE(rounds([&] { return store.put(b, 4); }), 6u);  // chain depth 1
-      // Uncached get: {epoch, top key, v1} -> {key, value} -> v2; a warm
-      // cache hit is the epoch round alone.
+      // Fresh chain insert: top -> head -> FAA -> fill -> link.
+      EXPECT_EQ(rounds([&] { return store.put(b, 3); }), 5u);
+      // Chain overwrite: top -> head -> cell -> lock -> write -> release.
+      EXPECT_EQ(rounds([&] { return store.put(b, 4); }), 6u);
+      // Uncached get: {top key, v1} -> {key, value} -> v2; a warm cache
+      // hit is one round reading the top cell's version.
       EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 3u);
       EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 1u);
       EXPECT_EQ(v, 2u);
+      // Chain key: top -> head -> cell {key, v1} -> {key, value} -> v2,
+      // every time: only top cells are cached.
+      EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 5u);
+      EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 5u);
+      EXPECT_EQ(v, 4u);
+      EXPECT_EQ(store.cached_entries(store.shard_of(b)), 1u);  // a only
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -206,10 +214,9 @@ TEST(Kv, ReaderSeeingNewValueNeverLeavesPeerCacheStale) {
   // sits behind a network whose AMO round trip is stretched to ~5 ms. B
   // (rank 1) caches the key, the writer overwrites it, and A (rank 0, the
   // shard owner, uncached) polls until it reads the new value, then flags
-  // B. B's next get must return the new value too. That holds only if the
-  // epoch bump lands before the release: a bump issued after the release
-  // leaves a full round trip in which A reads the new value while B's
-  // epoch check still validates its stale cache entry.
+  // B. B's next get must return the new value too: A read it at or after
+  // the writer's release, so B's later version check must see the
+  // released version, never the one its entry was cached at.
   fabric::FabricOptions opts;
   opts.domain.nranks = 3;
   opts.domain.ranks_per_node = 2;
@@ -302,10 +309,10 @@ TEST(Kv, CacheHitsAfterFirstReadAndInvalidatesOnWrite) {
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // warm: hit
       EXPECT_EQ(store.stats().cache_hits, 1u);
       EXPECT_EQ(v, 100u);
-      // A write bumps the shard epoch: the next read must revalidate.
+      // A write drops its key's entry: the next read must re-read.
       ASSERT_EQ(store.put(77, 200), OpStatus::ok);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);
-      EXPECT_EQ(v, 200u) << "cache served a stale value across an epoch";
+      EXPECT_EQ(v, 200u) << "cache served a stale value across a write";
       EXPECT_EQ(store.stats().cache_misses, 2u);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // warm again
       EXPECT_EQ(store.stats().cache_hits, 2u);
@@ -316,7 +323,7 @@ TEST(Kv, CacheHitsAfterFirstReadAndInvalidatesOnWrite) {
 
 TEST(Kv, RemoteWriterInvalidatesPeerCache) {
   // Rank 0 caches a key; rank 1 overwrites it; rank 0's next read must
-  // observe the new value through the epoch check (no stale serve).
+  // observe the new value through the version check (no stale serve).
   fabric::run_ranks(2, [](RankCtx& ctx) {
     KvStore store(ctx);
     std::uint64_t v = 0;
@@ -336,6 +343,122 @@ TEST(Kv, RemoteWriterInvalidatesPeerCache) {
       ASSERT_EQ(store.get(31337, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 2u) << "peer write not observed: stale cache";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(Kv, WriteToAnotherKeyKeepsPeerCacheWarm) {
+  // Validation is per key: rank 1's put to k2 moves only k2's cell
+  // version, so rank 0's entry for k1, in the same shard, still hits.
+  fabric::run_ranks(2, [](RankCtx& ctx) {
+    KvStore store(ctx);
+    const std::uint64_t k1 = 4242;
+    std::uint64_t k2 = k1 + 1;
+    while (store.shard_of(k2) != store.shard_of(k1)) ++k2;
+    std::uint64_t v = 0;
+    bool found = false;
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.put(k1, 1), OpStatus::ok);
+      ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);  // fills the cache
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.put(k2, 2), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      const auto hits = store.stats().cache_hits;
+      ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
+      EXPECT_EQ(store.stats().cache_hits, hits + 1)
+          << "a write to another key of the shard dropped k1's entry";
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 1u);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(Kv, CachedEntryNeverServesAReclaimedCell) {
+  // One top slot per shard: rank 0 erases `a` and puts `b`, which reclaims
+  // a's tombstoned top cell. Rank 1's entry for `a` names that cell; the
+  // erase and the refill moved its version, so the entry must miss instead
+  // of serving a's old value out of b's cell.
+  KvConfig cfg;
+  cfg.shards = 2;
+  cfg.table_slots = 1;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    const std::uint64_t a = 1;
+    std::uint64_t b = 2;
+    while (store.shard_of(b) != store.shard_of(a)) ++b;
+    std::uint64_t v = 0;
+    bool found = false;
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.put(a, 10), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      ASSERT_EQ(store.stats().cache_hits, 1u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.erase(a), OpStatus::ok);
+      ASSERT_EQ(store.put(b, 20), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      EXPECT_FALSE(found) << "served " << v << " from a reclaimed cell";
+      EXPECT_EQ(store.stats().cache_hits, 1u);
+      ASSERT_EQ(store.get(b, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 20u);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(Kv, PeerCacheFollowsKeyIntoReclaimedTopCell) {
+  // One top slot per shard: x takes the top cell and `a` a chain cell.
+  // After erase(x), put(a, 2) reclaims the top cell, so `a` now sits in
+  // two cells and the chain copy's version never moves. Rank 1 read `a`
+  // from the chain before; its next get must still return 2.
+  KvConfig cfg;
+  cfg.shards = 2;
+  cfg.table_slots = 1;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    const std::uint64_t x = 1;
+    std::uint64_t a = 2;
+    while (store.shard_of(a) != store.shard_of(x)) ++a;
+    std::uint64_t v = 0;
+    bool found = false;
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.put(x, 1), OpStatus::ok);  // top cell
+      ASSERT_EQ(store.put(a, 1), OpStatus::ok);  // chain cell
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      EXPECT_EQ(v, 1u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.erase(x), OpStatus::ok);
+      ASSERT_EQ(store.put(a, 2), OpStatus::ok);  // reclaims the top cell
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 2u) << "served the shadowed chain copy";
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -556,7 +679,7 @@ TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
           ctx.barrier();  // last collective: the kill lands in the put
           if (ctx.rank() == 2) {
             ASSERT_LT(ctx.nic().issued_ops(), kPad);
-            while (ctx.nic().issued_ops() < kPad) store.shard_epoch(s);
+            while (ctx.nic().issued_ops() < kPad) store.generation();
             ASSERT_EQ(store.put(key, 2), OpStatus::ok);
             put_ops = ctx.nic().issued_ops() - kPad;
             put_done = true;
@@ -585,7 +708,7 @@ TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
     EXPECT_EQ(survivors.load(), 2) << "kill at op " << k;
     if (put_done) break;  // the kill site moved past the put's last op
   }
-  EXPECT_EQ(put_ops, 12u) << "a replicated top-cell put is 2 x 6 AMOs";
+  EXPECT_EQ(put_ops, 10u) << "a replicated top-cell put is 2 x 5 AMOs";
 }
 
 // --- shard-owner failover -----------------------------------------------------
@@ -818,7 +941,7 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
           EXPECT_EQ(v, k + 7000);
         }
         // Cache leverage is back: reads of recovered shards revalidate
-        // against the promoted primary's epoch and hit.
+        // against the promoted primary's cell versions and hit.
         {
           const auto hits_before = store.stats().cache_hits;
           std::uint64_t v = 0;
@@ -828,14 +951,21 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
           EXPECT_GT(store.stats().cache_hits, hits_before)
               << "recovered shard no longer caches";
         }
-        // Writes replicate through to the fresh spare copy again.
+        // Writes replicate through to a fresh spare copy again: read the
+        // new key back from the recovered replica itself.
         if (ctx.rank() == 2) {
-          const auto fresh = key_owned_by(store, 2, 500000);
-          const int s = store.shard_of(fresh);
-          const auto repl_epoch = store.shard_epoch(s, /*replica=*/true);
+          std::uint64_t fresh = 500000;
+          while (store.copy_of(store.shard_of(fresh), true).bank != 2) {
+            ++fresh;
+          }
           ASSERT_EQ(store.put(fresh, 424242), OpStatus::ok);
-          EXPECT_GT(store.shard_epoch(s, /*replica=*/true), repl_epoch)
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.debug_read_copy(fresh, /*replica=*/true, &v, &found),
+                    OpStatus::ok);
+          EXPECT_TRUE(found)
               << "write-through to the recovered replica bank broken";
+          EXPECT_EQ(v, 424242u);
         }
         survivors.fetch_add(1);
         // No collectives, no destroy: rank 1 cannot meet them.
@@ -1217,7 +1347,7 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
       const auto k2 = key_owned_by(store, 0, k1 + 1);
       ASSERT_EQ(store.put(k1, 10), OpStatus::ok);
       ASSERT_EQ(store.put(k2, 20), OpStatus::ok);
-      // Warm the cache so the repair's epoch bump is also exercised.
+      // Warm the cache: the repair's release must invalidate the entry.
       std::uint64_t v = 0;
       bool found = false;
       ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
