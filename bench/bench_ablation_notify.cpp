@@ -1,10 +1,10 @@
-// Ablation: notified access vs the paper's flag+get scheme.
+// Ablation: put-with-notification vs the paper's flag+get scheme.
 //
 // The paper's MILC communication needs three network operations per
 // neighbor (flag AMO by the producer, then a get and its flush by the
-// consumer). The notified-access extension (NotifyWin) delivers data and
-// notification in one producer-side call. This bench measures a halo-like
-// ring exchange with both schemes and with MPI-1 messages.
+// consumer). Win::put_notify delivers the data and a notification record
+// into the neighbor's ring in one producer-side call. This bench measures
+// MILC's halo exchange with both schemes and with MPI-1 messages.
 #include "apps/milc.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -40,20 +40,19 @@ double exchange_us(int p, apps::MilcBackend backend) {
 int main() {
   std::printf("Ablation: halo-exchange schemes (one operator application, "
               "4^4 local lattice) [us]\n\n");
-  std::printf("%-8s%18s%18s%18s%18s\n", "p", "MPI-1 sendrecv",
-              "flag+get (paper)", "notified access", "put-with-notify");
+  std::printf("%-8s%18s%18s%18s\n", "p", "MPI-1 sendrecv",
+              "flag+get (paper)", "put-with-notify");
   for (int p : {2, 4, 8}) {
-    std::printf("%-8d%18.0f%18.0f%18.0f%18.0f\n", p,
+    std::printf("%-8d%18.0f%18.0f%18.0f\n", p,
                 exchange_us(p, apps::MilcBackend::p2p),
                 exchange_us(p, apps::MilcBackend::rma),
-                exchange_us(p, apps::MilcBackend::rma_notified),
                 exchange_us(p, apps::MilcBackend::rma_notify_queue));
   }
-  std::printf("\nExpected: notified access saves the consumer-side get+flush "
-              "round trips of the\npaper's scheme (producer pushes data and "
-              "flag together) — the foMPI-NA follow-up.\nput-with-notify "
-              "routes the same exchange through the first-class notification"
-              "\nring (sequenced records, tag matching) instead of "
-              "per-direction flag words.\n");
+  std::printf("\nExpected: put-with-notify drops the consumer-side get+flush "
+              "round trips of the\npaper's scheme (the producer pushes the "
+              "data and a sequenced, tag-matched record\ninto the neighbor's "
+              "notification ring) — the foMPI-NA follow-up. Each post\npays "
+              "put, flush, reserve, record and stamp in series, so the ring "
+              "trails flag+get\nuntil its posts are batched.\n");
   return 0;
 }

@@ -73,9 +73,9 @@ CaseResult run_case(const std::string& name, const std::function<void(int)>& op,
 struct TraceOverhead {
   double untraced_ns_per_op = 0;
   double traced_ns_per_op = 0;
+  std::uint64_t untraced_events = 0;  ///< must stay 0: the off path is off
   std::uint64_t traced_events = 0;
   std::uint64_t traced_dropped = 0;
-  bool untraced_clean = false;  ///< unbound run recorded nothing
 };
 
 void emit_json(const std::vector<CaseResult>& results,
@@ -97,15 +97,16 @@ void emit_json(const std::vector<CaseResult>& results,
     std::printf("}%s\n", i + 1 == results.size() ? "" : ",");
   }
   std::printf("  ],\n");
-  std::printf("  \"trace_overhead\": {\"case\": \"put8_blocking_immediate\", "
-              "\"untraced_ns_per_op\": %.1f, \"traced_ns_per_op\": %.1f, "
-              "\"delta_ns_per_op\": %.1f, \"traced_events\": %llu, "
-              "\"traced_dropped\": %llu, \"untraced_clean\": %s}\n",
-              trace_ovh.untraced_ns_per_op, trace_ovh.traced_ns_per_op,
-              trace_ovh.traced_ns_per_op - trace_ovh.untraced_ns_per_op,
+  std::printf("  \"trace_overhead\": [\n"
+              "    {\"name\": \"put8_untraced\", \"ns_per_op\": %.1f, "
+              "\"trace_events\": %llu},\n"
+              "    {\"name\": \"put8_traced\", \"ns_per_op\": %.1f, "
+              "\"trace_events\": %llu, \"trace_dropped\": %llu}\n  ]\n",
+              trace_ovh.untraced_ns_per_op,
+              static_cast<unsigned long long>(trace_ovh.untraced_events),
+              trace_ovh.traced_ns_per_op,
               static_cast<unsigned long long>(trace_ovh.traced_events),
-              static_cast<unsigned long long>(trace_ovh.traced_dropped),
-              trace_ovh.untraced_clean ? "true" : "false");
+              static_cast<unsigned long long>(trace_ovh.traced_dropped));
   std::printf("}\n");
 }
 
@@ -131,7 +132,7 @@ TraceOverhead measure_trace_overhead() {
   TraceOverhead r;
   const auto put8 = [&](int i) { nic.put(1, d, (i % 64) * 8u, &src, 8); };
   r.untraced_ns_per_op = run_case("put8_untraced", put8, [] {}).ns_per_op;
-  r.untraced_clean = session.total_events() == 0;
+  r.untraced_events = session.total_events();
 
   trace::bind_thread(&session.ring(0));
   r.traced_ns_per_op = run_case("put8_traced", put8, [] {}).ns_per_op;
@@ -298,7 +299,7 @@ int main() {
 
   const TraceOverhead trace_ovh = measure_trace_overhead();
   emit_json(results, trace_ovh);
-  if (!trace_ovh.untraced_clean) {
+  if (trace_ovh.untraced_events != 0) {
     std::fprintf(stderr, "FAIL: unbound (untraced) run recorded trace "
                          "events — the off path is not off\n");
     return 1;

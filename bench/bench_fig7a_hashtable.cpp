@@ -39,22 +39,16 @@ int main() {
               "incl. synchronization)\n\n", kPerRank);
 
   header("thread-rank execution [million inserts/s]");
-  std::printf("%-12s%16s%16s%16s%16s\n", "p", "FOMPI MPI-3.0",
-              "FOMPI-fiber", "UPC-like", "MPI-1 AM");
+  std::printf("%-12s%16s%16s%16s\n", "p", "FOMPI MPI-3.0", "UPC-like",
+              "MPI-1 AM");
   for (int p : {2, 4, 8}) {
     const auto opts = intranode_model();  // a single "node", like the
                                           // paper's leftmost points
     const double total = static_cast<double>(p) * kPerRank;
-    const double rma_us = run_backend(p, apps::HtBackend::rma, opts);
-    const double fiber_us =
-        run_backend(p, apps::HtBackend::rma_fiber, opts);
-    const double rma = total / rma_us;
-    const double fiber = total / fiber_us;
+    const double rma = total / run_backend(p, apps::HtBackend::rma, opts);
     const double pgas = total / run_backend(p, apps::HtBackend::pgas, opts);
     const double p2p = total / run_backend(p, apps::HtBackend::p2p, opts);
-    std::printf("%-12d%16.2f%16.2f%16.2f%16.2f\n", p, rma, fiber, pgas, p2p);
-    std::printf("%-12s blocking(old)->fiber(new) improvement: %.1f%%\n", "",
-                100.0 * (rma_us - fiber_us) / rma_us);
+    std::printf("%-12d%16.2f%16.2f%16.2f\n", p, rma, pgas, p2p);
   }
 
   header("throughput model to 32k processes [billion inserts/s]");

@@ -40,22 +40,18 @@ int main() {
               "neighbors\n\n", kNeighbors);
 
   header("thread-rank execution (real protocols)");
-  std::printf("%-8s%16s%16s%16s%16s%16s%16s\n", "p", "FOMPI RMA", "NBX",
-              "NBX-fiber", "Reduce_scatter", "A2A (p2p old)",
-              "A2A (RMA new)");
+  std::printf("%-8s%16s%16s%16s%16s%16s\n", "p", "FOMPI RMA", "NBX",
+              "Reduce_scatter", "A2A (p2p old)", "A2A (RMA new)");
   for (int p : {4, 8, 16}) {
     const double a2a_p2p = run_proto(p, apps::DsdeProto::alltoall_p2p);
     const double a2a_rma = run_proto(p, apps::DsdeProto::alltoall);
     const double nbx = run_proto(p, apps::DsdeProto::nbx);
-    const double nbx_fiber = run_proto(p, apps::DsdeProto::nbx_fiber);
-    std::printf("%-8d%16.1f%16.1f%16.1f%16.1f%16.1f%16.1f\n", p,
-                run_proto(p, apps::DsdeProto::rma), nbx, nbx_fiber,
+    std::printf("%-8d%16.1f%16.1f%16.1f%16.1f%16.1f\n", p,
+                run_proto(p, apps::DsdeProto::rma), nbx,
                 run_proto(p, apps::DsdeProto::reduce_scatter), a2a_p2p,
                 a2a_rma);
     std::printf("%-8s alltoall old->new improvement: %.1f%%\n", "",
                 100.0 * (a2a_p2p - a2a_rma) / a2a_p2p);
-    std::printf("%-8s nbx spin-loop(old)->fiber(new) improvement: %.1f%%\n",
-                "", 100.0 * (nbx - nbx_fiber) / nbx);
   }
 
   header("discrete-event simulation to 32k processes");

@@ -148,8 +148,9 @@ int main() {
   }
   std::printf("  ],\n  \"stripe_1mib_put\": [\n");
   for (std::size_t i = 0; i < stripes.size(); ++i) {
-    std::printf("    {\"channels\": %d, \"us_per_put\": %.1f}%s\n",
-                stripes[i].channels, stripes[i].us_per_put,
+    std::printf("    {\"name\": \"ch%d\", \"channels\": %d, "
+                "\"us_per_put\": %.1f}%s\n",
+                stripes[i].channels, stripes[i].channels, stripes[i].us_per_put,
                 i + 1 == stripes.size() ? "" : ",");
   }
   std::printf("  ]\n}\n");

@@ -15,13 +15,8 @@
 #                                   (BENCH_fig6b_fence.trace.json), and
 #                                   scripts/bench_summary.py aggregates
 #                                   everything into BENCH_summary.json
-#   scripts/bench_smoke.sh --tsan   additionally build with
-#                                   -DFOMPI_SANITIZE=thread and run the
-#                                   concurrency-heavy tests (test_rdma,
-#                                   test_lock, test_datatype, test_comm,
-#                                   test_accumulate, test_trace, test_batch,
-#                                   test_collectives, test_progress,
-#                                   test_kv) under ThreadSanitizer
+#
+# The ThreadSanitizer build and its test list live in scripts/ci.sh.
 #
 # bench_fastpath measures software-only issue overhead (Injection::none);
 # its numbers are NOT comparable to the figure benches, which run under the
@@ -43,22 +38,5 @@ cmake --build build
 ./build/bench/bench_fig6b_fence
 
 python3 scripts/bench_summary.py .
-
-if [ "${1:-}" = "--tsan" ]; then
-  cmake -B build-tsan -G Ninja -DFOMPI_SANITIZE=thread
-  cmake --build build-tsan --target \
-    test_rdma test_lock test_datatype test_comm test_accumulate test_trace \
-    test_batch test_collectives test_progress test_kv
-  ./build-tsan/tests/test_rdma
-  ./build-tsan/tests/test_lock
-  ./build-tsan/tests/test_datatype
-  ./build-tsan/tests/test_comm
-  ./build-tsan/tests/test_accumulate
-  ./build-tsan/tests/test_trace
-  ./build-tsan/tests/test_batch
-  ./build-tsan/tests/test_collectives
-  ./build-tsan/tests/test_progress
-  ./build-tsan/tests/test_kv
-fi
 
 echo "bench smoke OK"

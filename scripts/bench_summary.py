@@ -1,72 +1,40 @@
 #!/usr/bin/env python3
 """Aggregate BENCH_*.json artifacts into one BENCH_summary.json.
 
-Walks every BENCH_*.json in the given directory (default: repo root),
-flattens each bench's "cases" arrays — including nested sections like
-bench_datatype's "software"/"modeled" — into a single map of
+Walks every BENCH_*.json in the given directory (default: repo root). A row
+is any JSON object with a "name"; every numeric field of a row is exported
+as
 
-    "<bench>/<section>/<case>" -> headline metric (ns_per_op, ns_per_elem,
-    or — for rate benches like bench_throughput — mops_per_s, or — for
-    bench_collectives — us_per_op)
+    "<bench>/<section>/<name>/<field>" -> value
 
-and writes BENCH_summary.json next to the inputs. Fault-injection counters
-(fault_injected / op_retried / op_failed) that a case reports are exported
-alongside its headline metric as "<case>/<counter>", so a chaos or
-armed-plan bench run leaves its retry traffic in the summary. Latency
-quantiles (any "*_p50_us" / "*_p99_us" key, e.g. bench_kv's SLO,
-failover and self-healing recovery rows) are exported the same way — a named row carrying only
-quantiles still lands in the summary. Perfetto
-trace artifacts (*.trace.json) and a stale summary itself are skipped.
-Exits non-zero if no bench artifacts were found or one fails to parse, so
-CI catches a silently broken emission pipeline.
+where <section> is the path of keys from the document root down to the row
+("cases" is not spelled out, so a bench's top-level cases have no section)
+and <field> is the bench's own field name (ns_per_op, mops_per_s,
+us_per_put, read_p99_us, fault_injected, ...), so every key carries its
+unit. The map lands under "headline" in BENCH_summary.json next to the
+inputs. Perfetto trace artifacts (*.trace.json) and a stale summary itself
+are skipped. Exits non-zero if no bench artifacts were found or one fails
+to parse, so CI catches a silently broken emission pipeline.
 """
 import json
 import pathlib
 import sys
 
-HEADLINE_KEYS = ("ns_per_op", "ns_per_elem", "mops_per_s", "us_per_op",
-                 "us_per_put", "recovery_drain_us")
-FAULT_KEYS = ("fault_injected", "op_retried", "op_failed")
-QUANTILE_SUFFIXES = ("_p50_us", "_p99_us")
-# Name-less case rows (e.g. bench_throughput's stripe table) are identified
-# by their sweep parameter instead; synthesize "ch4"-style names from it.
-ID_KEYS = (("channels", "ch"), ("fibers", "f"), ("p", "p"))
-
-
-def case_name(node):
-    if "name" in node:
-        return node["name"]
-    for key, abbrev in ID_KEYS:
-        if key in node:
-            return f"{abbrev}{node[key]}"
-    return None
-
 
 def flatten(prefix, node, out):
-    """Collects name -> headline metric from any nesting of dicts/lists."""
+    """Collects every numeric field of every named row under `prefix`."""
     if isinstance(node, dict):
-        name = case_name(node)
-        quantiles = sorted(
-            k for k in node if k.endswith(QUANTILE_SUFFIXES)
-        )
-        if name is not None and (
-            any(k in node for k in HEADLINE_KEYS) or quantiles
-        ):
-            for key in HEADLINE_KEYS:
-                if key in node:
-                    out[f"{prefix}/{name}"] = node[key]
-                    break
-            for key in quantiles:
-                out[f"{prefix}/{name}/{key}"] = node[key]
-            for key in FAULT_KEYS:
-                if key in node:
-                    out[f"{prefix}/{name}/{key}"] = node[key]
+        if "name" in node:
+            for field, value in node.items():
+                if isinstance(value, (int, float)) and not isinstance(
+                    value, bool
+                ):
+                    out[f"{prefix}/{node['name']}/{field}"] = value
             return
         for key, child in node.items():
-            if key == "cases":
-                flatten(prefix, child, out)  # don't spell out "cases"
-            elif isinstance(child, (dict, list)):
-                flatten(f"{prefix}/{key}", child, out)
+            if isinstance(child, (dict, list)):
+                flatten(prefix if key == "cases" else f"{prefix}/{key}",
+                        child, out)
     elif isinstance(node, list):
         for child in node:
             flatten(prefix, child, out)
@@ -86,21 +54,15 @@ def main(argv):
         except json.JSONDecodeError as e:
             print(f"error: {path} is not valid JSON: {e}", file=sys.stderr)
             return 1
-        bench = doc.get("bench", path.stem.removeprefix("BENCH_"))
-        flatten(bench, doc, summary)
-        if "trace_overhead" in doc:
-            ovh = doc["trace_overhead"]
-            for key in ("untraced_ns_per_op", "traced_ns_per_op",
-                        "untraced_ns_per_elem", "traced_ns_per_elem"):
-                if key in ovh:
-                    summary[f"{bench}/trace_overhead/{key}"] = ovh[key]
+        flatten(doc.get("bench", path.stem.removeprefix("BENCH_")), doc,
+                summary)
         inputs.append(path.name)
     if not inputs:
         print(f"error: no BENCH_*.json artifacts under {root}", file=sys.stderr)
         return 1
     out = root / "BENCH_summary.json"
     out.write_text(
-        json.dumps({"inputs": inputs, "headline_ns": summary}, indent=2,
+        json.dumps({"inputs": inputs, "headline": summary}, indent=2,
                    sort_keys=True) + "\n"
     )
     print(f"{out}: {len(summary)} headline metrics from {len(inputs)} benches")

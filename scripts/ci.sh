@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
-#   1. Release build + full ctest suite (the tier-1 gate from ROADMAP.md),
-#      then the repo benchmark's own ctest (quantile_test + fompi_bench
-#      --smoke with its fleet correctness checks)
+#   1. Release build with warnings as errors + full ctest suite (the tier-1
+#      gate from ROADMAP.md), then the repo benchmark's own ctest
+#      (quantile_test + fompi_bench --smoke with its fleet correctness
+#      checks)
 #   2. Seeded chaos gate: the fault-injection suite (hashtable + DSDE +
 #      KV-service workloads under a survivable fault plan, seeds 11/22/33
 #      baked into tests/test_fault.cpp and tests/test_kv.cpp) repeated to
@@ -43,7 +44,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build
 ctest --test-dir build --output-on-failure
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/backoff.hpp"
 #include "common/rng.hpp"
 #include "fabric/progress/progress.hpp"
 
@@ -19,7 +18,6 @@ const char* to_string(DsdeProto p) noexcept {
     case DsdeProto::alltoall_p2p:   return "alltoall_p2p";
     case DsdeProto::reduce_scatter: return "reduce_scatter";
     case DsdeProto::nbx:            return "nbx";
-    case DsdeProto::nbx_fiber:      return "nbx_fiber";
     case DsdeProto::rma:            return "rma";
   }
   return "unknown";
@@ -141,59 +139,11 @@ std::vector<DsdeMsg> exchange_reduce_scatter(
   return received;
 }
 
-std::vector<DsdeMsg> exchange_nbx(fabric::RankCtx& ctx,
-                                  const std::vector<DsdeMsg>& sends) {
-  auto& p2p = ctx.fabric().p2p();
-  auto& coll = ctx.fabric().coll();
-  std::vector<fabric::P2PRequest> reqs;
-  for (const auto& m : sends) {
-    reqs.push_back(p2p.issend(ctx.rank(), m.peer, kTagData, &m.payload, 8));
-  }
-  std::vector<DsdeMsg> received;
-  bool barrier_started = false;
-  bool done = false;
-  Backoff backoff;  // reset on progress: back off only while truly idle
-  while (!done) {
-    bool progressed = false;
-    fabric::Status st;
-    if (p2p.iprobe(ctx.rank(), fabric::kAnySource, kTagData, &st)) {
-      std::uint64_t v = 0;
-      p2p.recv(ctx.rank(), st.source, kTagData, &v, 8);
-      received.push_back(DsdeMsg{st.source, v});
-      progressed = true;
-    }
-    if (!barrier_started) {
-      bool all_sent = true;
-      for (auto& r : reqs) {
-        if (r.valid() && !p2p.test(r)) {
-          all_sent = false;
-          break;
-        }
-      }
-      if (all_sent) {
-        coll.ibarrier_begin(ctx.rank());
-        barrier_started = true;
-        progressed = true;
-      }
-    } else if (coll.ibarrier_test(ctx.rank())) {
-      done = true;
-    }
-    ctx.yield_check();
-    if (done || progressed) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
-  }
-  return received;
-}
-
-// NBX on the progress engine: the protocol above, as two fibers. The sender
-// fiber drives the synchronous sends to completion; the receiver fiber
+// NBX on the progress engine, as two fibers. The sender fiber issues the
+// synchronous sends and drives them to completion; the receiver fiber
 // drains probe-able messages, starts the nonblocking barrier once the local
 // sends finished, and parks on poll_ready() in between — the scheduler's
-// idle loop (yield_check + reset-on-progress backoff) replaces the
-// hand-rolled spin of exchange_nbx.
+// idle loop (yield_check + reset-on-progress backoff) does the waiting.
 namespace progress = fabric::progress;
 
 class NbxSenderFiber final : public progress::Fiber {
@@ -281,8 +231,8 @@ class NbxReceiverFiber final : public progress::Fiber {
   bool barrier_done_ = false;
 };
 
-std::vector<DsdeMsg> exchange_nbx_fiber(fabric::RankCtx& ctx,
-                                        const std::vector<DsdeMsg>& sends) {
+std::vector<DsdeMsg> exchange_nbx(fabric::RankCtx& ctx,
+                                  const std::vector<DsdeMsg>& sends) {
   std::vector<DsdeMsg> received;
   bool all_sent = false;
   progress::Scheduler sched(ctx.fabric(), ctx.rank());
@@ -353,7 +303,6 @@ std::vector<DsdeMsg> dsde_exchange(fabric::RankCtx& ctx, DsdeProto proto,
     case DsdeProto::alltoall_p2p:   return exchange_alltoall_p2p(ctx, sends);
     case DsdeProto::reduce_scatter: return exchange_reduce_scatter(ctx, sends);
     case DsdeProto::nbx:            return exchange_nbx(ctx, sends);
-    case DsdeProto::nbx_fiber:      return exchange_nbx_fiber(ctx, sends);
     case DsdeProto::rma: {
       DsdeRmaExchanger ex(ctx,
                           static_cast<std::size_t>(ctx.nranks()) * 8 + 64);

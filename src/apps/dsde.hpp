@@ -11,14 +11,11 @@
 //   * reduce_scatter — each rank learns only its incoming count, then
 //                      wildcard-receives that many messages;
 //   * nbx            — speculative synchronous sends + nonblocking barrier
-//                      (proved optimal in [15]; the "LibNBC" curve);
-//   * nbx_fiber      — the same NBX protocol restructured as a fiber
-//                      pipeline on the progress engine: a sender fiber
+//                      (proved optimal in [15]; the "LibNBC" curve), run as
+//                      two fibers on the progress engine: a sender fiber
 //                      drives the synchronous sends, a receiver fiber
 //                      parks on probe/ibarrier readiness, and the
-//                      scheduler's single idle loop replaces the
-//                      hand-rolled spin (the old nbx is kept as the
-//                      old-vs-new baseline);
+//                      scheduler's idle loop does the waiting;
 //   * rma            — remote accumulates into per-source slots inside a
 //                      fence epoch (the foMPI protocol of Fig 7b).
 #pragma once
@@ -36,7 +33,6 @@ enum class DsdeProto {
   alltoall_p2p,
   reduce_scatter,
   nbx,
-  nbx_fiber,
   rma,
 };
 

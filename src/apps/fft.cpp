@@ -364,7 +364,7 @@ void Fft3d::fft_z_lines(cplx* xs, bool inverse) const {
 
 void Fft3d::forward(fabric::RankCtx& ctx, const cplx* in, cplx* out) {
   if (backend_ == FftBackend::rma_overlap) {
-    forward_overlapped(ctx, in, out);
+    forward_overlapped(in, out);
     return;
   }
   std::vector<cplx> work(local_in_elems());
@@ -373,8 +373,7 @@ void Fft3d::forward(fabric::RankCtx& ctx, const cplx* in, cplx* out) {
   fft_z_lines(out, /*inverse=*/false);
 }
 
-void Fft3d::forward_overlapped(fabric::RankCtx& ctx, const cplx* in,
-                               cplx* out) {
+void Fft3d::forward_overlapped(const cplx* in, cplx* out) {
   // The UPC-slab schedule (Sec 4.3): transform one z-plane, immediately
   // ship its fragments with nonblocking puts, and transform the next plane
   // while they are in flight; one fence completes the whole transpose.

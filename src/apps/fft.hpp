@@ -54,7 +54,7 @@ class Fft3d {
  private:
   void transform_slab_xy(const cplx* in, cplx* work, bool inverse) const;
   /// Fused forward path for rma_overlap: per-plane transform + put.
-  void forward_overlapped(fabric::RankCtx& ctx, const cplx* in, cplx* out);
+  void forward_overlapped(const cplx* in, cplx* out);
   /// Transpose work (z-slab, post-xy-FFT) into out (x-slab layout).
   void transpose_forward(fabric::RankCtx& ctx, cplx* work, cplx* out);
   /// Transpose work (x-slab) back into out (z-slab layout).

@@ -1,10 +1,8 @@
 #include "apps/hashtable.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "common/buffer.hpp"
-#include "fabric/progress/progress.hpp"
 
 namespace fompi::apps {
 
@@ -28,7 +26,6 @@ DistHashtable::DistHashtable(fabric::RankCtx& ctx, HtBackend backend,
                 "hashtable needs nonzero capacities");
   switch (backend_) {
     case HtBackend::rma:
-    case HtBackend::rma_fiber:
       win_ = core::Win::allocate(ctx, volume_bytes());
       win_.lock_all();  // passive epoch held for the table's lifetime
       break;
@@ -49,7 +46,6 @@ void DistHashtable::destroy(fabric::RankCtx& ctx) {
   ctx.barrier();
   switch (backend_) {
     case HtBackend::rma:
-    case HtBackend::rma_fiber:
       win_.unlock_all();
       win_.free();
       break;
@@ -87,90 +83,6 @@ void DistHashtable::insert_rma(std::uint64_t key) {
     kv::link_cell(win_, owner, layout_, slot, idx);
   }
   win_.accumulate(&one, 1, Elem::u64, RedOp::sum, owner, off_count());
-}
-
-// --- RMA fiber backend -------------------------------------------------------
-//
-// insert_rma as a continuation-frame pipeline: every remote AMO issues as
-// an explicit-handle request and the fiber parks on it (FOMPI_FIBER_AWAIT)
-// instead of blocking, so a pool of these fibers keeps several inserts in
-// flight per rank. Keys come off a shared cursor — fibers of one rank run
-// on the same thread, so plain loads/stores suffice.
-
-struct DistHashtable::InsertFiber final : fabric::progress::Fiber {
-  InsertFiber(DistHashtable& ht, const std::vector<std::uint64_t>& keys,
-              std::size_t* cursor)
-      : ht(ht), keys(keys), cursor(cursor) {}
-
-  void step(fabric::progress::Scheduler& s) override {
-    static constexpr std::uint64_t kZero = 0, kOne = 1;
-    FOMPI_FIBER_BEGIN();
-    while (*cursor < keys.size()) {
-      key = keys[(*cursor)++];
-      owner = ht.owner_of(key);
-      slot = ht.slot_of(key);
-      // Claim the top slot.
-      req = ht.win_.rcompare_and_swap(&key, &kZero, &old_val, Elem::u64,
-                                      owner, ht.off_table(slot));
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (old_val == key) continue;  // duplicate
-      if (old_val != 0) {
-        // Collision: acquire an overflow cell, fill it, link it at the head.
-        req = ht.win_.rfetch_and_op(&kOne, &idx, Elem::u64, RedOp::sum,
-                                    owner, ht.off_next_free());
-        FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-        req.dismiss();
-        FOMPI_REQUIRE(idx < ht.heap_slots_, ErrClass::no_mem,
-                      "hashtable overflow heap exhausted");
-        req = ht.win_.rput(&key, 8, owner,
-                           ht.off_heap(static_cast<std::size_t>(idx)));
-        FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-        req.dismiss();
-        while (true) {
-          req = ht.win_.rfetch_and_op(nullptr, &head, Elem::u64, RedOp::no_op,
-                                      owner, ht.off_chain(slot));
-          FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-          req.dismiss();
-          // Cell completely written before it becomes reachable: the
-          // awaited rput is remotely complete at retire.
-          req = ht.win_.rput(&head, 8, owner,
-                             ht.off_heap(static_cast<std::size_t>(idx)) + 8);
-          FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-          req.dismiss();
-          linked = idx + 1;
-          req = ht.win_.rcompare_and_swap(&linked, &head, &prev, Elem::u64,
-                                          owner, ht.off_chain(slot));
-          FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-          req.dismiss();
-          if (prev == head) break;
-        }
-      }
-      ht.win_.accumulate(&kOne, 1, Elem::u64, RedOp::sum, owner,
-                         ht.off_count());
-    }
-    FOMPI_FIBER_END();
-  }
-
-  DistHashtable& ht;
-  const std::vector<std::uint64_t>& keys;
-  std::size_t* cursor;
-  std::uint64_t key = 0, old_val = 0, idx = 0, head = 0, linked = 0, prev = 0;
-  int owner = 0;
-  std::size_t slot = 0;
-  core::RmaRequest req;
-};
-
-void DistHashtable::batch_insert_rma_fiber(
-    const std::vector<std::uint64_t>& keys) {
-  fabric::progress::Scheduler sched(*fabric_, rank_);
-  std::size_t cursor = 0;
-  const std::size_t pool = std::min<std::size_t>(8, std::max<std::size_t>(
-                                                        1, keys.size()));
-  for (std::size_t i = 0; i < pool; ++i) {
-    sched.spawn<InsertFiber>(*this, keys, &cursor);
-  }
-  sched.run();
 }
 
 // --- PGAS backend --------------------------------------------------------------
@@ -244,11 +156,6 @@ void DistHashtable::batch_insert(fabric::RankCtx& ctx,
       win_.flush_all();
       ctx.barrier();
       return;
-    case HtBackend::rma_fiber:
-      batch_insert_rma_fiber(keys);
-      win_.flush_all();  // trailing nbi count accumulates
-      ctx.barrier();
-      return;
     case HtBackend::pgas:
       for (const std::uint64_t k : keys) insert_pgas(k);
       shared_->fence();
@@ -303,7 +210,7 @@ void DistHashtable::batch_insert(fabric::RankCtx& ctx,
 
 bool DistHashtable::chain_contains(int owner, std::size_t slot,
                                    std::uint64_t key) {
-  if (backend_ == HtBackend::rma || backend_ == HtBackend::rma_fiber) {
+  if (backend_ == HtBackend::rma) {
     return kv::find_in_chain(win_, owner, layout_, slot, key) != 0;
   }
   auto read_remote = [&](std::size_t off) {
@@ -353,7 +260,7 @@ bool DistHashtable::contains(std::uint64_t key) {
     return chain_contains_local(slot, key);
   }
   std::uint64_t top = 0;
-  if (backend_ == HtBackend::rma || backend_ == HtBackend::rma_fiber) {
+  if (backend_ == HtBackend::rma) {
     top = kv::read_word(win_, owner, off_table(slot));
   } else {
     shared_->memget(owner, off_table(slot), &top, 8);
@@ -361,83 +268,6 @@ bool DistHashtable::contains(std::uint64_t key) {
   }
   if (top == key) return true;
   return chain_contains(owner, slot, key);
-}
-
-// One-sided lookups as a continuation-frame pipeline, mirroring
-// InsertFiber: each probe (top cell, chain head, chain walk) issues as an
-// explicit-handle atomic read and the fiber parks on it, so a pool keeps
-// several lookups in flight per rank.
-struct DistHashtable::LookupFiber final : fabric::progress::Fiber {
-  LookupFiber(DistHashtable& ht, const std::vector<std::uint64_t>& keys,
-              std::size_t* cursor, std::vector<bool>* out)
-      : ht(ht), keys(keys), cursor(cursor), out(out) {}
-
-  void step(fabric::progress::Scheduler& s) override {
-    FOMPI_FIBER_BEGIN();
-    while (*cursor < keys.size()) {
-      at = (*cursor)++;
-      key = keys[at];
-      owner = ht.owner_of(key);
-      slot = ht.slot_of(key);
-      req = ht.win_.rfetch_and_op(nullptr, &word, Elem::u64, RedOp::no_op,
-                                  owner, ht.off_table(slot));
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (word == key) {
-        (*out)[at] = true;
-        continue;
-      }
-      req = ht.win_.rfetch_and_op(nullptr, &head, Elem::u64, RedOp::no_op,
-                                  owner, ht.off_chain(slot));
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      while (head != 0) {
-        idx = head - 1;
-        req = ht.win_.rfetch_and_op(nullptr, &word, Elem::u64, RedOp::no_op,
-                                    owner,
-                                    ht.off_heap(static_cast<std::size_t>(idx)));
-        FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-        req.dismiss();
-        if (word == key) {
-          (*out)[at] = true;
-          break;
-        }
-        req = ht.win_.rfetch_and_op(
-            nullptr, &head, Elem::u64, RedOp::no_op, owner,
-            ht.off_heap(static_cast<std::size_t>(idx)) + 8);
-        FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-        req.dismiss();
-      }
-    }
-    FOMPI_FIBER_END();
-  }
-
-  DistHashtable& ht;
-  const std::vector<std::uint64_t>& keys;
-  std::size_t* cursor;
-  std::vector<bool>* out;
-  std::uint64_t key = 0, word = 0, head = 0, idx = 0;
-  int owner = 0;
-  std::size_t slot = 0, at = 0;
-  core::RmaRequest req;
-};
-
-std::vector<bool> DistHashtable::batch_contains(
-    const std::vector<std::uint64_t>& keys) {
-  std::vector<bool> out(keys.size(), false);
-  if (backend_ != HtBackend::rma_fiber) {
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = contains(keys[i]);
-    return out;
-  }
-  fabric::progress::Scheduler sched(*fabric_, rank_);
-  std::size_t cursor = 0;
-  const std::size_t pool =
-      std::min<std::size_t>(8, std::max<std::size_t>(1, keys.size()));
-  for (std::size_t i = 0; i < pool; ++i) {
-    sched.spawn<LookupFiber>(*this, keys, &cursor, &out);
-  }
-  sched.run();
-  return out;
 }
 
 std::uint64_t DistHashtable::local_count() const {

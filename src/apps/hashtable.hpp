@@ -12,11 +12,6 @@
 //   * p2p  — MPI-1 active messages: the element travels in a message, the
 //     owner's handler performs the local insert, and batch completion uses
 //     the paper's termination protocol (each process notifies all others).
-//   * rma_fiber — the rma backend's algorithm re-expressed as explicit-
-//     handle AMO pipelines on the progress engine: a small pool of fibers
-//     pulls keys off a shared cursor and each parks on its in-flight CAS /
-//     fetch-add instead of spinning, so one rank keeps several inserts in
-//     flight (the rma backend stays as the old-vs-new baseline in Fig 7a).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +24,7 @@
 
 namespace fompi::apps {
 
-enum class HtBackend { rma, pgas, p2p, rma_fiber };
+enum class HtBackend { rma, pgas, p2p };
 
 class DistHashtable {
  public:
@@ -44,15 +39,9 @@ class DistHashtable {
   void batch_insert(fabric::RankCtx& ctx,
                     const std::vector<std::uint64_t>& keys);
 
-  /// One-sided lookup (rma/rma_fiber/pgas backends; collective-free). For
-  /// the p2p backend only local volumes can be queried.
+  /// One-sided lookup (rma/pgas backends; collective-free). For the p2p
+  /// backend only local volumes can be queried.
   bool contains(std::uint64_t key);
-
-  /// Collective-free batched lookup; result[i] answers keys[i]. On the
-  /// rma_fiber backend the lookups run as a fiber pipeline (a pool pulls
-  /// keys off a shared cursor, each parking on its in-flight atomic read);
-  /// the other backends answer with sequential contains() calls.
-  std::vector<bool> batch_contains(const std::vector<std::uint64_t>& keys);
 
   /// Collective: total elements stored across all ranks.
   std::uint64_t global_count(fabric::RankCtx& ctx);
@@ -79,9 +68,6 @@ class DistHashtable {
 
   std::size_t slot_of(std::uint64_t key) const;
   void insert_rma(std::uint64_t key);
-  void batch_insert_rma_fiber(const std::vector<std::uint64_t>& keys);
-  struct InsertFiber;  // rma_fiber pipelines (defined in hashtable.cpp)
-  struct LookupFiber;
   void insert_pgas(std::uint64_t key);
   void insert_local(std::uint64_t key);  // owner-side (p2p handler)
   bool chain_contains(int owner, std::size_t slot, std::uint64_t key);

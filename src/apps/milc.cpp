@@ -68,17 +68,6 @@ MilcSolver::MilcSolver(fabric::RankCtx& ctx, const MilcConfig& cfg)
     }
     win_ = core::Win::allocate(ctx, bytes);
     win_.lock_all();
-  } else if (cfg_.backend == MilcBackend::rma_notified) {
-    // One receive buffer per direction; put_notify delivers data + flag.
-    std::size_t bytes = 0;
-    for (int d = 0; d < 4; ++d) {
-      for (int dir = 0; dir < 2; ++dir) {
-        recv_off_[static_cast<std::size_t>(flag_index(d, dir == 1 ? 1 : -1))] =
-            bytes;
-        bytes += face_elems_[static_cast<std::size_t>(d)] * sizeof(double);
-      }
-    }
-    nwin_.emplace(ctx, bytes, /*num_ids=*/8);
   } else if (cfg_.backend == MilcBackend::rma_notify_queue) {
     // One receive buffer per direction; the notification travels through
     // the window's ring, so the window holds no flag words.
@@ -102,13 +91,9 @@ MilcSolver::MilcSolver(fabric::RankCtx& ctx, const MilcConfig& cfg)
 void MilcSolver::destroy(fabric::RankCtx& ctx) {
   ctx.barrier();
   dot_plan_.reset();  // after the barrier: no rank is still inside a dot()
-  if (cfg_.backend == MilcBackend::rma ||
-      cfg_.backend == MilcBackend::rma_notify_queue) {
+  if (cfg_.backend != MilcBackend::p2p) {
     win_.unlock_all();
     win_.free();
-  } else if (cfg_.backend == MilcBackend::rma_notified) {
-    nwin_->destroy(ctx);
-    nwin_.reset();
   }
 }
 
@@ -219,40 +204,6 @@ void MilcSolver::exchange_halos(fabric::RankCtx& ctx,
       }
     }
     ctx.barrier();
-    return;
-  }
-
-  if (cfg_.backend == MilcBackend::rma_notified) {
-    // Notified access: pack a face, put_notify it straight into the
-    // neighbor's receive buffer — data and flag travel together.
-    std::vector<double> pack;
-    for (int d = 0; d < 4; ++d) {
-      for (int dir : {-1, +1}) {
-        const std::size_t n = face_elems_[static_cast<std::size_t>(d)];
-        pack.resize(n);
-        pack_face(halo_field, d, dir, pack.data());
-        // The receiver indexes its buffer/flag by the side the data fills.
-        // NOTE: the pack buffer is consumed at issue by the simulated NIC,
-        // so reuse across directions is safe.
-        const int recv_i = flag_index(d, -dir);
-        nwin_->put_notify_async(pack.data(), n * sizeof(double),
-                                neighbor(d, dir),
-                                recv_off_[static_cast<std::size_t>(recv_i)],
-                                recv_i);
-      }
-    }
-    nwin_->commit_notifications();
-    const auto* rbase = static_cast<const std::byte*>(nwin_->base());
-    for (int d = 0; d < 4; ++d) {
-      for (int dir : {-1, +1}) {
-        const int i = flag_index(d, dir);
-        nwin_->wait_notify(i);
-        unpack_face(halo_field, d, dir,
-                    reinterpret_cast<const double*>(
-                        rbase + recv_off_[static_cast<std::size_t>(i)]));
-      }
-    }
-    ctx.barrier();  // buffer reuse across epochs
     return;
   }
 

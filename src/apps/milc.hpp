@@ -5,26 +5,28 @@
 // eight directions each iteration, and regular allreductions for solver
 // convergence — the exact communication pattern the paper optimizes.
 //
-// Two communication backends matching the paper's comparison:
+// Three communication backends: the paper's comparison plus one notified
+// variant:
 //   * p2p — MPI-1: nonblocking sendrecv halo exchange;
 //   * rma — the UPC/foMPI scheme from Sec 4.4: communication buffers live
 //     in a window under one long-lived lock_all epoch; a producer packs
 //     its boundary, flushes, then notifies each neighbor with an atomic
 //     fetch-and-add; consumers wait for the flag and *get* the halo data
-//     from the producer's window.
+//     from the producer's window;
+//   * rma_notify_queue — put-with-notification: each halo rides
+//     Win::put_notify into the neighbor's receive buffer and its record
+//     into the neighbor's notification ring.
 //
 // The operator is A = I + kappa * L (L the 8-point 4D Laplacian), SPD for
-// small kappa, solved with plain CG. Tests verify that both backends
+// small kappa, solved with plain CG. Tests verify that the backends
 // produce identical iterates and that CG converges to the true solution.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/notify.hpp"
 #include "core/window.hpp"
 #include "fabric/collectives.hpp"
 
@@ -33,11 +35,9 @@ namespace fompi::apps {
 enum class MilcBackend {
   p2p,           ///< MPI-1 nonblocking sendrecv halos
   rma,           ///< the paper's pack/flush/flag/get scheme
-  rma_notified,  ///< notified access extension: put_notify carries the
-                 ///< halo and its flag in one call (half the critical path)
-  rma_notify_queue,  ///< first-class put-with-notification: the halo rides
-                     ///< Win::put_notify into the generalized notification
-                     ///< ring and the consumer tag-matches one record per
+  rma_notify_queue,  ///< put-with-notification: the halo rides
+                     ///< Win::put_notify into the notification ring and
+                     ///< the consumer tag-matches one record per
                      ///< direction (no per-direction flag words at all)
 };
 
@@ -95,9 +95,8 @@ class MilcSolver {
   std::array<std::size_t, 8> buf_off_{};
   std::uint64_t epoch_ = 0;  // expected flag value, grows per exchange
 
-  // Notified-access backend state: receive buffers per direction, halo
-  // arrives together with its notification.
-  std::optional<core::NotifyWin> nwin_;
+  // Notify-queue backend state: receive buffers per direction, halo
+  // arrives together with its notification record.
   std::array<std::size_t, 8> recv_off_{};
 
   // Persistent allreduce for the CG dot products: geometry planned once

@@ -1,19 +1,12 @@
-#include "core/notify.hpp"
-
-#include <atomic>
+// Win notified access (put-with-notification): a veneer over
+// fabric::progress::NotifyPlane, one notification ring per rank.
 #include <mutex>
-#include <thread>
 
-#include "common/backoff.hpp"
 #include "core/win_internal.hpp"
+#include "core/window.hpp"
 #include "fabric/progress/progress.hpp"
-#include "trace/trace.hpp"
 
 namespace fompi::core {
-
-// ---------------------------------------------------------------------------
-// Win notified access: veneer over fabric::progress::NotifyPlane.
-// ---------------------------------------------------------------------------
 
 void Win::notify_enable(fabric::RankCtx& ctx, std::size_t capacity) {
   Shared& s = sh();
@@ -60,91 +53,5 @@ std::size_t Win::notify_waitsome(std::uint64_t tag,
 }
 
 fabric::progress::NotifyPlane* Win::notify_plane() { return sh().notify.get(); }
-
-NotifyWin::NotifyWin(fabric::RankCtx& ctx, std::size_t bytes, int num_ids,
-                     WinConfig cfg)
-    : bytes_((bytes + 7) / 8 * 8), num_ids_(num_ids) {
-  FOMPI_REQUIRE(num_ids >= 1, ErrClass::arg,
-                "NotifyWin needs at least one notification id");
-  win_ = Win::allocate(
-      ctx, bytes_ + 8 * static_cast<std::size_t>(num_ids), cfg);
-  win_.lock_all();
-  ctx.barrier();
-}
-
-void NotifyWin::destroy(fabric::RankCtx& ctx) {
-  ctx.barrier();
-  win_.unlock_all();
-  win_.free();
-}
-
-void* NotifyWin::base() { return win_.base(); }
-
-void NotifyWin::put_notify(const void* src, std::size_t len, int target,
-                           std::size_t tdisp, int id) {
-  FOMPI_REQUIRE(id >= 0 && id < num_ids_, ErrClass::arg,
-                "put_notify: notification id out of range");
-  FOMPI_REQUIRE(tdisp + len <= bytes_, ErrClass::rma_range,
-                "put_notify: access beyond the data region");
-  win_.put(src, len, target, tdisp);
-  // Remote completion of the payload must precede the notification: on
-  // RDMA ordering cannot be assumed between a put and an AMO.
-  win_.flush(target);
-  const std::uint64_t one = 1;
-  win_.accumulate(&one, 1, Elem::u64, RedOp::sum, target, notify_off(id));
-  win_.flush(target);
-}
-
-void NotifyWin::put_notify_async(const void* src, std::size_t len,
-                                 int target, std::size_t tdisp, int id) {
-  FOMPI_REQUIRE(id >= 0 && id < num_ids_, ErrClass::arg,
-                "put_notify_async: notification id out of range");
-  FOMPI_REQUIRE(tdisp + len <= bytes_, ErrClass::rma_range,
-                "put_notify_async: access beyond the data region");
-  win_.put(src, len, target, tdisp);
-  pending_.emplace_back(target, id);
-}
-
-void NotifyWin::commit_notifications() {
-  if (pending_.empty()) return;
-  win_.flush_all();  // every payload remotely complete
-  const std::uint64_t one = 1;
-  for (const auto& [target, id] : pending_) {
-    win_.accumulate(&one, 1, Elem::u64, RedOp::sum, target, notify_off(id));
-  }
-  pending_.clear();
-  win_.flush_all();  // every notification committed
-}
-
-std::uint64_t NotifyWin::test_notify(int id) {
-  FOMPI_REQUIRE(id >= 0 && id < num_ids_, ErrClass::arg,
-                "test_notify: notification id out of range");
-  auto* word = reinterpret_cast<std::uint64_t*>(
-      static_cast<std::byte*>(win_.base()) + notify_off(id));
-  return std::atomic_ref<std::uint64_t>(*word).load(
-      std::memory_order_acquire);
-}
-
-void NotifyWin::wait_notify(int id, std::uint64_t count) {
-  FOMPI_REQUIRE(id >= 0 && id < num_ids_, ErrClass::arg,
-                "wait_notify: notification id out of range");
-  const trace::Span tsp(trace::EvClass::notify_wait, -1, count);
-  auto* word = reinterpret_cast<std::uint64_t*>(
-      static_cast<std::byte*>(win_.base()) + notify_off(id));
-  std::atomic_ref<std::uint64_t> counter(*word);
-  Backoff backoff;
-  std::uint64_t seen = counter.load(std::memory_order_acquire);
-  while (seen < count) {
-    win_.yield_check();
-    backoff.pause();
-    const std::uint64_t now = counter.load(std::memory_order_acquire);
-    // Partial progress (some notifications landed) resets the back-off so a
-    // trickle of producers keeps the consumer responsive.
-    if (now != seen) backoff.reset();
-    seen = now;
-  }
-  counter.fetch_sub(count, std::memory_order_acq_rel);
-  win_.sync();  // notified data readable after the fence
-}
 
 }  // namespace fompi::core

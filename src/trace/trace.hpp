@@ -63,7 +63,7 @@ enum class EvClass : std::uint8_t {
   unlock,         ///< MPI_Win_unlock / unlock_all release
   flush,          ///< flush family (remote/local bulk completion)
   win_sync,       ///< MPI_Win_sync memory barrier
-  notify_wait,    ///< notified-access wait_notify spin
+  notify_wait,    ///< notification-ring wait (Win::notify_waitsome)
   barrier,        ///< fabric dissemination barrier
   fault,          ///< FaultPlan event (injection / retry / permanent failure)
   batch,          ///< coalesced doorbell rung (arg = chained descriptors)

@@ -65,7 +65,9 @@ TEST(Accumulate, BitwiseAcceleratedOps) {
       win.accumulate(&m, 1, Elem::u64, RedOp::band, 0, 0);
     }
     win.fence();
-    if (ctx.rank() == 0) EXPECT_EQ(mine[0], 0b1010u);
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(mine[0], 0b1010u);
+    }
     win.free();
   });
 }
@@ -125,7 +127,9 @@ TEST(Accumulate, GetAccumulateReturnsPreviousValue) {
       EXPECT_EQ(old, 7u);
     }
     win.fence();
-    if (ctx.rank() == 0) EXPECT_EQ(mine[0], 10u);
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(mine[0], 10u);
+    }
     win.free();
   });
 }
@@ -147,7 +151,9 @@ TEST(Accumulate, GetAccumulateNoOpIsAtomicRead) {
       EXPECT_EQ(out[1], 666u);
     }
     win.fence();
-    if (ctx.rank() == 0) EXPECT_EQ(mine[0], 555u);  // unchanged
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(mine[0], 555u);  // unchanged
+    }
     win.free();
   });
 }
@@ -194,7 +200,9 @@ TEST(Accumulate, CompareAndSwap64) {
       EXPECT_EQ(old, 20u);
     }
     win.fence();
-    if (ctx.rank() == 0) EXPECT_EQ(mine[0], 20u);
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(mine[0], 20u);
+    }
     win.free();
   });
 }
@@ -211,7 +219,9 @@ TEST(Accumulate, CompareAndSwap32ViaFallback) {
       EXPECT_EQ(old, 5);
     }
     win.fence();
-    if (ctx.rank() == 0) EXPECT_EQ(mine[0], 6);
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(mine[0], 6);
+    }
     win.free();
   });
 }

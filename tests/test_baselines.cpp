@@ -92,7 +92,9 @@ TEST(Mpi22, FunctionallyEquivalentToCore) {
     const std::uint64_t one = 1;
     win.accumulate(&one, 1, Elem::u64, RedOp::sum, 0, 8);
     win.fence();
-    if (ctx.rank() == 0) EXPECT_EQ(mine[1], 3u);
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(mine[1], 3u);
+    }
     win.free();
   });
 }

@@ -1,102 +1,58 @@
-// Extensions beyond the MPI-3.0 surface: notified access (NotifyWin),
+// Extensions beyond the MPI-3.0 surface: notified access (Win::put_notify),
 // derived-datatype accumulates, and request-based accumulates.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "core/notify.hpp"
 #include "core/window.hpp"
+#include "fabric/progress/progress.hpp"
 
 using namespace fompi;
-using core::NotifyWin;
 using core::Win;
 using dt::Datatype;
 using fabric::RankCtx;
 
-TEST(Notify, PutNotifyDeliversDataBeforeFlag) {
+TEST(Notify, WaitsomeConsumesAtMostMax) {
   fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 256, /*num_ids=*/4);
-    const int peer = 1 - ctx.rank();
-    std::array<std::uint64_t, 4> payload;
-    payload.fill(static_cast<std::uint64_t>(ctx.rank()) + 7);
-    win.put_notify(payload.data(), 32, peer, 0, /*id=*/2);
-    win.wait_notify(2);
-    const auto* mine = static_cast<const std::uint64_t*>(win.base());
-    EXPECT_EQ(mine[0], static_cast<std::uint64_t>(peer) + 7);
-    EXPECT_EQ(mine[3], static_cast<std::uint64_t>(peer) + 7);
-    win.destroy(ctx);
-  });
-}
-
-TEST(Notify, CountersAccumulateAndConsume) {
-  fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 2);
+    Win win = Win::allocate(ctx, 64);
+    win.lock_all();
+    win.notify_enable(ctx, 16);
     if (ctx.rank() == 0) {
-      const std::uint64_t v = 1;
-      for (int i = 0; i < 5; ++i) win.put_notify(&v, 8, 1, 0, 0);
-      ctx.barrier();
-      ctx.barrier();
-    } else {
-      ctx.barrier();
-      EXPECT_EQ(win.test_notify(0), 5u);
-      win.wait_notify(0, 3);
-      EXPECT_EQ(win.test_notify(0), 2u);
-      win.wait_notify(0, 2);
-      EXPECT_EQ(win.test_notify(0), 0u);
-      ctx.barrier();
+      alignas(8) const std::uint64_t v = 1;
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(win.put_notify(&v, 8, 1, 0, 7), rdma::OpStatus::ok);
+      }
     }
-    win.destroy(ctx);
-  });
-}
-
-TEST(Notify, IdsAreIndependent) {
-  fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 3);
-    if (ctx.rank() == 0) {
-      const std::uint64_t a = 11, b = 22;
-      win.put_notify(&a, 8, 1, 0, 0);
-      win.put_notify(&b, 8, 1, 8, 2);
-    } else {
-      win.wait_notify(2);  // can wait out of order
-      win.wait_notify(0);
-      const auto* mine = static_cast<const std::uint64_t*>(win.base());
-      EXPECT_EQ(mine[0], 11u);
-      EXPECT_EQ(mine[1], 22u);
-      EXPECT_EQ(win.test_notify(1), 0u);
+    ctx.barrier();  // all five records stamped before the first wait
+    if (ctx.rank() == 1) {
+      std::array<fabric::progress::NotifyRecord, 3> recs;
+      EXPECT_EQ(win.notify_waitsome(7, recs.data(), 3), 3u);
+      EXPECT_EQ(win.notify_waitsome(7, recs.data(), 3), 2u);
+      EXPECT_FALSE(win.notify_probe(7, recs.data()));
     }
-    win.destroy(ctx);
-  });
-}
-
-TEST(Notify, PipelineLikeMilcScheme) {
-  // The MILC pattern with notified access: the halo arrives with its flag.
-  const int p = 4;
-  fabric::run_ranks(p, [&](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 1);
-    for (int round = 1; round <= 5; ++round) {
-      const std::uint64_t v =
-          static_cast<std::uint64_t>(round * 100 + ctx.rank());
-      win.put_notify(&v, 8, (ctx.rank() + 1) % p, 0, 0);
-      win.wait_notify(0);
-      const auto* mine = static_cast<const std::uint64_t*>(win.base());
-      const int left = (ctx.rank() + p - 1) % p;
-      EXPECT_EQ(mine[0], static_cast<std::uint64_t>(round * 100 + left));
-      ctx.barrier();  // buffer reuse across rounds
-    }
-    win.destroy(ctx);
+    win.unlock_all();
+    ctx.barrier();
+    win.free();
   });
 }
 
 TEST(Notify, Validation) {
   fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 2);
-    const std::uint64_t v = 0;
-    EXPECT_THROW(win.put_notify(&v, 8, 1, 0, 5), Error);   // bad id
-    EXPECT_THROW(win.put_notify(&v, 8, 1, 60, 0), Error);  // range
-    EXPECT_THROW(win.wait_notify(-1), Error);
-    EXPECT_THROW(win.test_notify(2), Error);
+    Win win = Win::allocate(ctx, 64);
+    win.lock_all();
+    const int peer = 1 - ctx.rank();
+    alignas(8) const std::uint64_t v = 0;
+    fabric::progress::NotifyRecord rec;
+    EXPECT_THROW(win.put_notify(&v, 8, peer, 0, 0), Error);  // not enabled
+    EXPECT_THROW(win.notify_probe(0, &rec), Error);
+    // put_notify reads the window's plane pointer without a lock: every
+    // rank finishes its pre-enable checks before any rank enables.
     ctx.barrier();
-    win.destroy(ctx);
+    win.notify_enable(ctx, 16);
+    EXPECT_THROW(win.put_notify(&v, 8, peer, 60, 0), Error);  // range
+    win.unlock_all();
+    ctx.barrier();
+    win.free();
   });
 }
 
@@ -200,7 +156,9 @@ TEST(Raccumulate, FallbackOpsCompleteEagerly) {
       EXPECT_TRUE(req.test());  // fallback: already done
     }
     win.fence();
-    if (ctx.rank() == 0) EXPECT_DOUBLE_EQ(mine[0], 10.0);
+    if (ctx.rank() == 0) {
+      EXPECT_DOUBLE_EQ(mine[0], 10.0);
+    }
     win.free();
   });
 }

@@ -125,7 +125,7 @@ TEST_P(MilcBackends, CgSolvesTheSystem) {
 INSTANTIATE_TEST_SUITE_P(Backends, MilcBackends,
                          ::testing::Values(MilcBackend::p2p,
                                            MilcBackend::rma,
-                                           MilcBackend::rma_notified));
+                                           MilcBackend::rma_notify_queue));
 
 TEST(Milc, BackendsProduceIdenticalIterates) {
   std::array<std::vector<double>, 2> solutions;

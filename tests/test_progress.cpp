@@ -1,8 +1,8 @@
 // Progress engine coverage: the fiber scheduler (interleaving, awaits,
 // epoch waits, spawn-during-run, modeled overlap), the put-with-notification
 // plane (tag matching, per-source ordering, overflow-to-retry, typed
-// peer_dead), and the app pipelines that ride them (DSDE nbx_fiber,
-// hashtable rma_fiber, MILC notify-queue halos).
+// peer_dead), and the app pipelines that ride them (DSDE nbx, MILC
+// notify-queue halos).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "apps/dsde.hpp"
-#include "apps/hashtable.hpp"
 #include "apps/milc.hpp"
 #include "common/buffer.hpp"
 #include "common/instr.hpp"
@@ -393,49 +392,22 @@ TEST(Notify, WaitsomeReturnsTypedPeerDead) {
 
 // --- app pipelines on the engine ---------------------------------------------
 
-TEST(AppFiber, DsdeNbxFiberMatchesAlltoall) {
+TEST(AppFiber, DsdeNbxMatchesAlltoall) {
   fabric::FabricOptions opts;
   opts.domain.nranks = 4;
   opts.domain.ranks_per_node = 1;
   fabric::run_ranks(4, [](RankCtx& ctx) {
     const auto sends =
         apps::dsde_random_workload(ctx.rank(), ctx.nranks(), 3, 17);
-    auto fiber = apps::dsde_exchange(ctx, apps::DsdeProto::nbx_fiber, sends);
+    auto nbx = apps::dsde_exchange(ctx, apps::DsdeProto::nbx, sends);
     ctx.barrier();
     auto dense = apps::dsde_exchange(ctx, apps::DsdeProto::alltoall, sends);
     auto key = [](const apps::DsdeMsg& a, const apps::DsdeMsg& b) {
       return a.peer != b.peer ? a.peer < b.peer : a.payload < b.payload;
     };
-    std::sort(fiber.begin(), fiber.end(), key);
+    std::sort(nbx.begin(), nbx.end(), key);
     std::sort(dense.begin(), dense.end(), key);
-    EXPECT_EQ(fiber, dense);
-  }, opts);
-}
-
-TEST(AppFiber, HashtableFiberBackendInsertsAndDedupes) {
-  fabric::FabricOptions opts;
-  opts.domain.nranks = 4;
-  opts.domain.ranks_per_node = 1;
-  constexpr int kPerRank = 96;
-  fabric::run_ranks(4, [](RankCtx& ctx) {
-    // Small table forces collisions through the heap-chain CAS path.
-    apps::DistHashtable table(ctx, apps::HtBackend::rma_fiber, 64, 1024);
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < kPerRank; ++i) {
-      keys.push_back(static_cast<std::uint64_t>(ctx.rank()) * 1000 +
-                     static_cast<std::uint64_t>(i) + 1);
-    }
-    table.batch_insert(ctx, keys);
-    EXPECT_EQ(table.global_count(ctx), 4u * kPerRank);
-    for (const std::uint64_t k : keys) EXPECT_TRUE(table.contains(k));
-    EXPECT_FALSE(table.contains(999999));
-    // Re-insertion dedup contract (same as the blocking rma backend): the
-    // top-slot CAS catches slot-resident keys; chained keys may store a
-    // second node, never more.
-    table.batch_insert(ctx, keys);
-    EXPECT_GE(table.global_count(ctx), 4u * kPerRank);
-    EXPECT_LE(table.global_count(ctx), 2u * 4u * kPerRank);
-    table.destroy(ctx);
+    EXPECT_EQ(nbx, dense);
   }, opts);
 }
 

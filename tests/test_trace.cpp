@@ -14,8 +14,8 @@
 
 #include "common/error.hpp"
 #include "common/instr.hpp"
-#include "core/notify.hpp"
 #include "core/window.hpp"
+#include "fabric/progress/progress.hpp"
 #include "trace/trace.hpp"
 
 using namespace fompi;
@@ -392,14 +392,19 @@ TEST(TraceSessionTest, NotifyWaitSpansRecorded) {
   if (!trace::kEnabled) GTEST_SKIP() << "built with FOMPI_TRACE=OFF";
   TraceSession session(2);
   fabric::run_ranks(2, [](fabric::RankCtx& ctx) {
-    core::NotifyWin nw(ctx, 256, 4);
+    core::Win win = core::Win::allocate(ctx, 256);
+    win.lock_all();
+    win.notify_enable(ctx, 16);
     if (ctx.rank() == 0) {
       const std::uint64_t v = 99;
-      nw.put_notify(&v, 8, 1, 0, 2);
+      win.put_notify(&v, 8, 1, 0, 2);
     } else {
-      nw.wait_notify(2, 1);
+      fabric::progress::NotifyRecord rec;
+      win.notify_waitsome(2, &rec, 1);
     }
-    nw.destroy(ctx);
+    win.unlock_all();
+    ctx.barrier();
+    win.free();
   });
   const auto waits = session.summary(EvClass::notify_wait);
   EXPECT_EQ(waits.count, 1u);
