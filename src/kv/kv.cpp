@@ -333,31 +333,50 @@ void KvStore::fail_over(int shard) {
 // request-based AMOs (at most three, all in flight together); advance()
 // consumes their results and picks the next state. The drivers own the
 // waiting: drive() runs machines in lockstep on the calling thread, and
-// ClientFiber parks on the same handles. AMOs of one round may land in any
+// ClientFiber parks on the same handles. AMOs of one round complete in any
 // order, so every step that needs ordering is split across rounds: v1
 // before the {key, value} body, v2 after it; the lock before the value
-// write; the value write before the release.
+// write; the value write before the release. Within a round the NIC
+// applies one origin's requests to a target in issue order (as an RC queue
+// pair does); the machine relies on that in two places only: a located
+// round reads a cell's version before its key, and a reclaim writes the
+// value before the key.
+//
+// One cell per key per copy (DESIGN.md §12): a put that finds its key
+// nowhere in the slot first locks the TOP cell at the version its top round
+// read (the slot lock; a top still at version 0 counts as held). Every
+// cell creation holds that lock, so winning it proves the walk still
+// stands; only then does the put reclaim the first tombstone it passed or
+// link a fresh cell.
 
 struct KvStore::RegionOp {
   enum class Kind : std::uint8_t { read, put, erase };
   enum class Step : std::uint8_t { done, next, contended };
   enum class State : std::uint8_t {
     check,    // cached read: [generation] + the cached cell's version
-    top,      // [generation] + top key (a claim CAS for puts) + version
-    reclaim,  // CAS a tombstoned key word to our key
+    top,      // [generation] + top version + top key (a claim CAS for puts)
     head,     // chain head
-    cell,     // chain cell key + version + next
+    cell,     // chain cell version + key + next
     v1,       // read: version before the body
     body,     // read: key + value
     v2,       // read: version after the body
+    guard,    // creating put: CAS the top version even -> odd (slot lock)
     acquire,  // fresh overflow cell: FAA next_free
     fill,     // rput the whole cell {key, version 2, value, next}
     link,     // CAS the chain head to the new cell
-    lock,     // version read while odd, else CAS even -> odd
+    lock,     // version read while odd, else CAS even -> odd (+ key, relock)
     revoke,   // CAS a version a dead writer left odd forward
-    write,    // value (or tombstone key) write
-    release,  // version + 2
+    bury,     // CAS a top a dead claimer left at version 0 to 1
+    write,    // value, tombstone key, or (reclaim) value then key
+    release,  // version + 2 (and the top's, under the slot lock)
     done,
+  };
+  /// What the write round does with the cell the lock is taken on.
+  enum class Act : std::uint8_t {
+    update,    // the key's own cell: value, or the tombstone for erase
+    reclaim,   // a tombstone under the slot lock: value, then key
+    bury,      // a dead claimer's top: the tombstone, then re-locate
+    back_off,  // a relock won over another key: release and re-locate
   };
 
   void begin(KvStore& kv, Kind k, int s, bool rep, std::uint64_t ky,
@@ -381,7 +400,7 @@ struct KvStore::RegionOp {
     const auto& entries = kv.cache_[static_cast<std::size_t>(s)];
     const auto it = entries.find(ky);
     if (it == entries.end()) return;
-    cell = l.off_table(slot);
+    cell = it->second.cell;
     ver = it->second.version;
     value = it->second.value;
     st = State::check;
@@ -397,18 +416,17 @@ struct KvStore::RegionOp {
         break;
       case State::top:
         if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
+        read(kv, t, top + kVerOff, &w[1]);
         if (kind == Kind::put) {
           cas(kv, top, 0, key, &w[0]);
         } else {
           read(kv, t, top, &w[0]);
         }
-        read(kv, t, top + kVerOff, &w[1]);
         break;
-      case State::reclaim: cas(kv, at, kTombstone, key, &w[0]); break;
       case State::head: read(kv, t, l.off_chain(slot), &w[0]); break;
       case State::cell:
-        read(kv, t, l.off_heap(idx), &w[0]);
         read(kv, t, l.off_heap(idx) + kVerOff, &w[1]);
+        read(kv, t, l.off_heap(idx), &w[0]);
         read(kv, t, l.off_cell_next(idx), &w[2]);
         break;
       case State::v1:
@@ -416,6 +434,9 @@ struct KvStore::RegionOp {
       case State::body:
         read(kv, t, cell, &w[0]);
         read(kv, t, cell + kValOff, &w[1]);
+        break;
+      case State::guard:
+        cas(kv, top + kVerOff, top_ver, top_ver + 1, &w[0]);
         break;
       case State::acquire: {
         const std::uint64_t one = 1;
@@ -431,15 +452,23 @@ struct KvStore::RegionOp {
         locking = (ver & 1) == 0;
         if (locking) {
           cas(kv, cell + kVerOff, ver, ver + 1, &w[0]);
+          // A relock is at a version this op did not locate the key at.
+          if (relock) read(kv, t, cell, &w[1]);
         } else {
           read(kv, t, cell + kVerOff, &w[0]);
         }
         break;
       case State::revoke: cas(kv, cell + kVerOff, ver, ver + 1, &w[0]); break;
+      case State::bury: cas(kv, cell + kVerOff, 0, 1, &w[0]); break;
       case State::write:
         // Erase overwrites the KEY word (readers then miss) and leaves the
-        // value word alone.
-        if (kind == Kind::erase) {
+        // value word alone. A reclaim issues the value first: a writer
+        // that dies between the two leaves a tombstone, never the new key
+        // over the erased key's value.
+        if (act == Act::reclaim) {
+          store(kv, cell + kValOff, value, RedOp::replace);
+          store(kv, cell, key, RedOp::replace);
+        } else if (act == Act::bury || kind == Kind::erase) {
           store(kv, cell, kTombstone, RedOp::replace);
         } else {
           store(kv, cell + kValOff, value, RedOp::replace);
@@ -447,6 +476,9 @@ struct KvStore::RegionOp {
         break;
       case State::release:
         store(kv, cell + kVerOff, ver + 2, RedOp::replace);
+        if (guarded && cell != top) {
+          store(kv, top + kVerOff, top_ver + 2, RedOp::replace);
+        }
         break;
       case State::done: break;
     }
@@ -465,10 +497,19 @@ struct KvStore::RegionOp {
 
   Step advance(KvStore& kv) {
     nreq = 0;
-    // Past the lock a failure still releases, so it cannot wedge the cell.
+    // Past the lock a failure still releases, so it cannot wedge the cell;
+    // a failure under the slot lock releases the top before it retires.
     if (round_st != rdma::OpStatus::ok && st != State::write &&
         st != State::revoke) {
-      return finish(held != rdma::OpStatus::ok ? held : round_st);
+      if (!guarded || st == State::release) {
+        return finish(held != rdma::OpStatus::ok ? held : round_st);
+      }
+      held = round_st;
+      guarded = false;
+      cell = l.off_table(slot);
+      ver = top_ver;
+      act = Act::update;
+      return go(State::release);
     }
     if (with_gen && gen != kv.gen_seen_) {
       return finish(kv.handle_gen_mismatch(gen));
@@ -476,8 +517,8 @@ struct KvStore::RegionOp {
     with_gen = false;  // validated once per op, in its first round
     switch (st) {
       case State::check:
-        // Unchanged version: the top cell, which every access to the key
-        // checks first, still holds the pair. The hit linearizes here.
+        // Unchanged version: the cell still holds the pair, and it is the
+        // key's only cell on this copy. The hit linearizes here.
         if (w[0] == ver) {
           hit = found = true;
           ++kv.stats_.cache_hits;
@@ -495,37 +536,25 @@ struct KvStore::RegionOp {
           cell = l.off_table(slot);
           return located(kv, w[1]);
         }
-        if (kind == Kind::put && w[0] == kTombstone) {
-          at = l.off_table(slot);
-          ver = w[1];
-          return go(State::reclaim);
-        }
         if (w[0] == 0) return finish(rdma::OpStatus::ok);  // never claimed
+        top_ver = w[1];
+        if (kind == Kind::put && w[0] == kTombstone) {
+          passed_tombstone(l.off_table(slot), w[1]);
+        }
         slow = true;
         return go(State::head);
-      case State::reclaim:
-        if (w[0] == kTombstone || w[0] == key) {
-          cell = at;  // ver holds the snapshot taken beside the key word
-          return go(State::lock);
-        }
-        // Lost the race: re-examine the top slot, or walk on.
-        if (at == l.off_table(slot)) return contend(State::top);
-        return follow(nxt);
       case State::head:
         head = w[0];
-        return follow(head);
+        return follow(kv, head);
       case State::cell:
         if (w[0] == key) {
           cell = l.off_heap(idx);
           return located(kv, w[1]);
         }
         if (kind == Kind::put && w[0] == kTombstone) {
-          at = l.off_heap(idx);
-          ver = w[1];
-          nxt = w[2];
-          return go(State::reclaim);
+          passed_tombstone(l.off_heap(idx), w[1]);
         }
-        return follow(w[2]);
+        return follow(kv, w[2]);
       case State::v1: return located(kv, w[0]);
       case State::body:
         got_key = w[0];
@@ -541,6 +570,16 @@ struct KvStore::RegionOp {
         }
         retried(kv);  // version moved underneath us: reread
         return contend(State::v1);
+      case State::guard:
+        // A moved top version may be a creation the walk did not see.
+        if (w[0] != top_ver) return relocate();
+        guarded = true;
+        if (tomb == 0) return go(State::acquire);
+        cell = tomb;
+        ver = tomb_ver;
+        act = Act::reclaim;
+        // A top tombstone's own lock is the slot lock just taken.
+        return go(tomb == l.off_table(slot) ? State::write : State::lock);
       case State::acquire:
         FOMPI_REQUIRE(w[0] < l.heap_slots, ErrClass::no_mem,
                       "kv shard overflow heap exhausted");
@@ -554,13 +593,30 @@ struct KvStore::RegionOp {
         return go(State::fill);
       case State::fill: return go(State::link);
       case State::link:
-        if (w[0] == head) return finish(rdma::OpStatus::ok);
+        if (w[0] == head) {
+          cell = l.off_table(slot);  // release the slot lock
+          ver = top_ver;
+          return go(State::release);
+        }
         head = img[3] = w[0];  // lost the link race: relink at the new head
         return contend(State::fill);
       case State::lock:
-        if (locking && w[0] == ver) return go(State::write);
+        if (locking && w[0] == ver) {
+          if (relock && w[1] != key) {
+            act = Act::back_off;  // the cell holds another key now
+            return go(State::release);
+          }
+          return go(State::write);
+        }
+        if (act == Act::reclaim) {
+          // The tombstone moved under the slot lock: link a fresh cell
+          // rather than wait on it while holding the slot.
+          act = Act::update;
+          return go(State::acquire);
+        }
         ver = w[0];
-        if ((ver & 1) != 0) return stuck_odd(kv, State::lock);
+        relock = true;
+        if ((ver & 1) != 0) return stuck_held(kv, State::lock);
         return locking ? contend(State::lock) : go(State::lock);
       case State::revoke:
         // The cell's host died with it locked: the frozen image stays odd
@@ -568,10 +624,16 @@ struct KvStore::RegionOp {
         // fails over instead of spinning on the corpse.
         if (round_st == rdma::OpStatus::peer_dead) return finish(round_st);
         return contend(resume);
+      case State::bury:
+        if (w[0] != 0) return relocate();  // the claimer locked it after all
+        act = Act::bury;
+        return go(State::write);
       case State::write:
         held = round_st;
         return go(State::release);
-      case State::release: return finish(held);
+      case State::release:
+        if (act == Act::bury || act == Act::back_off) return relocate();
+        return finish(held);
       case State::done: break;
     }
     return Step::done;
@@ -593,14 +655,36 @@ struct KvStore::RegionOp {
     if (s != rdma::OpStatus::ok) found = false;
     return Step::done;
   }
+  /// Starts the walk over from the top round, holding no lock.
+  Step relocate() {
+    act = Act::update;
+    guarded = relock = false;
+    tomb = 0;
+    return contend(State::top);
+  }
+  /// A put remembers the first tombstone it passes, if no writer holds it,
+  /// as the cell to reclaim should its key turn out to be absent.
+  void passed_tombstone(std::size_t off, std::uint64_t v) {
+    if (tomb == 0 && v != 0 && (v & 1) == 0) {
+      tomb = off;
+      tomb_ver = v;
+    }
+  }
   /// The chain continues at link `n` (cell index + 1), or ended.
-  Step follow(std::uint64_t n) {
+  Step follow(KvStore& kv, std::uint64_t n) {
     if (n != 0) {
       idx = n - 1;
       return go(State::cell);
     }
     if (kind != Kind::put) return finish(rdma::OpStatus::ok);  // absent
-    return go(State::acquire);
+    // The key is in no cell of the slot: creating one takes the slot lock
+    // at the version the top round read. Odd, or 0 (a claim that has not
+    // linearized), means another writer holds the top: walk again later.
+    if (top_ver != 0 && (top_ver & 1) == 0) return go(State::guard);
+    cell = l.off_table(slot);
+    ver = top_ver;
+    tomb = 0;
+    return stuck_held(kv, State::top);
   }
   /// The key's cell is `cell` and `v` a version read beside it: writers
   /// lock from there, readers take it as the snapshot's v1.
@@ -610,19 +694,22 @@ struct KvStore::RegionOp {
     if (v == 0) return finish(rdma::OpStatus::ok);  // not linearized: miss
     if ((v & 1) == 0) return go(State::body);
     retried(kv);
-    return stuck_odd(kv, State::v1);
+    return stuck_held(kv, State::v1);
   }
-  /// A writer holds the cell. Once a death has been observed, a lock
-  /// stuck past kRevokeSpins is force-released by CAS; against a live
-  /// writer's own release the CAS simply fails. The cell's last in-flight
-  /// write may or may not have landed: fail-stop, either value is legal.
-  Step stuck_odd(KvStore& kv, State again) {
+  /// Another writer holds `cell` at version `ver` (odd, or a claimed top
+  /// at 0). Once a death has been observed, a hold stuck past kRevokeSpins
+  /// is broken by CAS: an odd version is revoked forward, a version-0 top
+  /// is buried (locked, tombstoned, released at 2). Against a live writer
+  /// the CAS fails, or its relock finds the key gone. A revoked cell's
+  /// last in-flight write may or may not have landed: fail-stop, either
+  /// value is legal.
+  Step stuck_held(KvStore& kv, State again) {
     if (++stuck > kRevokeSpins) {
       stuck = 0;
       if (kv.any_peer_dead()) {
         resume = again;
         slow = true;
-        return go(State::revoke);
+        return go(ver == 0 ? State::bury : State::revoke);
       }
     }
     return contend(again);
@@ -648,16 +735,22 @@ struct KvStore::RegionOp {
 
   Kind kind = Kind::read;
   State st = State::done, resume = State::done;
+  Act act = Act::update;
   int shard = 0, t = 0, stuck = 0, nreq = 0;
   bool replica = false, with_gen = false, with_cache = false;
   bool locking = false;
-  bool slow = false;   ///< left the top-cell path (chain walk or retry)
-  bool hit = false;    ///< served from the version-validated cache
+  bool relock = false;   ///< the lock CAS is not at the located version
+  bool guarded = false;  ///< holds the slot lock (the top cell's version)
+  bool slow = false;     ///< left the top-cell path (chain walk or retry)
+  bool hit = false;      ///< served from the version-validated cache
   bool found = false;
   std::uint32_t home = 0;  ///< pack_copy() of the copy this op addresses
   BucketLayout l;
-  std::size_t slot = 0, cell = 0, at = 0;
-  std::uint64_t key = 0, value = 0, ver = 0, head = 0, idx = 0, nxt = 0;
+  std::size_t slot = 0, cell = 0;
+  std::size_t tomb = 0;  ///< first tombstone a put passed (0 = none)
+  std::uint64_t key = 0, value = 0, ver = 0, head = 0, idx = 0;
+  std::uint64_t top_ver = 0;    ///< top version the walk started from
+  std::uint64_t tomb_ver = 0;  ///< the tombstone's version
   std::uint64_t gen = 0, got_key = 0;
   std::uint64_t w[3] = {};    ///< words fetched by this round
   std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
@@ -816,13 +909,13 @@ rdma::OpStatus KvStore::read_end(RegionOp* op, std::uint64_t* value,
   if (op->status != rdma::OpStatus::ok || !op->found) return op->status;
   *found = true;
   *value = op->value;
-  // Cache a clean snapshot (v1 == v2, even, nonzero) of a TOP cell only
-  // (a copy of the key nearer the top can shadow a chain cell without
-  // moving its version), and only while the copy the machine read still
-  // serves as primary: a parked read can straddle a routing change.
-  if (op->with_cache && !op->hit && op->cell == op->l.off_table(op->slot) &&
-      !degraded_[s] && pack_copy(copy_of(shard, false)) == op->home) {
-    cache_[s][op->key] = CacheEntry{op->ver, op->value};
+  // Cache a clean snapshot (v1 == v2, even, nonzero) of the key's cell,
+  // top or chain (a key has one cell per copy), and only while the copy the
+  // machine read still serves as primary: a parked read can straddle a
+  // routing change.
+  if (op->with_cache && !op->hit && !degraded_[s] &&
+      pack_copy(copy_of(shard, false)) == op->home) {
+    cache_[s][op->key] = CacheEntry{op->cell, op->ver, op->value};
   }
   return op->status;
 }
@@ -845,8 +938,9 @@ rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
 // Each fiber pulls ops off a shared per-rank cursor. A get's rounds (the
 // cached version check, or the top-cell read, the seqlock body and v2)
 // park the fiber on their AMOs, so one rank keeps `fibers` reads in
-// flight; a cache hit never leaves the fiber, and a read that turns into a
-// chain walk or a seqlock retry finishes on the blocking driver. Writes
+// flight; a cache hit, top or chain cell, never leaves the fiber, and an
+// uncached read that turns into a chain walk or a seqlock retry finishes
+// on the blocking driver. Writes
 // run blocking to completion: in four overlapped rounds they stall
 // siblings less than a parked sibling holding a cell lock would stall
 // everyone.

@@ -13,27 +13,30 @@
 //     of machines on the calling thread, the fleet's fibers park on the
 //     same handles.
 //   * get  — a one-sided versioned read: the 8-byte version word is a
-//     seqlock over RMA (odd = write in progress). Rounds {top key, v1} ->
+//     seqlock over RMA (odd = write in progress). Rounds {v1, top key} ->
 //     {key, value} -> v2, retried on mismatch; version 0 means the insert
 //     has not linearized yet and reads as a miss.
 //   * put / erase — one write() that runs the owner and replica machines
-//     in lockstep: {claim CAS, version read} -> lock CAS -> value or
+//     in lockstep: {version read, claim CAS} -> lock CAS -> value or
 //     tombstone write -> release, four overlapped rounds and five AMOs per
-//     copy for a top-cell write. New keys on the overflow path reuse the
-//     hashtable's fetch_add + link-at-head protocol; erase tombstones the
-//     key word so the slot can be reclaimed. A non-ok status means
-//     "unknown effect": the copies may disagree (the replica may be ahead
-//     of a failed owner) until the scrub's version-winner rule reconciles
-//     them.
-//   * client cache — per key: an entry is {version, value} of the key's
-//     TOP cell on the shard's primary copy, filled from a clean snapshot.
-//     A cell's key and value change only while its version is odd (or
-//     where no entry can name it: an unclaimed slot, a reclaimed
-//     tombstone, an unlinked overflow cell) and versions only grow, so an
-//     unchanged version proves the top cell still holds the pair, and
-//     every access to the key looks there first. Chain cells are not
-//     cached: a key can sit in two cells, and the copy nearer the top
-//     shadows the other without moving its version. A hit is ONE round;
+//     copy for a top-cell write. A key has at most one cell per copy: a
+//     put that must create a cell walks the whole chain first, then takes
+//     the slot lock (the top cell's seqlock, at the version its walk
+//     started from) and only under it reclaims the first tombstone it
+//     passed or links a fresh overflow cell (the hashtable's fetch_add +
+//     link-at-head protocol). A relock at a moved version re-reads the key
+//     beside its CAS and re-locates if the cell now holds another key.
+//     Erase tombstones the key word so the cell can be reclaimed. A non-ok
+//     status means "unknown effect": the copies may disagree (the replica
+//     may be ahead of a failed owner) until the scrub's version-winner
+//     rule reconciles them.
+//   * client cache — per key: an entry is {cell, version, value} for the
+//     key's cell, top or chain, on the shard's primary copy, filled from a
+//     clean snapshot. A cell's key and value change only while its version
+//     is odd (or where no entry can name it: an unclaimed slot, an
+//     unlinked overflow cell) and versions only grow, so an unchanged
+//     version proves the cell still holds the pair; with one cell per key
+//     no other cell can serve or take a value for it. A hit is ONE round;
 //     a write to another key leaves it warm.
 //   * replication / failover — writes fan out to a replica region on rank
 //     (owner+1)%p; a client observing the owner dead (fail-stop liveness
@@ -58,9 +61,10 @@
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
 // fibers on the progress engine. Each client rank keeps `fibers` ops in
 // flight: reads park their fiber on the cached version check and on every
-// top-cell round, and a read that turns into a chain walk or a seqlock
-// retry finishes on the blocking driver; writes run to completion on the
-// blocking driver. Per-op-class latencies go into trace LatencyHistos.
+// top-cell round, and an uncached read that turns into a chain walk or a
+// seqlock retry finishes on the blocking driver; writes run to completion
+// on the blocking driver. Per-op-class latencies go into trace
+// LatencyHistos.
 #pragma once
 
 #include <cstdint>
@@ -348,9 +352,10 @@ class KvStore {
   std::uint64_t gen_seen_ = 0;          ///< generation the table was read at
   std::vector<bool> degraded_;          ///< per shard, client-local view
 
-  // Per-key cache: the version at which the key's top cell in shard s's
-  // primary copy held {key, value}; valid while that version is unchanged.
+  // Per-key cache: the cell of shard s's primary copy that held {key,
+  // value} at `version`; valid while that cell's version is unchanged.
   struct CacheEntry {
+    std::size_t cell;  ///< byte offset of the cell in the window
     std::uint64_t version, value;
   };
   std::vector<std::unordered_map<std::uint64_t, CacheEntry>> cache_;

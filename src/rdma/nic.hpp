@@ -506,12 +506,16 @@ class Domain {
     return !dead_[static_cast<std::size_t>(rank)].load(
         std::memory_order_acquire);
   }
-  /// Marks `rank` dead and advances the death epoch (idempotent).
+  /// Advances the death epoch and marks `rank` dead (idempotent; only the
+  /// dying rank calls it). The epoch moves first: every dead-target check
+  /// reads `death_epoch() != 0 && !alive(r)`, so a peer that already sees
+  /// the flag must also see the epoch, or its next write to the corpse
+  /// would land instead of retiring peer_dead.
   void mark_dead(int rank) noexcept {
-    if (!dead_[static_cast<std::size_t>(rank)].exchange(
-            true, std::memory_order_acq_rel)) {
-      death_epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    if (!alive(rank)) return;
+    death_epoch_.fetch_add(1, std::memory_order_acq_rel);
+    dead_[static_cast<std::size_t>(rank)].store(true,
+                                                std::memory_order_release);
   }
   /// Number of rank deaths so far; liveness-aware spin loops re-probe
   /// their peer only when this moves (cheap monotonic epoch).

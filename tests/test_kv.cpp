@@ -1,6 +1,7 @@
 // KV service: sharded routing, versioned one-sided reads, version-validated
-// client caching, the Zipfian fleet generator, seqlock coherence under a
-// concurrent writer, seeded chaos determinism, and shard-owner failover.
+// client caching, one cell per key under racing creation and writer deaths,
+// the Zipfian fleet generator, seqlock coherence under a concurrent writer,
+// seeded chaos determinism, and shard-owner failover.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,6 +10,7 @@
 
 #include "common/instr.hpp"
 #include "common/rng.hpp"
+#include "common/timing.hpp"
 #include "fabric/fabric.hpp"
 #include "kv/kv.hpp"
 #include "kv/zipf.hpp"
@@ -188,21 +190,22 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       bool found = false;
       EXPECT_EQ(rounds([&] { return store.put(a, 1); }), 4u);  // fresh claim
       EXPECT_EQ(rounds([&] { return store.put(a, 2); }), 4u);  // overwrite
-      // Fresh chain insert: top -> head -> FAA -> fill -> link.
-      EXPECT_EQ(rounds([&] { return store.put(b, 3); }), 5u);
+      // Fresh chain insert: top -> head -> slot lock -> FAA -> fill ->
+      // link -> release.
+      EXPECT_EQ(rounds([&] { return store.put(b, 3); }), 7u);
       // Chain overwrite: top -> head -> cell -> lock -> write -> release.
       EXPECT_EQ(rounds([&] { return store.put(b, 4); }), 6u);
       // Uncached get: {top key, v1} -> {key, value} -> v2; a warm cache
-      // hit is one round reading the top cell's version.
+      // hit is one round reading the cached cell's version.
       EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 3u);
       EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 1u);
       EXPECT_EQ(v, 2u);
-      // Chain key: top -> head -> cell {key, v1} -> {key, value} -> v2,
-      // every time: only top cells are cached.
+      // Chain key: top -> head -> cell {key, v1} -> {key, value} -> v2
+      // once; then the chain cell is cached like a top cell.
       EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 5u);
-      EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 5u);
+      EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 1u);
       EXPECT_EQ(v, 4u);
-      EXPECT_EQ(store.cached_entries(store.shard_of(b)), 1u);  // a only
+      EXPECT_EQ(store.cached_entries(store.shard_of(b)), 2u);
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -258,6 +261,67 @@ TEST(Kv, ReaderSeeingNewValueNeverLeavesPeerCacheStale) {
           EXPECT_TRUE(found);
           EXPECT_EQ(v, 2u) << "B served its cached value after A read the "
                               "new one";
+        }
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
+}
+
+TEST(Kv, DelayedRelockNeverWritesIntoAnotherKeysCell) {
+  // Ranks 0 and 1 share a node; rank 2's AMOs take ~5 ms. Rank 2 puts
+  // (k, 99) and reads k's top cell at version 2. While its lock CAS is in
+  // flight, rank 0 (k's owner) erases k and puts k2, which collides, into
+  // the same top cell. Rank 2's lock then loses to the moved version; its
+  // relock must notice the cell now holds k2 and re-locate k instead of
+  // writing 99 into k2's cell.
+  fabric::FabricOptions opts;
+  opts.domain.nranks = 3;
+  opts.domain.ranks_per_node = 2;
+  opts.domain.inject = rdma::Injection::model;
+  opts.domain.time_scale = 100;
+  opts.domain.model.amo_base_ns = 50000;  // x100: a 5 ms inter-node AMO
+  opts.hang_timeout_ns = 60'000'000'000;
+  std::atomic<bool> started{false};
+  fabric::run_ranks(
+      3,
+      [&](RankCtx& ctx) {
+        KvConfig cfg;
+        cfg.shards = 3;
+        cfg.table_slots = 1;
+        KvStore store(ctx, cfg);
+        const auto k = key_owned_by(store, 0);
+        ASSERT_EQ(store.replica_of(store.shard_of(k)), 1);
+        std::uint64_t k2 = k + 1;
+        while (store.shard_of(k2) != store.shard_of(k)) ++k2;
+        if (ctx.rank() == 0) {
+          ASSERT_EQ(store.put(k, 1), OpStatus::ok);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 2) {
+          started = true;
+          ASSERT_EQ(store.put(k, 99), OpStatus::ok);
+        } else if (ctx.rank() == 0) {
+          while (!started) ctx.yield_check();
+          // Let rank 2's top round land (~0.2 ms of issue overhead), then
+          // finish both writes well inside its 5 ms round trip.
+          const std::uint64_t t0 = now_ns();
+          while (now_ns() - t0 < 1'000'000) ctx.yield_check();
+          ASSERT_EQ(store.erase(k), OpStatus::ok);
+          ASSERT_EQ(store.put(k2, 7), OpStatus::ok);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 0) {
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.get(k2, &v, &found), OpStatus::ok);
+          EXPECT_TRUE(found);
+          EXPECT_EQ(v, 7u) << "a delayed put of another key landed in k2";
+          // Found unless a slow host let the erase land after rank 2's put.
+          ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+          if (found) {
+            EXPECT_EQ(v, 99u);
+          }
         }
         ctx.barrier();
         store.destroy(ctx);
@@ -426,9 +490,10 @@ TEST(Kv, CachedEntryNeverServesAReclaimedCell) {
 
 TEST(Kv, PeerCacheFollowsKeyIntoReclaimedTopCell) {
   // One top slot per shard: x takes the top cell and `a` a chain cell.
-  // After erase(x), put(a, 2) reclaims the top cell, so `a` now sits in
-  // two cells and the chain copy's version never moves. Rank 1 read `a`
-  // from the chain before; its next get must still return 2.
+  // After erase(x) the top is a tombstone, and put(a, 2) must update a's
+  // chain cell in place rather than reclaim the top: a key keeps one cell.
+  // Rank 1 cached `a` from its chain cell; the put moved that cell's
+  // version, so rank 1's next get must miss the entry and return 2.
   KvConfig cfg;
   cfg.shards = 2;
   cfg.table_slots = 1;
@@ -459,6 +524,36 @@ TEST(Kv, PeerCacheFollowsKeyIntoReclaimedTopCell) {
       ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 2u) << "served the shadowed chain copy";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(Kv, EraseLeavesNoShadowedChainCopy) {
+  // One top slot, no cache, one writer: x takes the top and `a` a chain
+  // cell; erase(x) tombstones the top. put(a, 2) must find a's chain cell
+  // before it reclaims that tombstone, or `a` lives in two cells and
+  // erase(a) removes only the one nearer the top, resurfacing a = 1.
+  KvConfig cfg;
+  cfg.shards = 2;
+  cfg.table_slots = 1;
+  cfg.client_cache = false;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    if (ctx.rank() == 0) {
+      const std::uint64_t x = 1;
+      std::uint64_t a = 2;
+      while (store.shard_of(a) != store.shard_of(x)) ++a;
+      ASSERT_EQ(store.put(x, 1), OpStatus::ok);
+      ASSERT_EQ(store.put(a, 1), OpStatus::ok);
+      ASSERT_EQ(store.erase(x), OpStatus::ok);
+      ASSERT_EQ(store.put(a, 2), OpStatus::ok);
+      ASSERT_EQ(store.erase(a), OpStatus::ok);
+      std::uint64_t v = 0;
+      bool found = true;
+      ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+      EXPECT_FALSE(found) << "erased key resurfaced with value " << v;
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -709,6 +804,186 @@ TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
     if (put_done) break;  // the kill site moved past the put's last op
   }
   EXPECT_EQ(put_ops, 10u) << "a replicated top-cell put is 2 x 5 AMOs";
+}
+
+TEST(KvChaos, ReclaimerDeathNeverServesTheErasedValue) {
+  // Unreplicated, one top slot: a is put and erased, leaving its value
+  // under a tombstone. The writer (rank 2) puts b, which reclaims that
+  // tombstone, and is killed at every op index of the put in turn. A get
+  // of b must return b's value or miss, never a's; and a survivor's later
+  // put of b must land (revoking the dead writer's slot lock if needed).
+  constexpr std::uint64_t kPad = 10000;
+  constexpr std::uint64_t kOld = 111, kNew = 222;
+  KvConfig cfg;
+  cfg.shards = 3;
+  cfg.table_slots = 1;
+  cfg.replicate = false;
+  std::uint64_t put_ops = 0;
+  for (std::uint64_t k = 0;; ++k) {
+    fabric::FabricOptions opts;
+    opts.domain.nranks = 3;
+    opts.domain.ranks_per_node = 1;
+    opts.domain.fault.kill_rank = 2;
+    opts.domain.fault.kill_at_op = kPad + k;
+    opts.errors_return = true;
+    opts.hang_timeout_ns = 60'000'000'000;
+    std::atomic<bool> put_done{false};
+    std::atomic<int> survivors{0};
+    fabric::run_ranks(
+        3,
+        [&](RankCtx& ctx) {
+          KvStore store(ctx, cfg);
+          const auto a = key_owned_by(store, 0);
+          std::uint64_t b = a + 1;
+          while (store.shard_of(b) != store.shard_of(a)) ++b;
+          if (ctx.rank() == 0) {
+            ASSERT_EQ(store.put(a, kOld), OpStatus::ok);
+            ASSERT_EQ(store.erase(a), OpStatus::ok);
+          }
+          ctx.barrier();  // last collective: the kill lands in the put
+          if (ctx.rank() == 2) {
+            ASSERT_LT(ctx.nic().issued_ops(), kPad);
+            while (ctx.nic().issued_ops() < kPad) store.generation();
+            ASSERT_EQ(store.put(b, kNew), OpStatus::ok);
+            put_ops = ctx.nic().issued_ops() - kPad;
+            put_done = true;
+            return;
+          }
+          while (store.peer_alive(2) && !put_done) ctx.yield_check();
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.get(b, &v, &found), OpStatus::ok);
+          if (found) {  // kNew + 1: rank 0's put below, racing rank 1's get
+            EXPECT_TRUE(v == kNew || v == kNew + 1)
+                << "b served " << v << " after a kill at op " << k;
+          }
+          ASSERT_EQ(store.get(a, &v, &found), OpStatus::ok);
+          EXPECT_FALSE(found) << "kill at op " << k;
+          if (ctx.rank() == 0) {
+            ASSERT_EQ(store.put(b, kNew + 1), OpStatus::ok);
+            ASSERT_EQ(store.get(b, &v, &found), OpStatus::ok);
+            EXPECT_TRUE(found);
+            EXPECT_EQ(v, kNew + 1) << "kill at op " << k;
+          }
+          survivors.fetch_add(1);
+        },
+        opts);
+    EXPECT_EQ(survivors.load(), 2) << "kill at op " << k;
+    if (put_done) break;
+  }
+  // top {version, claim} -> head -> slot lock -> {value, key} -> release.
+  EXPECT_EQ(put_ops, 7u);
+}
+
+TEST(KvChaos, ClaimerDeathBeforeLockNeverWedgesTheSlot) {
+  // The writer (rank 2) puts a fresh key into an empty top slot and is
+  // killed after its claim CAS but before its lock: the top holds the key
+  // at version 0 -- claimed, never linearized -- on one or both copies. A
+  // survivor's put of a colliding key needs the slot lock, so it must bury
+  // that claim (once the death is seen) and retire typed, never hang.
+  constexpr std::uint64_t kPad = 10000;
+  KvConfig cfg;
+  cfg.shards = 3;
+  cfg.table_slots = 1;
+  // Replicated top round: {version, claim} on the owner, then on the
+  // replica (ops 0-3); the owner's lock CAS is op 4. A kill at op 2 leaves
+  // the claim on the owner copy only, a kill at op 4 on both.
+  for (const std::uint64_t k : {2ull, 4ull}) {
+    fabric::FabricOptions opts;
+    opts.domain.nranks = 3;
+    opts.domain.ranks_per_node = 1;
+    opts.domain.fault.kill_rank = 2;
+    opts.domain.fault.kill_at_op = kPad + k;
+    opts.errors_return = true;
+    opts.hang_timeout_ns = 60'000'000'000;  // a hang fails, typed timeout
+    std::atomic<int> survivors{0};
+    fabric::run_ranks(
+        3,
+        [&](RankCtx& ctx) {
+          KvStore store(ctx, cfg);
+          const auto fresh = key_owned_by(store, 0);
+          std::uint64_t other = fresh + 1;
+          while (store.shard_of(other) != store.shard_of(fresh)) ++other;
+          ctx.barrier();  // last collective: the kill lands in the put
+          if (ctx.rank() == 2) {
+            ASSERT_LT(ctx.nic().issued_ops(), kPad);
+            while (ctx.nic().issued_ops() < kPad) store.generation();
+            store.put(fresh, 5);
+            FAIL() << "rank 2 must have been killed";
+          }
+          while (store.peer_alive(2)) ctx.yield_check();
+          std::uint64_t v = 0;
+          bool found = false;
+          if (ctx.rank() == 0) {
+            ASSERT_EQ(store.put(other, 9), OpStatus::ok) << "kill at op " << k;
+            ASSERT_EQ(store.get(other, &v, &found), OpStatus::ok);
+            EXPECT_TRUE(found);
+            EXPECT_EQ(v, 9u);
+            for (const bool replica : {false, true}) {
+              ASSERT_EQ(store.debug_read_copy(fresh, replica, &v, &found),
+                        OpStatus::ok);
+              EXPECT_FALSE(found) << "an unlinearized claim became a value";
+            }
+          }
+          survivors.fetch_add(1);
+        },
+        opts);
+    EXPECT_EQ(survivors.load(), 2) << "kill at op " << k;
+  }
+}
+
+namespace {
+
+/// Three ranks race put / erase / re-put of four keys that share one top
+/// slot, so cell creations of one key contend all the time. At quiescence
+/// one erase per key must leave it absent from both copies: a key that
+/// ever got a second cell resurfaces from it.
+void one_cell_round(std::uint64_t seed) {
+  constexpr std::array<std::uint64_t, 4> kKeys = {11, 12, 13, 14};
+  KvConfig cfg;
+  cfg.shards = 1;
+  cfg.table_slots = 1;
+  cfg.heap_slots = 1024;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    Rng rng(seed * 31 + static_cast<std::uint64_t>(ctx.rank()));
+    for (int op = 0; op < 300; ++op) {
+      const auto key = kKeys[rng.below(kKeys.size())];
+      const auto roll = rng.below(4);
+      if (roll < 2) {
+        ASSERT_EQ(store.put(key, key * 1000 + op), OpStatus::ok);
+      } else if (roll == 2) {
+        ASSERT_EQ(store.erase(key), OpStatus::ok);
+      } else {
+        ASSERT_EQ(store.erase(key), OpStatus::ok);
+        ASSERT_EQ(store.put(key, key * 1000 + op), OpStatus::ok);
+      }
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      for (const auto key : kKeys) ASSERT_EQ(store.erase(key), OpStatus::ok);
+    }
+    ctx.barrier();
+    for (const auto key : kKeys) {
+      for (const bool replica : {false, true}) {
+        std::uint64_t v = 0;
+        bool found = true;
+        ASSERT_EQ(store.debug_read_copy(key, replica, &v, &found),
+                  OpStatus::ok);
+        EXPECT_FALSE(found) << "key " << key << " resurfaced with " << v
+                            << (replica ? " on the replica" : " on the owner")
+                            << " at seed " << seed;
+      }
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+}  // namespace
+
+TEST(KvChaos, OneCellPerKeyUnderRacingCreation) {
+  for (const std::uint64_t seed : {11ull, 22ull, 33ull}) one_cell_round(seed);
 }
 
 // --- shard-owner failover -----------------------------------------------------
