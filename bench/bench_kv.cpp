@@ -25,6 +25,7 @@
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh
 // as BENCH_kv.json).
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -216,7 +217,7 @@ struct RecoveryRow {
   double degraded_p50_us = 0, degraded_p99_us = 0;
   double post_p50_us = 0, post_p99_us = 0;
   double recovery_drain_us = 0;  ///< modeled wall time of the heal() pass
-  std::uint64_t drained_bytes = 0, scrub_cells = 0, scrub_repairs = 0;
+  std::uint64_t drained_bytes = 0, scrub_keys = 0, scrub_repairs = 0;
   std::uint64_t generation = 0;
   int promoted = 0, rereplicated = 0;
   bool healed_ok = false;
@@ -307,7 +308,7 @@ RecoveryRow recovery_slo() {
                     rep.promoted >= 1 && rep.rereplicated >= 1 &&
                     rep.lost == 0;
     row.drained_bytes = rep.drained_bytes;
-    row.scrub_cells = rep.scrub_cells;
+    row.scrub_keys = rep.scrub_keys;
     row.scrub_repairs = rep.scrub_repairs;
     row.generation = rep.generation;
     row.promoted = rep.promoted;
@@ -381,10 +382,14 @@ int main() {
   }
 
   const sim::KvParams model;
-  // Modeled recovery time for the default-config shard the harness heals:
-  // 16B region header + (64 top + 256 heap) 32B cells, 320 cell pairs.
+  // Modeled heal: the per-shard closed form for a default-config region
+  // (16 B header + (64 top + 256 heap) 32 B cells) at the keys per shard
+  // the scrub read, once per re-replicated shard (their drains overlap,
+  // but the coordinator scrubs them one after another).
+  const int healed = std::max(1, rec.rereplicated);
   const double model_recovery_us =
-      sim::kv_recovery_us(model, 16 + (64 + 256) * 32, 64 + 256);
+      healed * sim::kv_recovery_us(model, 16 + (64 + 256) * 32,
+                                   rec.scrub_keys / healed);
   std::printf("{\n  \"bench\": \"kv\",\n  \"injection\": \"model\",\n");
   std::printf("  \"slo\": [\n");
   for (std::size_t i = 0; i < slo.size(); ++i) {
@@ -441,18 +446,20 @@ int main() {
       "\"recovery_drain_us\": %.2f, \"post_recovery_p50_us\": %.2f, "
       "\"post_recovery_p99_us\": %.2f, \"healthy_p99_us\": %.2f, "
       "\"degraded_p50_us\": %.2f, \"drained_bytes\": %llu, "
-      "\"scrub_cells\": %llu, \"scrub_repairs\": %llu, "
+      "\"scrub_keys\": %llu, \"scrub_repairs\": %llu, "
       "\"generation\": %llu, \"promoted\": %d, \"rereplicated\": %d, "
       "\"degraded_cleared\": %s, \"model_recovery_us\": %.2f, "
+      "\"recovery_model_over_measured\": %.2f, "
       "\"model_post_recovery_p99_us\": %.2f}\n",
       rec.recovery_drain_us, rec.post_p50_us, rec.post_p99_us,
       rec.healthy_p99_us, rec.degraded_p50_us,
       static_cast<unsigned long long>(rec.drained_bytes),
-      static_cast<unsigned long long>(rec.scrub_cells),
+      static_cast<unsigned long long>(rec.scrub_keys),
       static_cast<unsigned long long>(rec.scrub_repairs),
       static_cast<unsigned long long>(rec.generation), rec.promoted,
       rec.rereplicated, rec.degraded_cleared ? "true" : "false",
-      model_recovery_us, sim::kv_post_recovery_p99_us(model));
+      model_recovery_us, ratio(model_recovery_us, rec.recovery_drain_us),
+      sim::kv_post_recovery_p99_us(model));
   std::printf("}\n");
 
   if (!cache_ok) {

@@ -61,10 +61,11 @@ ctest --test-dir build-benchmark --output-on-failure
 # suite catches any schedule-order dependence the single run misses. The
 # KvChaos suite also holds the writer-death sweep (the writer killed at
 # every op index of one replicated put; survivors must never hang), whose
-# lock revocations race the survivors' reads differently on every run.
+# lock revocations race the survivors' reads differently on every run. The
+# KvScrub suite races the anti-entropy scrub against a live writer.
 ./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
   --gtest_brief=1
-./build/tests/test_kv --gtest_filter='KvChaos.*' --gtest_repeat=3 \
+./build/tests/test_kv --gtest_filter='KvChaos.*:KvScrub.*' --gtest_repeat=3 \
   --gtest_brief=1
 
 # Recovery chaos: staggered double kills under seeds 11/22/33 with a

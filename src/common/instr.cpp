@@ -40,7 +40,7 @@ const char* to_string(Op op) noexcept {
     case Op::kv_read_retry:    return "kv_read_retry";
     case Op::kv_failover:      return "kv_failover";
     case Op::kv_retry_routing: return "kv_retry_routing";
-    case Op::kv_scrub_cell:    return "kv_scrub_cell";
+    case Op::kv_scrub_key:     return "kv_scrub_key";
     case Op::kv_scrub_repair:  return "kv_scrub_repair";
     case Op::kv_drain_chunk:   return "kv_drain_chunk";
     case Op::kv_recovery:      return "kv_recovery";

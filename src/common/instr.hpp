@@ -49,8 +49,8 @@ enum class Op : std::uint32_t {
   kv_read_retry,     ///< KV seqlock read retried (locked / version moved)
   kv_failover,       ///< KV shard rerouted to its replica (owner dead)
   kv_retry_routing,  ///< KV op raced a reconfiguration; retired typed retry
-  kv_scrub_cell,     ///< one owner/replica cell pair examined by the scrub
-  kv_scrub_repair,   ///< one diverged cell repaired by the scrub
+  kv_scrub_key,      ///< one key the scrub read on both copies of a shard
+  kv_scrub_repair,   ///< one losing copy of a key rewritten by the scrub
   kv_drain_chunk,    ///< one re-replication chunk drained (frozen image get)
   kv_recovery,       ///< one completed heal() pass (any outcome)
   kv_round,          ///< one KV driver round (every live copy's AMOs overlapped)

@@ -366,7 +366,7 @@ struct KvStore::RegionOp {
     link,     // CAS the chain head to the new cell
     lock,     // version read while odd, else CAS even -> odd (+ key, relock)
     revoke,   // CAS a version a dead writer left odd forward
-    bury,     // CAS a top a dead claimer left at version 0 to 1
+    bury,     // CAS a dead claimer's top (version 0 or 1) to a new odd one
     write,    // value, tombstone key, or (reclaim) value then key
     release,  // version + 2 (and the top's, under the slot lock)
     done,
@@ -404,6 +404,14 @@ struct KvStore::RegionOp {
     ver = it->second.version;
     value = it->second.value;
     st = State::check;
+  }
+
+  /// A full seqlock read of one copy that skips the client cache and the
+  /// generation check (the scrub reads while coordinate() holds it odd).
+  void begin_copy_read(KvStore& kv, int s, bool rep, std::uint64_t ky) {
+    begin(kv, Kind::read, s, rep, ky, 0);
+    with_gen = with_cache = false;
+    st = State::top;
   }
 
   void issue(KvStore& kv) {
@@ -459,7 +467,9 @@ struct KvStore::RegionOp {
         }
         break;
       case State::revoke: cas(kv, cell + kVerOff, ver, ver + 1, &w[0]); break;
-      case State::bury: cas(kv, cell + kVerOff, 0, 1, &w[0]); break;
+      case State::bury:
+        cas(kv, cell + kVerOff, ver, (ver + 1) | 1, &w[0]);
+        break;
       case State::write:
         // Erase overwrites the KEY word (readers then miss) and leaves the
         // value word alone. A reclaim issues the value first: a writer
@@ -587,7 +597,7 @@ struct KvStore::RegionOp {
         // place) before the link: reachable implies readable.
         idx = w[0];
         img[0] = key;
-        img[1] = 2;
+        img[1] = std::max<std::uint64_t>(2, win_ver);
         img[2] = value;
         img[3] = head;
         return go(State::fill);
@@ -614,6 +624,8 @@ struct KvStore::RegionOp {
           act = Act::update;
           return go(State::acquire);
         }
+        // A repair writes only over the version the scrub read.
+        if (repair) return finish(rdma::OpStatus::retired);
         ver = w[0];
         relock = true;
         if ((ver & 1) != 0) return stuck_held(kv, State::lock);
@@ -625,11 +637,14 @@ struct KvStore::RegionOp {
         if (round_st == rdma::OpStatus::peer_dead) return finish(round_st);
         return contend(resume);
       case State::bury:
-        if (w[0] != 0) return relocate();  // the claimer locked it after all
+        if (w[0] != ver) return relocate();  // the claimer went on after all
+        ver = (ver + 1) & ~std::uint64_t{1};  // released at 2 or 4
         act = Act::bury;
         return go(State::write);
       case State::write:
         held = round_st;
+        // A repair releases the cell it wrote no lower than the winner.
+        if (win_ver > ver + 2) ver = win_ver - 2;
         return go(State::release);
       case State::release:
         if (act == Act::bury || act == Act::back_off) return relocate();
@@ -690,7 +705,12 @@ struct KvStore::RegionOp {
   /// lock from there, readers take it as the snapshot's v1.
   Step located(KvStore& kv, std::uint64_t v) {
     ver = v;
-    if (kind != Kind::read) return go(State::lock);
+    if (kind != Kind::read) {
+      // A repair creates its key only while the copy lacks it (a claimed
+      // top at version 0 has not linearized).
+      if (repair && v != 0) return finish(rdma::OpStatus::retired);
+      return go(State::lock);
+    }
     if (v == 0) return finish(rdma::OpStatus::ok);  // not linearized: miss
     if ((v & 1) == 0) return go(State::body);
     retried(kv);
@@ -698,18 +718,19 @@ struct KvStore::RegionOp {
   }
   /// Another writer holds `cell` at version `ver` (odd, or a claimed top
   /// at 0). Once a death has been observed, a hold stuck past kRevokeSpins
-  /// is broken by CAS: an odd version is revoked forward, a version-0 top
-  /// is buried (locked, tombstoned, released at 2). Against a live writer
-  /// the CAS fails, or its relock finds the key gone. A revoked cell's
-  /// last in-flight write may or may not have landed: fail-stop, either
-  /// value is legal.
+  /// is broken by CAS. A top at version 0 or 1 is a claim whose value was
+  /// never released, so it is buried (taken at a new odd version,
+  /// tombstoned, released at 2 or 4). Any other odd version is revoked
+  /// forward. Against a live writer the CAS fails, or its relock finds the
+  /// key gone. A revoked cell's last in-flight write may or may not have
+  /// landed: fail-stop, either value is legal.
   Step stuck_held(KvStore& kv, State again) {
     if (++stuck > kRevokeSpins) {
       stuck = 0;
       if (kv.any_peer_dead()) {
         resume = again;
         slow = true;
-        return go(ver == 0 ? State::bury : State::revoke);
+        return go(ver <= 1 ? State::bury : State::revoke);
       }
     }
     return contend(again);
@@ -744,6 +765,7 @@ struct KvStore::RegionOp {
   bool slow = false;     ///< left the top-cell path (chain walk or retry)
   bool hit = false;      ///< served from the version-validated cache
   bool found = false;
+  bool repair = false;   ///< scrub repair: conditional lock and creation
   std::uint32_t home = 0;  ///< pack_copy() of the copy this op addresses
   BucketLayout l;
   std::size_t slot = 0, cell = 0;
@@ -752,6 +774,7 @@ struct KvStore::RegionOp {
   std::uint64_t top_ver = 0;    ///< top version the walk started from
   std::uint64_t tomb_ver = 0;  ///< the tombstone's version
   std::uint64_t gen = 0, got_key = 0;
+  std::uint64_t win_ver = 0;    ///< repair: the winner's version
   std::uint64_t w[3] = {};    ///< words fetched by this round
   std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
   rdma::OpStatus status = rdma::OpStatus::ok;
@@ -804,13 +827,118 @@ rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
 rdma::OpStatus KvStore::debug_read_copy(std::uint64_t key, bool replica,
                                         std::uint64_t* value, bool* found) {
   RegionOp op;
-  op.begin(*this, RegionOp::Kind::read, shard_of(key), replica, key, 0);
-  op.with_cache = false;  // always the full seqlock read of that copy
-  op.st = RegionOp::State::top;
+  op.begin_copy_read(*this, shard_of(key), replica, key);
   drive(op);
   *found = op.found;
   *value = op.found ? op.value : 0;
   return op.status;
+}
+
+// --- anti-entropy scrub ------------------------------------------------------
+//
+// Key by key (DESIGN.md §13): the cells of both copies only name candidate
+// keys; each candidate is read on both copies and the loser rewritten by a
+// write machine, so a repair keeps one cell per key like any write. Copies
+// may hold a key at different offsets (racing creations link cells in
+// different orders), and two cells' versions say nothing about each other,
+// so the version decides only between cells at one offset.
+
+ScrubResult KvStore::scrub(int shard) {
+  ScrubResult res;
+  const auto fold = [&res](rdma::OpStatus st) {
+    if (st != rdma::OpStatus::ok && res.status == rdma::OpStatus::ok) {
+      res.status = st;
+    }
+  };
+  const auto run = [this](std::vector<RegionOp>& ops) {
+    std::vector<RegionOp*> live;
+    for (auto& op : ops) live.push_back(&op);
+    drive(live.data(), static_cast<int>(live.size()));
+  };
+  const Copy copies[2] = {copy_of(shard, false), copy_of(shard, true)};
+  // Repairs mutate the loser: both sides must be writable.
+  if (!win_.peer_alive(copies[0].rank) || !win_.peer_alive(copies[1].rank)) {
+    res.status = rdma::OpStatus::peer_dead;
+    return res;
+  }
+
+  // Candidate keys: the key word of every cell of both copies, from rgets
+  // of whole words (word-atomic against the AMOs racing them).
+  const std::size_t words = shard_region_bytes() / 8;
+  const std::size_t chunk = cfg_.drain_chunk / 8;
+  std::vector<std::uint64_t> image(2 * words);
+  std::vector<core::RmaRequest> reqs;
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < words; i += chunk) {
+      reqs.push_back(win_.rget(&image[c * words + i],
+                               8 * std::min(chunk, words - i), copies[c].rank,
+                               copy_base(copies[c]) + 8 * i));
+    }
+  }
+  for (auto& req : reqs) fold(wait_req(req));
+  if (res.status != rdma::OpStatus::ok) return res;
+  BucketLayout l = layout_of(copies[0]);
+  l.base -= copy_base(copies[0]);  // byte offsets within one image
+  std::vector<std::uint64_t> keys;
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < l.table_slots + l.heap_slots; ++i) {
+      const std::size_t off = i < l.table_slots
+                                  ? l.off_table(i)
+                                  : l.off_heap(i - l.table_slots);
+      const std::uint64_t k = image[c * words + off / 8];
+      if (k != 0 && k != kTombstone) keys.push_back(k);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  res.keys = keys.size();
+  count(Op::kv_scrub_key, keys.size());
+
+  // Read every candidate on both copies, all machines overlapped.
+  std::vector<RegionOp> reads(2 * keys.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    reads[i].begin_copy_read(*this, shard, i % 2 != 0, keys[i / 2]);
+  }
+  run(reads);
+  for (const auto& op : reads) fold(op.status);
+  if (res.status != rdma::OpStatus::ok) return res;
+
+  // The primary decides presence; diverged values go to the higher
+  // version if both cells sit at one offset, else to the primary.
+  std::vector<RegionOp> fixes;
+  fixes.reserve(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const RegionOp& p = reads[2 * i];
+    const RegionOp& r = reads[2 * i + 1];
+    if (!p.found && !r.found) continue;
+    if (p.found && r.found && p.value == r.value) continue;
+    const bool to_primary = p.found && r.found &&
+                            p.cell - p.l.base == r.cell - r.l.base &&
+                            r.ver > p.ver;
+    const RegionOp& win = to_primary ? r : p;
+    const RegionOp& lose = to_primary ? p : r;
+    RegionOp& fix = fixes.emplace_back();
+    fix.begin(*this, win.found ? RegionOp::Kind::put : RegionOp::Kind::erase,
+              shard, !to_primary, keys[i], win.value);
+    fix.repair = true;
+    fix.win_ver = win.found ? win.ver : 0;
+    if (lose.found) {  // lock the loser's cell at the version read
+      fix.cell = lose.cell;
+      fix.ver = lose.ver;
+      fix.st = RegionOp::State::lock;
+    }
+  }
+  run(fixes);
+  for (const auto& fix : fixes) {
+    if (fix.status == rdma::OpStatus::retired) continue;  // a writer won
+    fold(fix.status);
+    if (fix.status != rdma::OpStatus::ok) continue;
+    ++res.repairs;
+    count(Op::kv_scrub_repair);
+    trace::emit(trace::EvClass::recovery, trace::EvPhase::retry, fix.t,
+                fix.key, 0);
+  }
+  return res;
 }
 
 // --- client ops --------------------------------------------------------------

@@ -11,7 +11,8 @@
 //     small state machine whose rounds post at most three request-based
 //     AMOs together. Drivers own the waiting: drive() overlaps any number
 //     of machines on the calling thread, the fleet's fibers park on the
-//     same handles.
+//     same handles. RegionOp (kv.cpp) is the only code that knows the
+//     cell layout past the key word, or the seqlock.
 //   * get  — a one-sided versioned read: the 8-byte version word is a
 //     seqlock over RMA (odd = write in progress). Rounds {v1, top key} ->
 //     {key, value} -> v2, retried on mismatch; version 0 means the insert
@@ -28,8 +29,11 @@
 //     beside its CAS and re-locates if the cell now holds another key.
 //     Erase tombstones the key word so the cell can be reclaimed. A non-ok
 //     status means "unknown effect": the copies may disagree (the replica
-//     may be ahead of a failed owner) until the scrub's version-winner
-//     rule reconciles them.
+//     may be ahead of a failed owner) until the scrub reconciles them.
+//   * anti-entropy scrub — key by key on the same machines: chunked rgets
+//     of both copies name the keys, read machines compare them, and put or
+//     erase machines in a conditional repair mode rewrite the loser, so a
+//     repair keeps one cell per key like any write (rule: scrub()).
 //   * client cache — per key: an entry is {cell, version, value} for the
 //     key's cell, top or chain, on the shard's primary copy, filled from a
 //     clean snapshot. A cell's key and value change only while its version
@@ -51,7 +55,7 @@
 //     drains the dead rank's FROZEN shard image with one-sided gets into a
 //     spare region on a surviving rank (fail-stop memory stays readable —
 //     the paper's decoupling claim doing fault-tolerance work), reconciles
-//     the pair with a version-winner scrub, publishes the new entries and
+//     the pair with the scrub, publishes the new entries and
 //     releases the generation. Clients validate the generation with one
 //     AMO overlapped with their first read round (only once a death has
 //     been observed — zero healthy-path cost) and retire racing ops with
@@ -94,8 +98,7 @@ struct KvConfig {
   /// heal() raises ErrClass::data_loss (fleet abort + post-mortem trace
   /// dump) when a shard lost both copies; false returns it typed instead.
   bool abort_on_data_loss = false;
-  std::size_t drain_chunk = 2048;  ///< re-replication drain chunk bytes
-  int scrub_fibers = 4;            ///< concurrent scrub fibers per shard
+  std::size_t drain_chunk = 2048;  ///< drain and scrub-listing chunk bytes
   /// Spare-bank slots per rank = spare_factor * shards_per_rank. One slot
   /// per hosted shard survives a single failure; sequential failures park
   /// promoted spares in the bank permanently, so capacity for the tests'
@@ -148,16 +151,16 @@ struct RecoveryReport {
   int rereplicated = 0;   ///< shards granted a fresh spare-bank copy
   int lost = 0;           ///< shards with owner AND replica dead
   std::uint64_t drained_bytes = 0;  ///< frozen-image bytes re-replicated
-  std::uint64_t scrub_cells = 0, scrub_repairs = 0;
+  std::uint64_t scrub_keys = 0, scrub_repairs = 0;
 };
 
 /// Outcome of one anti-entropy scrub pass over a shard's copy pair.
 struct ScrubResult {
   rdma::OpStatus status = rdma::OpStatus::ok;
-  std::uint64_t cells = 0;    ///< cell pairs examined
-  std::uint64_t repairs = 0;  ///< diverged cells repaired (version winner)
-  std::uint64_t skipped = 0;  ///< cells skipped (write in progress /
-                              ///< structural chain divergence)
+  std::uint64_t keys = 0;     ///< keys either copy held, each read on both
+  std::uint64_t repairs = 0;  ///< losing copies rewritten (create, update or
+                              ///< erase); repairs that met a newer write
+                              ///< retire and are not counted
 };
 
 class KvStore {
@@ -206,10 +209,14 @@ class KvStore {
   /// typed report; with cfg.abort_on_data_loss an unrecoverable shard
   /// raises ErrClass::data_loss (fleet abort + post-mortem trace dump).
   RecoveryReport heal();
-  /// Anti-entropy pass over one shard's {primary, replica} cell pairs:
-  /// seqlock snapshots of both sides, higher-version winner copied over the
-  /// loser (ties and top-slot key conflicts go to the primary). Runs as
-  /// fibers on the progress engine. Safe against concurrent writers.
+  /// Key-wise anti-entropy pass over one shard's {primary, replica} pair.
+  /// Every key either copy holds is read on both, and the loser is
+  /// rewritten: a key only on the primary is created on the replica, a key
+  /// only on the replica is erased there, and two values go to the higher
+  /// version if both cells sit at the same offset, else to the primary.
+  /// Repairs are conditional (they lock the loser only at the version read,
+  /// create only while the key is absent), so a racing writer wins. Skips
+  /// the client cache and the generation check; both copies must be alive.
   ScrubResult scrub(int shard);
   /// One-sided read of the current routing generation (even = stable).
   std::uint64_t generation();
@@ -263,8 +270,6 @@ class KvStore {
   friend struct ClientFiber;
   struct DrainFiber;
   friend struct DrainFiber;
-  struct ScrubFiber;
-  friend struct ScrubFiber;
 
   // Window layout: [generation | pad | routing table][bank 0: primary
   // regions][bank 1: replica regions][bank 2: spare regions]. Every rank
@@ -308,10 +313,6 @@ class KvStore {
   /// (never owner_rank itself); occupancy derived from the routing table.
   Copy pick_spare(int owner_rank, const std::vector<std::uint64_t>& table,
                   std::vector<std::uint8_t>* spare_used) const;
-  /// Blocking version-winner repair of one diverged cell (see scrub()).
-  rdma::OpStatus repair_cell(const Copy& loser, std::size_t cell_off,
-                             std::uint64_t locked_ver, std::uint64_t key,
-                             std::uint64_t value, std::uint64_t winner_ver);
 
   // Typed-status AMO helpers (request-based, so faults never raise).
   rdma::OpStatus wait_req(core::RmaRequest& req);

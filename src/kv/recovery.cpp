@@ -15,10 +15,9 @@
 //     chunked one-sided gets and pushed into a spare-bank region on a
 //     surviving rank, restoring 2x redundancy without any cooperation
 //     from the dead rank.
-//   * scrub     — an anti-entropy pass reconciles the surviving copy with
-//     the drained frozen image by seqlock snapshots + version-winner
-//     repair, which is exactly what recovers writes that were acked on
-//     the dead primary but never reached the replica.
+//   * scrub     — the key-wise anti-entropy pass (KvStore::scrub, kv.cpp)
+//     reconciles the surviving copy with the drained frozen image, which
+//     may hold writes whose replica half never landed.
 //
 // All waiting is fiber- or backoff-based through Fabric::yield_check —
 // recovery never raw-spins, and costs nothing until a death is observed.
@@ -34,10 +33,6 @@
 namespace fompi::kv {
 
 namespace {
-
-// Cell word offsets, mirrored from kv.cpp (one seqlock protocol, two TUs).
-constexpr std::size_t kVerOff = 8;
-constexpr std::size_t kValOff = 16;
 
 /// One planned re-replication: copy `src`'s (usually frozen) region into
 /// the spare-bank region `dst`, then publish `word` as the shard's routing
@@ -109,186 +104,6 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
   std::size_t total = 0, off = 0, n = 0, hi = 0;
   core::RmaRequest req;
 };
-
-// --- scrub fiber -------------------------------------------------------------
-
-struct KvStore::ScrubFiber final : fabric::progress::Fiber {
-  ScrubFiber(KvStore& kv, Copy prim, Copy repl, std::size_t* cursor,
-             ScrubResult* res)
-      : kv(kv),
-        prim(prim),
-        repl(repl),
-        pl(kv.layout_of(prim)),
-        rl(kv.layout_of(repl)),
-        cursor(cursor),
-        res(res) {}
-
-  void step(fabric::progress::Scheduler& s) override {
-    FOMPI_FIBER_BEGIN();
-    cells = kv.cfg_.table_slots + kv.cfg_.heap_slots;
-    while (*cursor < cells) {
-      i = (*cursor)++;
-      heap_cell = i >= kv.cfg_.table_slots;
-      poff = heap_cell ? pl.off_heap(i - kv.cfg_.table_slots)
-                       : pl.off_table(i);
-      roff = heap_cell ? rl.off_heap(i - kv.cfg_.table_slots)
-                       : rl.off_table(i);
-      ++res->cells;
-      count(Op::kv_scrub_cell);
-      // Seqlock snapshot of BOTH sides, pipelined pairwise: versions,
-      // then key+value words, then versions again. All reads, so they
-      // succeed against frozen images too.
-      qa = kv.win_.rfetch_and_op(nullptr, &pv1, Elem::u64, RedOp::no_op,
-                                 prim.rank, poff + kVerOff);
-      qb = kv.win_.rfetch_and_op(nullptr, &rv1, Elem::u64, RedOp::no_op,
-                                 repl.rank, roff + kVerOff);
-      FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      qa.dismiss();
-      qb.dismiss();
-      if (res->status != rdma::OpStatus::ok) return finish();
-      if ((pv1 & 1) != 0 || (rv1 & 1) != 0) {
-        ++res->skipped;  // write in progress: the writer will converge it
-        continue;
-      }
-      qa = kv.win_.rfetch_and_op(nullptr, &pk, Elem::u64, RedOp::no_op,
-                                 prim.rank, poff);
-      qb = kv.win_.rfetch_and_op(nullptr, &pval, Elem::u64, RedOp::no_op,
-                                 prim.rank, poff + kValOff);
-      qc = kv.win_.rfetch_and_op(nullptr, &rk, Elem::u64, RedOp::no_op,
-                                 repl.rank, roff);
-      qd = kv.win_.rfetch_and_op(nullptr, &rval, Elem::u64, RedOp::no_op,
-                                 repl.rank, roff + kValOff);
-      FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qc.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qd.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      qa.dismiss();
-      qb.dismiss();
-      qc.dismiss();
-      qd.dismiss();
-      if (res->status != rdma::OpStatus::ok) return finish();
-      qa = kv.win_.rfetch_and_op(nullptr, &pv2, Elem::u64, RedOp::no_op,
-                                 prim.rank, poff + kVerOff);
-      qb = kv.win_.rfetch_and_op(nullptr, &rv2, Elem::u64, RedOp::no_op,
-                                 repl.rank, roff + kVerOff);
-      FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      qa.dismiss();
-      qb.dismiss();
-      if (res->status != rdma::OpStatus::ok) return finish();
-      if (pv1 != pv2 || rv1 != rv2) {
-        ++res->skipped;  // torn snapshot: racing writer owns the cell
-        continue;
-      }
-      if (pk == rk && pval == rval) continue;  // converged
-      if (pk != rk && heap_cell) {
-        // Heap cells with different keys are STRUCTURAL chain divergence
-        // (the two regions allocated overflow cells in different orders);
-        // copying one over the other would orphan a key under the wrong
-        // slot chain. Count and leave them — per-key correctness is
-        // carried by whichever region's chain holds the key.
-        ++res->skipped;
-        continue;
-      }
-      // Version winner; key conflicts on a top slot go to the primary
-      // (the authoritative region for reads).
-      to_repl = (pk != rk) ? true : (rv1 > pv1 ? false : true);
-      {
-        const auto st =
-            to_repl ? kv.repair_cell(repl, roff, rv1, pk, pval, pv1)
-                    : kv.repair_cell(prim, poff, pv1, rk, rval, rv1);
-        if (st == rdma::OpStatus::ok) {
-          ++res->repairs;
-          count(Op::kv_scrub_repair);
-          trace::emit(trace::EvClass::recovery, trace::EvPhase::retry,
-                      to_repl ? repl.rank : prim.rank, to_repl ? roff : poff,
-                      0);
-        } else if (st == rdma::OpStatus::retired) {
-          ++res->skipped;  // lost the lock race to a live writer: converges
-        } else {
-          fail(st);
-          return finish();
-        }
-      }
-    }
-    FOMPI_FIBER_END();
-  }
-
-  void fail(rdma::OpStatus st) {
-    if (res->status == rdma::OpStatus::ok) res->status = st;
-  }
-
-  KvStore& kv;
-  Copy prim, repl;
-  BucketLayout pl, rl;
-  std::size_t* cursor;
-  ScrubResult* res;
-  std::size_t cells = 0, i = 0, poff = 0, roff = 0;
-  bool heap_cell = false, to_repl = false;
-  std::uint64_t pv1 = 0, pv2 = 0, rv1 = 0, rv2 = 0;
-  std::uint64_t pk = 0, rk = 0, pval = 0, rval = 0;
-  core::RmaRequest qa, qb, qc, qd;
-};
-
-// --- cell repair -------------------------------------------------------------
-
-rdma::OpStatus KvStore::repair_cell(const Copy& loser, std::size_t cell_off,
-                                    std::uint64_t locked_ver,
-                                    std::uint64_t key, std::uint64_t value,
-                                    std::uint64_t winner_ver) {
-  // Lock the loser cell through its own seqlock: CAS the even version we
-  // snapshotted to odd. Losing the CAS means a live writer moved the cell
-  // first — report `retired` so the caller skips (the writer's update is
-  // newer than our snapshot anyway).
-  std::uint64_t prev = 0;
-  auto st = amo_cas(loser.rank, cell_off + kVerOff, locked_ver,
-                    locked_ver + 1, &prev);
-  if (st != rdma::OpStatus::ok) return st;
-  if (prev != locked_ver) return rdma::OpStatus::retired;
-  st = amo_write(loser.rank, cell_off, key);
-  if (st == rdma::OpStatus::ok) {
-    st = amo_write(loser.rank, cell_off + kValOff, value);
-  }
-  // Release at (at least) the winner's version so the pair compares equal
-  // on the next scrub pass; never release below our own lock. The release
-  // also invalidates cached entries: their version is now in the past.
-  std::uint64_t rel = locked_ver + 2;
-  if ((winner_ver & 1) == 0 && winner_ver > rel) rel = winner_ver;
-  const auto relst = amo_write(loser.rank, cell_off + kVerOff, rel);
-  return st == rdma::OpStatus::ok ? relst : st;
-}
-
-// --- scrub -------------------------------------------------------------------
-
-ScrubResult KvStore::scrub(int shard) {
-  ScrubResult res;
-  const Copy prim = copy_of(shard, false);
-  const Copy repl = copy_of(shard, true);
-  // Repairs mutate the loser: both sides must be writable. (Snapshots of a
-  // frozen image would work, but a repair against a dead rank cannot.)
-  if (!win_.peer_alive(prim.rank) || !win_.peer_alive(repl.rank)) {
-    res.status = rdma::OpStatus::peer_dead;
-    return res;
-  }
-  fabric::progress::Scheduler sched(*fabric_, rank_);
-  std::size_t cursor = 0;
-  const int pool = std::max(1, std::min(cfg_.scrub_fibers,
-                                        static_cast<int>(cfg_.table_slots)));
-  for (int i = 0; i < pool; ++i) {
-    sched.spawn<ScrubFiber>(*this, prim, repl, &cursor, &res);
-  }
-  sched.run();
-  return res;
-}
 
 // --- spare placement ---------------------------------------------------------
 
@@ -415,7 +230,7 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
       bool rescan = false;
       for (const int s : touched) {
         const ScrubResult sr = scrub(s);
-        rep->scrub_cells += sr.cells;
+        rep->scrub_keys += sr.keys;
         rep->scrub_repairs += sr.repairs;
         if (sr.status != rdma::OpStatus::ok) rescan = true;  // death mid-scrub
       }

@@ -63,17 +63,22 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p) {
 }
 
 double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
-                      std::uint64_t cells, std::uint64_t chunk) {
+                      std::uint64_t keys, std::uint64_t chunk) {
   if (chunk == 0) chunk = 1;
   const double chunks =
       static_cast<double>((shard_bytes + chunk - 1) / chunk);
-  const double drain_us = chunks * p.bte_setup_us +
+  // One chunked pass over a region image: the drain, and each copy's
+  // snapshot in the scrub.
+  const double image_us = chunks * p.bte_setup_us +
                           static_cast<double>(shard_bytes) * p.bte_byte_ns /
                               1e3;
-  const double scrub_us =
-      static_cast<double>(cells) * p.scrub_amos * p.amo_us;
+  // The scrub's reads of every key on both copies overlap: three rounds,
+  // uncached_amos issued per key and copy.
+  const double reads_us = 3 * p.amo_us + 2.0 * static_cast<double>(keys) *
+                                             p.uncached_amos *
+                                             p.amo_service_us;
   const double gen_us = 2.0 * p.amo_us;  // claim CAS + release write
-  return drain_us + scrub_us + gen_us;
+  return 3.0 * image_us + reads_us + gen_us;
 }
 
 double kv_post_recovery_p99_us(const KvParams& p) {

@@ -43,10 +43,6 @@ struct KvParams {
   /// 0.145 expressed in the units used here).
   double bte_setup_us = 1.1;
   double bte_byte_ns = 0.145;
-  /// Remote words per scrubbed cell pair: {v1, key, value, v2} seqlock
-  /// snapshots of BOTH copies (repairs are rare enough not to move the
-  /// mean).
-  int scrub_amos = 8;
 };
 
 /// Mean modeled get latency (us), each read charged like a put: one round
@@ -91,13 +87,15 @@ double kv_hot_shard_mass(const KvParams& p);
 double simulate_kv_throughput_mops(int clients, const KvParams& p = {});
 
 /// Modeled time (us) to heal ONE shard whose owner died: drain the frozen
-/// image (ceil(bytes/chunk) BTE channel setups + the byte stream), scrub
-/// every cell pair (scrub_amos remote words each), plus the generation
-/// claim + release CAS pair. Linear in bytes at fixed chunking, linear in
-/// cells — and drain-dominated for realistic shard sizes, which is the
-/// shape test_simtime pins.
+/// image (ceil(bytes/chunk) BTE channel setups + the byte stream), then
+/// the key-wise scrub: one such chunked snapshot of each copy to list the
+/// keys, and the overlapped read of every key on both copies (three
+/// rounds, uncached_amos issued per copy and key; a healthy pair needs no
+/// repair round), plus the generation claim + release CAS pair. Linear in
+/// bytes at fixed chunking, linear in keys — and stream-dominated for
+/// large shard images, which is the shape test_simtime pins.
 double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
-                      std::uint64_t cells, std::uint64_t chunk = 2048);
+                      std::uint64_t keys, std::uint64_t chunk = 2048);
 
 /// Modeled post-recovery p99 get latency (us): recovery restores the
 /// healthy read path exactly (the generation check OVERLAPS the read's

@@ -75,7 +75,7 @@ enum class EvClass : std::uint8_t {
   recovery,       ///< KV recovery: heal span (begin/end), promotion (issue,
                   ///< arg = shard), drain chunk (doorbell, arg = bytes),
                   ///< generation release (complete, arg = generation),
-                  ///< scrub repair (retry, arg = cell offset)
+                  ///< scrub repair (retry, arg = key)
   kCount,
 };
 

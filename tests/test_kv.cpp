@@ -877,18 +877,20 @@ TEST(KvChaos, ReclaimerDeathNeverServesTheErasedValue) {
 
 TEST(KvChaos, ClaimerDeathBeforeLockNeverWedgesTheSlot) {
   // The writer (rank 2) puts a fresh key into an empty top slot and is
-  // killed after its claim CAS but before its lock: the top holds the key
-  // at version 0 -- claimed, never linearized -- on one or both copies. A
-  // survivor's put of a colliding key needs the slot lock, so it must bury
-  // that claim (once the death is seen) and retire typed, never hang.
+  // killed after its claim CAS but before its value write: the top holds
+  // the key at version 0 (claimed) or 1 (first lock) -- never linearized
+  // -- on one or both copies. A survivor's put of a colliding key needs
+  // the slot lock, so it must bury that claim (once the death is seen)
+  // rather than revoke it, which would publish {key, 0}, and never hang.
   constexpr std::uint64_t kPad = 10000;
   KvConfig cfg;
   cfg.shards = 3;
   cfg.table_slots = 1;
   // Replicated top round: {version, claim} on the owner, then on the
-  // replica (ops 0-3); the owner's lock CAS is op 4. A kill at op 2 leaves
-  // the claim on the owner copy only, a kill at op 4 on both.
-  for (const std::uint64_t k : {2ull, 4ull}) {
+  // replica (ops 0-3); the lock CASes are ops 4 (owner) and 5 (replica).
+  // A kill at op 2 leaves the claim on the owner copy only, at op 4 on
+  // both; at op 5 the owner's top sits at version 1, at op 6 both do.
+  for (const std::uint64_t k : {2ull, 4ull, 5ull, 6ull}) {
     fabric::FabricOptions opts;
     opts.domain.nranks = 3;
     opts.domain.ranks_per_node = 1;
@@ -1189,7 +1191,7 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
           EXPECT_GE(rep.promoted, 1);
           EXPECT_GT(rep.rereplicated, rep.promoted);
           EXPECT_GT(rep.drained_bytes, 0u);
-          EXPECT_GT(rep.scrub_cells, 0u);
+          EXPECT_GT(rep.scrub_keys, 0u);
         }
         // The published generation is even (stable) and advanced.
         const auto gen = store.generation();
@@ -1636,7 +1638,7 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
       const int s2 = store.shard_of(k2);
       auto r1 = store.scrub(s1);
       EXPECT_EQ(r1.status, OpStatus::ok);
-      EXPECT_GT(r1.cells, 0u);
+      EXPECT_GT(r1.keys, 0u);
       EXPECT_GE(r1.repairs, 1u) << "diverged cell not repaired";
       if (s2 != s1) {
         const auto r2 = store.scrub(s2);
@@ -1659,6 +1661,190 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
     ctx.barrier();
     store.destroy(ctx);
   });
+}
+
+TEST(KvScrub, TopSlotSplitConvergesPerKey) {
+  // One shard, one top slot. Writes to one copy at a time build what two
+  // writers racing for an empty slot leave: the primary holds {top k1,
+  // chain k2} and the replica {top k2, chain k1}, equal values. k3's cells
+  // sit at different offsets and diverge (the replica's at the higher
+  // version); k4 reached the replica only. One scrub must give every key
+  // the primary's value on both copies and drop k4, without a second cell
+  // for any key: one erase per key then leaves both copies missing.
+  KvConfig cfg;
+  cfg.shards = 1;
+  cfg.table_slots = 1;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    if (ctx.rank() == 0) {
+      constexpr std::uint64_t k1 = 1, k2 = 2, k3 = 3, k4 = 4;
+      const auto write = [&](std::uint64_t k, bool replica,
+                             std::uint64_t v) {
+        ASSERT_EQ(store.debug_write_copy(k, replica, v), OpStatus::ok);
+      };
+      const auto expect = [&](std::uint64_t k, bool present,
+                              std::uint64_t want) {
+        for (const bool replica : {false, true}) {
+          const char* where = replica ? " on the replica" : " on the owner";
+          std::uint64_t v = 0;
+          bool found = !present;
+          ASSERT_EQ(store.debug_read_copy(k, replica, &v, &found),
+                    OpStatus::ok);
+          EXPECT_EQ(found, present) << "key " << k << where;
+          if (present) {
+            EXPECT_EQ(v, want) << "key " << k << where;
+          }
+        }
+      };
+      write(k1, false, 11);  // primary: top k1, chain k3 -> k2
+      write(k2, false, 22);
+      write(k3, false, 33);
+      write(k2, true, 22);  // replica: top k2, chain k4 -> k1 -> k3
+      write(k3, true, 33);
+      write(k3, true, 34);
+      write(k1, true, 11);
+      write(k4, true, 44);
+      const auto r = store.scrub(0);
+      EXPECT_EQ(r.status, OpStatus::ok);
+      EXPECT_EQ(r.keys, 4u);
+      EXPECT_EQ(r.repairs, 2u) << "k3 rewritten, k4 erased on the replica";
+      expect(k1, true, 11);
+      expect(k2, true, 22);
+      expect(k3, true, 33);
+      expect(k4, false, 0);
+      EXPECT_EQ(store.scrub(0).repairs, 0u) << "scrub is not idempotent";
+      for (const auto k : {k1, k2, k3, k4}) {
+        ASSERT_EQ(store.erase(k), OpStatus::ok);
+        expect(k, false, 0);
+      }
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(KvScrub, ScrubNeverRevertsALiveWrite) {
+  // Rank 1 overwrites a and b while rank 0 diverges c's replica and scrubs
+  // the shard in a loop. One writer created all three keys, so their cells
+  // mirror and the scrub decides by version; a repair locks only at the
+  // version it read, so it never lands under a newer write.
+  constexpr std::uint64_t kN = 1000;
+  constexpr std::uint64_t a = 1, b = 2, c = 3;
+  KvConfig cfg;
+  cfg.shards = 1;
+  std::atomic<bool> scrubbing{false}, writing{true};
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    if (ctx.rank() == 0) {
+      for (const auto k : {a, b, c}) {
+        ASSERT_EQ(store.put(k, 0), OpStatus::ok);
+      }
+    }
+    ctx.barrier();
+    std::uint64_t last = 0;
+    if (ctx.rank() == 1) {
+      while (!scrubbing) ctx.yield_check();
+      for (std::uint64_t i = 1; i <= kN; ++i) {
+        EXPECT_EQ(store.put(a, i), OpStatus::ok);
+        EXPECT_EQ(store.put(b, i), OpStatus::ok);
+      }
+      writing = false;
+    } else {
+      scrubbing = true;
+      do {
+        ++last;
+        EXPECT_EQ(store.debug_write_copy(c, /*replica=*/true, last),
+                  OpStatus::ok);
+        EXPECT_EQ(store.scrub(0).status, OpStatus::ok);
+      } while (writing);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      const auto expect = [&](std::uint64_t k, std::uint64_t want) {
+        for (const bool replica : {false, true}) {
+          const char* where = replica ? " on the replica" : " on the owner";
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.debug_read_copy(k, replica, &v, &found),
+                    OpStatus::ok);
+          EXPECT_TRUE(found) << "key " << k << where;
+          EXPECT_EQ(v, want) << "key " << k << where;
+        }
+      };
+      expect(a, kN);
+      expect(b, kN);
+      EXPECT_EQ(store.scrub(0).status, OpStatus::ok);
+      expect(c, last);
+      EXPECT_EQ(store.scrub(0).repairs, 0u) << "scrub is not idempotent";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(KvScrub, RepairYieldsToAWriteAfterItsRead) {
+  // Ranks 0 and 1 (k's owner and replica) share a node; the scrubber,
+  // rank 2, sits behind ~5 ms AMOs. k's replica is ahead (7 over 1), so
+  // the scrub will repair k's primary at the version it read. k's reads
+  // finish in three rounds, but a 20-cell chain in k's slot keeps the
+  // scrub reading for ~20 more, and rank 0 puts k = 9 in that window. The
+  // repair must then retire instead of writing 7 over the newer 9.
+  fabric::FabricOptions opts;
+  opts.domain.nranks = 3;
+  opts.domain.ranks_per_node = 2;
+  opts.domain.inject = rdma::Injection::model;
+  opts.domain.time_scale = 100;
+  opts.domain.model.amo_base_ns = 50000;  // x100: a 5 ms inter-node AMO
+  opts.hang_timeout_ns = 60'000'000'000;
+  std::atomic<bool> started{false};
+  fabric::run_ranks(
+      3,
+      [&](RankCtx& ctx) {
+        KvConfig cfg;
+        cfg.shards = 3;
+        cfg.table_slots = 1;
+        KvStore store(ctx, cfg);
+        const auto k = key_owned_by(store, 0);
+        const int s = store.shard_of(k);
+        ASSERT_EQ(store.replica_of(s), 1);
+        if (ctx.rank() == 0) {
+          ASSERT_EQ(store.put(k, 1), OpStatus::ok);
+          std::uint64_t m = k;
+          for (int i = 0; i < 20; ++i) {
+            do ++m; while (store.shard_of(m) != s);
+            ASSERT_EQ(store.put(m, m), OpStatus::ok);
+          }
+          ASSERT_EQ(store.debug_write_copy(k, /*replica=*/true, 7),
+                    OpStatus::ok);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 2) {
+          started = true;
+          EXPECT_EQ(store.scrub(s).status, OpStatus::ok);
+        } else if (ctx.rank() == 0) {
+          // k's reads end ~20 ms into the scrub and the chain's ~120 ms
+          // later. A put outside that window is not a race, and passes.
+          while (!started) ctx.yield_check();
+          const std::uint64_t t0 = now_ns();
+          while (now_ns() - t0 < 80'000'000) ctx.yield_check();
+          ASSERT_EQ(store.put(k, 9), OpStatus::ok);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 0) {
+          for (const bool replica : {false, true}) {
+            std::uint64_t v = 0;
+            bool found = false;
+            ASSERT_EQ(store.debug_read_copy(k, replica, &v, &found),
+                      OpStatus::ok);
+            EXPECT_TRUE(found);
+            EXPECT_EQ(v, 9u) << (replica ? "replica" : "owner")
+                             << ": the repair landed under a newer write";
+          }
+        }
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
 }
 
 TEST(KvScrub, DeadCopyScrubRetiresTypedPeerDead) {

@@ -443,22 +443,23 @@ TEST(SimKvRecovery, MonotoneInShardBytesAndCells) {
     prev = t;
   }
   prev = 0.0;
-  for (std::uint64_t cells = 64; cells <= 4096; cells *= 2) {
-    const double t = kv_recovery_us(p, 64 * 1024, cells);
-    EXPECT_GT(t, prev) << "recovery time must grow with the scrub, cells="
-                       << cells;
+  for (std::uint64_t keys = 64; keys <= 4096; keys *= 2) {
+    const double t = kv_recovery_us(p, 64 * 1024, keys);
+    EXPECT_GT(t, prev) << "recovery time must grow with the scrub, keys="
+                       << keys;
     prev = t;
   }
 }
 
 TEST(SimKvRecovery, DrainIsBteStreamDominatedAtScale) {
-  // At large shard images the per-byte BTE stream dominates both the
-  // channel setups and the fixed scrub/generation cost: doubling the
-  // image must roughly double the recovery time (ratio -> 2 from below).
+  // At large shard images the chunked image passes (the drain and the
+  // scrub's two snapshots) dominate the per-key reads and the generation
+  // cost: doubling the image must roughly double the recovery time
+  // (ratio -> 2 from below).
   KvParams p;
-  const std::uint64_t cells = 320;
-  const double t1 = kv_recovery_us(p, 64ull << 20, cells);
-  const double t2 = kv_recovery_us(p, 128ull << 20, cells);
+  const std::uint64_t keys = 320;
+  const double t1 = kv_recovery_us(p, 64ull << 20, keys);
+  const double t2 = kv_recovery_us(p, 128ull << 20, keys);
   EXPECT_GT(t2 / t1, 1.8);
   EXPECT_LT(t2 / t1, 2.05);
 }
