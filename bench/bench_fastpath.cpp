@@ -249,9 +249,8 @@ int main() {
   }
 
   // --- throughput mode compiled in but idle ------------------------------
-  // Channels configured and the adaptive tuner armed, but no batch scope
-  // ever opened (auto_batch off): blocking puts must stay on the plain
-  // fast path. scripts/ci.sh gates this case against put8_blocking_immediate
+  // Channels configured, but no batch scope ever opened (auto_batch off):
+  // blocking puts must stay on the plain fast path. scripts/ci.sh gates this case against put8_blocking_immediate
   // (<= 1.25x) so throughput mode can never tax the latency path it is
   // supposed to leave alone.
   {
@@ -261,7 +260,6 @@ int main() {
     cfg.inject = Injection::none;
     cfg.delivery = Delivery::immediate;
     cfg.nic.channels = 4;
-    cfg.nic.adaptive = true;
     cfg.nic.auto_batch = false;
     Domain dom(cfg);
     Nic& nic = dom.nic(0);

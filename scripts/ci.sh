@@ -22,7 +22,11 @@
 #      notify plane, and the KV service's seqlock reads under a
 #      concurrent writer plus its kill/failover path and the full
 #      self-healing recovery/scrub/reconfiguration suite)
-#   4. Benchmark smoke run (bench_fastpath + bench_datatype +
+#   4. AddressSanitizer build + the suites that move bytes through the
+#      NIC's staging buffers and fragment lists (contiguous, vectored and
+#      datatype issue, comm, property-based RMA, accumulate): zero
+#      AddressSanitizer reports
+#   5. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
 #      >=2x batched speedup and monotone striping, the collectives bench
@@ -31,15 +35,16 @@
 #      a monotone failover SLO with typed peer_dead, and a full healing
 #      pass — promotion + re-replication with post-recovery p99 within
 #      1.5x of healthy — exiting non-zero on violation)
-#   5. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
+#   6. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
 #      must be valid JSON and must have dropped zero events
-#   6. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an
-#      armed-but-idle fault plan, throughput config (channels + adaptive
-#      thresholds, no open batch) or fiber scheduler must not tax the
-#      blocking put8 issue path, and must not fire a fault or ring a
-#      coalesced doorbell in its timed loop
+#   7. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an
+#      armed-but-idle fault plan, throughput config (4 channels, no open
+#      batch) or fiber scheduler must not tax the blocking put8 issue path,
+#      and must not fire a fault or ring a coalesced doorbell in its timed
+#      loop
 #
-# Runs from any directory; everything lands in build/ and build-tsan/.
+# Runs from any directory; everything lands in build/, build-tsan/ and
+# build-asan/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -91,6 +96,18 @@ cmake --build build-tsan --target \
 ./build-tsan/tests/test_collectives
 ./build-tsan/tests/test_progress
 ./build-tsan/tests/test_kv
+
+# AddressSanitizer aborts the binary on its first report, so a clean exit
+# means zero reports.
+cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
+cmake --build build-asan --target \
+  test_rdma test_batch test_datatype test_comm test_prop_rma test_accumulate
+./build-asan/tests/test_rdma
+./build-asan/tests/test_batch
+./build-asan/tests/test_datatype
+./build-asan/tests/test_comm
+./build-asan/tests/test_prop_rma
+./build-asan/tests/test_accumulate
 
 scripts/bench_smoke.sh
 
@@ -146,8 +163,8 @@ EOF
 # may fire in the timed loop. Generous bound, no rerun.
 idle_tax_gate put8_blocking_fault_armed_idle 1.5 1 \
   fault_injected op_retried op_failed
-# Throughput mode enabled (4 channels + adaptive thresholds) with no open
-# batch: no coalesced doorbell may ring.
+# Throughput mode enabled (4 channels) with no open batch: no coalesced
+# doorbell may ring.
 idle_tax_gate put8_blocking_batch_idle 1.25 3 doorbell_ring batched_op
 # A constructed-but-idle fiber scheduler (no fibers adopted).
 idle_tax_gate put8_blocking_sched_idle 1.25 3

@@ -29,7 +29,6 @@ const char* to_string(Op op) noexcept {
     case Op::doorbell_ring:    return "doorbell_ring";
     case Op::batched_op:       return "batched_op";
     case Op::channel_stripe:   return "channel_stripe";
-    case Op::adapt_retune:     return "adapt_retune";
     case Op::fiber_spawn:      return "fiber_spawn";
     case Op::fiber_switch:     return "fiber_switch";
     case Op::notify_posted:    return "notify_posted";

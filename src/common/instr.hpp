@@ -38,7 +38,6 @@ enum class Op : std::uint32_t {
   doorbell_ring,     ///< one coalesced doorbell rung (covers >= 1 descriptors)
   batched_op,        ///< one op enqueued behind a coalesced doorbell
   channel_stripe,    ///< one BTE transfer striped across NIC channels
-  adapt_retune,      ///< adaptive tuner moved a protocol threshold
   fiber_spawn,       ///< one fiber adopted by a progress-engine scheduler
   fiber_switch,      ///< one fiber resume (continuation-frame re-entry)
   notify_posted,     ///< one put-with-notification record committed

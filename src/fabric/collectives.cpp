@@ -40,7 +40,7 @@ Collectives::Collectives(rdma::Domain& domain,
   flag_mem_.reserve(static_cast<std::size_t>(p));
   flag_desc_.reserve(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
-    flag_mem_.emplace_back((2 * kMaxRounds + kDataSlots + 1) * kFlagBytes);
+    flag_mem_.emplace_back((kMaxRounds + kDataSlots + 1) * kFlagBytes);
     flag_desc_.push_back(domain_.registry().register_region(
         r, flag_mem_.back().data(), flag_mem_.back().size()));
   }
@@ -77,10 +77,6 @@ Collectives::~Collectives() {
 
 int Collectives::rounds_() const noexcept { return log2p_; }
 
-std::uint64_t Collectives::load_flag(int rank, bool ib, int round) const {
-  return load_word(rank, (ib ? kMaxRounds : 0) + round);
-}
-
 std::uint64_t Collectives::load_word(int rank, int word) const {
   const std::size_t off = static_cast<std::size_t>(word) * kFlagBytes;
   const auto* w = reinterpret_cast<const std::uint64_t*>(
@@ -96,40 +92,20 @@ const std::uint64_t* Collectives::ctr_word_ptr(int rank) const {
 }
 
 void Collectives::barrier(int rank) {
-  const int p = nranks();
-  if (p == 1) return;
+  if (nranks() == 1) return;
   const trace::Span tsp(trace::EvClass::barrier);
-  RankState& st = state_[static_cast<std::size_t>(rank)];
-  const std::uint64_t gen = ++st.barrier_gen;
-  rdma::Nic& nic = domain_.nic(rank);
-  for (int r = 0; r < rounds_(); ++r) {
-    const int partner = static_cast<int>(
-        (static_cast<std::uint64_t>(rank) + (1ull << r)) %
-        static_cast<std::uint64_t>(p));
-    const std::size_t off = static_cast<std::size_t>(r) * kFlagBytes;
-    nic.put(partner, flag_desc_[static_cast<std::size_t>(partner)], off, &gen,
-            kFlagBytes);
-    // Round r's flag is written by rank - 2^r (mod p). If that writer died
-    // (fault-plan kill under errors_return) its flag never arrives; raise a
-    // typed peer_dead instead of spinning forever. death_epoch() keeps the
-    // common no-deaths case to one load. The flag must be re-checked AFTER
-    // observing the death: on a one-core host the writer can deliver its
-    // flag, run ahead, and die all inside our yield window, and its flag
-    // stores precede the death mark — so only a flag still missing from a
-    // dead writer can never arrive.
-    const int writer = static_cast<int>(
-        (static_cast<std::uint64_t>(rank) + static_cast<std::uint64_t>(p) -
-         ((1ull << r) % static_cast<std::uint64_t>(p))) %
-        static_cast<std::uint64_t>(p));
-    Backoff backoff;
-    while (load_flag(rank, /*ib=*/false, r) < gen) {
-      yield_check_();
-      if (domain_.death_epoch() != 0 && !domain_.alive(writer) &&
-          load_flag(rank, /*ib=*/false, r) < gen) {
-        raise(ErrClass::peer_dead, "barrier: peer rank died");
-      }
-      backoff.pause();
+  const RankState& st = state_[static_cast<std::size_t>(rank)];
+  ibarrier_begin(rank);
+  // A fresh back-off per dissemination round, as each round is a new wait.
+  Backoff backoff;
+  int round = st.ib_round;
+  while (!ibarrier_test(rank)) {
+    if (st.ib_round != round) {
+      round = st.ib_round;
+      backoff.reset();
     }
+    yield_check_();
+    backoff.pause();
   }
 }
 
@@ -148,6 +124,9 @@ bool Collectives::ibarrier_test(int rank) {
   RankState& st = state_[static_cast<std::size_t>(rank)];
   FOMPI_REQUIRE(st.ib_active, ErrClass::rma_sync,
                 "ibarrier_test without ibarrier_begin");
+  // Cleared up front: a poll that raises (dead peer) ends this barrier, so
+  // the rank's next barrier starts clean and fails typed again.
+  st.ib_active = false;
   rdma::Nic& nic = domain_.nic(rank);
   while (st.ib_round < rounds_() && p > 1) {
     const int r = st.ib_round;
@@ -155,18 +134,34 @@ bool Collectives::ibarrier_test(int rank) {
       const int partner = static_cast<int>(
           (static_cast<std::uint64_t>(rank) + (1ull << r)) %
           static_cast<std::uint64_t>(p));
-      const std::size_t off =
-          (static_cast<std::size_t>(kMaxRounds) + static_cast<std::size_t>(r)) *
-          kFlagBytes;
-      nic.put(partner, flag_desc_[static_cast<std::size_t>(partner)], off,
-              &st.ib_gen, kFlagBytes);
+      nic.put(partner, flag_desc_[static_cast<std::size_t>(partner)],
+              static_cast<std::size_t>(r) * kFlagBytes, &st.ib_gen,
+              kFlagBytes);
       st.ib_notified = true;
     }
-    if (load_flag(rank, /*ib=*/true, r) < st.ib_gen) return false;
+    if (load_word(rank, r) < st.ib_gen) {
+      // Round r's flag is written by rank - 2^r (mod p). If that writer
+      // died (fault-plan kill under errors_return) its flag never arrives;
+      // raise a typed peer_dead instead of polling forever. death_epoch()
+      // keeps the common no-deaths case to one load. The flag must be
+      // re-checked AFTER observing the death: on a one-core host the writer
+      // can deliver its flag, run ahead, and die all inside our yield
+      // window, and its flag stores precede the death mark — so only a flag
+      // still missing from a dead writer can never arrive.
+      const int writer = static_cast<int>(
+          (static_cast<std::uint64_t>(rank) + static_cast<std::uint64_t>(p) -
+           ((1ull << r) % static_cast<std::uint64_t>(p))) %
+          static_cast<std::uint64_t>(p));
+      if (domain_.death_epoch() != 0 && !domain_.alive(writer) &&
+          load_word(rank, r) < st.ib_gen) {
+        raise(ErrClass::peer_dead, "barrier: peer rank died");
+      }
+      st.ib_active = true;
+      return false;
+    }
     ++st.ib_round;
     st.ib_notified = false;
   }
-  st.ib_active = false;
   return true;
 }
 
@@ -183,15 +178,13 @@ const void* Collectives::peer_ptr(int r) const {
 // --- data-plane plumbing ----------------------------------------------------
 
 void Collectives::put_slot(int rank, int target, int slot, std::uint64_t seq) {
-  const std::size_t off =
-      static_cast<std::size_t>(2 * kMaxRounds + slot) * kFlagBytes;
   domain_.nic(rank).put(target, flag_desc_[static_cast<std::size_t>(target)],
-                        off, &seq, kFlagBytes);
+                        slot_off(slot), &seq, kFlagBytes);
 }
 
 void Collectives::wait_slot(int rank, int slot, std::uint64_t seq,
                             int writer) {
-  const int word = 2 * kMaxRounds + slot;
+  const int word = kMaxRounds + slot;
   Backoff backoff;
   while (load_word(rank, word) < seq) {
     yield_check_();
@@ -266,7 +259,7 @@ void Collectives::charge_copies(int rank, std::size_t bytes,
                                 std::size_t nblocks) {
   if (bytes == 0 || nblocks == 0) return;
   rdma::Nic& nic = domain_.nic(rank);
-  const rdma::NetworkModel& m = nic.model();
+  const rdma::NetworkModel& m = domain_.config().model;
   nic.charge_model_ns(static_cast<double>(nblocks) *
                       (m.intra_overhead_ns + m.intra_latency_ns(bytes)));
 }
@@ -341,9 +334,7 @@ void Collectives::bcast_tree(int rank, int root, void* data,
     if (rel + m >= p) continue;
     const int child = (rel + m + root) % p;
     const std::size_t off =
-        static_cast<std::size_t>(
-            2 * kMaxRounds + std::countr_zero(static_cast<unsigned>(m))) *
-        kFlagBytes;
+        slot_off(std::countr_zero(static_cast<unsigned>(m)));
     nic.put_nbi(child, flag_desc_[static_cast<std::size_t>(child)], off, &seq,
                 kFlagBytes);
   }
@@ -400,14 +391,11 @@ void Collectives::bcast_hier(int rank, int root, void* data,
     if (vnode + m >= nnodes_) continue;
     const int child = ((vnode + m + root_node) % nnodes_) * rpn_;
     const std::size_t off =
-        static_cast<std::size_t>(
-            2 * kMaxRounds + std::countr_zero(static_cast<unsigned>(m))) *
-        kFlagBytes;
+        slot_off(std::countr_zero(static_cast<unsigned>(m)));
     nic.put_nbi(child, flag_desc_[static_cast<std::size_t>(child)], off, &seq,
                 kFlagBytes);
   }
-  const std::size_t rel_off =
-      static_cast<std::size_t>(2 * kMaxRounds + kSlotIntraRel) * kFlagBytes;
+  const std::size_t rel_off = slot_off(kSlotIntraRel);
   for (int j = node * rpn_; j < (node + 1) * rpn_; ++j) {
     if (j == rank) continue;
     nic.put_nbi(j, flag_desc_[static_cast<std::size_t>(j)], rel_off, &seq,
@@ -591,8 +579,7 @@ void Collectives::allgather_hier(int rank, const void* src, std::size_t block,
                 dst, static_cast<std::size_t>(p) * block);
   }
   nic.gsync();
-  const std::size_t rel_off =
-      static_cast<std::size_t>(2 * kMaxRounds + kSlotIntraRel) * kFlagBytes;
+  const std::size_t rel_off = slot_off(kSlotIntraRel);
   nic.batch_begin();
   for (int j = 1; j < rpn_; ++j) {
     nic.put_nbi(rank + j, flag_desc_[static_cast<std::size_t>(rank + j)],
@@ -671,8 +658,7 @@ void Collectives::allreduce_core(int rank, const void* src, void* dst,
     nic.put_nbi(rank + j, descs[rank + j], base_off, acc, nbytes);
   }
   nic.gsync();
-  const std::size_t rel_off =
-      static_cast<std::size_t>(2 * kMaxRounds + kSlotIntraRel) * kFlagBytes;
+  const std::size_t rel_off = slot_off(kSlotIntraRel);
   nic.batch_begin();
   for (int j = 1; j < rpn_; ++j) {
     nic.put_nbi(rank + j, flag_desc_[static_cast<std::size_t>(rank + j)],

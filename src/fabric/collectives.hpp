@@ -171,11 +171,14 @@ class Collectives {
   /// active for bcast/allreduce/allgather.
   bool hierarchical() const noexcept { return hier_; }
 
-  /// Dissemination barrier: O(log p) rounds of remote 8-byte puts.
+  /// Dissemination barrier: O(log p) rounds of remote 8-byte puts. Runs the
+  /// nonblocking barrier to completion (begin, then poll with back-off).
   void barrier(int rank);
 
   /// Nonblocking barrier (MPI_Ibarrier equivalent): at most one in flight
-  /// per rank. Used by the NBX dynamic sparse data exchange protocol.
+  /// per rank, blocking barrier included. Used by the NBX dynamic sparse
+  /// data exchange protocol. A poll raises a typed peer_dead once a round's
+  /// writer died with its flag still missing.
   void ibarrier_begin(int rank);
   bool ibarrier_test(int rank);
 
@@ -321,8 +324,8 @@ class Collectives {
  private:
   static constexpr int kMaxRounds = 32;
   static constexpr std::size_t kFlagBytes = 8;
-  /// Data-plane notify slots (8-byte words after the 2*kMaxRounds
-  /// barrier/ibarrier words): tree/recursive-doubling rounds use slots
+  /// Data-plane notify slots (8-byte words after the kMaxRounds barrier
+  /// words): tree/recursive-doubling rounds use slots
   /// [0, kMaxRounds); the non-power-of-two fold and the hierarchy phases
   /// get dedicated slots so no slot is written twice per collective.
   static constexpr int kDataSlots = 64;
@@ -333,10 +336,14 @@ class Collectives {
   static constexpr int kSlotIntraRel = kSlotIntraGather + kMaxIntra;
   /// 8-byte AMO arrival counter for the direct alltoall(v) path
   /// (cumulative, never reset; each rank tracks its expected total).
-  static constexpr int kCtrWord = 2 * kMaxRounds + kDataSlots;
+  static constexpr int kCtrWord = kMaxRounds + kDataSlots;
+  /// Byte offset of data notify slot `slot` in a rank's flag block.
+  static constexpr std::size_t slot_off(int slot) noexcept {
+    return static_cast<std::size_t>(kMaxRounds + slot) * kFlagBytes;
+  }
 
   struct alignas(kCacheLine) RankState {
-    std::uint64_t barrier_gen = 0;
+    /// Barrier state (blocking and nonblocking share one flag bank).
     std::uint64_t ib_gen = 0;
     int ib_round = 0;
     bool ib_notified = false;
@@ -371,7 +378,6 @@ class Collectives {
   }
 
   int rounds_() const noexcept;
-  std::uint64_t load_flag(int rank, bool ib, int round) const;
   std::uint64_t load_word(int rank, int word) const;
   const std::uint64_t* ctr_word_ptr(int rank) const;
 
@@ -453,9 +459,9 @@ class Collectives {
   bool hier_ = false;
   int rpn_ = 1;     // ranks per node when hier_, else 1
   int nnodes_ = 1;  // nodes when hier_, else nranks
-  /// Per-rank flag block: kMaxRounds barrier slots + kMaxRounds ibarrier
-  /// slots + kDataSlots data notify slots + the arrival counter, each an
-  /// 8-byte word, registered for remote puts/AMOs.
+  /// Per-rank flag block: kMaxRounds barrier slots + kDataSlots data
+  /// notify slots + the arrival counter, each an 8-byte word, registered
+  /// for remote puts/AMOs.
   std::vector<AlignedBuffer> flag_mem_;
   std::vector<rdma::RegionDesc> flag_desc_;
   /// Per-rank growable landing region for the tree data plane (grown only

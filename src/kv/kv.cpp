@@ -37,10 +37,6 @@ KvStore::KvStore(fabric::RankCtx& ctx, KvConfig cfg)
                 "kv needs nonzero shard capacities");
   FOMPI_REQUIRE(cfg_.routing_rank >= 0 && cfg_.routing_rank < nranks_,
                 ErrClass::arg, "kv routing rank out of range");
-  FOMPI_REQUIRE(cfg_.drain_chunk >= 8, ErrClass::arg,
-                "kv drain chunk too small");
-  FOMPI_REQUIRE(cfg_.spare_factor >= 1, ErrClass::arg,
-                "kv needs a nonzero spare bank");
   shards_per_rank_ = (cfg_.shards + nranks_ - 1) / nranks_;
 
   core::WinConfig wc;
@@ -106,7 +102,7 @@ std::size_t KvStore::shard_region_bytes() const {
 
 std::size_t KvStore::copy_base(const Copy& c) const {
   // Banks 0 (primary) and 1 (replica) hold shards_per_rank regions each;
-  // bank 2 (spares) is spare_factor times wider.
+  // bank 2 (spares) is kSpareFactor times wider.
   const std::size_t spr = static_cast<std::size_t>(shards_per_rank_);
   const std::size_t regions =
       c.bank < 2 ? static_cast<std::size_t>(c.bank) * spr +
@@ -865,7 +861,7 @@ ScrubResult KvStore::scrub(int shard) {
   // Candidate keys: the key word of every cell of both copies, from rgets
   // of whole words (word-atomic against the AMOs racing them).
   const std::size_t words = shard_region_bytes() / 8;
-  const std::size_t chunk = cfg_.drain_chunk / 8;
+  const std::size_t chunk = kDrainChunk / 8;
   std::vector<std::uint64_t> image(2 * words);
   std::vector<core::RmaRequest> reqs;
   for (int c = 0; c < 2; ++c) {

@@ -98,12 +98,6 @@ struct KvConfig {
   /// heal() raises ErrClass::data_loss (fleet abort + post-mortem trace
   /// dump) when a shard lost both copies; false returns it typed instead.
   bool abort_on_data_loss = false;
-  std::size_t drain_chunk = 2048;  ///< drain and scrub-listing chunk bytes
-  /// Spare-bank slots per rank = spare_factor * shards_per_rank. One slot
-  /// per hosted shard survives a single failure; sequential failures park
-  /// promoted spares in the bank permanently, so capacity for the tests'
-  /// kill-heal-kill chains needs headroom.
-  int spare_factor = 2;
 };
 
 /// Per-client (per-rank) operation statistics; mirrored into the global
@@ -277,8 +271,15 @@ class KvStore {
   // routing home's copy is authoritative.
   std::size_t routing_bytes() const;
   std::size_t shard_region_bytes() const;
+  /// Drain and scrub-listing chunk bytes.
+  static constexpr std::size_t kDrainChunk = 2048;
+  /// Spare-bank slots per rank = kSpareFactor * shards_per_rank. One slot
+  /// per hosted shard survives a single failure; sequential failures park
+  /// promoted spares in the bank permanently, so capacity for the tests'
+  /// kill-heal-kill chains needs headroom.
+  static constexpr int kSpareFactor = 2;
   /// Spare-bank (bank 2) slots hosted per rank.
-  int spare_slots() const { return cfg_.spare_factor * shards_per_rank_; }
+  int spare_slots() const { return kSpareFactor * shards_per_rank_; }
   /// Byte offset of a physical copy's region in its host rank's window.
   std::size_t copy_base(const Copy& c) const;
   BucketLayout layout_of(const Copy& c) const;
@@ -310,9 +311,9 @@ class KvStore {
   /// affected pairs, release the generation.
   rdma::OpStatus coordinate(std::uint64_t gen, RecoveryReport* rep);
   /// Picks a spare-bank slot on the first alive rank after `owner_rank`
-  /// (never owner_rank itself); occupancy derived from the routing table.
-  Copy pick_spare(int owner_rank, const std::vector<std::uint64_t>& table,
-                  std::vector<std::uint8_t>* spare_used) const;
+  /// (never owner_rank itself); `spare_used` is the occupancy coordinate()
+  /// scanned from the routing table, updated with the pick.
+  Copy pick_spare(int owner_rank, std::vector<std::uint8_t>* spare_used) const;
 
   // Typed-status AMO helpers (request-based, so faults never raise).
   rdma::OpStatus wait_req(core::RmaRequest& req);

@@ -57,9 +57,9 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
   void step(fabric::progress::Scheduler& s) override {
     FOMPI_FIBER_BEGIN();
     total = kv.shard_region_bytes();
-    buf.resize(kv.cfg_.drain_chunk);
-    for (off = 0; off < total; off += kv.cfg_.drain_chunk) {
-      n = std::min(kv.cfg_.drain_chunk, total - off);
+    buf.resize(kDrainChunk);
+    for (off = 0; off < total; off += kDrainChunk) {
+      n = std::min(kDrainChunk, total - off);
       // Frozen-image read: succeeds even when src's host rank is dead.
       req = kv.win_.rget(buf.data(), n, plan->src.rank,
                          kv.copy_base(plan->src) + off);
@@ -108,9 +108,7 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
 // --- spare placement ---------------------------------------------------------
 
 Copy KvStore::pick_spare(int owner_rank,
-                         const std::vector<std::uint64_t>& table,
                          std::vector<std::uint8_t>* spare_used) const {
-  (void)table;  // occupancy is pre-scanned into spare_used by coordinate()
   // First alive rank after the surviving copy's host (never the host
   // itself: co-locating both copies would void the redundancy), first free
   // spare-bank slot on it.
@@ -180,7 +178,7 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
       p.promoted = !pa;              // the primary died: replica promotes
       const Copy keep = pa ? prim : repl;
       p.src = pa ? repl : prim;      // drain the dead copy's frozen image
-      p.dst = pick_spare(keep.rank, table, &spare_used);
+      p.dst = pick_spare(keep.rank, &spare_used);
       FOMPI_REQUIRE(p.dst.rank >= 0, ErrClass::no_mem,
                     "kv recovery: spare bank exhausted among survivors");
       p.word = static_cast<std::uint64_t>(pack_copy(keep)) |

@@ -70,27 +70,21 @@ struct NetworkModel {
   // hardware mechanism the datatype path exploits (Sec 2.4).
   double vec_chain_ns = 45.0;  ///< each chained fragment beyond the first
 
+  /// Chain cost of `nfrags` fragments behind one doorbell (0 for one).
+  double vec_chain_latency_ns(std::size_t nfrags) const noexcept {
+    return nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
+  }
+
   /// Completion latency of a vectored put: `nfrags` chained fragments
   /// totalling `total_bytes` behind one doorbell.
   double put_vec_latency_ns(std::size_t nfrags,
                             std::size_t total_bytes) const noexcept {
-    const double chain =
-        nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-    return put_latency_ns(total_bytes) + chain;
+    return put_latency_ns(total_bytes) + vec_chain_latency_ns(nfrags);
   }
 
   double get_vec_latency_ns(std::size_t nfrags,
                             std::size_t total_bytes) const noexcept {
-    const double chain =
-        nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-    return get_latency_ns(total_bytes) + chain;
-  }
-
-  double intra_vec_latency_ns(std::size_t nfrags,
-                              std::size_t total_bytes) const noexcept {
-    const double chain =
-        nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-    return intra_latency_ns(total_bytes) + chain;
+    return get_latency_ns(total_bytes) + vec_chain_latency_ns(nfrags);
   }
 
   double intra_latency_ns(std::size_t bytes) const noexcept {
@@ -139,18 +133,6 @@ struct NetworkModel {
            stripe_chunk_ns * static_cast<double>(channels - 1) +
            bte_byte_ns * per;
   }
-
-  /// FMA cost of a put ignoring the protocol threshold (adaptive tuner's
-  /// objective function needs both branches at every candidate size).
-  double put_fma_cost_ns(std::size_t bytes) const noexcept {
-    const double chunks = static_cast<double>(bytes) / fma_chunk_bytes;
-    return put_base_ns + fma_chunk_ns * chunks +
-           put_byte_ns * static_cast<double>(bytes);
-  }
-  /// BTE cost of a put ignoring the protocol threshold.
-  double put_bte_cost_ns(std::size_t bytes) const noexcept {
-    return bte_setup_ns + bte_byte_ns * static_cast<double>(bytes);
-  }
 };
 
 /// Throughput-mode configuration of one simulated NIC (all default values
@@ -162,18 +144,6 @@ struct NicConfig {
   /// Coalesce ops issued between synchronization points into one doorbell
   /// (an explicit Nic::batch_begin() scope batches regardless).
   bool auto_batch = false;
-  /// Max descriptors chained behind one doorbell before an implicit flush.
-  std::size_t batch_capacity = 64;
-  /// Auto-tune protocol thresholds from the observed op-size histogram.
-  bool adaptive = false;
-  /// Ops between retunes of the adaptive thresholds.
-  std::uint64_t adapt_period = 1024;
-  /// Static override of the FMA->BTE switch point (0 = keep the model's).
-  std::size_t bte_threshold_override = 0;
-  /// Ops at least this large bypass an open batch and flush immediately
-  /// (BTE transfers get their own doorbell). 0 = track the (possibly
-  /// adaptive) bte_threshold.
-  std::size_t batch_cutoff_override = 0;
 };
 
 /// How the simulated NIC charges model time to the running code.

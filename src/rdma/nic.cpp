@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstring>
 #include <thread>
 
@@ -122,27 +121,29 @@ void fetch_bytes(void* dst, const void* src, std::size_t len) {
   std::memcpy(dst, src, len);
 }
 
+/// The fragment loop of a vectored op, kept out of line so the
+/// single-fragment path of Nic::move_data stays small enough to inline.
+[[gnu::noinline]] void move_frags(bool put, std::byte* remote,
+                                  std::byte* local, const Frag* frags,
+                                  std::size_t nfrags) {
+  for (std::size_t i = 0; i < nfrags; ++i) {
+    const Frag& f = frags[i];
+    if (put) {
+      place_bytes(remote + f.remote_off, local + f.local_off, f.len);
+    } else {
+      fetch_bytes(local + f.local_off, remote + f.remote_off, f.len);
+    }
+  }
+}
+
 }  // namespace
 
 Nic::Nic(Domain& domain, int rank)
-    : domain_(domain), rank_(rank), rng_(domain.config().seed + 0x9e37 * rank),
-      model_(domain.config().model) {
-  // Throughput mode: cache the NicConfig knobs and apply static overrides
-  // to this NIC's private model copy (the adaptive tuner mutates only the
-  // copy, never the shared DomainConfig).
+    : domain_(domain), rank_(rank), rng_(domain.config().seed + 0x9e37 * rank) {
   const NicConfig& nc = domain.config().nic;
   channels_ = std::max(1, nc.channels);
   auto_batch_ = nc.auto_batch;
-  adaptive_ = nc.adaptive;
-  batch_capacity_ = std::max<std::size_t>(1, nc.batch_capacity);
-  adapt_period_ = std::max<std::uint64_t>(1, nc.adapt_period);
-  if (nc.bte_threshold_override != 0) {
-    model_.bte_threshold = nc.bte_threshold_override;
-  }
-  batch_cutoff_pinned_ = nc.batch_cutoff_override != 0;
-  batch_cutoff_ =
-      batch_cutoff_pinned_ ? nc.batch_cutoff_override : model_.bte_threshold;
-  if (auto_batch_) batch_entries_.reserve(batch_capacity_);
+  if (auto_batch_) batch_entries_.reserve(kBatchCapacity);
 
   const FaultPlan& plan = domain.config().fault;
   if (!plan.enabled()) return;
@@ -289,10 +290,7 @@ Handle Nic::make_failed_handle(OpStatus st, bool implicit) {
   }
   const std::uint32_t idx = acquire_slot();
   PendingOp& op = slab_[idx].op;
-  op.kind = PendingOp::Kind::put;
-  op.implicit = false;
   op.applied = true;  // nothing to apply: the op never reached the wire
-  op.len = 0;
   op.status = st;
   return encode(idx, slab_[idx].tag);
 }
@@ -302,7 +300,7 @@ bool Nic::inter_node(int target) const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput mode: doorbell coalescing, channel striping, adaptive tuner
+// Throughput mode: doorbell coalescing and channel striping
 // ---------------------------------------------------------------------------
 
 void Nic::batch_begin() {
@@ -312,15 +310,15 @@ void Nic::batch_begin() {
   }
   batch_open_ = true;
   batch_explicit_ = true;
-  if (batch_entries_.capacity() < batch_capacity_) {
-    batch_entries_.reserve(batch_capacity_);
+  if (batch_entries_.capacity() < kBatchCapacity) {
+    batch_entries_.reserve(kBatchCapacity);
   }
 }
 
 bool Nic::batch_accepts(std::size_t len) noexcept {
   // BTE-sized transfers own their doorbell (the bulk engine is not part of
   // an FMA descriptor chain), so they bypass the batch in every mode.
-  if (len >= batch_cutoff_) return false;
+  if (len >= domain_.config().model.bte_threshold) return false;
   if (batch_open_) return true;
   // auto_batch: the first batchable op between sync points opens a scope.
   batch_open_ = true;
@@ -335,7 +333,7 @@ void Nic::batch_enqueue(const BatchEntry& e, bool inter) {
     count(Op::pool_grow);
   }
   batch_entries_.push_back(e);
-  if (++batch_ndesc_ >= batch_capacity_) batch_flush();
+  if (++batch_ndesc_ >= kBatchCapacity) batch_flush();
 }
 
 void Nic::batch_flush() {
@@ -355,11 +353,12 @@ void Nic::batch_flush() {
   // over the configured channels (per-channel ordering preserved).
   std::uint64_t doorbell_end = 0;
   std::uint64_t doorbell_ns = 0;
-  if (domain_.config().inject == Injection::model) {
-    const double scale = domain_.config().time_scale;
+  const DomainConfig& cfg = domain_.config();
+  if (cfg.inject == Injection::model) {
+    const double scale = cfg.time_scale;
     const double over =
-        inter ? model_.inter_overhead_ns : model_.intra_overhead_ns;
-    const double chain = model_.batch_chain_latency_ns(n, channels_);
+        inter ? cfg.model.inter_overhead_ns : cfg.model.intra_overhead_ns;
+    const double chain = cfg.model.batch_chain_latency_ns(n, channels_);
     doorbell_ns = static_cast<std::uint64_t>((over + chain) * scale);
     doorbell_end = now_ns() + doorbell_ns;
   }
@@ -384,54 +383,6 @@ void Nic::batch_flush() {
   // through the domain progress hook, so a batched spin still aborts on a
   // dead fleet (Fabric::yield_check).
   wait_model_time(doorbell_end);
-}
-
-void Nic::note_op_size(std::size_t len) {
-  const std::size_t b =
-      len == 0 ? 0 : static_cast<std::size_t>(std::bit_width(len));
-  ++size_hist_[b];
-  if (++ops_since_retune_ >= adapt_period_) retune();
-}
-
-void Nic::retune() {
-  ops_since_retune_ = 0;
-  // Candidate FMA->BTE switch points bracketing the Gemini default. The
-  // tuner minimizes the histogram-weighted modeled put cost and moves only
-  // on a clear (>0.1%) improvement, so pure small-op traffic — where every
-  // candidate is equivalent — never perturbs the default.
-  static constexpr std::size_t kCandidates[] = {512,  1024, 2048, 4096,
-                                                8192, 16384, 32768};
-  const auto cost_at = [this](std::size_t threshold) {
-    double cost = 0.0;
-    for (std::size_t b = 1; b < size_hist_.size(); ++b) {
-      const std::uint64_t cnt = size_hist_[b];
-      if (cnt == 0) continue;
-      const std::size_t rep = std::size_t{1} << (b - 1);
-      const double per = rep >= threshold ? model_.put_bte_cost_ns(rep)
-                                          : model_.put_fma_cost_ns(rep);
-      cost += per * static_cast<double>(cnt);
-    }
-    return cost;
-  };
-  std::size_t best = model_.bte_threshold;
-  double best_cost = cost_at(best) * 0.999;
-  for (const std::size_t cand : kCandidates) {
-    if (cand == model_.bte_threshold) continue;
-    const double cost = cost_at(cand);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = cand;
-    }
-  }
-  if (best != model_.bte_threshold) {
-    model_.bte_threshold = best;
-    if (!batch_cutoff_pinned_) batch_cutoff_ = best;
-    ++retunes_;
-    count(Op::adapt_retune);
-    trace::emit(trace::EvClass::adapt, trace::EvPhase::issue, -1, best);
-  }
-  // Decay: the histogram tracks recent traffic, not the full history.
-  for (std::uint64_t& h : size_hist_) h >>= 1;
 }
 
 void Nic::wait_model_time(std::uint64_t complete_at) {
@@ -463,53 +414,44 @@ void Nic::charge_model_ns(double ns) {
   wait_model_time(done);
 }
 
-void Nic::PendingOp::stage_payload(const void* src, std::size_t n) {
-  staged_len = n;
-  if (n <= kInlineStage) {
-    std::memcpy(stage_.data(), src, n);
-    return;
+void Nic::PendingOp::stage(const OpReq& r) {
+  if (r.frags != nullptr) {
+    if (r.nfrags > frags_.capacity()) count(Op::pool_grow);
+    frags_.assign(r.frags, r.frags + r.nfrags);
   }
-  if (n > spill_.capacity()) count(Op::pool_grow);
-  spill_.assign(static_cast<const std::byte*>(src),
-                static_cast<const std::byte*>(src) + n);
-}
-
-void Nic::PendingOp::stage_vector(const std::byte* local_base,
-                                  const Frag* frags, std::size_t nfrags,
-                                  std::size_t total, bool gather) {
-  if (nfrags > frags_.capacity()) count(Op::pool_grow);
-  frags_.assign(frags, frags + nfrags);
-  if (!gather) return;  // gets carry no payload at issue
-  staged_len = total;
-  std::byte* dst;
-  if (total <= kInlineStage) {
-    dst = stage_.data();
-  } else {
-    if (total > spill_.capacity()) count(Op::pool_grow);
-    spill_.resize(total);
+  if (r.kind != Kind::put) return;  // gets and AMOs carry no payload
+  staged_len = r.len;
+  std::byte* dst = stage_.data();
+  if (r.len > kInlineStage) {
+    if (r.len > spill_.capacity()) count(Op::pool_grow);
+    spill_.resize(r.len);
     dst = spill_.data();
   }
+  const auto* src = static_cast<const std::byte*>(r.local);
+  if (r.frags == nullptr) {
+    std::memcpy(dst, src, r.len);
+    return;
+  }
   std::size_t pos = 0;
-  for (std::size_t i = 0; i < nfrags; ++i) {
-    std::memcpy(dst + pos, local_base + frags[i].local_off, frags[i].len);
-    pos += frags[i].len;
+  for (Frag& f : frags_) {
+    std::memcpy(dst + pos, src + f.local_off, f.len);
+    f.local_off = pos;
+    pos += f.len;
   }
 }
 
-void Nic::apply_direct(const OpReq& req, std::byte* remote) {
-  switch (req.kind) {
-    case PendingOp::Kind::put:
-      place_bytes(remote, req.src, req.len);
-      break;
-    case PendingOp::Kind::get:
-      if (req.len != 0) fetch_bytes(req.dst, remote, req.len);
-      break;
-    case PendingOp::Kind::amo: {
-      const std::uint64_t prev =
-          apply_amo(remote, req.aop, req.operand, req.compare);
-      if (req.fetch_out != nullptr) *req.fetch_out = prev;
-      break;
-    }
+void Nic::move_data(const OpReq& r, std::byte* remote, void* local,
+                    const Frag* frags) {
+  auto* lbase = static_cast<std::byte*>(local);
+  if (frags != nullptr) {
+    move_frags(r.kind == Kind::put, remote, lbase, frags, r.nfrags);
+  } else if (r.kind == Kind::put) {
+    place_bytes(remote, lbase, r.len);
+  } else if (r.kind == Kind::get) {
+    if (r.len != 0) fetch_bytes(lbase, remote, r.len);
+  } else {
+    const std::uint64_t prev = apply_amo(remote, r.aop, r.operand, r.compare);
+    if (r.fetch_out != nullptr) *r.fetch_out = prev;
   }
   // Publish the effect: pairs with acquire loads in readers polling the
   // target memory (protocol counters are read with atomics anyway; this
@@ -517,45 +459,26 @@ void Nic::apply_direct(const OpReq& req, std::byte* remote) {
   std::atomic_thread_fence(std::memory_order_release);
 }
 
+trace::EvClass Nic::ev_class(const OpReq& r) noexcept {
+  // Kind's values are the op classes', so the mapping is a cast.
+  static_assert(static_cast<int>(trace::EvClass::put) ==
+                    static_cast<int>(Kind::put) &&
+                static_cast<int>(trace::EvClass::get) ==
+                    static_cast<int>(Kind::get) &&
+                static_cast<int>(trace::EvClass::amo) ==
+                    static_cast<int>(Kind::amo));
+  return r.frags != nullptr ? trace::EvClass::vectored
+                            : static_cast<trace::EvClass>(r.kind);
+}
+
 void Nic::apply(PendingOp& op) {
   if (op.applied) return;
   op.applied = true;
-  if (!op.frags_.empty()) {
-    // Deferred vectored op: scatter the gathered put payload / fetch every
-    // get fragment now that the vector completes as one unit.
-    if (op.kind == PendingOp::Kind::put) {
-      std::size_t pos = 0;
-      const std::byte* staged = op.staged_data();
-      for (const Frag& f : op.frags_) {
-        place_bytes(op.remote + f.remote_off, staged + pos, f.len);
-        pos += f.len;
-      }
-    } else {
-      auto* lbase = static_cast<std::byte*>(op.local);
-      for (const Frag& f : op.frags_) {
-        fetch_bytes(lbase + f.local_off, op.remote + f.remote_off, f.len);
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_release);
-    return;
-  }
-  switch (op.kind) {
-    case PendingOp::Kind::put:
-      if (op.staged_len != 0) {
-        place_bytes(op.remote, op.staged_data(), op.len);
-      }
-      break;
-    case PendingOp::Kind::get:
-      if (op.len != 0) fetch_bytes(op.local, op.remote, op.len);
-      break;
-    case PendingOp::Kind::amo: {
-      const std::uint64_t prev =
-          apply_amo(op.remote, op.aop, op.operand, op.compare);
-      if (op.fetch_out != nullptr) *op.fetch_out = prev;
-      break;
-    }
-  }
-  std::atomic_thread_fence(std::memory_order_release);
+  const OpReq& r = op.req;
+  move_data(r, op.remote,
+            r.kind == Kind::put ? const_cast<std::byte*>(op.staged_data())
+                                : r.local,
+            r.frags != nullptr ? op.frags_.data() : nullptr);
 }
 
 std::byte* Nic::resolve_cached(std::uint64_t rkey, int expected_owner,
@@ -632,75 +555,84 @@ Nic::PendingOp& Nic::acquire_implicit() {
 }
 
 Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
-                  const OpReq& req, bool implicit) {
+                  std::size_t span, const OpReq& req) {
   const DomainConfig& cfg = domain_.config();
   const bool inter = inter_node(target);
-  std::byte* remote = resolve_cached(rd.rkey, target, offset, req.len);
+  const bool vectored = req.frags != nullptr;
+  std::byte* remote = resolve_cached(rd.rkey, target, offset, span);
 
   // Fault plan gate: one predictable branch when disarmed. A permanent
   // failure retires the op here — before the transport counters — so the
-  // transport_* counts only ever reflect ops that reached the wire.
+  // transport_* counts only ever reflect ops that reached the wire. A
+  // vectored op is one op behind one doorbell: it faults as one unit.
   double fault_scale = 1.0;
   if (fault_armed_) {
     const bool is_read =
-        req.kind == PendingOp::Kind::get ||
-        (req.kind == PendingOp::Kind::amo && req.aop == AmoOp::read);
+        req.kind == Kind::get ||
+        (req.kind == Kind::amo && req.aop == AmoOp::read);
     const FaultVerdict fv = pre_issue_fault(target, is_read);
     if (fv.status != OpStatus::ok) {
-      return make_failed_handle(fv.status, implicit);
+      return make_failed_handle(fv.status, req.implicit);
     }
     fault_scale = fv.latency_scale;
   }
 
+  // One transport op regardless of fragment count.
   switch (req.kind) {
-    case PendingOp::Kind::put: count(Op::transport_put); break;
-    case PendingOp::Kind::get: count(Op::transport_get); break;
-    case PendingOp::Kind::amo:
+    case Kind::put: count(Op::transport_put); break;
+    case Kind::get: count(Op::transport_get); break;
+    case Kind::amo:
       count(inter ? Op::transport_amo : Op::local_atomic);
       break;
   }
+  if (vectored) count(Op::vectored_op);
   if (req.len != 0) count(Op::bytes_copied, req.len);
-  if (adaptive_) note_op_size(req.len);
 
-  // Throughput mode: an FMA-sized op inside a batch scope (explicit or
-  // auto) skips its private doorbell; completion times are assigned when
-  // batch_flush rings the shared one. One predictable branch when idle.
+  // Throughput mode: a contiguous FMA-sized op inside a batch scope
+  // (explicit or auto) skips its private doorbell; completion times are
+  // assigned when batch_flush rings the shared one. A vectored op is
+  // already one chained doorbell and keeps it. One predictable branch
+  // when idle.
   bool batched = false;
-  if (batch_open_ || auto_batch_) batched = batch_accepts(req.len);
+  if ((batch_open_ || auto_batch_) && !vectored) {
+    batched = batch_accepts(req.len);
+  }
 
   // Model time accounting: only the injection mode consults the clock; the
   // functional mode (Injection::none) runs the pure software path.
   std::uint64_t complete_at = 0;
   std::uint64_t model_lat = 0;
   if (cfg.inject == Injection::model) {
-    const NetworkModel& m = model_;
+    const NetworkModel& m = cfg.model;
     double overhead_ns = 0.0;
     double latency_ns = 0.0;
     if (inter) {
+      // Payloads stripe over the channels once they cross into BTE
+      // territory, vectored or not.
       overhead_ns = m.inter_overhead_ns;
       switch (req.kind) {
-        case PendingOp::Kind::put:
+        case Kind::put:
           latency_ns = m.put_striped_latency_ns(req.len, channels_);
           break;
-        case PendingOp::Kind::get:
+        case Kind::get:
           latency_ns = m.get_striped_latency_ns(req.len, channels_);
           break;
-        case PendingOp::Kind::amo:
+        case Kind::amo:
           latency_ns = m.amo_latency_ns();
           break;
       }
       if (channels_ > 1 && req.len >= m.bte_threshold &&
-          req.kind != PendingOp::Kind::amo) {
+          req.kind != Kind::amo) {
         count(Op::channel_stripe);
         trace::emit(trace::EvClass::channel, trace::EvPhase::issue, target,
                     static_cast<std::uint64_t>(channels_));
       }
     } else {
       overhead_ns = m.intra_overhead_ns;
-      latency_ns = req.kind == PendingOp::Kind::amo
-                       ? m.intra_amo_ns
-                       : m.intra_latency_ns(req.len);
+      latency_ns = req.kind == Kind::amo ? m.intra_amo_ns
+                                         : m.intra_latency_ns(req.len);
     }
+    if (vectored) latency_ns += m.vec_chain_latency_ns(req.nfrags);
     const double scale = cfg.time_scale;
     model_lat = static_cast<std::uint64_t>(latency_ns * scale * fault_scale);
     if (!batched) {
@@ -717,17 +649,14 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
   // Inter-node ops are applied at issue under immediate delivery, and
   // postponed to completion under deferred delivery.
   const bool defer = inter && cfg.delivery == Delivery::deferred;
-  const trace::EvClass ev_cls =
-      req.kind == PendingOp::Kind::put   ? trace::EvClass::put
-      : req.kind == PendingOp::Kind::get ? trace::EvClass::get
-                                         : trace::EvClass::amo;
   // `issue` = data moved at issue; `doorbell` = handed to the wire, remote
   // memory commits at sim_ns (deferred delivery).
-  trace::emit(ev_cls, defer ? trace::EvPhase::doorbell : trace::EvPhase::issue,
+  trace::emit(ev_class(req),
+              defer ? trace::EvPhase::doorbell : trace::EvPhase::issue,
               target, req.len, model_lat, complete_at);
   if (!defer) {
-    apply_direct(req, remote);
-    if (implicit) {
+    move_data(req, remote, req.local, req.frags);
+    if (req.implicit) {
       ++implicit_live_;
       if (batched) {
         // No pooled record: only the batch's completion horizon matters.
@@ -741,10 +670,8 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
       // time.
       const std::uint32_t idx = acquire_slot();
       PendingOp& op = slab_[idx].op;
-      op.kind = req.kind;
-      op.implicit = false;
+      op.req = {req.kind};  // contiguous, len 0: what its retirement traces
       op.applied = true;
-      op.len = 0;
       op.complete_at = complete_at;
       const Handle h = encode(idx, slab_[idx].tag);
       if (batched) {
@@ -759,31 +686,24 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
     return kDoneHandle;
   }
 
-  // Deferred: record the op in the pool; data moves at completion. Real
-  // NICs read the put source asynchronously; staging the payload at issue
-  // models a NIC that has already DMA-read the source, keeping the (legal)
-  // late-visibility behaviour at the target only.
+  // Deferred: one pooled record covers the whole op; data moves at
+  // completion. Real NICs read the put source asynchronously; staging the
+  // payload at issue models a NIC that has already DMA-read the source,
+  // keeping the (legal) late-visibility behaviour at the target only.
   std::uint32_t idx = kNoSlot;
   PendingOp* op;
-  if (implicit) {
+  if (req.implicit) {
     op = &acquire_implicit();
   } else {
     idx = acquire_slot();
     op = &slab_[idx].op;
   }
-  op->kind = req.kind;
-  op->implicit = implicit;
+  op->req = req;
   op->remote = remote;
-  op->local = req.dst;
-  op->len = req.len;
-  op->aop = req.aop;
-  op->operand = req.operand;
-  op->compare = req.compare;
-  op->fetch_out = req.fetch_out;
   op->complete_at = complete_at;
-  if (req.kind == PendingOp::Kind::put) op->stage_payload(req.src, req.len);
-  if (batched) op->batch_pending = true;
-  if (implicit) {
+  op->batch_pending = batched;
+  if (req.kind == Kind::put || vectored) op->stage(req);
+  if (req.implicit) {
     ++implicit_live_;
     if (batched) {
       batch_enqueue({BatchEntry::kNoSlot2,
@@ -798,221 +718,110 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
   return h;
 }
 
-Handle Nic::issue_vec(int target, const RegionDesc& rd, std::size_t base_off,
-                      std::size_t span_len, PendingOp::Kind kind,
-                      void* local_base, const Frag* frags, std::size_t nfrags,
-                      bool implicit) {
+Handle Nic::issue_frags(int target, const RegionDesc& rd, std::size_t base_off,
+                        std::size_t span_len, Kind kind, bool implicit,
+                        const void* local_base, const Frag* frags,
+                        std::size_t nfrags) {
   if (nfrags == 0) return kDoneHandle;
-  const DomainConfig& cfg = domain_.config();
-  const bool inter = inter_node(target);
-  // One rkey resolution and one bounds check cover every fragment: the
-  // caller passes the span [base_off, base_off + span_len) the vector
-  // touches (fragment offsets are relative to base_off).
-  std::byte* remote = resolve_cached(rd.rkey, target, base_off, span_len);
-
-  // Fault plan gate (see issue()): the whole vector is one op behind one
-  // doorbell, so it faults and retires as one unit.
-  double fault_scale = 1.0;
-  if (fault_armed_) {
-    const FaultVerdict fv =
-        pre_issue_fault(target, /*is_read=*/kind == PendingOp::Kind::get);
-    if (fv.status != OpStatus::ok) {
-      return make_failed_handle(fv.status, implicit);
-    }
-    fault_scale = fv.latency_scale;
-  }
-
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nfrags; ++i) total += frags[i].len;
-
-  // One doorbell: a single transport op regardless of fragment count.
-  count(kind == PendingOp::Kind::put ? Op::transport_put : Op::transport_get);
-  count(Op::vectored_op);
-  if (total != 0) count(Op::bytes_copied, total);
-  if (adaptive_) note_op_size(total);
-
-  std::uint64_t complete_at = 0;
-  std::uint64_t model_lat = 0;
-  if (cfg.inject == Injection::model) {
-    const NetworkModel& m = model_;
-    double overhead_ns = 0.0;
-    double latency_ns = 0.0;
-    if (inter) {
-      // A vectored op is already one chained doorbell; its payload still
-      // stripes over the channels when it crosses into BTE territory.
-      overhead_ns = m.inter_overhead_ns;
-      const double chain =
-          nfrags > 1 ? m.vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-      latency_ns = (kind == PendingOp::Kind::put
-                        ? m.put_striped_latency_ns(total, channels_)
-                        : m.get_striped_latency_ns(total, channels_)) +
-                   chain;
-      if (channels_ > 1 && total >= m.bte_threshold) {
-        count(Op::channel_stripe);
-        trace::emit(trace::EvClass::channel, trace::EvPhase::issue, target,
-                    static_cast<std::uint64_t>(channels_));
-      }
-    } else {
-      overhead_ns = m.intra_overhead_ns;
-      latency_ns = m.intra_vec_latency_ns(nfrags, total);
-    }
-    const double scale = cfg.time_scale;
-    const std::uint64_t issue_start = now_ns();
-    spin_until_ns(issue_start +
-                  static_cast<std::uint64_t>(overhead_ns * scale));
-    model_lat = static_cast<std::uint64_t>(latency_ns * scale * fault_scale);
-    complete_at = issue_start + model_lat;
-    latest_complete_at_ = std::max(latest_complete_at_, complete_at);
-  }
-
-  const bool defer = inter && cfg.delivery == Delivery::deferred;
-  trace::emit(trace::EvClass::vectored,
-              defer ? trace::EvPhase::doorbell : trace::EvPhase::issue, target,
-              total, model_lat, complete_at);
-  if (!defer) {
-    auto* lbase = static_cast<std::byte*>(local_base);
-    if (kind == PendingOp::Kind::put) {
-      for (std::size_t i = 0; i < nfrags; ++i) {
-        place_bytes(remote + frags[i].remote_off, lbase + frags[i].local_off,
-                    frags[i].len);
-      }
-    } else {
-      for (std::size_t i = 0; i < nfrags; ++i) {
-        fetch_bytes(lbase + frags[i].local_off, remote + frags[i].remote_off,
-                    frags[i].len);
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_release);
-    if (implicit) {
-      ++implicit_live_;
-      return kDoneHandle;
-    }
-    if (cfg.inject == Injection::model) {
-      const std::uint32_t idx = acquire_slot();
-      PendingOp& op = slab_[idx].op;
-      op.kind = kind;
-      op.implicit = false;
-      op.applied = true;
-      op.len = 0;
-      op.complete_at = complete_at;
-      return encode(idx, slab_[idx].tag);
-    }
-    return kDoneHandle;
-  }
-
-  // Deferred: one pooled record covers the whole vector; a put gathers its
-  // fragment payloads into the staging buffer at issue (the NIC has
-  // "already DMA-read" the source, as for contiguous deferred puts).
-  std::uint32_t idx = kNoSlot;
-  PendingOp* op;
-  if (implicit) {
-    op = &acquire_implicit();
-  } else {
-    idx = acquire_slot();
-    op = &slab_[idx].op;
-  }
-  op->kind = kind;
-  op->implicit = implicit;
-  op->remote = remote;
-  op->local = local_base;
-  op->len = total;
-  op->complete_at = complete_at;
-  op->stage_vector(static_cast<const std::byte*>(local_base), frags, nfrags,
-                   total, /*gather=*/kind == PendingOp::Kind::put);
-  if (implicit) {
-    ++implicit_live_;
-    return kDoneHandle;
-  }
-  return encode(idx, slab_[idx].tag);
+  OpReq req;
+  req.kind = kind;
+  req.implicit = implicit;
+  req.local = const_cast<void*>(local_base);
+  req.frags = frags;
+  req.nfrags = nfrags;
+  for (std::size_t i = 0; i < nfrags; ++i) req.len += frags[i].len;
+  return issue(target, rd, base_off, span_len, req);
 }
 
 Handle Nic::put_nbv(int target, const RegionDesc& rd, std::size_t base_off,
                     std::size_t span_len, const void* local_base,
                     const Frag* frags, std::size_t nfrags) {
-  return issue_vec(target, rd, base_off, span_len, PendingOp::Kind::put,
-                   const_cast<void*>(local_base), frags, nfrags,
-                   /*implicit=*/false);
+  return issue_frags(target, rd, base_off, span_len, Kind::put,
+                     /*implicit=*/false, local_base, frags, nfrags);
 }
 
 Handle Nic::get_nbv(int target, const RegionDesc& rd, std::size_t base_off,
                     std::size_t span_len, void* local_base, const Frag* frags,
                     std::size_t nfrags) {
-  return issue_vec(target, rd, base_off, span_len, PendingOp::Kind::get,
-                   local_base, frags, nfrags, /*implicit=*/false);
+  return issue_frags(target, rd, base_off, span_len, Kind::get,
+                     /*implicit=*/false, local_base, frags, nfrags);
 }
 
 void Nic::put_nbiv(int target, const RegionDesc& rd, std::size_t base_off,
                    std::size_t span_len, const void* local_base,
                    const Frag* frags, std::size_t nfrags) {
-  issue_vec(target, rd, base_off, span_len, PendingOp::Kind::put,
-            const_cast<void*>(local_base), frags, nfrags, /*implicit=*/true);
+  issue_frags(target, rd, base_off, span_len, Kind::put, /*implicit=*/true,
+              local_base, frags, nfrags);
 }
 
 void Nic::get_nbiv(int target, const RegionDesc& rd, std::size_t base_off,
                    std::size_t span_len, void* local_base, const Frag* frags,
                    std::size_t nfrags) {
-  issue_vec(target, rd, base_off, span_len, PendingOp::Kind::get, local_base,
-            frags, nfrags, /*implicit=*/true);
+  issue_frags(target, rd, base_off, span_len, Kind::get, /*implicit=*/true,
+              local_base, frags, nfrags);
 }
 
 Handle Nic::put_nb(int target, const RegionDesc& rd, std::size_t offset,
                    const void* src, std::size_t len) {
   OpReq req;
-  req.kind = PendingOp::Kind::put;
-  req.src = src;
+  req.kind = Kind::put;
+  req.local = const_cast<void*>(src);
   req.len = len;
-  return issue(target, rd, offset, req, /*implicit=*/false);
+  return issue(target, rd, offset, len, req);
 }
 
 Handle Nic::get_nb(int target, const RegionDesc& rd, std::size_t offset,
                    void* dst, std::size_t len) {
   OpReq req;
-  req.kind = PendingOp::Kind::get;
-  req.dst = dst;
+  req.kind = Kind::get;
+  req.local = dst;
   req.len = len;
-  return issue(target, rd, offset, req, /*implicit=*/false);
+  return issue(target, rd, offset, len, req);
 }
 
 Handle Nic::amo_nb(int target, const RegionDesc& rd, std::size_t offset,
                    AmoOp aop, std::uint64_t operand, std::uint64_t compare,
                    std::uint64_t* fetch_out) {
   OpReq req;
-  req.kind = PendingOp::Kind::amo;
+  req.kind = Kind::amo;
   req.len = 8;
   req.aop = aop;
   req.operand = operand;
   req.compare = compare;
   req.fetch_out = fetch_out;
-  return issue(target, rd, offset, req, /*implicit=*/false);
+  return issue(target, rd, offset, 8, req);
 }
 
 void Nic::put_nbi(int target, const RegionDesc& rd, std::size_t offset,
                   const void* src, std::size_t len) {
   OpReq req;
-  req.kind = PendingOp::Kind::put;
-  req.src = src;
+  req.kind = Kind::put;
+  req.implicit = true;
+  req.local = const_cast<void*>(src);
   req.len = len;
-  issue(target, rd, offset, req, /*implicit=*/true);
+  issue(target, rd, offset, len, req);
 }
 
 void Nic::get_nbi(int target, const RegionDesc& rd, std::size_t offset,
                   void* dst, std::size_t len) {
   OpReq req;
-  req.kind = PendingOp::Kind::get;
-  req.dst = dst;
+  req.kind = Kind::get;
+  req.implicit = true;
+  req.local = dst;
   req.len = len;
-  issue(target, rd, offset, req, /*implicit=*/true);
+  issue(target, rd, offset, len, req);
 }
 
 void Nic::amo_nbi(int target, const RegionDesc& rd, std::size_t offset,
                   AmoOp aop, std::uint64_t operand, std::uint64_t compare) {
   OpReq req;
-  req.kind = PendingOp::Kind::amo;
+  req.kind = Kind::amo;
+  req.implicit = true;
   req.len = 8;
   req.aop = aop;
   req.operand = operand;
   req.compare = compare;
-  issue(target, rd, offset, req, /*implicit=*/true);
+  issue(target, rd, offset, 8, req);
 }
 
 void Nic::put(int target, const RegionDesc& rd, std::size_t offset,
@@ -1033,51 +842,35 @@ std::uint64_t Nic::amo(int target, const RegionDesc& rd, std::size_t offset,
   return fetched;
 }
 
-void Nic::trace_retire(const PendingOp& op) noexcept {
-  const trace::EvClass cls =
-      !op.frags_.empty()                 ? trace::EvClass::vectored
-      : op.kind == PendingOp::Kind::put  ? trace::EvClass::put
-      : op.kind == PendingOp::Kind::get  ? trace::EvClass::get
-                                         : trace::EvClass::amo;
-  trace::emit(cls, trace::EvPhase::complete, -1, op.len, 0, op.complete_at);
+// Inline: it folds into wait_status/test_status, so retiring a handle
+// costs no call frame of its own on the blocking fast path.
+inline OpStatus Nic::retire(Handle h) {
+  const auto idx = static_cast<std::uint32_t>(h);
+  PendingOp& op = slab_[idx].op;
+  const OpStatus st = op.status;
+  if (st == OpStatus::ok) {
+    apply(op);
+    trace::emit(ev_class(op.req), trace::EvPhase::complete, -1, op.req.len, 0,
+                op.complete_at);
+  }
+  release_slot(idx);
+  return st;
 }
 
 bool Nic::test(Handle h) {
-  if (h == kDoneHandle) return true;
-  Slot* s = lookup(h);
-  FOMPI_REQUIRE(s != nullptr, ErrClass::arg, "test: unknown handle");
-  // Probing a batched op forces its doorbell (MPI progress): the op cannot
-  // complete while it sits behind an unrung doorbell.
-  if (s->op.batch_pending) batch_flush();
-  if (s->op.status != OpStatus::ok) {
-    const OpStatus st = s->op.status;
-    release_slot(static_cast<std::uint32_t>(h));
-    raise_status(st, "test");
-  }
-  if (domain_.config().inject == Injection::model &&
-      now_ns() < s->op.complete_at) {
-    return false;
-  }
-  apply(s->op);
-  trace_retire(s->op);
-  release_slot(static_cast<std::uint32_t>(h));
+  OpStatus st = OpStatus::ok;
+  if (!test_status(h, &st)) return false;
+  FOMPI_REQUIRE(st != OpStatus::retired, ErrClass::arg,
+                "test: unknown handle");
+  if (st != OpStatus::ok) raise_status(st, "test");
   return true;
 }
 
 void Nic::wait(Handle h) {
-  if (h == kDoneHandle) return;
-  Slot* s = lookup(h);
-  FOMPI_REQUIRE(s != nullptr, ErrClass::arg, "wait: unknown handle");
-  if (s->op.batch_pending) batch_flush();
-  if (s->op.status != OpStatus::ok) {
-    const OpStatus st = s->op.status;
-    release_slot(static_cast<std::uint32_t>(h));
-    raise_status(st, "wait");
-  }
-  wait_model_time(s->op.complete_at);
-  apply(s->op);
-  trace_retire(s->op);
-  release_slot(static_cast<std::uint32_t>(h));
+  const OpStatus st = wait_status(h);
+  FOMPI_REQUIRE(st != OpStatus::retired, ErrClass::arg,
+                "wait: unknown handle");
+  if (st != OpStatus::ok) raise_status(st, "wait");
 }
 
 bool Nic::test_status(Handle h, OpStatus* out) {
@@ -1094,21 +887,16 @@ bool Nic::test_status(Handle h, OpStatus* out) {
     *out = OpStatus::retired;
     return true;
   }
+  // Probing a batched op forces its doorbell (MPI progress): the op cannot
+  // complete while it sits behind an unrung doorbell.
   if (s->op.batch_pending) batch_flush();
-  if (s->op.status != OpStatus::ok) {
-    *out = s->op.status;
-    release_slot(static_cast<std::uint32_t>(h));
-    return true;
-  }
-  if (domain_.config().inject == Injection::model &&
+  if (s->op.status == OpStatus::ok &&
+      domain_.config().inject == Injection::model &&
       now_ns() < s->op.complete_at) {
     *out = OpStatus::pending;
     return false;
   }
-  apply(s->op);
-  trace_retire(s->op);
-  release_slot(static_cast<std::uint32_t>(h));
-  *out = OpStatus::ok;
+  *out = retire(h);
   return true;
 }
 
@@ -1117,16 +905,8 @@ OpStatus Nic::wait_status(Handle h) {
   Slot* s = lookup(h);
   if (s == nullptr) return OpStatus::retired;
   if (s->op.batch_pending) batch_flush();
-  if (s->op.status != OpStatus::ok) {
-    const OpStatus st = s->op.status;
-    release_slot(static_cast<std::uint32_t>(h));
-    return st;
-  }
-  wait_model_time(s->op.complete_at);
-  apply(s->op);
-  trace_retire(s->op);
-  release_slot(static_cast<std::uint32_t>(h));
-  return OpStatus::ok;
+  if (s->op.status == OpStatus::ok) wait_model_time(s->op.complete_at);
+  return retire(h);
 }
 
 std::uint64_t Nic::completion_deadline(Handle h) {

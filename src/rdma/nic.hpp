@@ -16,6 +16,13 @@
 //                       This is the failure-injection mode used by tests to
 //                       catch code that assumes eager remote visibility.
 //
+// Every op, contiguous or vectored, blocking or not, goes through ONE issue
+// pipeline: a contiguous op is one fragment, a vectored op a fragment list
+// under one span check, an AMO its 8-byte word. The fault gate, transport
+// counters, latency formula, overhead charge, trace event, immediate/
+// deferred split and pooled record each exist once; blocking calls and the
+// throwing test/wait only wrap the status-returning completions.
+//
 // Issue fast path (the paper's central claim is that this path adds no
 // software overhead; see DESIGN.md "fast path"):
 //   - rkey resolution goes through a per-NIC direct-mapped cache validated
@@ -26,7 +33,8 @@
 //     gsync do no map operations;
 //   - deferred put payloads of up to PendingOp::kInlineStage bytes stage
 //     into a fixed in-struct buffer; only larger payloads touch a spill
-//     vector whose capacity is recycled with the slot.
+//     vector whose capacity is recycled with the slot, and a contiguous
+//     op keeps its single fragment inline (no fragment list).
 //   Steady state performs zero heap allocations per op; every pool or
 //   spill growth is counted as Op::pool_grow (asserted by tests/bench).
 //
@@ -39,10 +47,12 @@
 #include <memory>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "common/rng.hpp"
 #include "rdma/amo.hpp"
 #include "rdma/network_model.hpp"
 #include "rdma/region.hpp"
+#include "trace/trace.hpp"
 
 namespace fompi::rdma {
 
@@ -66,7 +76,10 @@ struct Frag {
   std::size_t len;
 };
 
-class Nic {
+/// Cache-line aligned: each rank thread writes its own NIC on every op, and
+/// Domain allocates the NICs back to back, so an unaligned NIC's tail would
+/// share a line with the next rank's head.
+class alignas(kCacheLine) Nic {
  public:
   Nic(Domain& domain, int rank);
   Nic(const Nic&) = delete;
@@ -124,11 +137,11 @@ class Nic {
                     std::uint64_t compare = 0);
 
   // --- completion ------------------------------------------------------------
-  /// True (and retires the handle) once the operation completed.
-  /// Throws on a stale handle or a failed op (legacy errors-are-fatal API).
+  /// test_status, raising instead of returning a failure (legacy
+  /// errors-are-fatal API): ErrClass::arg for a stale handle, the typed
+  /// class (timeout/cq/peer_dead) for a failed op.
   bool test(Handle h);
-  /// Blocks until the operation completed; retires the handle. Throws a
-  /// typed Error (timeout/cq/peer_dead) if the op retired with a failure.
+  /// wait_status, raising exactly like test.
   void wait(Handle h);
   /// Bulk completion of ALL outstanding operations of this NIC (DMAPP
   /// gsync). Guarantees remote visibility of every put/amo issued so far.
@@ -166,18 +179,19 @@ class Nic {
   }
 
   // --- throughput mode: doorbell batching ------------------------------------
-  /// Opens an explicit batch scope: subsequent batchable ops (FMA-sized,
-  /// i.e. below the batch cutoff) accumulate into one chained descriptor
-  /// list and ring a single doorbell at batch_flush(). Idempotent — an
-  /// auto-batch scope already open is adopted. Ops at or above the cutoff
-  /// bypass the batch (BTE transfers own their doorbell).
+  /// Opens an explicit batch scope: subsequent batchable ops (contiguous
+  /// and FMA-sized, i.e. below the model's bte_threshold) accumulate into
+  /// one chained descriptor list and ring a single doorbell at
+  /// batch_flush(). Idempotent — an auto-batch scope already open is
+  /// adopted. BTE transfers and vectored ops (already one chained
+  /// doorbell) bypass the batch.
   void batch_begin();
   /// Rings the doorbell for the open batch (explicit or auto), charging
   /// the injection overhead once plus batch_chain_ns per extra descriptor
   /// (divided round-robin across the configured channels), and assigns
   /// every batched op its modeled completion time. No-op when no batch is
-  /// open. Also invoked implicitly by gsync and by test/wait on a
-  /// batch-pending handle.
+  /// open. Also invoked implicitly by gsync, by test/wait on a
+  /// batch-pending handle, and once kBatchCapacity descriptors queue up.
   void batch_flush();
   /// True while a batch scope (explicit or auto) is open.
   bool batch_active() const noexcept { return batch_open_; }
@@ -185,11 +199,6 @@ class Nic {
   std::size_t batch_depth() const noexcept { return batch_ndesc_; }
   /// Doorbells rung so far (each covers >= 1 descriptors).
   std::uint64_t doorbells_rung() const noexcept { return doorbells_; }
-  /// This NIC's (possibly adaptively retuned) cost model. Starts as a copy
-  /// of DomainConfig::model with NicConfig overrides applied.
-  const NetworkModel& model() const noexcept { return model_; }
-  /// Adaptive retunes performed so far.
-  std::uint64_t retunes() const noexcept { return retunes_; }
 
   /// Local memory fence (x86 mfence equivalent); orders CPU stores for the
   /// intra-node path.
@@ -232,22 +241,36 @@ class Nic {
   std::uint64_t issued_ops() const noexcept { return issued_ops_; }
 
  private:
+  enum class Kind : std::uint8_t { put, get, amo };
+
+  /// Plain-data description of one operation, passed by the public entry
+  /// points; the fast path never materializes a PendingOp. A contiguous op
+  /// is one fragment {0, 0, len} (`frags` null), a vectored op the list
+  /// `frags[0, nfrags)`, an AMO its 8-byte word.
+  struct OpReq {
+    Kind kind = Kind::put;
+    bool implicit = false;        // completed by gsync, not by a handle
+    void* local = nullptr;        // put source / get destination base
+    const Frag* frags = nullptr;  // vectored fragments; null = contiguous
+    std::size_t nfrags = 1;
+    std::size_t len = 0;  // total payload bytes
+    AmoOp aop = AmoOp::read;
+    std::uint64_t operand = 0, compare = 0;
+    std::uint64_t* fetch_out = nullptr;
+  };
+
   struct PendingOp {
-    enum class Kind : std::uint8_t { put, get, amo };
     /// Inline staging capacity: covers every protocol-flag word and
     /// notified-access put the library issues on its own behalf.
     static constexpr std::size_t kInlineStage = 64;
 
-    Kind kind = Kind::put;
-    bool implicit = false;
+    /// The op as issued (set only by a deferred issue). Its `local` and
+    /// `frags` still point at caller memory; apply() reads the staged
+    /// payload and frags_ instead.
+    OpReq req;
     bool applied = false;  // data movement already performed
     bool batch_pending = false;  // enqueued behind an unrung doorbell
     std::byte* remote = nullptr;
-    void* local = nullptr;  // get destination
-    std::size_t len = 0;
-    AmoOp aop = AmoOp::read;
-    std::uint64_t operand = 0, compare = 0;
-    std::uint64_t* fetch_out = nullptr;
     std::uint64_t complete_at = 0;  // ns timestamp when model says done
 
     std::size_t staged_len = 0;  // deferred put payload length
@@ -256,14 +279,12 @@ class Nic {
     std::vector<std::byte> spill_;  // payloads > kInlineStage only
     std::vector<Frag> frags_;  // vectored-op fragments (capacity recycled)
 
-    /// Copies a deferred put payload; spills to the heap only above
-    /// kInlineStage, reusing the slot's previous spill capacity.
-    void stage_payload(const void* src, std::size_t n);
-    /// Gathers the fragments of a deferred vectored put into the staging
-    /// buffer (fragment payloads land back-to-back) and records the
-    /// fragment list; capacity is recycled with the slot.
-    void stage_vector(const std::byte* local_base, const Frag* frags,
-                      std::size_t nfrags, std::size_t total, bool gather);
+    /// Deferred-op stager for puts and vectored ops: copies a vectored
+    /// op's fragment list and gathers a put's payload back-to-back into the
+    /// staging buffer (each staged fragment's local_off becomes its staged
+    /// position), spilling to the heap only above kInlineStage; capacity is
+    /// recycled with the slot.
+    void stage(const OpReq& r);
     const std::byte* staged_data() const noexcept {
       return staged_len <= kInlineStage ? stage_.data() : spill_.data();
     }
@@ -271,11 +292,9 @@ class Nic {
     void reset() noexcept {
       applied = false;
       batch_pending = false;
-      fetch_out = nullptr;
       staged_len = 0;
       status = OpStatus::ok;
       complete_at = 0;
-      frags_.clear();
     }
   };
 
@@ -298,37 +317,37 @@ class Nic {
   static constexpr std::size_t kRkeyCacheSize = 64;  // power of two
   static_assert((kRkeyCacheSize & (kRkeyCacheSize - 1)) == 0);
 
-  /// Plain-data description of one operation, passed by the public entry
-  /// points; the fast path never materializes a PendingOp.
-  struct OpReq {
-    PendingOp::Kind kind;
-    const void* src = nullptr;  // put source
-    void* dst = nullptr;        // get destination
-    std::size_t len = 0;
-    AmoOp aop = AmoOp::read;
-    std::uint64_t operand = 0, compare = 0;
-    std::uint64_t* fetch_out = nullptr;
-  };
-
   bool inter_node(int target) const noexcept;
   /// Epoch-validated cached resolve; falls back to a locked registry
   /// snapshot only when the cache entry is absent or the registration
   /// generation moved. Raises exactly like RegionRegistry::resolve.
   std::byte* resolve_cached(std::uint64_t rkey, int expected_owner,
                             std::size_t offset, std::size_t len);
-  /// Issues one op; returns kDoneHandle when it completed at issue.
+  /// Issues one op whose remote bytes lie in [offset, offset + span); one
+  /// rkey resolution and one bounds check cover every fragment. Returns
+  /// kDoneHandle when the op completed at issue.
   Handle issue(int target, const RegionDesc& rd, std::size_t offset,
-               const OpReq& req, bool implicit);
-  /// Issues one vectored (multi-fragment) op behind a single doorbell.
-  Handle issue_vec(int target, const RegionDesc& rd, std::size_t base_off,
-                   std::size_t span_len, PendingOp::Kind kind,
-                   void* local_base, const Frag* frags, std::size_t nfrags,
-                   bool implicit);
+               std::size_t span, const OpReq& req);
+  /// Builds a vectored op's request (its fragment list and their total
+  /// length) and issues it; an empty list is done without an issue.
+  Handle issue_frags(int target, const RegionDesc& rd, std::size_t base_off,
+                     std::size_t span_len, Kind kind, bool implicit,
+                     const void* local_base, const Frag* frags,
+                     std::size_t nfrags);
+  /// The one data mover, shared by ops applied at issue and deferred ops
+  /// applied from their staged record: a put copies local + local_off to
+  /// remote + remote_off per fragment of `frags`, a get copies the other
+  /// way, an AMO applies to its word. A contiguous op (`frags` null) takes
+  /// a single-fragment branch.
+  static void move_data(const OpReq& r, std::byte* remote, void* local,
+                        const Frag* frags);
+  /// Performs a deferred op's data movement (once) from its staged record.
   void apply(PendingOp& op);
-  /// Applies an op straight from its request, with no pooled record.
-  void apply_direct(const OpReq& req, std::byte* remote);
-  /// Flight-recorder completion event at explicit-handle retirement.
-  void trace_retire(const PendingOp& op) noexcept;
+  /// Trace class of an op: vectored, else its kind.
+  static trace::EvClass ev_class(const OpReq& r) noexcept;
+  /// Retires a live explicit handle: moves the data of a successful op,
+  /// emits its completion event, frees the slot; returns the op's status.
+  OpStatus retire(Handle h);
   void wait_model_time(std::uint64_t complete_at);
 
   /// Per-issue fault-plan gate: advances the op index, fires the kill/hang
@@ -368,15 +387,15 @@ class Nic {
     std::uint64_t lat_ns = 0;           ///< modeled op latency (scaled)
     static constexpr std::uint32_t kNoSlot2 = ~std::uint32_t{0};
   };
+  /// Descriptors chained behind one doorbell before an implicit flush.
+  static constexpr std::size_t kBatchCapacity = 64;
   /// True when the open (or to-be-opened auto) batch accepts this op: a
-  /// batch scope is available and the op is FMA-sized (below the cutoff).
+  /// batch scope is available and the op is FMA-sized (below the model's
+  /// bte_threshold).
   bool batch_accepts(std::size_t len) noexcept;
   /// Records one op into the open batch (model-time bookkeeping only; the
   /// caller has already done counters/data movement).
   void batch_enqueue(const BatchEntry& e, bool inter);
-  /// Adaptive tuner: one histogram bump per op plus a periodic retune.
-  void note_op_size(std::size_t len);
-  void retune();
 
   // Slab pool management (explicit handles).
   std::uint32_t acquire_slot();
@@ -409,29 +428,16 @@ class Nic {
   std::vector<PendingOp*> drain_scratch_;  // gsync working set, recycled
   std::uint64_t latest_complete_at_ = 0;   // max completion time seen
 
-  // Throughput mode. The NIC keeps its own model copy so the adaptive
-  // tuner can move protocol thresholds without touching the (shared,
-  // immutable) DomainConfig. With the default NicConfig the issue path
-  // pays one extra predictable branch (batchable_ is false).
-  NetworkModel model_;       // per-NIC copy; adaptive retunes mutate it
+  // Throughput mode. With the default NicConfig the issue path pays one
+  // extra predictable branch (no batch open, auto_batch_ false).
   int channels_ = 1;         // cached NicConfig.channels
   bool auto_batch_ = false;  // cached NicConfig.auto_batch
-  bool adaptive_ = false;    // cached NicConfig.adaptive
-  std::size_t batch_capacity_ = 64;
-  std::size_t batch_cutoff_ = 0;  // ops >= cutoff bypass the batch
-  bool batch_cutoff_pinned_ = false;  // cutoff overridden: retune keeps it
   bool batch_open_ = false;
   bool batch_explicit_ = false;  // opened by batch_begin (vs auto)
   bool batch_inter_ = false;     // any inter-node descriptor enqueued
   std::size_t batch_ndesc_ = 0;
   std::vector<BatchEntry> batch_entries_;  // capacity recycled across flushes
   std::uint64_t doorbells_ = 0;
-
-  // Adaptive tuner state: log2 op-size histogram, decayed at each retune.
-  std::array<std::uint64_t, 48> size_hist_{};
-  std::uint64_t ops_since_retune_ = 0;
-  std::uint64_t adapt_period_ = 1024;
-  std::uint64_t retunes_ = 0;
 
   // Fault plan state. fault_armed_ is the ONLY fault-path check on the
   // fault-free issue path (one branch); everything below it is untouched
@@ -458,8 +464,8 @@ struct DomainConfig {
   /// Multiplier on all injected model times (1.0 = realistic).
   double time_scale = 1.0;
   NetworkModel model{};
-  /// Throughput mode: doorbell batching, channel striping, adaptive
-  /// thresholds (defaults preserve the latency-tuned single-channel path).
+  /// Throughput mode: doorbell batching and channel striping (defaults
+  /// preserve the latency-tuned single-channel path).
   NicConfig nic{};
   std::uint64_t seed = 42;
   /// Seeded deterministic fault injection (disabled by default; when

@@ -29,7 +29,6 @@ const char* to_string(EvClass cls) noexcept {
     case EvClass::fault:         return "fault";
     case EvClass::batch:         return "batch";
     case EvClass::channel:       return "channel";
-    case EvClass::adapt:         return "adapt";
     case EvClass::fiber:         return "fiber";
     case EvClass::notify_post:   return "notify_post";
     case EvClass::kv:            return "kv";

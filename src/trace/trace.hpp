@@ -68,7 +68,6 @@ enum class EvClass : std::uint8_t {
   fault,          ///< FaultPlan event (injection / retry / permanent failure)
   batch,          ///< coalesced doorbell rung (arg = chained descriptors)
   channel,        ///< BTE transfer striped across channels (arg = channels)
-  adapt,          ///< adaptive tuner moved a threshold (arg = new value)
   fiber,          ///< fiber resumed (begin) / finished (complete); arg = id
   notify_post,    ///< put-with-notification record posted (arg = tag/seq)
   kv,             ///< KV service client op (arg = key, dur = op latency)

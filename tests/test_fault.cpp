@@ -718,7 +718,9 @@ namespace {
 /// death and raises a typed peer_dead Error; letting it escape the body
 /// aborts the fleet, which rescues ranks blocked on live-but-aborted
 /// writers (they retire with ErrClass::internal from yield_check). The
-/// whole run must terminate with the typed peer_dead as the first error.
+/// whole run must terminate with the typed peer_dead as the first error. A
+/// survivor that never notices the death would spin forever; the hang
+/// watchdog turns that into a typed timeout failure instead of a hung test.
 template <class Body>
 void collective_kill_run(int nranks, int kill_rank, std::uint64_t kill_at,
                          Body&& body) {
@@ -729,6 +731,7 @@ void collective_kill_run(int nranks, int kill_rank, std::uint64_t kill_at,
   opts.domain.fault.kill_at_op = kill_at;
   opts.coll.flat_cutoff = 0;  // force the put/notify trees
   opts.errors_return = true;
+  opts.hang_timeout_ns = 5'000'000'000;  // 5 s
   std::atomic<int> typed_peer_dead{0};
   std::atomic<bool> completed{false};
   try {
@@ -783,6 +786,44 @@ TEST(CollectiveFault, DeadInteriorRankOrphansItsSubtree) {
                         if (ctx.rank() == 0) v[0] = 1 + round;
                         ctx.fabric().coll().bcast(ctx.rank(), 0, v, 64);
                       });
+}
+
+TEST(CollectiveFault, DeadPeerAbortsIbarrierWithTypedError) {
+  // p = 4, two puts per barrier: rank 2 dies at op 36, the round-0 put of
+  // its barrier in round 18. Rank 2 writes round 0 of rank 3 and round 1 of
+  // rank 0, and it is the partner of rank 1 (round 0) and rank 0 (round 1).
+  // It dies only after both of those puts reached it, so no survivor's own
+  // put can surface the death and no survivor can finish the barrier: only
+  // the poll's dead-writer check turns the hang into a typed peer_dead.
+  constexpr int kVictim = 2, kRound = 18;
+  std::array<std::atomic<int>, 4> polls{};
+  const auto polled_past = [&](const std::array<int, 4>& floor) {
+    for (const int r : {0, 1, 3}) {
+      if (polls[static_cast<std::size_t>(r)].load() <= floor[r]) return false;
+    }
+    return true;
+  };
+  collective_kill_run(
+      4, kVictim, /*kill_at=*/2 * kRound, [&](RankCtx& ctx, int round) {
+        auto& coll = ctx.fabric().coll();
+        if (ctx.rank() == kVictim && round == kRound) {
+          // Every survivor polled once (all round-0 puts are out), then
+          // once more (rank 0 saw rank 3's flag and put its round-1 flag).
+          std::array<int, 4> floor{};
+          while (!polled_past(floor)) ctx.yield_check();
+          for (const int r : {0, 1, 3}) {
+            floor[r] = polls[static_cast<std::size_t>(r)].load();
+          }
+          while (!polled_past(floor)) ctx.yield_check();
+        }
+        coll.ibarrier_begin(ctx.rank());
+        while (!coll.ibarrier_test(ctx.rank())) {
+          if (round == kRound) {
+            polls[static_cast<std::size_t>(ctx.rank())].fetch_add(1);
+          }
+          ctx.yield_check();
+        }
+      });
 }
 
 TEST(CollectiveFault, DeadPeerAbortsAlltoallvWithTypedError) {

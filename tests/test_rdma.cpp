@@ -15,6 +15,7 @@
 #include "fabric/fabric.hpp"
 #include "rdma/network_model.hpp"
 #include "rdma/nic.hpp"
+#include "trace/trace.hpp"
 
 using namespace fompi;
 using namespace fompi::rdma;
@@ -26,6 +27,27 @@ DomainConfig two_rank_internode() {
   cfg.nranks = 2;
   cfg.ranks_per_node = 1;  // force the "DMAPP" path
   return cfg;
+}
+
+/// RAII thread binding so a failing ASSERT cannot leak a bound ring into
+/// later tests.
+struct TraceBind {
+  explicit TraceBind(trace::Ring* r) { trace::bind_thread(r); }
+  ~TraceBind() { trace::bind_thread(nullptr); }
+};
+
+/// dur_ns of the first issue event of class `cls` recorded at or after
+/// ring index `from` (the op's modeled latency).
+std::uint64_t issue_dur(trace::Ring& ring, std::size_t from,
+                        trace::EvClass cls) {
+  trace::flush_thread();
+  for (std::size_t i = from; i < ring.size(); ++i) {
+    if (ring[i].cls == cls && ring[i].phase == trace::EvPhase::issue) {
+      return ring[i].dur_ns;
+    }
+  }
+  ADD_FAILURE() << "no issue event of class " << trace::to_string(cls);
+  return 0;
 }
 
 }  // namespace
@@ -358,6 +380,93 @@ TEST(Nic, InjectionModelAddsLatency) {
   const double per_op_us = t.elapsed_us() / 100.0;
   // Modeled small-put latency is ~1us end to end.
   EXPECT_GT(per_op_us, 0.8);
+}
+
+TEST(Nic, ModeledLatencyMatchesCostModel) {
+  // Pins the issue-time latency formula of every op shape: the issue
+  // event's dur_ns is the NetworkModel latency at time_scale 1.
+  if (!trace::kEnabled) GTEST_SKIP() << "built with FOMPI_TRACE=OFF";
+  trace::TraceSession::Config tcfg;
+  tcfg.postmortem_path.clear();
+  trace::TraceSession session(1, tcfg);
+  trace::Ring& ring = session.ring(0);
+  const TraceBind bind(&ring);
+  const NetworkModel m;
+  const auto chain = [&](std::size_t nfrags) {
+    return nfrags > 1 ? m.vec_chain_ns * static_cast<double>(nfrags - 1)
+                      : 0.0;
+  };
+  constexpr std::size_t kBte = 8192;  // >= bte_threshold
+  static_assert(kBte >= NetworkModel{}.bte_threshold);
+
+  for (const int channels : {1, 4}) {
+    DomainConfig cfg;
+    cfg.nranks = 3;
+    cfg.ranks_per_node = 2;  // rank 1 shares rank 0's node, rank 2 does not
+    cfg.inject = Injection::model;
+    cfg.nic.channels = channels;
+    Domain dom(cfg);
+    Nic& nic = dom.nic(0);
+    AlignedBuffer mem1(2 * kBte), mem2(2 * kBte);
+    const RegionDesc descs[3] = {
+        {}, dom.registry().register_region(1, mem1.data(), 2 * kBte),
+        dom.registry().register_region(2, mem2.data(), 2 * kBte)};
+    std::vector<std::byte> buf(kBte);
+    const Frag frags[4] = {{0, 0, 8}, {8, 64, 8}, {16, 128, 8}, {24, 192, 8}};
+
+    for (const int target : {1, 2}) {
+      const bool inter = target == 2;
+      const RegionDesc& d = descs[target];
+      const auto put_ns = [&](std::size_t bytes, std::size_t nfrags) {
+        return inter ? m.put_striped_latency_ns(bytes, channels) +
+                           chain(nfrags)
+                     : m.intra_latency_ns(bytes) + chain(nfrags);
+      };
+      const auto get_ns = [&](std::size_t bytes, std::size_t nfrags) {
+        return inter ? m.get_striped_latency_ns(bytes, channels) +
+                           chain(nfrags)
+                     : m.intra_latency_ns(bytes) + chain(nfrags);
+      };
+      SCOPED_TRACE(::testing::Message()
+                   << "channels " << channels << ", target " << target);
+      using trace::EvClass;
+
+      std::size_t from = ring.size();
+      nic.put(target, d, 0, buf.data(), 8);
+      EXPECT_EQ(issue_dur(ring, from, EvClass::put),
+                static_cast<std::uint64_t>(put_ns(8, 1)));
+
+      from = ring.size();
+      nic.put(target, d, 0, buf.data(), kBte);
+      EXPECT_EQ(issue_dur(ring, from, EvClass::put),
+                static_cast<std::uint64_t>(put_ns(kBte, 1)));
+
+      from = ring.size();
+      nic.get(target, d, 0, buf.data(), 8);
+      EXPECT_EQ(issue_dur(ring, from, EvClass::get),
+                static_cast<std::uint64_t>(get_ns(8, 1)));
+
+      from = ring.size();
+      nic.amo(target, d, 0, AmoOp::fetch_add, 1);
+      EXPECT_EQ(issue_dur(ring, from, EvClass::amo),
+                static_cast<std::uint64_t>(inter ? m.amo_latency_ns()
+                                                 : m.intra_amo_ns));
+
+      for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+        from = ring.size();
+        nic.wait(nic.put_nbv(target, d, 0, 200, buf.data(), frags, n));
+        EXPECT_EQ(issue_dur(ring, from, EvClass::vectored),
+                  static_cast<std::uint64_t>(put_ns(8 * n, n)))
+            << n << "-fragment put";
+
+        from = ring.size();
+        nic.wait(nic.get_nbv(target, d, 0, 200, buf.data(), frags, n));
+        EXPECT_EQ(issue_dur(ring, from, EvClass::vectored),
+                  static_cast<std::uint64_t>(get_ns(8 * n, n)))
+            << n << "-fragment get";
+      }
+    }
+  }
 }
 
 TEST(Nic, IntraNodeFasterThanInterNodeUnderModel) {
@@ -696,6 +805,21 @@ TEST(Nic, VectoredDeferredAppliesAtCompletion) {
   nic.wait(h);
   EXPECT_EQ(t[0], 0xABu);
   EXPECT_EQ(t[64 + 7], 0xABu);
+
+  // Gapped, out-of-order local fragments: the staged payload is packed, so
+  // each fragment must still land with its own source bytes.
+  std::array<std::uint8_t, 48> src3{};
+  for (std::size_t i = 0; i < src3.size(); ++i) {
+    src3[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  const std::array<Frag, 2> gapped{{{40, 16, 8}, {8, 96, 8}}};
+  nic.wait(
+      nic.put_nbv(1, d, 0, 128, src3.data(), gapped.data(), gapped.size()));
+  for (const Frag& f : gapped) {
+    for (std::size_t i = 0; i < f.len; ++i) {
+      ASSERT_EQ(t[f.remote_off + i], src3[f.local_off + i]);
+    }
+  }
 
   // Implicit vector: lands at gsync.
   std::array<std::uint8_t, 16> src2{};
