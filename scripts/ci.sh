@@ -67,11 +67,13 @@ ctest --test-dir build-benchmark --output-on-failure
 # KvChaos suite also holds the writer-death sweep (the writer killed at
 # every op index of one replicated put; survivors must never hang), whose
 # lock revocations race the survivors' reads differently on every run. The
-# KvScrub suite races the anti-entropy scrub against a live writer.
+# KvScrub suite races the anti-entropy scrub against a live writer, and the
+# KvFleet suite's interleavings depend on how reads and priority writes
+# share each rank's thread.
 ./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
   --gtest_brief=1
-./build/tests/test_kv --gtest_filter='KvChaos.*:KvScrub.*' --gtest_repeat=3 \
-  --gtest_brief=1
+./build/tests/test_kv --gtest_filter='KvChaos.*:KvScrub.*:KvFleet.*' \
+  --gtest_repeat=3 --gtest_brief=1
 
 # Recovery chaos: staggered double kills under seeds 11/22/33 with a
 # closed-loop fleet running throughout; every run must settle (replica

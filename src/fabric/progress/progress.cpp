@@ -264,12 +264,26 @@ std::uint64_t NotifyPlane::consumed(int me) const {
 
 // --- Scheduler --------------------------------------------------------------
 
+namespace {
+// Nearest a parked priority fiber's deadline must be for the idle loop to
+// spin to it; spin_for_ns's busy-spin bound.
+constexpr std::uint64_t kPrioritySpinNs = 5'000;
+
+double op_issue_ns(const rdma::Nic& nic) {
+  const rdma::DomainConfig& c = nic.domain().config();
+  return c.inject == rdma::Injection::model
+             ? c.model.inter_overhead_ns * c.time_scale
+             : 0.0;
+}
+}  // namespace
+
 Scheduler::Scheduler(Fabric& fabric, int rank)
-    : nic_(fabric.domain().nic(rank)),
-      yield_check_([&fabric] { fabric.yield_check(); }) {}
+    : Scheduler(fabric.domain().nic(rank), [&fabric] { fabric.yield_check(); }) {}
 
 Scheduler::Scheduler(rdma::Nic& nic, std::function<void()> yield_check)
-    : nic_(nic), yield_check_(std::move(yield_check)) {}
+    : nic_(nic),
+      yield_check_(std::move(yield_check)),
+      op_issue_ns_(op_issue_ns(nic)) {}
 
 Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {
   Fiber& f = *fiber;
@@ -283,24 +297,25 @@ Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {
 
 void Scheduler::make_runnable(Fiber* f, rdma::OpStatus st) {
   f->wake_status_ = st;
-  runnable_.push_back(f);
+  (f->priority_ ? urgent_ : runnable_).push_back(f);
 }
 
 void Scheduler::heap_push(HandleWait w) {
-  heap_.push_back(w);
-  std::push_heap(heap_.begin(), heap_.end(),
+  auto& heap = w.fiber->priority_ ? prio_heap_ : heap_;
+  heap.push_back(w);
+  std::push_heap(heap.begin(), heap.end(),
                  [](const HandleWait& a, const HandleWait& b) {
                    return a.deadline > b.deadline;
                  });
 }
 
-Scheduler::HandleWait Scheduler::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(),
+Scheduler::HandleWait Scheduler::heap_pop(std::vector<HandleWait>& heap) {
+  std::pop_heap(heap.begin(), heap.end(),
                 [](const HandleWait& a, const HandleWait& b) {
                   return a.deadline > b.deadline;
                 });
-  const HandleWait w = heap_.back();
-  heap_.pop_back();
+  const HandleWait w = heap.back();
+  heap.pop_back();
   return w;
 }
 
@@ -346,31 +361,40 @@ void Scheduler::await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
 
 void Scheduler::await_ready(Fiber& f) { ready_waits_.push_back(&f); }
 
-void Scheduler::await_backoff(Fiber& f, std::uint64_t delay_ns) {
-  // Fresh clock read, not now_cache_: a backoff is a wall-time contract and
-  // the cache can be arbitrarily stale on a quiet scheduler.
-  const std::uint64_t deadline = now_ns() + delay_ns;
+void Scheduler::await_until(Fiber& f, std::uint64_t deadline) {
+  if (deadline == 0 || deadline <= now_cache_) {
+    make_runnable(&f, rdma::OpStatus::ok);
+    return;
+  }
   heap_push(HandleWait{deadline, &f, rdma::kDoneHandle, /*epoch=*/false,
                        /*sleep=*/true});
 }
 
-void Scheduler::await_yield(Fiber& f) { runnable_.push_back(&f); }
+void Scheduler::await_backoff(Fiber& f, std::uint64_t delay_ns) {
+  // Fresh clock read, not now_cache_: a backoff is a wall-time contract and
+  // the cache can be arbitrarily stale on a quiet scheduler.
+  await_until(f, now_ns() + delay_ns);
+}
 
-bool Scheduler::poll_once() {
+void Scheduler::await_yield(Fiber& f) {
+  (f.priority_ ? urgent_ : runnable_).push_back(&f);
+}
+
+bool Scheduler::admits(std::uint64_t cost_ns) const {
+  if (!urgent_.empty()) return false;
+  return prio_heap_.empty() || now_ns() + cost_ns <= prio_heap_.front().deadline;
+}
+
+bool Scheduler::wake_due(std::vector<HandleWait>& heap) {
+  // The NIC retire path runs here and carries its typed status into the
+  // fiber. Anything becoming due after the caller's clock read is caught by
+  // the next poll.
   bool progressed = false;
-  // Due handle/epoch deadlines: the NIC retire path runs here and carries
-  // its typed status into the fiber. One clock read covers the whole
-  // drain (and refreshes the cache await_handle compares against);
-  // anything becoming due during it is caught by the next poll.
-  if (!heap_.empty()) now_cache_ = now_ns();
-  while (!heap_.empty() && heap_.front().deadline <= now_cache_) {
-    const HandleWait w = heap_pop();
+  while (!heap.empty() && heap.front().deadline <= now_cache_) {
+    const HandleWait w = heap_pop(heap);
     if (w.sleep) {
       make_runnable(w.fiber, rdma::OpStatus::ok);
-      progressed = true;
-      continue;
-    }
-    if (w.epoch) {
+    } else if (w.epoch) {
       // More ops may have been issued while this fiber was parked: re-arm
       // on the grown quiesce deadline instead of spinning inside gsync.
       const std::uint64_t deadline = nic_.quiesce_deadline();
@@ -384,6 +408,15 @@ bool Scheduler::poll_once() {
     }
     progressed = true;
   }
+  return progressed;
+}
+
+bool Scheduler::poll_once() {
+  // Due handle/epoch deadlines. One clock read covers both heaps (and
+  // refreshes the cache await_handle compares against).
+  if (!heap_.empty() || !prio_heap_.empty()) now_cache_ = now_ns();
+  bool progressed = wake_due(prio_heap_);
+  if (wake_due(heap_)) progressed = true;
   for (auto it = notify_waits_.begin(); it != notify_waits_.end();) {
     if (it->plane->probe(rank(), it->tag, &it->fiber->wake_record_)) {
       make_runnable(it->fiber, rdma::OpStatus::ok);
@@ -412,9 +445,17 @@ bool Scheduler::poll_once() {
 void Scheduler::run() {
   Backoff backoff;
   while (live_ > 0) {
-    if (!runnable_.empty()) {
-      Fiber* f = runnable_.front();
-      runnable_.pop_front();
+    // A parked priority fiber is checked at every step boundary, so once
+    // due it waits behind at most the step in progress. Without one this
+    // is a single empty() test.
+    if (!prio_heap_.empty()) {
+      now_cache_ = now_ns();
+      wake_due(prio_heap_);
+    }
+    std::deque<Fiber*>& queue = urgent_.empty() ? runnable_ : urgent_;
+    if (!queue.empty()) {
+      Fiber* f = queue.front();
+      queue.pop_front();
       ++switches_;
       // A chain of always-runnable fibers never reaches the idle path below;
       // a periodic check keeps even that loop abortable on peer death
@@ -433,11 +474,23 @@ void Scheduler::run() {
     }
     // Every fiber is parked. This is the engine's single suspension point:
     // yield_check keeps fault-kill semantics (a fleet abort unwinds out of
-    // run()), and the backoff resets whenever a wakeup fired.
-    yield_check_();
+    // run()), and the backoff resets whenever a wakeup fired. A parked
+    // priority fiber is waited for as a blocking wait would be: a next
+    // deadline within kPrioritySpinNs is spun to, yielding the thread only
+    // on every 64th pass, and the check at the top of the loop resumes the
+    // fiber; a farther one is polled without backoff.
+    std::uint64_t spin_to = 0;
+    if (!prio_heap_.empty()) {
+      spin_to = prio_heap_.front().deadline;
+      if (!heap_.empty()) spin_to = std::min(spin_to, heap_.front().deadline);
+      if (spin_to > now_ns() + kPrioritySpinNs) spin_to = 0;
+    }
+    if (spin_to == 0 || (++idle_spins_ & 63u) == 0) yield_check_();
     if (poll_once()) {
       backoff.reset();
-    } else {
+    } else if (spin_to != 0) {
+      spin_until_ns(spin_to);
+    } else if (prio_heap_.empty()) {
       backoff.pause();
     }
   }

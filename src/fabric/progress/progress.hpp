@@ -25,7 +25,10 @@
 //     ops in flight while burning issue overhead only — no spin between
 //     issue and completion. The single idle loop goes through the
 //     fabric's yield_check, so fault kills unwind parked fleets with
-//     typed statuses instead of hanging them.
+//     typed statuses instead of hanging them. Priority fibers resume
+//     before ordinary ones; while one is parked on a deadline, every step
+//     boundary checks that deadline, and admits() tells an ordinary fiber
+//     whether work of a given modeled issue time ends before it.
 //
 // Continuation frames: a fiber's `step()` is re-entered at the last
 // suspension point via a Duff's-device switch on `pc_`. All state that
@@ -167,6 +170,7 @@ class Fiber {
   NotifyRecord wake_record_{};
   std::uint32_t id_ = 0;
   bool done_ = false;
+  bool priority_ = false;
 };
 
 /// Per-rank cooperative scheduler. Owns its fibers; run() executes until
@@ -205,6 +209,24 @@ class Scheduler {
   rdma::Nic& nic() noexcept { return nic_; }
   int rank() const noexcept { return nic_.rank(); }
 
+  // --- priority -------------------------------------------------------------
+  /// Makes `f` a priority fiber, or an ordinary one again; a fiber calls it
+  /// on itself from its own step. A priority fiber resumes before every
+  /// ordinary one, and while one is parked on a deadline each step boundary
+  /// checks it, so a due priority fiber waits behind at most the step in
+  /// progress.
+  void set_priority(Fiber& f, bool on) noexcept { f.priority_ = on; }
+  /// Admission for ordinary fibers: true when work whose modeled issue time
+  /// is `cost_ns` (see issue_cost_ns) ends, started now, no later than the
+  /// earliest deadline a priority fiber is parked on. Always true while no
+  /// priority fiber is parked or runnable.
+  bool admits(std::uint64_t cost_ns) const;
+  /// Modeled issue time of `ops` operations: ops x the model's per-op
+  /// injection overhead x time_scale; 0 under Injection::none.
+  std::uint64_t issue_cost_ns(int ops) const noexcept {
+    return static_cast<std::uint64_t>(ops * op_issue_ns_);
+  }
+
   // --- suspension hooks (called by the FOMPI_FIBER_* macros) ---------------
   void await_handle(Fiber& f, rdma::Handle h);
   void await_epoch(Fiber& f);
@@ -212,6 +234,10 @@ class Scheduler {
                     int source);
   void await_ready(Fiber& f);
   void await_yield(Fiber& f);
+  /// Parks the fiber until the absolute now_ns() `deadline`, retiring
+  /// nothing: the caller waits once for a set of ops and retires them
+  /// itself, in its own order. 0 or a past deadline is a plain yield.
+  void await_until(Fiber& f, std::uint64_t deadline);
   /// Parks the fiber for `delay_ns` wall nanoseconds on the deadline heap —
   /// a fiber-native backoff for retry loops (scrub re-reads, routing
   /// re-fetches), so a waiting fiber never raw-spins: the scheduler's idle
@@ -235,18 +261,24 @@ class Scheduler {
 
   void make_runnable(Fiber* f, rdma::OpStatus st);
   bool poll_once();
+  /// Wakes every entry of `heap` due at now_cache_; true if any woke.
+  bool wake_due(std::vector<HandleWait>& heap);
   void heap_push(HandleWait w);
-  HandleWait heap_pop();
+  static HandleWait heap_pop(std::vector<HandleWait>& heap);
 
   rdma::Nic& nic_;
   std::function<void()> yield_check_;
+  double op_issue_ns_ = 0;  ///< modeled issue time of one op (0: none)
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::deque<Fiber*> urgent_;    // runnable priority fibers, served first
   std::deque<Fiber*> runnable_;
-  std::vector<HandleWait> heap_;  // min-heap by deadline
+  std::vector<HandleWait> heap_;       // min-heap by deadline
+  std::vector<HandleWait> prio_heap_;  // the same, for priority fibers
   std::vector<NotifyWait> notify_waits_;
   std::vector<Fiber*> ready_waits_;
   std::size_t live_ = 0;
   std::size_t switches_ = 0;
+  std::size_t idle_spins_ = 0;  ///< idle passes while a priority fiber parks
   std::uint32_t next_id_ = 0;
   std::uint64_t now_cache_ = 0;  ///< last poll_once clock read (see .cpp)
 };
@@ -292,6 +324,9 @@ class Scheduler {
 /// Parks until this->poll_ready() returns true.
 #define FOMPI_FIBER_AWAIT_READY(s) \
   FOMPI_FIBER_SUSPEND_((s).await_ready(*this))
+/// Parks until the absolute now_ns() `deadline` without retiring anything.
+#define FOMPI_FIBER_AWAIT_UNTIL(s, deadline) \
+  FOMPI_FIBER_SUSPEND_((s).await_until(*this, (deadline)))
 /// Parks for `ns` wall nanoseconds (fiber-native backoff; no raw spin).
 #define FOMPI_FIBER_BACKOFF(s, ns) \
   FOMPI_FIBER_SUSPEND_((s).await_backoff(*this, (ns)))

@@ -222,10 +222,14 @@ rdma::OpStatus KvStore::handle_gen_mismatch(std::uint64_t gen) {
   count(Op::kv_retry_routing);
   // Odd generation: the coordinator is mid-reconfiguration. Retire the op
   // typed instead of blocking the client under the coordinator's drain;
-  // the caller reissues and refreshes once the generation stabilizes.
+  // the caller reissues and refreshes once the generation stabilizes. A
+  // stable one is refetched once; a refetch that races a new
+  // reconfiguration leaves the table to the next op's check.
   if ((gen & 1) == 0) {
-    const auto st = fetch_routing();
-    if (st != rdma::OpStatus::ok) return st;
+    const auto st = try_fetch_routing();
+    if (st != rdma::OpStatus::ok && st != rdma::OpStatus::retry_routing) {
+      return st;
+    }
   }
   return rdma::OpStatus::retry_routing;
 }
@@ -261,32 +265,35 @@ rdma::OpStatus KvStore::raw_fetch_table(std::vector<std::uint64_t>* table) {
   return st;
 }
 
-rdma::OpStatus KvStore::fetch_routing() {
+rdma::OpStatus KvStore::try_fetch_routing() {
   // Consistent-pair protocol: generation, table, generation again — accept
   // only a stable (even) generation that did not move across the table
   // get. This is what makes a LATE first fetch safe: a client attaching
   // while a recovery is republishing entries can never install a half-new
   // table under an old generation stamp.
-  const std::vector<std::uint64_t> old = routing_;
+  std::uint64_t g1 = 0;
+  auto st = amo_read(cfg_.routing_rank, 0, &g1);
+  if (st != rdma::OpStatus::ok) return st;
+  if ((g1 & 1) != 0) return rdma::OpStatus::retry_routing;
   std::vector<std::uint64_t> table;
+  st = raw_fetch_table(&table);
+  if (st != rdma::OpStatus::ok) return st;
+  std::uint64_t g2 = 0;
+  st = amo_read(cfg_.routing_rank, 0, &g2);
+  if (st != rdma::OpStatus::ok) return st;
+  if (g1 != g2) return rdma::OpStatus::retry_routing;
+  const std::vector<std::uint64_t> old = std::move(routing_);
+  routing_ = std::move(table);
+  gen_seen_ = g1;
+  apply_routing(old);
+  return rdma::OpStatus::ok;
+}
+
+rdma::OpStatus KvStore::fetch_routing() {
   Backoff bo;
   while (true) {
-    std::uint64_t g1 = 0;
-    auto st = amo_read(cfg_.routing_rank, 0, &g1);
-    if (st != rdma::OpStatus::ok) return st;
-    if ((g1 & 1) == 0) {
-      st = raw_fetch_table(&table);
-      if (st != rdma::OpStatus::ok) return st;
-      std::uint64_t g2 = 0;
-      st = amo_read(cfg_.routing_rank, 0, &g2);
-      if (st != rdma::OpStatus::ok) return st;
-      if (g1 == g2) {
-        routing_ = table;
-        gen_seen_ = g1;
-        apply_routing(old);
-        return rdma::OpStatus::ok;
-      }
-    }
+    const auto st = try_fetch_routing();
+    if (st != rdma::OpStatus::retry_routing) return st;
     bo.pause();  // reconfiguration in flight: poll politely, never raw-spin
     fabric_->yield_check();
   }
@@ -326,17 +333,17 @@ void KvStore::fail_over(int shard) {
 // --- region-op machine -------------------------------------------------------
 //
 // One KV op against ONE copy of a shard. issue() posts the current round's
-// request-based AMOs (at most three, all in flight together); advance()
+// request-based AMOs (at most four, all in flight together); advance()
 // consumes their results and picks the next state. The drivers own the
-// waiting: drive() runs machines in lockstep on the calling thread, and
-// ClientFiber parks on the same handles. AMOs of one round complete in any
-// order, so every step that needs ordering is split across rounds: v1
-// before the {key, value} body, v2 after it; the lock before the value
-// write; the value write before the release. Within a round the NIC
-// applies one origin's requests to a target in issue order (as an RC queue
-// pair does); the machine relies on that in two places only: a located
-// round reads a cell's version before its key, and a reclaim writes the
-// value before the key.
+// waiting (see "drivers" below). AMOs of one round complete in any order,
+// so a step that needs another's result is split across rounds: v1 before
+// the {key, value} body, v2 after it; the lock before the write. Within a
+// round the NIC applies one origin's requests to a target in issue order
+// (as an RC queue pair does), and the drivers retire them in issue order,
+// which is when deferred delivery applies them. The machine relies on that
+// in three places: a located round reads a cell's version before its key,
+// a reclaim writes the value before the key, and a write round stores the
+// data before the release that publishes it.
 //
 // One cell per key per copy (DESIGN.md §12): a put that finds its key
 // nowhere in the slot first locks the TOP cell at the version its top round
@@ -346,7 +353,7 @@ void KvStore::fail_over(int shard) {
 // link a fresh cell.
 
 struct KvStore::RegionOp {
-  enum class Kind : std::uint8_t { read, put, erase };
+  using Kind = KvStore::Kind;
   enum class Step : std::uint8_t { done, next, contended };
   enum class State : std::uint8_t {
     check,    // cached read: [generation] + the cached cell's version
@@ -363,11 +370,12 @@ struct KvStore::RegionOp {
     lock,     // version read while odd, else CAS even -> odd (+ key, relock)
     revoke,   // CAS a version a dead writer left odd forward
     bury,     // CAS a dead claimer's top (version 0 or 1) to a new odd one
-    write,    // value, tombstone key, or (reclaim) value then key
-    release,  // version + 2 (and the top's, under the slot lock)
+    write,    // the data store(s), then the release(s)
+    release,  // release without a write: a won link, a back-off, a failure
+              // under the slot lock
     done,
   };
-  /// What the write round does with the cell the lock is taken on.
+  /// What the write round stores in the cell the lock is taken on.
   enum class Act : std::uint8_t {
     update,    // the key's own cell: value, or the tombstone for erase
     reclaim,   // a tombstone under the slot lock: value, then key
@@ -442,14 +450,15 @@ struct KvStore::RegionOp {
       case State::guard:
         cas(kv, top + kVerOff, top_ver, top_ver + 1, &w[0]);
         break;
-      case State::acquire: {
-        const std::uint64_t one = 1;
-        req[nreq++] = kv.win_.rfetch_and_op(&one, &w[0], Elem::u64,
-                                            RedOp::sum, t, l.off_next_free());
+      case State::acquire:
+        add([&] {
+          const std::uint64_t one = 1;
+          return kv.win_.rfetch_and_op(&one, &w[0], Elem::u64, RedOp::sum, t,
+                                       l.off_next_free());
+        });
         break;
-      }
       case State::fill:
-        req[nreq++] = kv.win_.rput(img, sizeof img, t, l.off_heap(idx));
+        add([&] { return kv.win_.rput(img, sizeof img, t, l.off_heap(idx)); });
         break;
       case State::link: cas(kv, l.off_chain(slot), head, idx + 1, &w[0]); break;
       case State::lock:
@@ -467,25 +476,23 @@ struct KvStore::RegionOp {
         cas(kv, cell + kVerOff, ver, (ver + 1) | 1, &w[0]);
         break;
       case State::write:
+        // The data, then the release that publishes it, in one round.
         // Erase overwrites the KEY word (readers then miss) and leaves the
-        // value word alone. A reclaim issues the value first: a writer
+        // value word alone. A reclaim stores the value first: a writer
         // that dies between the two leaves a tombstone, never the new key
-        // over the erased key's value.
+        // over the erased key's value. A repair releases the cell no lower
+        // than the winner's version.
         if (act == Act::reclaim) {
-          store(kv, cell + kValOff, value, RedOp::replace);
-          store(kv, cell, key, RedOp::replace);
+          store(kv, cell + kValOff, value);
+          store(kv, cell, key);
         } else if (act == Act::bury || kind == Kind::erase) {
-          store(kv, cell, kTombstone, RedOp::replace);
+          store(kv, cell, kTombstone);
         } else {
-          store(kv, cell + kValOff, value, RedOp::replace);
+          store(kv, cell + kValOff, value);
         }
+        unlock(kv, std::max(ver + 2, win_ver));
         break;
-      case State::release:
-        store(kv, cell + kVerOff, ver + 2, RedOp::replace);
-        if (guarded && cell != top) {
-          store(kv, top + kVerOff, top_ver + 2, RedOp::replace);
-        }
-        break;
+      case State::release: unlock(kv, ver + 2); break;
       case State::done: break;
     }
   }
@@ -496,9 +503,15 @@ struct KvStore::RegionOp {
     }
   }
 
-  /// Blocking wait for every request of the round.
-  void collect(KvStore& kv) {
-    for (int i = 0; i < nreq; ++i) fold(kv.wait_req(req[i]));
+  /// Requests the next issue() posts: issue() run without posting, so the
+  /// count can never drift from what the round sends.
+  int width(KvStore& kv) {
+    sizing = true;
+    issue(kv);
+    sizing = false;
+    const int n = nreq;
+    nreq = 0;
+    return n;
   }
 
   Step advance(KvStore& kv) {
@@ -547,7 +560,6 @@ struct KvStore::RegionOp {
         if (kind == Kind::put && w[0] == kTombstone) {
           passed_tombstone(l.off_table(slot), w[1]);
         }
-        slow = true;
         return go(State::head);
       case State::head:
         head = w[0];
@@ -638,10 +650,11 @@ struct KvStore::RegionOp {
         act = Act::bury;
         return go(State::write);
       case State::write:
-        held = round_st;
-        // A repair releases the cell it wrote no lower than the winner.
-        if (win_ver > ver + 2) ver = win_ver - 2;
-        return go(State::release);
+        // The round released the cell: a failed store leaves the write's
+        // effect unknown.
+        if (round_st != rdma::OpStatus::ok) return finish(round_st);
+        if (act == Act::bury) return relocate();
+        return finish(rdma::OpStatus::ok);
       case State::release:
         if (act == Act::bury || act == Act::back_off) return relocate();
         return finish(held);
@@ -657,7 +670,6 @@ struct KvStore::RegionOp {
   }
   Step contend(State s) {
     st = s;
-    slow = true;
     return Step::contended;
   }
   Step finish(rdma::OpStatus s) {
@@ -725,7 +737,6 @@ struct KvStore::RegionOp {
       stuck = 0;
       if (kv.any_peer_dead()) {
         resume = again;
-        slow = true;
         return go(ver <= 1 ? State::bury : State::revoke);
       }
     }
@@ -737,17 +748,36 @@ struct KvStore::RegionOp {
   }
 
   // --- request helpers (typed: faults retire as statuses) ------------------
+  /// Posts one request, or only counts it while width() sizes the round.
+  template <class Post>
+  void add(Post&& post) {
+    if (!sizing) req[nreq] = post();
+    ++nreq;
+  }
   void read(KvStore& kv, int target, std::size_t off, std::uint64_t* out) {
-    req[nreq++] = kv.win_.rfetch_and_op(nullptr, out, Elem::u64,
-                                        RedOp::no_op, target, off);
+    add([&] {
+      return kv.win_.rfetch_and_op(nullptr, out, Elem::u64, RedOp::no_op,
+                                   target, off);
+    });
   }
   void cas(KvStore& kv, std::size_t off, std::uint64_t expect,
            std::uint64_t desired, std::uint64_t* out) {
-    req[nreq++] =
-        kv.win_.rcompare_and_swap(&desired, &expect, out, Elem::u64, t, off);
+    add([&] {
+      return kv.win_.rcompare_and_swap(&desired, &expect, out, Elem::u64, t,
+                                       off);
+    });
   }
-  void store(KvStore& kv, std::size_t off, std::uint64_t v, RedOp op) {
-    req[nreq++] = kv.win_.raccumulate(&v, 1, Elem::u64, op, t, off);
+  void store(KvStore& kv, std::size_t off, std::uint64_t v) {
+    add([&] {
+      return kv.win_.raccumulate(&v, 1, Elem::u64, RedOp::replace, t, off);
+    });
+  }
+  /// Releases the cell at version `v`, and the slot lock too when the op
+  /// holds it for another cell.
+  void unlock(KvStore& kv, std::uint64_t v) {
+    store(kv, cell + kVerOff, v);
+    const std::size_t top = l.off_table(slot);
+    if (guarded && cell != top) store(kv, top + kVerOff, top_ver + 2);
   }
 
   Kind kind = Kind::read;
@@ -758,7 +788,7 @@ struct KvStore::RegionOp {
   bool locking = false;
   bool relock = false;   ///< the lock CAS is not at the located version
   bool guarded = false;  ///< holds the slot lock (the top cell's version)
-  bool slow = false;     ///< left the top-cell path (chain walk or retry)
+  bool sizing = false;   ///< width(): issue() counts instead of posting
   bool hit = false;      ///< served from the version-validated cache
   bool found = false;
   bool repair = false;   ///< scrub repair: conditional lock and creation
@@ -775,32 +805,84 @@ struct KvStore::RegionOp {
   std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
   rdma::OpStatus status = rdma::OpStatus::ok;
   rdma::OpStatus round_st = rdma::OpStatus::ok;
-  rdma::OpStatus held = rdma::OpStatus::ok;  ///< value-write status
-  core::RmaRequest req[3];
+  /// Status of the failed round a slot-lock release follows.
+  rdma::OpStatus held = rdma::OpStatus::ok;
+  core::RmaRequest req[4];
+};
+
+// One client op in flight. start() arms a get's serving copy, or a write's
+// owner and replica in lockstep; a driver runs ops[0..n) round by round
+// until none is live, then settle() retires the op, or re-arms it on the
+// replica when the owner died under it and returns pending again.
+struct KvStore::ClientOp {
+  ClientOp() = default;
+  ClientOp(const ClientOp&) = delete;  // ops points into copy
+  ClientOp& operator=(const ClientOp&) = delete;
+
+  RegionOp copy[2];  ///< [0] the serving copy, [1] a healthy write's replica
+  RegionOp* ops[2] = {&copy[0], &copy[1]};
+  int n = 0;
+  std::uint64_t value = 0;  ///< get: the value read
+  bool found = false;       ///< get: the key was present
+  bool hit = false;         ///< get: served from the client cache
 };
 
 // --- drivers -----------------------------------------------------------------
+//
+// One round routine serves both drivers: issue_round() posts every live
+// machine's requests, and retire_round() retires them in issue order, then
+// advances each machine. drive() runs it on the calling thread, where each
+// retirement spins until its request's deadline; the fleet's fibers park
+// once per round until round_deadline() and retire after it.
+
+bool KvStore::live(RegionOp* const* ops, int n) {
+  for (int i = 0; i < n; ++i) {
+    if (ops[i]->st != RegionOp::State::done) return true;
+  }
+  return false;
+}
+
+void KvStore::issue_round(RegionOp* const* ops, int n) {
+  count(Op::kv_round);
+  for (int i = 0; i < n; ++i) {
+    if (ops[i]->st != RegionOp::State::done) ops[i]->issue(*this);
+  }
+}
+
+std::uint64_t KvStore::round_deadline(RegionOp* const* ops, int n) {
+  std::uint64_t deadline = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int r = 0; r < ops[i]->nreq; ++r) {
+      const core::RmaRequest& req = ops[i]->req[r];
+      for (const auto h : req.handles()) {
+        deadline = std::max(deadline, req.nic()->completion_deadline(h));
+      }
+    }
+  }
+  return deadline;
+}
+
+bool KvStore::retire_round(RegionOp* const* ops, int n) {
+  for (int i = 0; i < n; ++i) {
+    for (int r = 0; r < ops[i]->nreq; ++r) {
+      ops[i]->fold(wait_req(ops[i]->req[r]));
+    }
+  }
+  bool contended = false;
+  for (int i = 0; i < n; ++i) {
+    if (ops[i]->nreq > 0 &&
+        ops[i]->advance(*this) == RegionOp::Step::contended) {
+      contended = true;
+    }
+  }
+  return contended;
+}
 
 void KvStore::drive(RegionOp* const* ops, int n) {
   Backoff bo;
-  while (true) {
-    bool live = false;
-    for (int i = 0; i < n; ++i) {
-      if (ops[i]->st == RegionOp::State::done) continue;
-      ops[i]->issue(*this);
-      live = true;
-    }
-    if (!live) return;
-    count(Op::kv_round);
-    for (int i = 0; i < n; ++i) ops[i]->collect(*this);
-    bool contended = false;
-    for (int i = 0; i < n; ++i) {
-      if (ops[i]->nreq > 0 &&
-          ops[i]->advance(*this) == RegionOp::Step::contended) {
-        contended = true;
-      }
-    }
-    if (contended) {
+  while (live(ops, n)) {
+    issue_round(ops, n);
+    if (retire_round(ops, n)) {
       bo.pause();
       fabric_->yield_check();
     }
@@ -815,7 +897,7 @@ void KvStore::drive(RegionOp& op) {
 rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
                                          std::uint64_t value) {
   RegionOp op;
-  op.begin(*this, RegionOp::Kind::put, shard_of(key), replica, key, value);
+  op.begin(*this, Kind::put, shard_of(key), replica, key, value);
   drive(op);
   return op.status;
 }
@@ -914,7 +996,7 @@ ScrubResult KvStore::scrub(int shard) {
     const RegionOp& win = to_primary ? r : p;
     const RegionOp& lose = to_primary ? p : r;
     RegionOp& fix = fixes.emplace_back();
-    fix.begin(*this, win.found ? RegionOp::Kind::put : RegionOp::Kind::erase,
+    fix.begin(*this, win.found ? Kind::put : Kind::erase,
               shard, !to_primary, keys[i], win.value);
     fix.repair = true;
     fix.win_ver = win.found ? win.ver : 0;
@@ -954,132 +1036,146 @@ rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
   return rdma::OpStatus::data_loss;
 }
 
-rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
-                              bool erase) {
+rdma::OpStatus KvStore::start(ClientOp& c, Kind kind,
+                              std::uint64_t key, std::uint64_t value) {
   require_user_key(key);
-  ++(erase ? stats_.erases : stats_.puts);
+  c.found = c.hit = false;
+  c.value = 0;
   const int shard = shard_of(key);
-  // The write moves the cell's version anyway; dropping the entry first
-  // spares the next get a doomed check round.
-  cache_[static_cast<std::size_t>(shard)].erase(key);
-  const auto gst = check_generation();
-  if (gst != rdma::OpStatus::ok) return gst;
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
+  const auto s = static_cast<std::size_t>(shard);
+  if (kind == Kind::read) {
+    ++stats_.gets;
+  } else {
+    ++(kind == Kind::erase ? stats_.erases : stats_.puts);
+    // The write moves the cell's version anyway; dropping the entry first
+    // spares the next get a doomed check round.
+    cache_[s].erase(key);
+    const auto gst = check_generation();
+    if (gst != rdma::OpStatus::ok) return gst;
   }
-  const bool deg = degraded_[static_cast<std::size_t>(shard)];
+  if (!degraded_[s] && !win_.peer_alive(owner_of(shard))) fail_over(shard);
+  const bool deg = degraded_[s];
   if (deg && !win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
-  const auto kind = erase ? RegionOp::Kind::erase : RegionOp::Kind::put;
-  RegionOp own, rep;
-  own.begin(*this, kind, shard, deg, key, value);
-  const bool both = !deg && cfg_.replicate;
-  if (both) rep.begin(*this, kind, shard, true, key, value);
-  RegionOp* ops[] = {&own, &rep};
-  drive(ops, both ? 2 : 1);
-  if (deg) return own.status;
-  if (own.status == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
-    fail_over(shard);
-    if (!win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
-    if (!both) {  // unreplicated: the write moves to the replica region
-      rep.begin(*this, kind, shard, true, key, value);
-      drive(rep);
-    }
-    return rep.status;
+  c.copy[0].begin(*this, kind, shard, deg, key, value);
+  c.n = 1;
+  if (kind != Kind::read && !deg && cfg_.replicate) {
+    c.copy[1].begin(*this, kind, shard, true, key, value);
+    c.n = 2;
   }
-  if (both && rep.status == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;  // the owner holds the write: absorbed
-    return own.status;
-  }
-  return own.status != rdma::OpStatus::ok ? own.status : rep.status;
-}
-
-rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
-  return write(key, value, /*erase=*/false);
-}
-
-rdma::OpStatus KvStore::erase(std::uint64_t key) {
-  return write(key, 0, /*erase=*/true);
-}
-
-rdma::OpStatus KvStore::read_begin(std::uint64_t key, RegionOp* op) {
-  require_user_key(key);
-  ++stats_.gets;
-  const int shard = shard_of(key);
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
-  }
-  const bool deg = degraded_[static_cast<std::size_t>(shard)];
-  if (deg && !win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
-  op->begin(*this, RegionOp::Kind::read, shard, deg, key, 0);
   return rdma::OpStatus::pending;
 }
 
-rdma::OpStatus KvStore::read_end(RegionOp* op, std::uint64_t* value,
-                                 bool* found) {
-  const int shard = op->shard;
+rdma::OpStatus KvStore::settle(ClientOp& c) {
+  RegionOp& own = c.copy[0];
+  const int shard = own.shard;
   const auto s = static_cast<std::size_t>(shard);
-  *found = false;
-  *value = 0;
-  if (op->status == rdma::OpStatus::peer_dead && !op->replica) {
+  // An owner that died under the op: fail over, and move a get (or an
+  // unreplicated write) to the replica.
+  if (own.status == rdma::OpStatus::peer_dead && !own.replica) {
     ++stats_.peer_dead_ops;
     fail_over(shard);
     if (!win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
-    op->begin(*this, RegionOp::Kind::read, shard, true, op->key, 0);
-    drive(*op);
+    if (own.kind == Kind::read || c.n == 1) {
+      own.begin(*this, own.kind, shard, true, own.key, own.value);
+      c.n = 1;
+      return rdma::OpStatus::pending;
+    }
+    return c.copy[1].status;
   }
-  if (op->status != rdma::OpStatus::ok || !op->found) return op->status;
-  *found = true;
-  *value = op->value;
+  if (own.kind != Kind::read) {
+    if (c.n == 1) return own.status;
+    if (c.copy[1].status == rdma::OpStatus::peer_dead) {
+      ++stats_.peer_dead_ops;  // the owner holds the write: absorbed
+      return own.status;
+    }
+    return own.status != rdma::OpStatus::ok ? own.status : c.copy[1].status;
+  }
+  c.hit = own.hit;
+  if (own.status != rdma::OpStatus::ok || !own.found) return own.status;
+  c.found = true;
+  c.value = own.value;
   // Cache a clean snapshot (v1 == v2, even, nonzero) of the key's cell,
   // top or chain (a key has one cell per copy), and only while the copy the
   // machine read still serves as primary: a parked read can straddle a
   // routing change.
-  if (op->with_cache && !op->hit && !degraded_[s] &&
-      pack_copy(copy_of(shard, false)) == op->home) {
-    cache_[s][op->key] = CacheEntry{op->cell, op->ver, op->value};
+  if (own.with_cache && !own.hit && !degraded_[s] &&
+      pack_copy(copy_of(shard, false)) == own.home) {
+    cache_[s][own.key] = CacheEntry{own.cell, own.ver, own.value};
   }
-  return op->status;
+  return own.status;
+}
+
+rdma::OpStatus KvStore::run(ClientOp& c, rdma::OpStatus st) {
+  while (st == rdma::OpStatus::pending) {
+    drive(c.ops, c.n);
+    st = settle(c);
+  }
+  return st;
+}
+
+rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
+  ClientOp c;
+  return run(c, start(c, Kind::put, key, value));
+}
+
+rdma::OpStatus KvStore::erase(std::uint64_t key) {
+  ClientOp c;
+  return run(c, start(c, Kind::erase, key, 0));
 }
 
 rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
                             bool* found) {
-  RegionOp op;
-  const auto st = read_begin(key, &op);
-  if (st == rdma::OpStatus::pending) {
-    drive(op);
-    return read_end(&op, value, found);
-  }
-  *found = false;
-  *value = 0;
+  ClientOp c;
+  const auto st = run(c, start(c, Kind::read, key, 0));
+  *found = c.found;
+  *value = c.value;
   return st;
 }
 
 // --- closed-loop client fleet -------------------------------------------------
 //
-// Each fiber pulls ops off a shared per-rank cursor. A get's rounds (the
-// cached version check, or the top-cell read, the seqlock body and v2)
-// park the fiber on their AMOs, so one rank keeps `fibers` reads in
-// flight; a cache hit, top or chain cell, never leaves the fiber, and an
-// uncached read that turns into a chain walk or a seqlock retry finishes
-// on the blocking driver. Writes
-// run blocking to completion: in four overlapped rounds they stall
-// siblings less than a parked sibling holding a cell lock would stall
-// everyone.
+// Each fiber pulls ops off a shared per-rank cursor and runs every round of
+// them on the fiber through the drivers' round routine: issue, park once
+// until the round's last deadline, retire in issue order, advance. Chain
+// walks, seqlock retries, revocations and failover re-issues are rounds
+// like any other, a contended machine parks on a fiber-native backoff, and
+// no step issues more than one round. A write is a priority fiber: once
+// due, its next round starts before any read step, and a read starts a
+// round only if the round's modeled issue time ends before the write's
+// next deadline (Scheduler::admits). While the rank's write is in flight
+// no fiber pulls a new op, as when the write held the thread. A gated
+// fiber parks on poll_ready; it never yield-spins.
+
+namespace {
+// Fiber-native backoff of a contended machine: doubles from the first to
+// the last value per op.
+constexpr std::uint64_t kContendNs = 1'000;
+constexpr std::uint64_t kMaxContendNs = 8'000;
+}  // namespace
 
 struct KvStore::ClientFiber final : fabric::progress::Fiber {
   struct FleetOp {
     std::uint64_t key;
     bool is_read;
   };
+  /// What the rank's client fibers share.
+  struct Fleet {
+    const std::vector<FleetOp>& ops;
+    fabric::progress::Scheduler& sched;
+    FleetResult* res;
+    std::size_t cursor = 0;
+    bool writing = false;  ///< a write is in flight: no fiber pulls an op
+  };
 
-  ClientFiber(KvStore& kv, const std::vector<FleetOp>& ops,
-              std::size_t* cursor, FleetResult* res)
-      : kv(kv), ops(ops), cursor(cursor), res(res) {}
+  ClientFiber(KvStore& kv, Fleet& fleet) : kv(kv), fleet(fleet) {}
+
+  /// The gate this fiber is parked at: its round's admission, or the pull.
+  bool poll_ready() override {
+    return admitting ? fleet.sched.admits(cost) : !fleet.writing;
+  }
 
   void record(rdma::OpStatus st) {
+    FleetResult* res = fleet.res;
     // Retirement identity: every pulled op lands in exactly one bucket, so
     // issued == ok + peer_dead + retry_routing + data_loss + failed_other
     // (the chaos tests assert this).
@@ -1090,44 +1186,55 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
       case rdma::OpStatus::data_loss: ++res->data_loss; break;
       default: ++res->failed_other; break;
     }
+    if (c.hit) ++res->cache_hits;
     const std::uint64_t dur = now_ns() - t0;
-    if (ops[at].is_read) {
-      ++res->reads;
-      res->read_hist.add(dur);
-    } else {
+    if (write) {
       ++res->writes;
       res->write_hist.add(dur);
+    } else {
+      ++res->reads;
+      res->read_hist.add(dur);
     }
     trace::emit(trace::EvClass::kv, trace::EvPhase::issue, target,
-                ops[at].key, dur);
+                fleet.ops[at].key, dur);
   }
 
   void step(fabric::progress::Scheduler& s) override {
     FOMPI_FIBER_BEGIN();
-    while (*cursor < ops.size()) {
-      at = (*cursor)++;
-      ++res->issued;
+    while (true) {
+      while (fleet.writing) FOMPI_FIBER_AWAIT_READY(s);
+      if (fleet.cursor >= fleet.ops.size()) break;
+      at = fleet.cursor++;
+      ++fleet.res->issued;
       t0 = now_ns();
-      target = kv.owner_of(kv.shard_of(ops[at].key));  // trace label
-      if (!ops[at].is_read) {
-        record(kv.put(ops[at].key, ops[at].key * 31 + 7));
-        continue;
+      key = fleet.ops[at].key;
+      target = kv.owner_of(kv.shard_of(key));  // trace label
+      write = !fleet.ops[at].is_read;
+      if (write) {
+        fleet.writing = true;
+        s.set_priority(*this, true);
       }
-      st = kv.read_begin(ops[at].key, &op);
-      if (st == rdma::OpStatus::pending) {
-        do {
-          op.issue(kv);
-          count(Op::kv_round);
-          for (ri = 0; ri < op.nreq; ++ri) {  // read AMOs: one handle each
-            FOMPI_FIBER_AWAIT(s, op.req[ri].handles()[0]);
-            op.fold(wake_status());
-            op.req[ri].dismiss();
-          }
-          next = op.advance(kv);
-        } while (next == RegionOp::Step::next && !op.slow);
-        if (next != RegionOp::Step::done) kv.drive(op);
-        if (op.hit) ++res->cache_hits;
-        st = kv.read_end(&op, &v, &found);
+      st = kv.start(c, write ? Kind::put : Kind::read, key, key * 31 + 7);
+      pause_ns = kContendNs;
+      while (st == rdma::OpStatus::pending) {
+        if (!write) {
+          cost = s.issue_cost_ns(c.copy[0].width(kv));  // a get: one copy
+          admitting = true;
+          while (!s.admits(cost)) FOMPI_FIBER_AWAIT_READY(s);
+          admitting = false;
+        }
+        kv.issue_round(c.ops, c.n);
+        deadline = kv.round_deadline(c.ops, c.n);
+        FOMPI_FIBER_AWAIT_UNTIL(s, deadline);
+        if (kv.retire_round(c.ops, c.n)) {
+          FOMPI_FIBER_BACKOFF(s, pause_ns);
+          pause_ns = std::min(2 * pause_ns, kMaxContendNs);
+        }
+        if (!kv.live(c.ops, c.n)) st = kv.settle(c);
+      }
+      if (write) {
+        fleet.writing = false;
+        s.set_priority(*this, false);
       }
       record(st);
     }
@@ -1135,16 +1242,15 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
   }
 
   KvStore& kv;
-  const std::vector<FleetOp>& ops;
-  std::size_t* cursor;
-  FleetResult* res;
-  RegionOp op;
-  RegionOp::Step next = RegionOp::Step::done;
+  Fleet& fleet;
+  ClientOp c;
   rdma::OpStatus st = rdma::OpStatus::ok;
   std::size_t at = 0;
-  std::uint64_t t0 = 0, v = 0;
-  int target = 0, ri = 0;
-  bool found = false;
+  std::uint64_t t0 = 0, key = 0, deadline = 0, cost = 0;
+  std::uint64_t pause_ns = kContendNs;
+  int target = 0;
+  bool write = false;
+  bool admitting = false;  ///< parked at the admission gate, not the pull
 };
 
 KvStore::FleetResult KvStore::run_fleet(fabric::RankCtx& ctx,
@@ -1164,12 +1270,12 @@ KvStore::FleetResult KvStore::run_fleet(fabric::RankCtx& ctx,
   }
   FleetResult res;
   fabric::progress::Scheduler sched(*fabric_, rank_);
-  std::size_t cursor = 0;
+  ClientFiber::Fleet fleet{ops, sched, &res};
   const std::size_t pool = std::min<std::size_t>(
       static_cast<std::size_t>(fc.fibers),
       std::max<std::size_t>(1, ops.size()));
   for (std::size_t i = 0; i < pool; ++i) {
-    sched.spawn<ClientFiber>(*this, ops, &cursor, &res);
+    sched.spawn<ClientFiber>(*this, fleet);
   }
   sched.run();
   return res;

@@ -8,20 +8,24 @@
 // with widened cells {key, version, value(, next)}:
 //
 //   * region ops — every access to one copy of a shard is a RegionOp: a
-//     small state machine whose rounds post at most three request-based
-//     AMOs together. Drivers own the waiting: drive() overlaps any number
-//     of machines on the calling thread, the fleet's fibers park on the
-//     same handles. RegionOp (kv.cpp) is the only code that knows the
-//     cell layout past the key word, or the seqlock.
+//     small state machine whose rounds post at most four request-based
+//     AMOs together. One round routine (issue every live machine, wait
+//     once until the round's last deadline, retire in issue order,
+//     advance) serves both drivers: drive() spins through the wait on the
+//     calling thread, a fleet fiber parks through it. RegionOp (kv.cpp) is
+//     the only code that knows the cell layout past the key word, or the
+//     seqlock.
 //   * get  — a one-sided versioned read: the 8-byte version word is a
 //     seqlock over RMA (odd = write in progress). Rounds {v1, top key} ->
 //     {key, value} -> v2, retried on mismatch; version 0 means the insert
 //     has not linearized yet and reads as a miss.
-//   * put / erase — one write() that runs the owner and replica machines
-//     in lockstep: {version read, claim CAS} -> lock CAS -> value or
-//     tombstone write -> release, four overlapped rounds and five AMOs per
-//     copy for a top-cell write. A key has at most one cell per copy: a
-//     put that must create a cell walks the whole chain first, then takes
+//   * put / erase — the owner and replica machines run in lockstep:
+//     {version read, claim CAS} -> lock CAS -> {value or tombstone write,
+//     release}, three overlapped rounds and five AMOs per copy for a
+//     top-cell write. The last round issues the data store before the
+//     release; one origin's requests to a target apply in issue order, and
+//     the drivers retire them in that order. A key has at most one cell
+//     per copy: a put that must create a cell walks the whole chain, takes
 //     the slot lock (the top cell's seqlock, at the version its walk
 //     started from) and only under it reclaims the first tombstone it
 //     passed or links a fresh overflow cell (the hashtable's fetch_add +
@@ -63,11 +67,14 @@
 //     data_loss, never a stale frozen value.
 //
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
-// fibers on the progress engine. Each client rank keeps `fibers` ops in
-// flight: reads park their fiber on the cached version check and on every
-// top-cell round, and an uncached read that turns into a chain walk or a
-// seqlock retry finishes on the blocking driver; writes run to completion
-// on the blocking driver. Per-op-class latencies go into trace
+// fibers on the progress engine. Every round of every op, chain walks,
+// seqlock retries and failover re-issues included, runs on the client
+// fiber through the shared round routine, one round per fiber step. A
+// write runs as a priority fiber: its next round starts before any read
+// step, and a read starts a round only if the round's modeled issue time
+// ends before the write's next completion. While a rank's write is in
+// flight its fibers pull no new op, so a rank has one write and any
+// number of reads in flight. Per-op-class latencies go into trace
 // LatencyHistos.
 #pragma once
 
@@ -259,7 +266,9 @@ class KvStore {
   FleetResult run_fleet(fabric::RankCtx& ctx, const FleetConfig& fc);
 
  private:
+  enum class Kind : std::uint8_t { read, put, erase };
   struct RegionOp;
+  struct ClientOp;
   struct ClientFiber;
   friend struct ClientFiber;
   struct DrainFiber;
@@ -296,8 +305,10 @@ class KvStore {
   /// Classifies a generation word that differs from gen_seen_: refreshes
   /// on a stable (even) generation, and always retires retry_routing.
   rdma::OpStatus handle_gen_mismatch(std::uint64_t gen);
-  /// Consistent {generation, table} fetch: generation re-read after the
-  /// table get, retried until the pair matches and is stable (even).
+  /// One consistent {generation, table} fetch: the generation re-read after
+  /// the table get must match it and be stable (even), else retry_routing.
+  rdma::OpStatus try_fetch_routing();
+  /// try_fetch_routing() retried (with backoff) until it installs a table.
   rdma::OpStatus fetch_routing();
   /// Installs a freshly fetched table: recomputes degraded() from
   /// liveness and drops caches of shards whose entries moved.
@@ -324,20 +335,32 @@ class KvStore {
   rdma::OpStatus amo_write(int t, std::size_t off, std::uint64_t v);
 
   // --- region-op drivers ----------------------------------------------------
-  /// Blocking driver: each round issues every live machine's AMOs, waits
-  /// for all of them, then advances each; contention backs off through
-  /// Backoff + yield_check. Returns when every machine is done.
+  /// The round routine both drivers share. issue_round() posts every live
+  /// machine's requests; round_deadline() is the last completion deadline
+  /// of the round in flight (0 when due now); retire_round() retires the
+  /// requests in issue order, which is the order deferred delivery applies
+  /// them in, and advances every machine, returning true when one of them
+  /// contended.
+  static bool live(RegionOp* const* ops, int n);
+  void issue_round(RegionOp* const* ops, int n);
+  static std::uint64_t round_deadline(RegionOp* const* ops, int n);
+  bool retire_round(RegionOp* const* ops, int n);
+  /// Blocking driver: the round routine until every machine is done, each
+  /// retirement spinning until its deadline; contention backs off through
+  /// Backoff + yield_check.
   void drive(RegionOp* const* ops, int n);
   void drive(RegionOp& op);
-  /// put (erase = false) and erase: the owner and replica machines in
-  /// lockstep, or the surviving copy alone when the shard is degraded.
-  rdma::OpStatus write(std::uint64_t key, std::uint64_t value, bool erase);
-  /// Routes a get: arms `op` for the shard's serving copy and returns
-  /// pending, or returns the op's typed retirement (data_loss).
-  rdma::OpStatus read_begin(std::uint64_t key, RegionOp* op);
-  /// Retires a driven read: fails over to the replica on an owner
-  /// peer_dead, fills the cache, copies the result out.
-  rdma::OpStatus read_end(RegionOp* op, std::uint64_t* value, bool* found);
+  /// Routes a get, put or erase: arms `c` with the serving copy's machine,
+  /// and for a healthy write the replica's in lockstep, and returns
+  /// pending, or returns the op's typed retirement (data_loss, routing).
+  rdma::OpStatus start(ClientOp& c, Kind kind, std::uint64_t key,
+                       std::uint64_t value);
+  /// Retires a driven op: on an owner peer_dead it fails over and re-arms
+  /// a get or an unreplicated write on the replica (pending again); a get
+  /// fills the cache and `c`'s result.
+  rdma::OpStatus settle(ClientOp& c);
+  /// Blocking: drives `c` from start()'s status `st` to retirement.
+  rdma::OpStatus run(ClientOp& c, rdma::OpStatus st);
   /// Marks `shard` degraded (first peer_dead / liveness miss on its owner).
   void fail_over(int shard);
   /// Retires an op addressed at a shard whose owner AND replica are dead.

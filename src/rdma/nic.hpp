@@ -86,6 +86,7 @@ class alignas(kCacheLine) Nic {
   Nic& operator=(const Nic&) = delete;
 
   int rank() const noexcept { return rank_; }
+  const Domain& domain() const noexcept { return domain_; }
 
   // --- explicit nonblocking ------------------------------------------------
   Handle put_nb(int target, const RegionDesc& rd, std::size_t offset,

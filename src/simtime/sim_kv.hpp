@@ -22,9 +22,9 @@ struct KvParams {
   /// -> {key, value} -> v2.
   int uncached_amos = 5;
   /// Overlapped rounds of a top-cell put: {claim CAS, version read} ->
-  /// lock CAS -> value write -> release. Both copies run in lockstep, so
+  /// lock CAS -> {value write, release}. Both copies run in lockstep, so
   /// replication adds AMOs but no rounds.
-  int put_rounds = 4;
+  int put_rounds = 3;
   /// Remote AMOs a put issues against one region (the five above).
   int put_amos = 5;
   bool replicate = true;     ///< puts fan out to the replica region (x2)
@@ -68,7 +68,7 @@ double kv_read_p99_us(const KvParams& p, bool degraded = false);
 /// one network round trip per overlapped round plus the origin's issue
 /// overhead per AMO. Write-through replication doubles the AMOs while the
 /// shard is healthy (degraded mode writes the surviving replica only):
-/// 4 * 2.4 + 10 * 0.416 = 13.8 us healthy, 11.7 us degraded.
+/// 3 * 2.4 + 10 * 0.416 = 11.36 us healthy, 9.28 us degraded.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
 /// Probability mass of the hottest shard under the Zipf(s) key popularity

@@ -1,5 +1,6 @@
 // Progress engine coverage: the fiber scheduler (interleaving, awaits,
-// epoch waits, spawn-during-run, modeled overlap), the put-with-notification
+// epoch waits, spawn-during-run, modeled overlap, priority fibers and
+// admission, ready waits that never livelock), the put-with-notification
 // plane (tag matching, per-source ordering, overflow-to-retry, typed
 // peer_dead), and the app pipelines that ride them (DSDE nbx, MILC
 // notify-queue halos).
@@ -14,6 +15,7 @@
 #include "apps/dsde.hpp"
 #include "apps/milc.hpp"
 #include "common/buffer.hpp"
+#include "common/error.hpp"
 #include "common/instr.hpp"
 #include "common/timing.hpp"
 #include "core/window.hpp"
@@ -134,6 +136,111 @@ class SpawnerFiber final : public progress::Fiber {
   int n_, i_ = 0;
 };
 
+/// A priority fiber that parks once until `delay_ns` from its first step.
+class PrioritySleeper final : public progress::Fiber {
+ public:
+  explicit PrioritySleeper(std::uint64_t delay_ns) : delay_(delay_ns) {}
+  std::uint64_t deadline = 0;  ///< 0 until the first step parked it
+  bool resumed = false;
+
+ protected:
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    s.set_priority(*this, true);
+    deadline = now_ns() + delay_;
+    FOMPI_FIBER_AWAIT_UNTIL(s, deadline);
+    resumed = true;
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  std::uint64_t delay_;
+};
+
+/// Always runnable: `n` steps of ~1 us each, counting the steps that began
+/// after `sleeper`'s deadline while it had not resumed yet.
+class BusyFiber final : public progress::Fiber {
+ public:
+  BusyFiber(const PrioritySleeper& sleeper, int n) : sleeper_(sleeper), n_(n) {}
+  int late = 0;
+
+ protected:
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    for (i_ = 0; i_ < n_; ++i_) {
+      if (sleeper_.deadline != 0 && !sleeper_.resumed &&
+          now_ns() >= sleeper_.deadline) {
+        ++late;
+      }
+      spin_for_ns(1'000);
+      FOMPI_FIBER_YIELD(s);
+    }
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  const PrioritySleeper& sleeper_;
+  int n_, i_ = 0;
+};
+
+/// Asks the admission query while `sleeper` is parked, then again once it
+/// finished.
+class AdmissionProbe final : public progress::Fiber {
+ public:
+  explicit AdmissionProbe(const PrioritySleeper& sleeper) : sleeper_(sleeper) {}
+  bool short_cost = false, long_cost = true, after = false;
+
+ protected:
+  bool poll_ready() override { return sleeper_.done(); }
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    short_cost = s.admits(1'000'000);   // ends well before the deadline
+    long_cost = s.admits(40'000'000);   // would run past it
+    FOMPI_FIBER_AWAIT_READY(s);
+    after = s.admits(40'000'000);
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  const PrioritySleeper& sleeper_;
+};
+
+/// Parks on a deadline (as a priority fiber when asked), then clears `flag`.
+class FlagClearer final : public progress::Fiber {
+ public:
+  FlagClearer(bool& flag, bool priority) : flag_(flag), priority_(priority) {}
+
+ protected:
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    s.set_priority(*this, priority_);
+    FOMPI_FIBER_BACKOFF(s, 200'000);
+    flag_ = false;
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  bool& flag_;
+  bool priority_;
+};
+
+/// Parks through await_ready until `flag` is clear.
+class FlagWaiter final : public progress::Fiber {
+ public:
+  explicit FlagWaiter(const bool& flag) : flag_(flag) {}
+
+ protected:
+  bool poll_ready() override { return !flag_; }
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    while (flag_) FOMPI_FIBER_AWAIT_READY(s);
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  const bool& flag_;
+};
+
 }  // namespace
 
 // --- scheduler basics --------------------------------------------------------
@@ -227,6 +334,72 @@ TEST(Scheduler, ModeledOverlapBeatsSerialIssue) {
   const double overlapped = wall_us(8);
   EXPECT_LT(overlapped, 0.6 * serial)
       << "serial " << serial << " us, 8-fiber " << overlapped << " us";
+}
+
+// --- priority fibers ---------------------------------------------------------
+
+TEST(Scheduler, DuePriorityFiberResumesBeforeRunnableOrdinaryFibers) {
+  // Three always-runnable fibers of ~1 us steps never leave the run loop
+  // idle. A priority fiber parked for 50 us must still resume at the first
+  // step boundary after its deadline: at most one ordinary step (the one
+  // in progress when the deadline passed) may begin late.
+  Domain dom(raw_domain(Injection::none));
+  progress::Scheduler sched(dom.nic(0), [] {});
+  auto& sleeper = sched.spawn<PrioritySleeper>(50'000);
+  std::vector<BusyFiber*> busy;
+  for (int i = 0; i < 3; ++i) busy.push_back(&sched.spawn<BusyFiber>(sleeper, 400));
+  sched.run();
+  EXPECT_TRUE(sleeper.resumed);
+  int late = 0;
+  for (const BusyFiber* b : busy) late += b->late;
+  EXPECT_LE(late, 1) << "ordinary steps ran past a due priority fiber";
+}
+
+TEST(Scheduler, AdmissionEndsBeforeTheEarliestPriorityDeadline) {
+  {
+    // No priority fiber: everything is admitted, and the modeled issue
+    // cost is zero without injected time.
+    Domain dom(raw_domain(Injection::none));
+    progress::Scheduler sched(dom.nic(0), [] {});
+    EXPECT_TRUE(sched.admits(~std::uint64_t{0} / 2));
+    EXPECT_EQ(sched.issue_cost_ns(5), 0u);
+  }
+  DomainConfig cfg = raw_domain(Injection::model);
+  cfg.time_scale = 2;
+  Domain dom(cfg);
+  progress::Scheduler sched(dom.nic(0), [] {});
+  // Five ops at the model's per-op injection overhead, scaled.
+  EXPECT_EQ(sched.issue_cost_ns(5),
+            static_cast<std::uint64_t>(5 * cfg.model.inter_overhead_ns * 2));
+  auto& sleeper = sched.spawn<PrioritySleeper>(20'000'000);  // 20 ms
+  auto& probe = sched.spawn<AdmissionProbe>(sleeper);
+  sched.run();
+  EXPECT_TRUE(probe.short_cost);
+  EXPECT_FALSE(probe.long_cost) << "admitted work that runs past the "
+                                   "parked priority deadline";
+  EXPECT_TRUE(probe.after) << "no priority fiber left, yet not admitted";
+}
+
+TEST(Scheduler, ReadyWaitOnAFlagADeadlineFiberClearsNeverLivelocks) {
+  // A gate that yield-spun kept the runnable queue non-empty, so the loop
+  // never polled the deadline heap and the fiber that would open the gate
+  // never woke. Parked through await_ready, the waiters leave the loop
+  // idle; the run returns after the 200 us backoff with a handful of
+  // switches. A livelock trips the watchdog instead of hanging the test.
+  for (const bool priority : {false, true}) {
+    Domain dom(raw_domain(Injection::model));
+    const std::uint64_t t0 = now_ns();
+    progress::Scheduler sched(dom.nic(0), [t0] {
+      FOMPI_REQUIRE(now_ns() - t0 < 5'000'000'000ull, ErrClass::timeout,
+                    "scheduler livelocked");
+    });
+    bool flag = true;
+    for (int i = 0; i < 4; ++i) sched.spawn<FlagWaiter>(flag);
+    sched.spawn<FlagClearer>(flag, priority);
+    sched.run();
+    EXPECT_FALSE(flag);
+    EXPECT_LE(sched.switches(), 20u) << "priority " << priority;
+  }
 }
 
 // --- notify plane ------------------------------------------------------------

@@ -386,10 +386,10 @@ TEST(SimKv, DegradedTailNoBetterThanHealthy) {
   // Degraded puts write one region instead of two: cheaper per op, which
   // is the one silver lining the SLO table shows.
   EXPECT_LT(kv_put_us(p, true), kv_put_us(p, false));
-  // Lockstep copies: four overlapped rounds either way, plus the origin
+  // Lockstep copies: three overlapped rounds either way, plus the origin
   // issue overhead of 10 (healthy) or 5 (degraded) AMOs.
-  EXPECT_NEAR(kv_put_us(p, false), 4 * 2.4 + 10 * 0.416, 1e-9);
-  EXPECT_NEAR(kv_put_us(p, true), 4 * 2.4 + 5 * 0.416, 1e-9);
+  EXPECT_NEAR(kv_put_us(p, false), 3 * 2.4 + 10 * 0.416, 1e-9);
+  EXPECT_NEAR(kv_put_us(p, true), 3 * 2.4 + 5 * 0.416, 1e-9);
 }
 
 TEST(SimKv, ThroughputMonotoneAndSaturating) {
