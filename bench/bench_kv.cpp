@@ -10,18 +10,22 @@
 //      costs, so the p50/p99 columns are MODELED latencies (see CLAUDE.md);
 //      the sim_kv closed forms are printed beside them.
 //   2. Cache leverage (gated): a version-validated cache hit is one round
-//      (one AMO) against the versioned read's three rounds (five AMOs), so
-//      the warm-cache modeled get rate must be >= 2x the uncached rate.
-//      Three attempts: thread-rank wall smear can spoil one, three misses
-//      mean the cache really does not short-circuit.
+//      of one AMO; the versioned read is one round too, of two AMOs and
+//      one get of the cell, so the cache saves issue cost, not a round
+//      trip. Two checks: exact counters (every timed warm get is a hit of
+//      1 AMO and no get, every uncached get 2 AMOs and 1 get) and a timing
+//      floor, warm-cache get rate >= 1 + (L - 1) / 2 times the uncached
+//      rate, with L = kv_read_us(uncached) / kv_read_us(cached) ~ 1.30
+//      the closed-form leverage (floor ~ 1.15). Three attempts:
+//      thread-rank wall smear can spoil one.
 //   3. Failover SLO degradation (gated): phase A reads rank-1-owned keys
 //      healthy (warm cache), then the seeded fault plan kills rank 1 and
 //      phase B re-reads the same keys degraded (replica serving, cache
 //      bypassed). Gates: the run completes (no hang), the dead owner
 //      probes as typed peer_dead, both phase p99s are finite, and
 //      p99(degraded) >= 2 x p99(healthy): every healthy read, chain keys
-//      included, is a one-round cache hit, and a degraded read is the
-//      replica's full versioned read.
+//      included, is a one-round cache hit, and the degraded tail holds the
+//      replica's full versioned reads, chain walks and the failover.
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh
 // as BENCH_kv.json).
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/instr.hpp"
 #include "common/timing.hpp"
 #include "kv/kv.hpp"
 #include "simtime/sim_kv.hpp"
@@ -59,6 +64,48 @@ struct SloRow {
 };
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
+
+/// What one get issued: AMOs (remote, or on the caller's own memory),
+/// gets of a cell, and whether the cache served it.
+struct GetCost {
+  std::uint64_t amos = 0, cell_gets = 0;
+  bool hit = false;
+  bool operator==(const GetCost&) const = default;
+};
+
+/// One get of `key`, timed into `*ns`; returns what it issued.
+GetCost timed_get(KvStore& store, std::uint64_t key, std::uint64_t* ns) {
+  const OpCounters c0 = op_counters();
+  const std::uint64_t hits0 = store.stats().cache_hits;
+  std::uint64_t v = 0;
+  bool found = false;
+  Timer t;
+  store.get(key, &v, &found);
+  *ns = t.elapsed_ns();
+  const OpCounters d = op_counters().since(c0);
+  return {d.get(Op::transport_amo) + d.get(Op::local_atomic),
+          d.get(Op::transport_get), store.stats().cache_hits != hits0};
+}
+
+// A hit reads the cached cell's version; the full read snapshots a top
+// cell in 2 AMOs and 1 get. Once a death was seen, every read also
+// validates the routing generation with one more AMO.
+constexpr GetCost kHit{1, 0, true};
+constexpr GetCost kTopRead{2, 1, false};
+GetCost with_generation(GetCost c) {
+  ++c.amos;
+  return c;
+}
+
+/// Timing floor of a leverage gate: halfway from 1 to the closed-form
+/// leverage L = kv_read_us(uncached) / kv_read_us(cached).
+double leverage_floor() {
+  sim::KvParams p;
+  p.hit_rate = 1.0;
+  const double cached = sim::kv_read_us(p);
+  p.hit_rate = 0.0;
+  return 1.0 + (sim::kv_read_us(p) / cached - 1.0) / 2.0;
+}
 
 /// One fleet configuration: every rank seeds its share, then runs the
 /// closed loop; histograms merged over ranks.
@@ -101,6 +148,7 @@ SloRow fleet_row(int p, double read_ratio) {
 struct CacheResult {
   double cached_mops = 0;
   double uncached_mops = 0;
+  bool counts_exact = false;  ///< every timed get issued what it should
 };
 
 /// Modeled get rate of one client hammering one hot key, with and without
@@ -108,6 +156,7 @@ struct CacheResult {
 /// cell version never moves).
 CacheResult cache_rates() {
   CacheResult res;
+  res.counts_exact = true;
   for (const bool cached : {true, false}) {
     KvConfig cfg;
     cfg.client_cache = cached;
@@ -120,9 +169,14 @@ CacheResult cache_rates() {
         bool found = false;
         store.get(99, &v, &found);  // warm the cache (cold miss)
         constexpr int kGets = 256;
-        Timer t;
-        for (int i = 0; i < kGets; ++i) store.get(99, &v, &found);
-        rate = static_cast<double>(kGets) / t.elapsed_us();
+        std::uint64_t total_ns = 0, ns = 0;
+        for (int i = 0; i < kGets; ++i) {
+          if (timed_get(store, 99, &ns) != (cached ? kHit : kTopRead)) {
+            res.counts_exact = false;
+          }
+          total_ns += ns;
+        }
+        rate = static_cast<double>(kGets) / us(total_ns);
       }
       ctx.barrier();
       store.destroy(ctx);
@@ -222,6 +276,7 @@ struct RecoveryRow {
   int promoted = 0, rereplicated = 0;
   bool healed_ok = false;
   bool degraded_cleared = false;
+  bool counts_exact = false;  ///< every timed get issued what it should
 };
 
 /// Self-healing SLO: healthy reads -> owner kill -> degraded reads ->
@@ -230,7 +285,10 @@ struct RecoveryRow {
 /// restoration story: recovery typed-completes, degraded() clears
 /// everywhere, the post-recovery tail returns to within 1.5x of healthy
 /// (the generation check rides the read's first round), and cache
-/// leverage is back (>= 2x over the degraded uncached reads).
+/// leverage is back: exact counters (every healthy or post-recovery get a
+/// hit, every degraded get its key's full read, a top-cell one 2 AMOs and
+/// 1 get, plus the generation AMO once the death was seen) and degraded
+/// p50 >= leverage_floor() x post-recovery p50.
 RecoveryRow recovery_slo() {
   constexpr int kRanks = 4;
   constexpr int kReadsPerKey = 32;
@@ -250,16 +308,19 @@ RecoveryRow recovery_slo() {
     }
     ctx.barrier();  // last collective before the kill
 
+    std::vector<GetCost> cold;  // each key's full read, which warms it
+    std::uint64_t ns = 0;
     if (ctx.rank() == 0) {
       trace::LatencyHisto healthy;
-      std::uint64_t v = 0;
-      bool found = false;
-      for (const auto k : keys) store.get(k, &v, &found);  // warm cache
+      for (const auto k : keys) cold.push_back(timed_get(store, k, &ns));
+      row.counts_exact = std::count(cold.begin(), cold.end(), kTopRead) > 0;
+      for (const GetCost& c : cold) {
+        if (c.cell_gets == 1 && c != kTopRead) row.counts_exact = false;
+      }
       for (int r = 0; r < kReadsPerKey; ++r) {
         for (const auto k : keys) {
-          Timer t;
-          store.get(k, &v, &found);
-          healthy.add(t.elapsed_ns());
+          if (timed_get(store, k, &ns) != kHit) row.counts_exact = false;
+          healthy.add(ns);
         }
       }
       row.healthy_p50_us = us(healthy.quantile(0.5));
@@ -284,15 +345,15 @@ RecoveryRow recovery_slo() {
       return;
     }
 
-    // Degraded phase: replica serving, cache bypassed.
+    // Degraded phase: replica serving, cache bypassed, so each get is its
+    // key's full read on the replica.
     trace::LatencyHisto degraded;
-    std::uint64_t v = 0;
-    bool found = false;
     for (int r = 0; r < kReadsPerKey; ++r) {
-      for (const auto k : keys) {
-        Timer t;
-        store.get(k, &v, &found);
-        degraded.add(t.elapsed_ns());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (timed_get(store, keys[i], &ns) != with_generation(cold[i])) {
+          row.counts_exact = false;
+        }
+        degraded.add(ns);
       }
     }
     row.degraded_p50_us = us(degraded.quantile(0.5));
@@ -321,15 +382,18 @@ RecoveryRow recovery_slo() {
     // Post-recovery phase: same keys against the healed routing. One
     // warm-up pass repopulates the cache under the new generation.
     trace::LatencyHisto post;
+    std::uint64_t v = 0;
+    bool found = false;
     for (const auto k : keys) {
       auto st = store.get(k, &v, &found);
       while (st == OpStatus::retry_routing) st = store.get(k, &v, &found);
     }
     for (int r = 0; r < kReadsPerKey; ++r) {
       for (const auto k : keys) {
-        Timer t;
-        store.get(k, &v, &found);
-        post.add(t.elapsed_ns());
+        if (timed_get(store, k, &ns) != with_generation(kHit)) {
+          row.counts_exact = false;
+        }
+        post.add(ns);
       }
     }
     row.post_p50_us = us(post.quantile(0.5));
@@ -349,11 +413,13 @@ int main() {
   }
 
   // --- cache leverage gate -------------------------------------------------
+  const double min_leverage = leverage_floor();
   CacheResult cache;
   bool cache_ok = false;
   for (int attempt = 0; attempt < 3 && !cache_ok; ++attempt) {
     cache = cache_rates();
-    cache_ok = cache.cached_mops >= 2.0 * cache.uncached_mops;
+    cache_ok = cache.counts_exact &&
+               cache.cached_mops >= min_leverage * cache.uncached_mops;
   }
 
   // --- failover SLO degradation gate ---------------------------------------
@@ -375,7 +441,8 @@ int main() {
         rec.post_p99_us > 0 && rec.healthy_p99_us > 0 &&
         rec.post_p99_us <= 1.5 * rec.healthy_p99_us;
     const bool leverage_restored =
-        rec.post_p50_us > 0 && rec.degraded_p50_us >= 2.0 * rec.post_p50_us;
+        rec.counts_exact && rec.post_p50_us > 0 &&
+        rec.degraded_p50_us >= min_leverage * rec.post_p50_us;
     rec_ok = rec.healed_ok && rec.degraded_cleared &&
              rec.drained_bytes > 0 && rec.recovery_drain_us > 0 &&
              tail_restored && leverage_restored;
@@ -429,9 +496,11 @@ int main() {
       sim::kv_read_us(model, true), sim::kv_read_p99_us(model, true));
   std::printf(
       "  \"cache\": {\"cached_mops_per_s\": %.3f, "
-      "\"uncached_mops_per_s\": %.3f, \"leverage\": %.2f},\n",
+      "\"uncached_mops_per_s\": %.3f, \"leverage\": %.2f, "
+      "\"leverage_floor\": %.2f, \"counts_exact\": %s},\n",
       cache.cached_mops, cache.uncached_mops,
-      cache.uncached_mops > 0 ? cache.cached_mops / cache.uncached_mops : 0.0);
+      cache.uncached_mops > 0 ? cache.cached_mops / cache.uncached_mops : 0.0,
+      min_leverage, cache.counts_exact ? "true" : "false");
   std::printf(
       "  \"failover\": {\"name\": \"owner_kill_slo\", "
       "\"healthy_p50_us\": %.2f, \"healthy_p99_us\": %.2f, "
@@ -448,7 +517,8 @@ int main() {
       "\"degraded_p50_us\": %.2f, \"drained_bytes\": %llu, "
       "\"scrub_keys\": %llu, \"scrub_repairs\": %llu, "
       "\"generation\": %llu, \"promoted\": %d, \"rereplicated\": %d, "
-      "\"degraded_cleared\": %s, \"model_recovery_us\": %.2f, "
+      "\"degraded_cleared\": %s, \"counts_exact\": %s, "
+      "\"model_recovery_us\": %.2f, "
       "\"recovery_model_over_measured\": %.2f, "
       "\"model_post_recovery_p99_us\": %.2f}\n",
       rec.recovery_drain_us, rec.post_p50_us, rec.post_p99_us,
@@ -458,14 +528,16 @@ int main() {
       static_cast<unsigned long long>(rec.scrub_repairs),
       static_cast<unsigned long long>(rec.generation), rec.promoted,
       rec.rereplicated, rec.degraded_cleared ? "true" : "false",
-      model_recovery_us, ratio(model_recovery_us, rec.recovery_drain_us),
+      rec.counts_exact ? "true" : "false", model_recovery_us, ratio(model_recovery_us, rec.recovery_drain_us),
       sim::kv_post_recovery_p99_us(model));
   std::printf("}\n");
 
   if (!cache_ok) {
     std::fprintf(stderr,
-                 "FAIL: cached get rate %.3f Mops/s < 2x uncached %.3f\n",
-                 cache.cached_mops, cache.uncached_mops);
+                 "FAIL: cache gate (counts_exact=%d cached %.3f Mops/s vs "
+                 "%.2fx uncached %.3f)\n",
+                 cache.counts_exact, cache.cached_mops, min_leverage,
+                 cache.uncached_mops);
     return 1;
   }
   if (!fo_ok) {
@@ -480,9 +552,10 @@ int main() {
   if (!rec_ok) {
     std::fprintf(stderr,
                  "FAIL: self-healing gate (healed_ok=%d degraded_cleared=%d "
-                 "drained=%llu drain_us=%.2f healthy_p99=%.2f post_p99=%.2f "
-                 "degraded_p50=%.2f post_p50=%.2f)\n",
-                 rec.healed_ok, rec.degraded_cleared,
+                 "counts_exact=%d drained=%llu drain_us=%.2f "
+                 "healthy_p99=%.2f post_p99=%.2f degraded_p50=%.2f "
+                 "post_p50=%.2f)\n",
+                 rec.healed_ok, rec.degraded_cleared, rec.counts_exact,
                  static_cast<unsigned long long>(rec.drained_bytes),
                  rec.recovery_drain_us, rec.healthy_p99_us, rec.post_p99_us,
                  rec.degraded_p50_us, rec.post_p50_us);

@@ -31,10 +31,12 @@
 #      emission and two figure benches; the throughput bench self-gates
 #      >=2x batched speedup and monotone striping, the collectives bench
 #      self-gates log-p DES shapes, the overlap bench self-gates >=4x
-#      64-fiber AMO pipelining, the kv bench self-gates >=2x cache leverage,
-#      a monotone failover SLO with typed peer_dead, and a full healing
-#      pass — promotion + re-replication with post-recovery p99 within
-#      1.5x of healthy — exiting non-zero on violation)
+#      64-fiber AMO pipelining, the kv bench self-gates cache leverage
+#      (exact per-get AMO/get counters plus a timing floor derived from
+#      the sim_kv closed form), a monotone failover SLO with typed
+#      peer_dead, and a full healing pass — promotion + re-replication
+#      with post-recovery p99 within 1.5x of healthy and the same
+#      leverage checks — exiting non-zero on violation)
 #   6. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
 #      must be valid JSON and must have dropped zero events
 #   7. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an
@@ -67,12 +69,15 @@ ctest --test-dir build-benchmark --output-on-failure
 # KvChaos suite also holds the writer-death sweep (the writer killed at
 # every op index of one replicated put; survivors must never hang), whose
 # lock revocations race the survivors' reads differently on every run. The
-# KvScrub suite races the anti-entropy scrub against a live writer, and the
+# KvScrub suite races the anti-entropy scrub against a live writer, the
 # KvFleet suite's interleavings depend on how reads and priority writes
-# share each rank's thread.
+# share each rank's thread, and the KvSeqlock suite's modeled input only
+# sometimes lands a write inside one read's snapshot window, so a broken
+# version bracket can slip through a single run.
 ./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
   --gtest_brief=1
-./build/tests/test_kv --gtest_filter='KvChaos.*:KvScrub.*:KvFleet.*' \
+./build/tests/test_kv \
+  --gtest_filter='KvChaos.*:KvScrub.*:KvFleet.*:KvSeqlock.*' \
   --gtest_repeat=3 --gtest_brief=1
 
 # Recovery chaos: staggered double kills under seeds 11/22/33 with a

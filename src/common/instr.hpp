@@ -44,7 +44,7 @@ enum class Op : std::uint32_t {
   notify_consumed,   ///< one notify record drained out of the ring
   notify_retry,      ///< one overflow-to-retry pass on a full notify ring
   kv_cache_hit,      ///< KV get served by the version-validated client cache
-  kv_cache_miss,     ///< KV get took the full one-sided versioned read
+  kv_cache_miss,     ///< KV get not served by the cache (stale or absent entry)
   kv_read_retry,     ///< KV seqlock read retried (locked / version moved)
   kv_failover,       ///< KV shard rerouted to its replica (owner dead)
   kv_retry_routing,  ///< KV op raced a reconfiguration; retired typed retry

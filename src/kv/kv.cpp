@@ -333,17 +333,17 @@ void KvStore::fail_over(int shard) {
 // --- region-op machine -------------------------------------------------------
 //
 // One KV op against ONE copy of a shard. issue() posts the current round's
-// request-based AMOs (at most four, all in flight together); advance()
-// consumes their results and picks the next state. The drivers own the
-// waiting (see "drivers" below). AMOs of one round complete in any order,
-// so a step that needs another's result is split across rounds: v1 before
-// the {key, value} body, v2 after it; the lock before the write. Within a
-// round the NIC applies one origin's requests to a target in issue order
-// (as an RC queue pair does), and the drivers retire them in issue order,
-// which is when deferred delivery applies them. The machine relies on that
-// in three places: a located round reads a cell's version before its key,
-// a reclaim writes the value before the key, and a write round stores the
-// data before the release that publishes it.
+// requests (at most four, all in flight together); advance() consumes
+// their results and picks the next state. The drivers own the waiting (see
+// "drivers" below). Within a round the NIC applies one origin's requests
+// to a target in issue order (as an RC queue pair does), and the drivers
+// retire them in issue order, which is when deferred delivery applies
+// them. The machine relies on that in four places: a read's snapshot reads
+// the version, the whole cell, then the version again; a write's located
+// round reads a cell's version before its key; a reclaim writes the value
+// before the key; and a write round stores the data before the release
+// that publishes it. Only a step that needs another's result waits a
+// round: the lock after the located round, the write after the lock.
 //
 // One cell per key per copy (DESIGN.md §12): a put that finds its key
 // nowhere in the slot first locks the TOP cell at the version its top round
@@ -357,12 +357,12 @@ struct KvStore::RegionOp {
   enum class Step : std::uint8_t { done, next, contended };
   enum class State : std::uint8_t {
     check,    // cached read: [generation] + the cached cell's version
-    top,      // [generation] + top version + top key (a claim CAS for puts)
+    top,      // [generation] + a read's snapshot of the top cell; a
+              // write's top version + top key (a claim CAS for puts)
     head,     // chain head
-    cell,     // chain cell version + key + next
-    v1,       // read: version before the body
-    body,     // read: key + value
-    v2,       // read: version after the body
+    cell,     // a read's snapshot of a chain cell; a write's version +
+              // key + next
+    snap,     // read: a snapshot of the cell it cached or located
     guard,    // creating put: CAS the top version even -> odd (slot lock)
     acquire,  // fresh overflow cell: FAA next_free
     fill,     // rput the whole cell {key, version 2, value, next}
@@ -421,13 +421,15 @@ struct KvStore::RegionOp {
   void issue(KvStore& kv) {
     round_st = rdma::OpStatus::ok;
     const std::size_t top = l.off_table(slot);
+    // The generation rides the op's first round, a check or a top round.
+    if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
     switch (st) {
-      case State::check:
-        if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
-        read(kv, t, cell + kVerOff, &w[0]);
-        break;
+      case State::check: read(kv, t, cell + kVerOff, &w[0]); break;
       case State::top:
-        if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
+        if (kind == Kind::read) {
+          snapshot(kv, top, kTopStride);
+          break;
+        }
         read(kv, t, top + kVerOff, &w[1]);
         if (kind == Kind::put) {
           cas(kv, top, 0, key, &w[0]);
@@ -437,16 +439,15 @@ struct KvStore::RegionOp {
         break;
       case State::head: read(kv, t, l.off_chain(slot), &w[0]); break;
       case State::cell:
+        if (kind == Kind::read) {
+          snapshot(kv, l.off_heap(idx), kCellStride);
+          break;
+        }
         read(kv, t, l.off_heap(idx) + kVerOff, &w[1]);
         read(kv, t, l.off_heap(idx), &w[0]);
-        read(kv, t, l.off_cell_next(idx), &w[2]);
+        read(kv, t, l.off_cell_next(idx), &w[3]);
         break;
-      case State::v1:
-      case State::v2: read(kv, t, cell + kVerOff, &w[0]); break;
-      case State::body:
-        read(kv, t, cell, &w[0]);
-        read(kv, t, cell + kValOff, &w[1]);
-        break;
+      case State::snap: snapshot(kv, cell, kTopStride); break;
       case State::guard:
         cas(kv, top + kVerOff, top_ver, top_ver + 1, &w[0]);
         break;
@@ -540,20 +541,14 @@ struct KvStore::RegionOp {
         // key's only cell on this copy. The hit linearizes here.
         if (w[0] == ver) {
           hit = found = true;
-          ++kv.stats_.cache_hits;
-          count(Op::kv_cache_hit);
           return finish(rdma::OpStatus::ok);
         }
         kv.cache_[static_cast<std::size_t>(shard)].erase(key);
-        return go(State::top);
+        return go(State::snap);  // most likely still the key's cell
       case State::top:
-        if (with_cache) {
-          ++kv.stats_.cache_misses;
-          count(Op::kv_cache_miss);
-        }
         if (w[0] == key || (kind == Kind::put && w[0] == 0)) {
           cell = l.off_table(slot);
-          return located(kv, w[1]);
+          return kind == Kind::read ? snapped(kv) : located(w[1]);
         }
         if (w[0] == 0) return finish(rdma::OpStatus::ok);  // never claimed
         top_ver = w[1];
@@ -567,27 +562,14 @@ struct KvStore::RegionOp {
       case State::cell:
         if (w[0] == key) {
           cell = l.off_heap(idx);
-          return located(kv, w[1]);
+          return kind == Kind::read ? snapped(kv) : located(w[1]);
         }
         if (kind == Kind::put && w[0] == kTombstone) {
           passed_tombstone(l.off_heap(idx), w[1]);
         }
-        return follow(kv, w[2]);
-      case State::v1: return located(kv, w[0]);
-      case State::body:
-        got_key = w[0];
-        value = w[1];
-        return go(State::v2);
-      case State::v2:
-        if (w[0] == ver) {
-          // The key re-read inside the snapshot catches a cell that was
-          // tombstoned and reclaimed by another key since we located it.
-          found = got_key == key;
-          if (!found) value = 0;
-          return finish(rdma::OpStatus::ok);
-        }
-        retried(kv);  // version moved underneath us: reread
-        return contend(State::v1);
+        return follow(kv, w[3]);
+      case State::snap:  // a cell that lost the key: walk from the top
+        return w[0] == key ? snapped(kv) : go(State::top);
       case State::guard:
         // A moved top version may be a creation the walk did not see.
         if (w[0] != top_ver) return relocate();
@@ -709,20 +691,29 @@ struct KvStore::RegionOp {
     tomb = 0;
     return stuck_held(kv, State::top);
   }
-  /// The key's cell is `cell` and `v` a version read beside it: writers
-  /// lock from there, readers take it as the snapshot's v1.
-  Step located(KvStore& kv, std::uint64_t v) {
+  /// A write's key is in `cell` at version `v`, read before its key: the
+  /// write locks from there. A repair creates its key only while the copy
+  /// lacks it (a claimed top at version 0 has not linearized).
+  Step located(std::uint64_t v) {
     ver = v;
-    if (kind != Kind::read) {
-      // A repair creates its key only while the copy lacks it (a claimed
-      // top at version 0 has not linearized).
-      if (repair && v != 0) return finish(rdma::OpStatus::retired);
-      return go(State::lock);
+    if (repair && v != 0) return finish(rdma::OpStatus::retired);
+    return go(State::lock);
+  }
+  /// A read's snapshot found the key in `cell`. The copy in w[0..3] is the
+  /// cell at one version if the versions read before and after it, w[4]
+  /// and w[5], are equal and even: no lock fell between them.
+  Step snapped(KvStore& kv) {
+    ver = w[5];
+    // Version 0 before the copy: the insert has not linearized, a miss.
+    if (w[4] == 0) return finish(rdma::OpStatus::ok);
+    if (w[4] == ver && (ver & 1) == 0) {
+      found = true;
+      value = w[2];
+      return finish(rdma::OpStatus::ok);
     }
-    if (v == 0) return finish(rdma::OpStatus::ok);  // not linearized: miss
-    if ((v & 1) == 0) return go(State::body);
     retried(kv);
-    return stuck_held(kv, State::v1);
+    return (ver & 1) != 0 ? stuck_held(kv, State::snap)
+                          : contend(State::snap);
   }
   /// Another writer holds `cell` at version `ver` (odd, or a claimed top
   /// at 0). Once a death has been observed, a hold stuck past kRevokeSpins
@@ -759,6 +750,15 @@ struct KvStore::RegionOp {
       return kv.win_.rfetch_and_op(nullptr, out, Elem::u64, RedOp::no_op,
                                    target, off);
     });
+  }
+  /// A read's snapshot round: the cell's version, `bytes` of the cell at
+  /// `off` in one word-atomic get, then the version again. A cell that
+  /// does not hold the key is walked past on the copy's key word alone,
+  /// one atomic word as a write's walk reads it.
+  void snapshot(KvStore& kv, std::size_t off, std::size_t bytes) {
+    read(kv, t, off + kVerOff, &w[4]);
+    add([&] { return kv.win_.rget(w, bytes, t, off); });
+    read(kv, t, off + kVerOff, &w[5]);
   }
   void cas(KvStore& kv, std::size_t off, std::uint64_t expect,
            std::uint64_t desired, std::uint64_t* out) {
@@ -799,9 +799,12 @@ struct KvStore::RegionOp {
   std::uint64_t key = 0, value = 0, ver = 0, head = 0, idx = 0;
   std::uint64_t top_ver = 0;    ///< top version the walk started from
   std::uint64_t tomb_ver = 0;  ///< the tombstone's version
-  std::uint64_t gen = 0, got_key = 0;
+  std::uint64_t gen = 0;
   std::uint64_t win_ver = 0;    ///< repair: the winner's version
-  std::uint64_t w[3] = {};    ///< words fetched by this round
+  /// Words fetched by this round. A walk's rounds (top, cell, snap) put a
+  /// cell's {key, version, value, next} at w[0..3], however they read it,
+  /// and a read's snapshot the versions around its copy at w[4] and w[5].
+  std::uint64_t w[6] = {};
   std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
   rdma::OpStatus status = rdma::OpStatus::ok;
   rdma::OpStatus round_st = rdma::OpStatus::ok;
@@ -1091,6 +1094,12 @@ rdma::OpStatus KvStore::settle(ClientOp& c) {
     return own.status != rdma::OpStatus::ok ? own.status : c.copy[1].status;
   }
   c.hit = own.hit;
+  if (own.with_cache && own.status == rdma::OpStatus::ok) {
+    // Every retired cached read is a hit or a miss; a stale check that
+    // re-read the cell is a miss.
+    ++(own.hit ? stats_.cache_hits : stats_.cache_misses);
+    count(own.hit ? Op::kv_cache_hit : Op::kv_cache_miss);
+  }
   if (own.status != rdma::OpStatus::ok || !own.found) return own.status;
   c.found = true;
   c.value = own.value;

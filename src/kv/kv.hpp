@@ -8,17 +8,20 @@
 // with widened cells {key, version, value(, next)}:
 //
 //   * region ops — every access to one copy of a shard is a RegionOp: a
-//     small state machine whose rounds post at most four request-based
-//     AMOs together. One round routine (issue every live machine, wait
+//     small state machine whose rounds post at most four requests
+//     together. One round routine (issue every live machine, wait
 //     once until the round's last deadline, retire in issue order,
 //     advance) serves both drivers: drive() spins through the wait on the
 //     calling thread, a fleet fiber parks through it. RegionOp (kv.cpp) is
 //     the only code that knows the cell layout past the key word, or the
 //     seqlock.
 //   * get  — a one-sided versioned read: the 8-byte version word is a
-//     seqlock over RMA (odd = write in progress). Rounds {v1, top key} ->
-//     {key, value} -> v2, retried on mismatch; version 0 means the insert
-//     has not linearized yet and reads as a miss.
+//     seqlock over RMA (odd = write in progress). One round snapshots a
+//     cell: {v1, one get of the whole cell, v2}, issued in that order and
+//     clean when v1 == v2 is even, retried on mismatch; version 0 means
+//     the insert has not linearized yet and reads as a miss. An uncached
+//     top-cell get is that one round (2 AMOs, 1 get); a chain walk reads
+//     the head and snapshots each cell it passes.
 //   * put / erase — the owner and replica machines run in lockstep:
 //     {version read, claim CAS} -> lock CAS -> {value or tombstone write,
 //     release}, three overlapped rounds and five AMOs per copy for a
@@ -44,8 +47,10 @@
 //     is odd (or where no entry can name it: an unclaimed slot, an
 //     unlinked overflow cell) and versions only grow, so an unchanged
 //     version proves the cell still holds the pair; with one cell per key
-//     no other cell can serve or take a value for it. A hit is ONE round;
-//     a write to another key leaves it warm.
+//     no other cell can serve or take a value for it. A hit is ONE round
+//     of one AMO; a stale entry snapshots its cell in place and walks from
+//     the top only if the key left it. A write to another key leaves an
+//     entry warm.
 //   * replication / failover — writes fan out to a replica region on rank
 //     (owner+1)%p; a client observing the owner dead (fail-stop liveness
 //     or a typed peer_dead status) marks the shard degraded and routes to

@@ -6,15 +6,16 @@
 namespace fompi::sim {
 
 namespace {
-/// One network round trip per round plus the origin's issue cost per AMO.
-double rounds_us(const KvParams& p, int rounds, int amos) {
-  return rounds * p.amo_us + amos * p.amo_service_us;
+/// One network round trip per round plus the origin's issue cost per
+/// request.
+double rounds_us(const KvParams& p, int rounds, int reqs) {
+  return rounds * p.amo_us + reqs * p.amo_service_us;
 }
-// A hit is one round (the cached cell's version); the full versioned read
-// is three: {top key, v1} -> {key, value} -> v2.
+// A hit is one round (the cached cell's version), and so is the full
+// versioned read: {v1, the whole cell, v2}.
 double cached_us(const KvParams& p) { return rounds_us(p, 1, p.cached_amos); }
 double uncached_us(const KvParams& p) {
-  return rounds_us(p, 3, p.uncached_amos);
+  return rounds_us(p, 1, p.uncached_reqs);
 }
 }  // namespace
 
@@ -48,15 +49,15 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p) {
                             (1.0 - p.read_ratio) * kv_put_us(p);
   const double offered = clients * p.fibers / mean_op_us;  // Mops/s
 
-  // The hottest shard's NIC serves its share of every op's AMOs; hot-key
-  // replica reads split the read load across two regions.
+  // The hottest shard's NIC serves its share of every op's requests;
+  // hot-key replica reads split the read load across two regions.
   double phi = kv_hot_shard_mass(p);
   if (p.replicate) phi *= 1.0 - p.read_ratio / 2.0;
-  const double amos_per_op =
-      p.read_ratio * ((1.0 - p.hit_rate) * p.uncached_amos +
+  const double reqs_per_op =
+      p.read_ratio * ((1.0 - p.hit_rate) * p.uncached_reqs +
                       p.hit_rate * p.cached_amos) +
       (1.0 - p.read_ratio) * p.put_amos;
-  const double serve_mops = 1.0 / (p.amo_service_us * amos_per_op);
+  const double serve_mops = 1.0 / (p.amo_service_us * reqs_per_op);
   const double hot_cap = serve_mops / phi;
 
   return std::min(offered, hot_cap);
@@ -72,11 +73,10 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
   const double image_us = chunks * p.bte_setup_us +
                           static_cast<double>(shard_bytes) * p.bte_byte_ns /
                               1e3;
-  // The scrub's reads of every key on both copies overlap: three rounds,
-  // uncached_amos issued per key and copy.
-  const double reads_us = 3 * p.amo_us + 2.0 * static_cast<double>(keys) *
-                                             p.uncached_amos *
-                                             p.amo_service_us;
+  // The scrub's reads of every key on both copies overlap: one round,
+  // uncached_reqs issued per key and copy.
+  const double reads_us = p.amo_us + 2.0 * static_cast<double>(keys) *
+                                         p.uncached_reqs * p.amo_service_us;
   const double gen_us = 2.0 * p.amo_us;  // claim CAS + release write
   return 3.0 * image_us + reads_us + gen_us;
 }

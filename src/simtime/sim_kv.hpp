@@ -16,11 +16,11 @@ struct KvParams {
   /// One inter-node AMO round trip (Gemini FADD/CSWAP latency; matches the
   /// inter_op latency the figure benches charge).
   double amo_us = 2.4;
-  /// Remote words of a cache-validated hit: the cached cell's version.
+  /// Remote requests of a cache-validated hit: the cached cell's version.
   int cached_amos = 1;
-  /// Remote words of the full versioned read of a top cell: {top key, v1}
-  /// -> {key, value} -> v2.
-  int uncached_amos = 5;
+  /// Remote requests of the full versioned read of a top cell, one round:
+  /// the version, a get of the whole cell, the version again.
+  int uncached_reqs = 3;
   /// Overlapped rounds of a top-cell put: {claim CAS, version read} ->
   /// lock CAS -> {value write, release}. Both copies run in lockstep, so
   /// replication adds AMOs but no rounds.
@@ -46,11 +46,12 @@ struct KvParams {
 };
 
 /// Mean modeled get latency (us), each read charged like a put: one round
-/// trip per round plus the origin's issue overhead per AMO,
+/// trip per round plus the origin's issue overhead per request,
 ///
-///   h * (1 * amo_us + 1 * svc) + (1 - h) * (3 * amo_us + 5 * svc)
+///   h * (1 * amo_us + 1 * svc) + (1 - h) * (1 * amo_us + 3 * svc)
 ///
-/// = 2.8 us cached, 9.3 us uncached. Degraded mode (owner dead, replica
+/// = 2.8 us cached, 3.65 us uncached: both are one round, so the cache
+/// saves issue cost, not round trips. Degraded mode (owner dead, replica
 /// serving) bypasses the client cache, so every read pays the full
 /// versioned-read cost — the SLO degradation bench_kv measures.
 double kv_read_us(const KvParams& p, bool degraded = false);
@@ -89,9 +90,9 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p = {});
 /// Modeled time (us) to heal ONE shard whose owner died: drain the frozen
 /// image (ceil(bytes/chunk) BTE channel setups + the byte stream), then
 /// the key-wise scrub: one such chunked snapshot of each copy to list the
-/// keys, and the overlapped read of every key on both copies (three
-/// rounds, uncached_amos issued per copy and key; a healthy pair needs no
-/// repair round), plus the generation claim + release CAS pair. Linear in
+/// keys, and the overlapped read of every key on both copies (one round,
+/// uncached_reqs issued per copy and key; a healthy pair needs no repair
+/// round), plus the generation claim + release CAS pair. Linear in
 /// bytes at fixed chunking, linear in keys — and stream-dominated for
 /// large shard images, which is the shape test_simtime pins.
 double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,

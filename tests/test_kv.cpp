@@ -168,45 +168,85 @@ TEST(Kv, CollisionsSpillToOverflowChains) {
 }
 
 TEST(Kv, ReplicatedWriteRoundCounts) {
-  // One driver round overlaps every live copy's AMOs, so a replicated
+  // One driver round overlaps every live copy's requests, so a replicated
   // top-cell put costs the three rounds of one copy: {claim CAS, version
-  // read} -> lock CAS -> {value write, release}. (The op_from_string round
-  // trip of Op::kv_round is covered by
+  // read} -> lock CAS -> {value write, release}. A read takes a cell's
+  // snapshot in one round: {version, get of the whole cell, version}.
+  // (The op_from_string round trip of Op::kv_round is covered by
   // TraceNames.OpToStringRoundTripsExhaustively.)
   KvConfig cfg;
   cfg.shards = 2;
   cfg.table_slots = 1;  // a second key of the shard goes to the chain
   fabric::run_ranks(2, [&](RankCtx& ctx) {
     KvStore store(ctx, cfg);
+    struct Cost {
+      std::uint64_t rounds, amos, gets;
+    };
+    const auto cost = [](auto&& op) {
+      const OpCounters c0 = op_counters();
+      EXPECT_EQ(op(), OpStatus::ok);
+      const OpCounters d = op_counters().since(c0);
+      // An AMO on the caller's own memory counts as a local atomic.
+      return Cost{d.get(Op::kv_round),
+                  d.get(Op::transport_amo) + d.get(Op::local_atomic),
+                  d.get(Op::transport_get)};
+    };
+    const std::uint64_t a = 1;
+    std::uint64_t b = 2;
+    while (store.shard_of(b) != store.shard_of(a)) ++b;
+    std::uint64_t v = 0;
+    bool found = false;
+    const auto get = [&](std::uint64_t k) {
+      return cost([&] { return store.get(k, &v, &found); });
+    };
     if (ctx.rank() == 0) {
-      const auto rounds = [](auto&& op) {
-        const std::uint64_t before = op_counters().get(Op::kv_round);
-        EXPECT_EQ(op(), OpStatus::ok);
-        return op_counters().get(Op::kv_round) - before;
+      const auto put = [&](std::uint64_t k, std::uint64_t val) {
+        return cost([&] { return store.put(k, val); }).rounds;
       };
-      const std::uint64_t a = 1;
-      std::uint64_t b = 2;
-      while (store.shard_of(b) != store.shard_of(a)) ++b;
-      std::uint64_t v = 0;
-      bool found = false;
-      EXPECT_EQ(rounds([&] { return store.put(a, 1); }), 3u);  // fresh claim
-      EXPECT_EQ(rounds([&] { return store.put(a, 2); }), 3u);  // overwrite
+      EXPECT_EQ(put(a, 1), 3u);  // fresh claim
+      EXPECT_EQ(put(a, 2), 3u);  // overwrite
       // Fresh chain insert: top -> head -> slot lock -> FAA -> fill ->
       // link -> release.
-      EXPECT_EQ(rounds([&] { return store.put(b, 3); }), 7u);
+      EXPECT_EQ(put(b, 3), 7u);
       // Chain overwrite: top -> head -> cell -> lock -> {write, release}.
-      EXPECT_EQ(rounds([&] { return store.put(b, 4); }), 5u);
-      // Uncached get: {top key, v1} -> {key, value} -> v2; a warm cache
-      // hit is one round reading the cached cell's version.
-      EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 3u);
-      EXPECT_EQ(rounds([&] { return store.get(a, &v, &found); }), 1u);
+      EXPECT_EQ(put(b, 4), 5u);
+      // Uncached get: one snapshot round of the top cell, 2 AMOs and 1
+      // get; a warm cache hit is one round reading the cached cell's
+      // version, 1 AMO and no get.
+      Cost c = get(a);
+      EXPECT_EQ(c.rounds, 1u);
+      EXPECT_EQ(c.amos, 2u);
+      EXPECT_EQ(c.gets, 1u);
+      c = get(a);
+      EXPECT_EQ(c.rounds, 1u);
+      EXPECT_EQ(c.amos, 1u);
+      EXPECT_EQ(c.gets, 0u);
       EXPECT_EQ(v, 2u);
-      // Chain key: top -> head -> cell {key, v1} -> {key, value} -> v2
-      // once; then the chain cell is cached like a top cell.
-      EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 5u);
-      EXPECT_EQ(rounds([&] { return store.get(b, &v, &found); }), 1u);
+      // Chain key: top snapshot -> head -> chain-cell snapshot once; then
+      // the chain cell is cached like a top cell.
+      EXPECT_EQ(get(b).rounds, 3u);
+      EXPECT_EQ(get(b).rounds, 1u);
       EXPECT_EQ(v, 4u);
       EXPECT_EQ(store.cached_entries(store.shard_of(b)), 2u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.put(a, 5), OpStatus::ok);  // a peer's overwrite
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      // A stale entry: the version check, then a snapshot of the cached
+      // cell in place, which still holds the key, so no walk. It counts
+      // as a miss: every cached get is a hit or a miss.
+      const Cost c = get(a);
+      EXPECT_EQ(c.rounds, 2u);
+      EXPECT_EQ(c.amos, 3u);
+      EXPECT_EQ(c.gets, 1u);
+      EXPECT_EQ(v, 5u);
+      const kv::KvStats& s = store.stats();
+      EXPECT_EQ(s.cache_hits, 2u);
+      EXPECT_EQ(s.cache_misses, 3u);
+      EXPECT_EQ(s.cache_hits + s.cache_misses, s.gets);
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -693,54 +733,77 @@ TEST(Zipf, MassSumsToOne) {
 
 namespace {
 
-/// Reader loops versioned gets of key `k1` while the writer churns the
+/// Reader loops versioned gets of key `kA` while the writer churns the
 /// same single-slot shard: overwrites, erases, and inserts of a colliding
-/// key `k2` that reclaims k1's tombstoned cells. Every successful get must
-/// return a value tagged with k1 — never k2's, never torn.
-void seqlock_round(std::uint64_t seed) {
-  constexpr std::uint64_t kA = 5, kB = 9;
+/// key `kB` that reclaims kA's tombstoned cells. Every get that finds kA
+/// must return a value tagged with kA (never kB's, never torn) and no
+/// older than the writer's last completed op allows: after a put of x, x
+/// or later; after an erase, a value put after it. The writer is rank 0,
+/// which hosts the shard; the reader is rank 1.
+void seqlock_round(std::uint64_t seed, const fabric::FabricOptions& opts,
+                   bool cache) {
+  constexpr std::uint64_t kA = 5, kB = 9, kTag = 1000000;
   KvConfig cfg;
   cfg.shards = 1;       // same shard...
   cfg.table_slots = 1;  // ...same top slot: maximum contention
   cfg.heap_slots = 512;
-  cfg.client_cache = false;  // force the full versioned read every time
+  cfg.client_cache = cache;
   cfg.replicate = false;
-  fabric::run_ranks(2, [&](RankCtx& ctx) {
-    KvStore store(ctx, cfg);
-    if (ctx.rank() == 1) {
-      Rng rng(seed);
-      std::uint64_t i = 0;
-      for (int op = 0; op < 400; ++op) {
-        const auto roll = rng.below(10);
-        if (roll < 6) {
-          ASSERT_EQ(store.put(kA, kA * 1000000 + i++), OpStatus::ok);
-        } else if (roll < 8) {
-          ASSERT_EQ(store.erase(kA), OpStatus::ok);
+  // The least value a get begun now may find (values grow with `i`).
+  std::atomic<std::uint64_t> min_found{0};
+  fabric::run_ranks(
+      2,
+      [&](RankCtx& ctx) {
+        KvStore store(ctx, cfg);
+        if (ctx.rank() == 0) {
+          Rng rng(seed);
+          std::uint64_t i = 0;
+          for (int op = 0; op < 400; ++op) {
+            const auto roll = rng.below(10);
+            if (roll < 6) {
+              ASSERT_EQ(store.put(kA, kA * kTag + i), OpStatus::ok);
+              min_found.store(kA * kTag + i++, std::memory_order_release);
+            } else if (roll < 8) {
+              ASSERT_EQ(store.erase(kA), OpStatus::ok);
+              min_found.store(kA * kTag + i, std::memory_order_release);
+            } else {
+              ASSERT_EQ(store.put(kB, kB * kTag + i++), OpStatus::ok);
+            }
+          }
         } else {
-          ASSERT_EQ(store.put(kB, kB * 1000000 + i++), OpStatus::ok);
+          for (int r = 0; r < 400; ++r) {
+            const std::uint64_t least =
+                min_found.load(std::memory_order_acquire);
+            std::uint64_t v = 0;
+            bool found = false;
+            ASSERT_EQ(store.get(kA, &v, &found), OpStatus::ok);
+            if (found) {
+              EXPECT_EQ(v / kTag, kA)
+                  << "read returned a foreign or torn value " << v;
+              EXPECT_GE(v, least) << "read returned a stale value";
+            }
+          }
         }
-      }
-    } else {
-      for (int r = 0; r < 400; ++r) {
-        std::uint64_t v = 0;
-        bool found = false;
-        ASSERT_EQ(store.get(kA, &v, &found), OpStatus::ok);
-        if (found) {
-          EXPECT_EQ(v / 1000000, kA)
-              << "read returned a foreign or torn value " << v;
-        }
-      }
-    }
-    ctx.barrier();
-    store.destroy(ctx);
-  });
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
 }
 
 }  // namespace
 
 TEST(KvSeqlock, ReadsNeverTearUnderConcurrentWriter) {
+  // Two inputs. Functional timing without the cache: every get is the
+  // full snapshot read. Then the Gemini model with the ranks on separate
+  // nodes and the cache on: requests land microseconds apart, and stale
+  // checks re-read the cached cell while erases and reclaims move it.
+  fabric::FabricOptions modeled;
+  modeled.domain.ranks_per_node = 1;
+  modeled.domain.inject = rdma::Injection::model;
+  modeled.hang_timeout_ns = 60'000'000'000;
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
-    seqlock_round(seed);
+    seqlock_round(seed, {}, /*cache=*/false);
+    seqlock_round(seed, modeled, /*cache=*/true);
   }
 }
 
@@ -1929,8 +1992,8 @@ TEST(KvScrub, RepairYieldsToAWriteAfterItsRead) {
   // Ranks 0 and 1 (k's owner and replica) share a node; the scrubber,
   // rank 2, sits behind ~5 ms AMOs. k's replica is ahead (7 over 1), so
   // the scrub will repair k's primary at the version it read. k's reads
-  // finish in three rounds, but a 20-cell chain in k's slot keeps the
-  // scrub reading for ~20 more, and rank 0 puts k = 9 in that window. The
+  // finish in one round, but a 20-cell chain in k's slot keeps the scrub
+  // reading for ~21 more, and rank 0 puts k = 9 in that window. The
   // repair must then retire instead of writing 7 over the newer 9.
   fabric::FabricOptions opts;
   opts.domain.nranks = 3;
@@ -1965,8 +2028,9 @@ TEST(KvScrub, RepairYieldsToAWriteAfterItsRead) {
           started = true;
           EXPECT_EQ(store.scrub(s).status, OpStatus::ok);
         } else if (ctx.rank() == 0) {
-          // k's reads end ~20 ms into the scrub and the chain's ~120 ms
-          // later. A put outside that window is not a race, and passes.
+          // k's reads end with the scrub's first round, the chain's some
+          // 21 rounds (over 100 ms) later. A put outside that window is
+          // not a race, and passes.
           while (!started) ctx.yield_check();
           const std::uint64_t t0 = now_ns();
           while (now_ns() - t0 < 80'000'000) ctx.yield_check();
