@@ -22,10 +22,13 @@
 //      healthy (warm cache), then the seeded fault plan kills rank 1 and
 //      phase B re-reads the same keys degraded (replica serving, cache
 //      bypassed). Gates: the run completes (no hang), the dead owner
-//      probes as typed peer_dead, both phase p99s are finite, and
-//      p99(degraded) >= 2 x p99(healthy): every healthy read, chain keys
-//      included, is a one-round cache hit, and the degraded tail holds the
-//      replica's full versioned reads, chain walks and the failover.
+//      probes as typed peer_dead, exact counters (every healthy get a
+//      1-AMO hit, every degraded get its key's full read on the replica
+//      plus the generation AMO) and the same timing floor as section 2,
+//      degraded p50 >= 1 + (L - 1) / 2 times the healthy p50. The keys are
+//      seeded by a rank that does not read them, so the reader's first
+//      get of each is the key's full read, the reference for its degraded
+//      gets; a rank's own writes leave it the key's cells to read in place.
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh
 // as BENCH_kv.json).
@@ -95,6 +98,16 @@ constexpr GetCost kTopRead{2, 1, false};
 GetCost with_generation(GetCost c) {
   ++c.amos;
   return c;
+}
+
+/// True if the cold reads are full reads: a top-cell one 2 AMOs and 1 get,
+/// and at least one key among them in a top cell.
+bool cold_reads_exact(const std::vector<GetCost>& cold) {
+  bool exact = std::count(cold.begin(), cold.end(), kTopRead) > 0;
+  for (const GetCost& c : cold) {
+    if (c.cell_gets == 1 && c != kTopRead) exact = false;
+  }
+  return exact;
 }
 
 /// Timing floor of a leverage gate: halfway from 1 to the closed-form
@@ -190,6 +203,7 @@ struct FailoverResult {
   double healthy_p50_us = 0, healthy_p99_us = 0;
   double degraded_p50_us = 0, degraded_p99_us = 0;
   bool typed_peer_dead = false;
+  bool counts_exact = false;  ///< every timed get issued what it should
   std::uint64_t failovers = 0;
 };
 
@@ -211,21 +225,21 @@ FailoverResult failover_slo() {
     for (std::uint64_t k = 1; keys.size() < 6; ++k) {
       if (store.owner_of(store.shard_of(k)) == 1) keys.push_back(k);
     }
-    if (ctx.rank() == 0) {
+    if (ctx.rank() == 2) {  // not the reader: its first gets are full reads
       for (const auto k : keys) store.put(k, k + 1);
     }
     ctx.barrier();
 
+    std::vector<GetCost> cold;  // each key's full read, which warms it
+    std::uint64_t ns = 0;
     if (ctx.rank() == 0) {
       trace::LatencyHisto healthy;
-      std::uint64_t v = 0;
-      bool found = false;
-      for (const auto k : keys) store.get(k, &v, &found);  // warm cache
+      for (const auto k : keys) cold.push_back(timed_get(store, k, &ns));
+      res.counts_exact = cold_reads_exact(cold);
       for (int r = 0; r < kReadsPerKey; ++r) {
         for (const auto k : keys) {
-          Timer t;
-          store.get(k, &v, &found);
-          healthy.add(t.elapsed_ns());
+          if (timed_get(store, k, &ns) != kHit) res.counts_exact = false;
+          healthy.add(ns);
         }
       }
       res.healthy_p50_us = us(healthy.quantile(0.5));
@@ -247,14 +261,15 @@ FailoverResult failover_slo() {
     if (ctx.rank() == 0) {
       res.typed_peer_dead =
           store.probe_owner(store.shard_of(keys[0])) == OpStatus::peer_dead;
+      // Replica serving, cache bypassed: each get is its key's full read
+      // on the replica, plus the generation AMO once the death was seen.
       trace::LatencyHisto degraded;
-      std::uint64_t v = 0;
-      bool found = false;
       for (int r = 0; r < kReadsPerKey; ++r) {
-        for (const auto k : keys) {
-          Timer t;
-          store.get(k, &v, &found);
-          degraded.add(t.elapsed_ns());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          if (timed_get(store, keys[i], &ns) != with_generation(cold[i])) {
+            res.counts_exact = false;
+          }
+          degraded.add(ns);
         }
       }
       res.degraded_p50_us = us(degraded.quantile(0.5));
@@ -303,7 +318,7 @@ RecoveryRow recovery_slo() {
     for (std::uint64_t k = 1; keys.size() < 6; ++k) {
       if (store.owner_of(store.shard_of(k)) == 1) keys.push_back(k);
     }
-    if (ctx.rank() == 0) {
+    if (ctx.rank() == 2) {  // not the reader: its first gets are full reads
       for (const auto k : keys) store.put(k, k + 1);
     }
     ctx.barrier();  // last collective before the kill
@@ -313,10 +328,7 @@ RecoveryRow recovery_slo() {
     if (ctx.rank() == 0) {
       trace::LatencyHisto healthy;
       for (const auto k : keys) cold.push_back(timed_get(store, k, &ns));
-      row.counts_exact = std::count(cold.begin(), cold.end(), kTopRead) > 0;
-      for (const GetCost& c : cold) {
-        if (c.cell_gets == 1 && c != kTopRead) row.counts_exact = false;
-      }
+      row.counts_exact = cold_reads_exact(cold);
       for (int r = 0; r < kReadsPerKey; ++r) {
         for (const auto k : keys) {
           if (timed_get(store, k, &ns) != kHit) row.counts_exact = false;
@@ -427,9 +439,9 @@ int main() {
   bool fo_ok = false;
   for (int attempt = 0; attempt < 3 && !fo_ok; ++attempt) {
     fo = failover_slo();
-    fo_ok = fo.typed_peer_dead && fo.failovers > 0 &&
-            fo.healthy_p99_us > 0 && fo.degraded_p99_us > 0 &&
-            fo.degraded_p99_us >= 2.0 * fo.healthy_p99_us;
+    fo_ok = fo.typed_peer_dead && fo.failovers > 0 && fo.counts_exact &&
+            fo.healthy_p50_us > 0 &&
+            fo.degraded_p50_us >= min_leverage * fo.healthy_p50_us;
   }
 
   // --- self-healing recovery gate ------------------------------------------
@@ -505,9 +517,11 @@ int main() {
       "  \"failover\": {\"name\": \"owner_kill_slo\", "
       "\"healthy_p50_us\": %.2f, \"healthy_p99_us\": %.2f, "
       "\"degraded_p50_us\": %.2f, \"degraded_p99_us\": %.2f, "
-      "\"typed_peer_dead\": %s, \"failovers\": %llu}\n",
+      "\"typed_peer_dead\": %s, \"counts_exact\": %s, "
+      "\"failovers\": %llu}\n",
       fo.healthy_p50_us, fo.healthy_p99_us, fo.degraded_p50_us,
       fo.degraded_p99_us, fo.typed_peer_dead ? "true" : "false",
+      fo.counts_exact ? "true" : "false",
       static_cast<unsigned long long>(fo.failovers));
   std::printf(",\n");
   std::printf(
@@ -543,10 +557,12 @@ int main() {
   if (!fo_ok) {
     std::fprintf(stderr,
                  "FAIL: failover SLO gate (typed_peer_dead=%d failovers=%llu "
-                 "healthy_p99=%.2f degraded_p99=%.2f)\n",
+                 "counts_exact=%d healthy_p50=%.2f degraded_p50=%.2f, floor "
+                 "%.2fx)\n",
                  fo.typed_peer_dead,
                  static_cast<unsigned long long>(fo.failovers),
-                 fo.healthy_p99_us, fo.degraded_p99_us);
+                 fo.counts_exact, fo.healthy_p50_us, fo.degraded_p50_us,
+                 min_leverage);
     return 1;
   }
   if (!rec_ok) {

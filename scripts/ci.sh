@@ -33,10 +33,11 @@
 #      self-gates log-p DES shapes, the overlap bench self-gates >=4x
 #      64-fiber AMO pipelining, the kv bench self-gates cache leverage
 #      (exact per-get AMO/get counters plus a timing floor derived from
-#      the sim_kv closed form), a monotone failover SLO with typed
-#      peer_dead, and a full healing pass — promotion + re-replication
-#      with post-recovery p99 within 1.5x of healthy and the same
-#      leverage checks — exiting non-zero on violation)
+#      the sim_kv closed form), the failover SLO with typed peer_dead and
+#      the same counter and timing-floor checks on healthy against
+#      degraded reads, and a full healing pass — promotion +
+#      re-replication with post-recovery p99 within 1.5x of healthy and
+#      the same leverage checks — exiting non-zero on violation)
 #   6. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
 #      must be valid JSON and must have dropped zero events
 #   7. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an

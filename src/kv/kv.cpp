@@ -140,7 +140,10 @@ int KvStore::owner_of(int shard) const { return copy_of(shard, false).rank; }
 int KvStore::replica_of(int shard) const { return copy_of(shard, true).rank; }
 
 std::size_t KvStore::cached_entries(int shard) const {
-  return cache_[static_cast<std::size_t>(shard)].size();
+  const auto& entries = cache_[static_cast<std::size_t>(shard)];
+  return static_cast<std::size_t>(
+      std::count_if(entries.begin(), entries.end(),
+                    [](const auto& e) { return e.second.version != 0; }));
 }
 
 rdma::OpStatus KvStore::probe_owner(int shard) {
@@ -324,10 +327,20 @@ bool KvStore::any_peer_dead() const {
 void KvStore::fail_over(int shard) {
   if (degraded_[static_cast<std::size_t>(shard)]) return;
   degraded_[static_cast<std::size_t>(shard)] = true;
-  // Entries hold versions of the primary copy, which no longer serves.
-  cache_[static_cast<std::size_t>(shard)].clear();
+  // Values, versions and cells of the primary copy no longer serve; the
+  // replica's cells do, so degraded writes still take them.
+  auto& entries = cache_[static_cast<std::size_t>(shard)];
+  for (auto it = entries.begin(); it != entries.end();) {
+    it = forget_primary(it->second) ? entries.erase(it) : std::next(it);
+  }
   ++stats_.failovers;
   count(Op::kv_failover);
+}
+
+bool KvStore::forget_primary(CacheEntry& e) {
+  e.cell[0] = 0;
+  e.version = 0;
+  return e.cell[1] == 0;
 }
 
 // --- region-op machine -------------------------------------------------------
@@ -338,12 +351,13 @@ void KvStore::fail_over(int shard) {
 // "drivers" below). Within a round the NIC applies one origin's requests
 // to a target in issue order (as an RC queue pair does), and the drivers
 // retire them in issue order, which is when deferred delivery applies
-// them. The machine relies on that in four places: a read's snapshot reads
+// them. The machine relies on that in five places: a read's snapshot reads
 // the version, the whole cell, then the version again; a write's located
-// round reads a cell's version before its key; a reclaim writes the value
-// before the key; and a write round stores the data before the release
-// that publishes it. Only a step that needs another's result waits a
-// round: the lock after the located round, the write after the lock.
+// round reads a cell's version before its key; a take sets a cell's odd
+// bit before it reads the key; a reclaim writes the value before the key;
+// and a write round stores the data before the release that publishes it.
+// Only a step that needs another's result waits a round: the lock after
+// the located round, the write after the lock.
 //
 // One cell per key per copy (DESIGN.md §12): a put that finds its key
 // nowhere in the slot first locks the TOP cell at the version its top round
@@ -351,6 +365,14 @@ void KvStore::fail_over(int shard) {
 // cell creation holds that lock, so winning it proves the walk still
 // stands; only then does the put reclaim the first tombstone it passed or
 // link a fresh cell.
+//
+// A lock at a version the walk did not locate the key at is a *take*: a
+// fetch-or of the odd bit, then a read of the key word. It locks the cell
+// iff the version it returns is even, and an odd one is left as it was, so
+// a take also polls a held cell. The key read lands under the lock, so a
+// taken cell that holds another key is released at +2 and the walk starts
+// over. A client write whose entry names the key's cell on a copy (a hint)
+// starts there with a take: two rounds, {take} -> {write, release}.
 
 struct KvStore::RegionOp {
   using Kind = KvStore::Kind;
@@ -362,12 +384,12 @@ struct KvStore::RegionOp {
     head,     // chain head
     cell,     // a read's snapshot of a chain cell; a write's version +
               // key + next
-    snap,     // read: a snapshot of the cell it cached or located
+    snap,     // read: a snapshot of the cell it cached, hinted or located
     guard,    // creating put: CAS the top version even -> odd (slot lock)
     acquire,  // fresh overflow cell: FAA next_free
     fill,     // rput the whole cell {key, version 2, value, next}
     link,     // CAS the chain head to the new cell
-    lock,     // version read while odd, else CAS even -> odd (+ key, relock)
+    lock,     // CAS the located version even -> odd; else a take
     revoke,   // CAS a version a dead writer left odd forward
     bury,     // CAS a dead claimer's top (version 0 or 1) to a new odd one
     write,    // the data store(s), then the release(s)
@@ -380,9 +402,14 @@ struct KvStore::RegionOp {
     update,    // the key's own cell: value, or the tombstone for erase
     reclaim,   // a tombstone under the slot lock: value, then key
     bury,      // a dead claimer's top: the tombstone, then re-locate
-    back_off,  // a relock won over another key: release and re-locate
+    back_off,  // a take won over another key: release and re-locate
+    link,      // a won link: release the slot lock; the key is in the new
+               // cell
   };
 
+  /// An op on one copy that starts with the walk from the top. A read
+  /// begun here is a full seqlock read that skips the client cache and the
+  /// generation check (the scrub reads while coordinate() holds it odd).
   void begin(KvStore& kv, Kind k, int s, bool rep, std::uint64_t ky,
              std::uint64_t val) {
     *this = RegionOp{};
@@ -397,25 +424,34 @@ struct KvStore::RegionOp {
     l = kv.layout_of(c);
     slot = kv.slot_of(ky);
     st = State::top;
-    if (k != Kind::read) return;
-    with_gen = kv.routing_suspect();
-    with_cache = kv.cfg_.client_cache && !rep;
-    if (!with_cache) return;
-    const auto& entries = kv.cache_[static_cast<std::size_t>(s)];
-    const auto it = entries.find(ky);
-    if (it == entries.end()) return;
-    cell = it->second.cell;
-    ver = it->second.version;
-    value = it->second.value;
-    st = State::check;
   }
 
-  /// A full seqlock read of one copy that skips the client cache and the
-  /// generation check (the scrub reads while coordinate() holds it odd).
-  void begin_copy_read(KvStore& kv, int s, bool rep, std::uint64_t ky) {
-    begin(kv, Kind::read, s, rep, ky, 0);
-    with_gen = with_cache = false;
-    st = State::top;
+  /// A client op starts from the key's entry. A read validates the routing
+  /// generation once a death was seen and, with the cache on, checks the
+  /// cached version or snapshots the hinted cell in place; a write takes
+  /// the cell the entry names on this copy.
+  void begin_client(KvStore& kv, Kind k, int s, bool rep, std::uint64_t ky,
+                    std::uint64_t val) {
+    begin(kv, k, s, rep, ky, val);
+    if (k == Kind::read) {
+      with_gen = kv.routing_suspect();
+      with_cache = kv.cfg_.client_cache && !rep;
+      if (!with_cache) return;
+    }
+    const auto& entries = kv.cache_[static_cast<std::size_t>(s)];
+    const auto it = entries.find(ky);
+    if (it == entries.end() || it->second.cell[rep] == 0) return;
+    cell = it->second.cell[rep];
+    if (k != Kind::read) {
+      take = true;
+      st = State::lock;
+    } else if (it->second.version != 0) {
+      ver = it->second.version;
+      value = it->second.value;
+      st = State::check;
+    } else {
+      st = State::snap;
+    }
   }
 
   void issue(KvStore& kv) {
@@ -452,24 +488,19 @@ struct KvStore::RegionOp {
         cas(kv, top + kVerOff, top_ver, top_ver + 1, &w[0]);
         break;
       case State::acquire:
-        add([&] {
-          const std::uint64_t one = 1;
-          return kv.win_.rfetch_and_op(&one, &w[0], Elem::u64, RedOp::sum, t,
-                                       l.off_next_free());
-        });
+        fetch(kv, RedOp::sum, l.off_next_free(), 1, &w[0]);
         break;
       case State::fill:
         add([&] { return kv.win_.rput(img, sizeof img, t, l.off_heap(idx)); });
         break;
       case State::link: cas(kv, l.off_chain(slot), head, idx + 1, &w[0]); break;
       case State::lock:
-        locking = (ver & 1) == 0;
-        if (locking) {
-          cas(kv, cell + kVerOff, ver, ver + 1, &w[0]);
-          // A relock is at a version this op did not locate the key at.
-          if (relock) read(kv, t, cell, &w[1]);
+        if (take) {
+          // The odd bit at whatever version the cell holds, then the key.
+          fetch(kv, RedOp::bor, cell + kVerOff, 1, &w[0]);
+          read(kv, t, cell, &w[1]);
         } else {
-          read(kv, t, cell + kVerOff, &w[0]);
+          cas(kv, cell + kVerOff, ver, ver + 1, &w[0]);
         }
         break;
       case State::revoke: cas(kv, cell + kVerOff, ver, ver + 1, &w[0]); break;
@@ -498,7 +529,9 @@ struct KvStore::RegionOp {
     }
   }
 
-  void fold(rdma::OpStatus s) {
+  /// Retires request `r` of the round with status `s`.
+  void fold(int r, rdma::OpStatus s) {
+    req_st[r] = s;
     if (s != rdma::OpStatus::ok && round_st == rdma::OpStatus::ok) {
       round_st = s;
     }
@@ -517,17 +550,25 @@ struct KvStore::RegionOp {
 
   Step advance(KvStore& kv) {
     nreq = 0;
-    // Past the lock a failure still releases, so it cannot wedge the cell;
-    // a failure under the slot lock releases the top before it retires.
+    // Past the lock a failure still releases, so it cannot wedge the cell.
+    // A failure under the slot lock releases the top before it retires,
+    // and so does a take whose fetch-or set the odd bit of an even version
+    // and whose key read failed: it holds that cell.
     if (round_st != rdma::OpStatus::ok && st != State::write &&
         st != State::revoke) {
-      if (!guarded || st == State::release) {
+      const bool took = st == State::lock && take &&
+                        req_st[0] == rdma::OpStatus::ok && (w[0] & 1) == 0;
+      if (!(guarded || took) || st == State::release) {
         return finish(held != rdma::OpStatus::ok ? held : round_st);
       }
       held = round_st;
-      guarded = false;
-      cell = l.off_table(slot);
-      ver = top_ver;
+      if (took) {
+        ver = w[0];
+      } else {
+        guarded = false;
+        cell = l.off_table(slot);
+        ver = top_ver;
+      }
       act = Act::update;
       return go(State::release);
     }
@@ -543,7 +584,6 @@ struct KvStore::RegionOp {
           hit = found = true;
           return finish(rdma::OpStatus::ok);
         }
-        kv.cache_[static_cast<std::size_t>(shard)].erase(key);
         return go(State::snap);  // most likely still the key's cell
       case State::top:
         if (w[0] == key || (kind == Kind::put && w[0] == 0)) {
@@ -594,6 +634,7 @@ struct KvStore::RegionOp {
       case State::fill: return go(State::link);
       case State::link:
         if (w[0] == head) {
+          act = Act::link;
           cell = l.off_table(slot);  // release the slot lock
           ver = top_ver;
           return go(State::release);
@@ -601,13 +642,17 @@ struct KvStore::RegionOp {
         head = img[3] = w[0];  // lost the link race: relink at the new head
         return contend(State::fill);
       case State::lock:
-        if (locking && w[0] == ver) {
-          if (relock && w[1] != key) {
+        if (take) {
+          ver = w[0];
+          // Odd: another writer holds the cell, and the fetch-or left it.
+          if ((ver & 1) != 0) return stuck_held(kv, State::lock);
+          if (w[1] != key) {
             act = Act::back_off;  // the cell holds another key now
             return go(State::release);
           }
           return go(State::write);
         }
+        if (w[0] == ver) return go(State::write);
         if (act == Act::reclaim) {
           // The tombstone moved under the slot lock: link a fresh cell
           // rather than wait on it while holding the slot.
@@ -616,10 +661,11 @@ struct KvStore::RegionOp {
         }
         // A repair writes only over the version the scrub read.
         if (repair) return finish(rdma::OpStatus::retired);
+        // The version moved since the walk read it: take the cell.
         ver = w[0];
-        relock = true;
-        if ((ver & 1) != 0) return stuck_held(kv, State::lock);
-        return locking ? contend(State::lock) : go(State::lock);
+        take = true;
+        return (ver & 1) != 0 ? stuck_held(kv, State::lock)
+                              : contend(State::lock);
       case State::revoke:
         // The cell's host died with it locked: the frozen image stays odd
         // forever and revocation cannot land. Retire typed so the caller
@@ -639,6 +685,7 @@ struct KvStore::RegionOp {
         return finish(rdma::OpStatus::ok);
       case State::release:
         if (act == Act::bury || act == Act::back_off) return relocate();
+        if (act == Act::link) cell = l.off_heap(idx);  // the key's cell
         return finish(held);
       case State::done: break;
     }
@@ -663,7 +710,7 @@ struct KvStore::RegionOp {
   /// Starts the walk over from the top round, holding no lock.
   Step relocate() {
     act = Act::update;
-    guarded = relock = false;
+    guarded = take = false;
     tomb = 0;
     return contend(State::top);
   }
@@ -692,11 +739,13 @@ struct KvStore::RegionOp {
     return stuck_held(kv, State::top);
   }
   /// A write's key is in `cell` at version `v`, read before its key: the
-  /// write locks from there. A repair creates its key only while the copy
-  /// lacks it (a claimed top at version 0 has not linearized).
+  /// write locks from there, by a take once the holder of an odd `v` lets
+  /// go. A repair creates its key only while the copy lacks it (a claimed
+  /// top at version 0 has not linearized).
   Step located(std::uint64_t v) {
     ver = v;
     if (repair && v != 0) return finish(rdma::OpStatus::retired);
+    take = (v & 1) != 0;
     return go(State::lock);
   }
   /// A read's snapshot found the key in `cell`. The copy in w[0..3] is the
@@ -720,7 +769,7 @@ struct KvStore::RegionOp {
   /// is broken by CAS. A top at version 0 or 1 is a claim whose value was
   /// never released, so it is buried (taken at a new odd version,
   /// tombstoned, released at 2 or 4). Any other odd version is revoked
-  /// forward. Against a live writer the CAS fails, or its relock finds the
+  /// forward. Against a live writer the CAS fails, or its take finds the
   /// key gone. A revoked cell's last in-flight write may or may not have
   /// landed: fail-stop, either value is legal.
   Step stuck_held(KvStore& kv, State again) {
@@ -749,6 +798,14 @@ struct KvStore::RegionOp {
     add([&] {
       return kv.win_.rfetch_and_op(nullptr, out, Elem::u64, RedOp::no_op,
                                    target, off);
+    });
+  }
+  /// `op` with `operand` on the copy's word at `off`; the old value to
+  /// `out`.
+  void fetch(KvStore& kv, RedOp op, std::size_t off, std::uint64_t operand,
+             std::uint64_t* out) {
+    add([&] {
+      return kv.win_.rfetch_and_op(&operand, out, Elem::u64, op, t, off);
     });
   }
   /// A read's snapshot round: the cell's version, `bytes` of the cell at
@@ -785,8 +842,7 @@ struct KvStore::RegionOp {
   Act act = Act::update;
   int shard = 0, t = 0, stuck = 0, nreq = 0;
   bool replica = false, with_gen = false, with_cache = false;
-  bool locking = false;
-  bool relock = false;   ///< the lock CAS is not at the located version
+  bool take = false;     ///< lock by a take: not at the located version
   bool guarded = false;  ///< holds the slot lock (the top cell's version)
   bool sizing = false;   ///< width(): issue() counts instead of posting
   bool hit = false;      ///< served from the version-validated cache
@@ -807,10 +863,11 @@ struct KvStore::RegionOp {
   std::uint64_t w[6] = {};
   std::uint64_t img[4] = {};  ///< fresh overflow cell staged for the rput
   rdma::OpStatus status = rdma::OpStatus::ok;
-  rdma::OpStatus round_st = rdma::OpStatus::ok;
-  /// Status of the failed round a slot-lock release follows.
+  rdma::OpStatus round_st = rdma::OpStatus::ok;  ///< the round's first failure
+  /// Status of the failed round a release of a held lock follows.
   rdma::OpStatus held = rdma::OpStatus::ok;
   core::RmaRequest req[4];
+  rdma::OpStatus req_st[4] = {};  ///< each request of the retired round
 };
 
 // One client op in flight. start() arms a get's serving copy, or a write's
@@ -868,7 +925,7 @@ std::uint64_t KvStore::round_deadline(RegionOp* const* ops, int n) {
 bool KvStore::retire_round(RegionOp* const* ops, int n) {
   for (int i = 0; i < n; ++i) {
     for (int r = 0; r < ops[i]->nreq; ++r) {
-      ops[i]->fold(wait_req(ops[i]->req[r]));
+      ops[i]->fold(r, wait_req(ops[i]->req[r]));
     }
   }
   bool contended = false;
@@ -908,7 +965,7 @@ rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
 rdma::OpStatus KvStore::debug_read_copy(std::uint64_t key, bool replica,
                                         std::uint64_t* value, bool* found) {
   RegionOp op;
-  op.begin_copy_read(*this, shard_of(key), replica, key);
+  op.begin(*this, Kind::read, shard_of(key), replica, key, 0);
   drive(op);
   *found = op.found;
   *value = op.found ? op.value : 0;
@@ -978,7 +1035,7 @@ ScrubResult KvStore::scrub(int shard) {
   // Read every candidate on both copies, all machines overlapped.
   std::vector<RegionOp> reads(2 * keys.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
-    reads[i].begin_copy_read(*this, shard, i % 2 != 0, keys[i / 2]);
+    reads[i].begin(*this, Kind::read, shard, i % 2 != 0, keys[i / 2], 0);
   }
   run(reads);
   for (const auto& op : reads) fold(op.status);
@@ -1050,28 +1107,49 @@ rdma::OpStatus KvStore::start(ClientOp& c, Kind kind,
     ++stats_.gets;
   } else {
     ++(kind == Kind::erase ? stats_.erases : stats_.puts);
-    // The write moves the cell's version anyway; dropping the entry first
-    // spares the next get a doomed check round.
-    cache_[s].erase(key);
+    // The write moves the cell's version anyway; dropping the value first
+    // spares the next get a doomed check round. The cells stay: the write
+    // takes its locks there.
+    const auto it = cache_[s].find(key);
+    if (it != cache_[s].end()) it->second.version = 0;
     const auto gst = check_generation();
     if (gst != rdma::OpStatus::ok) return gst;
   }
   if (!degraded_[s] && !win_.peer_alive(owner_of(shard))) fail_over(shard);
   const bool deg = degraded_[s];
   if (deg && !win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
-  c.copy[0].begin(*this, kind, shard, deg, key, value);
+  c.copy[0].begin_client(*this, kind, shard, deg, key, value);
   c.n = 1;
   if (kind != Kind::read && !deg && cfg_.replicate) {
-    c.copy[1].begin(*this, kind, shard, true, key, value);
+    c.copy[1].begin_client(*this, kind, shard, true, key, value);
     c.n = 2;
   }
   return rdma::OpStatus::pending;
+}
+
+bool KvStore::serves(const RegionOp& m) const {
+  return m.home == pack_copy(copy_of(m.shard, m.replica)) &&
+         (m.replica || !degraded_[static_cast<std::size_t>(m.shard)]);
 }
 
 rdma::OpStatus KvStore::settle(ClientOp& c) {
   RegionOp& own = c.copy[0];
   const int shard = own.shard;
   const auto s = static_cast<std::size_t>(shard);
+  auto& entries = cache_[s];
+  if (own.kind == Kind::erase) {
+    entries.erase(own.key);  // the key has no cell left to hint
+  } else if (own.kind == Kind::put) {
+    // Each copy's cell that a put located or wrote its key in is the hint
+    // for that copy, while the copy still serves in that role (a parked
+    // write can straddle a routing change).
+    for (int i = 0; i < c.n; ++i) {
+      const RegionOp& m = c.copy[i];
+      if (m.status == rdma::OpStatus::ok && serves(m)) {
+        entries[m.key].cell[m.replica] = m.cell;
+      }
+    }
+  }
   // An owner that died under the op: fail over, and move a get (or an
   // unreplicated write) to the replica.
   if (own.status == rdma::OpStatus::peer_dead && !own.replica) {
@@ -1079,7 +1157,7 @@ rdma::OpStatus KvStore::settle(ClientOp& c) {
     fail_over(shard);
     if (!win_.peer_alive(replica_of(shard))) return data_loss_on(shard);
     if (own.kind == Kind::read || c.n == 1) {
-      own.begin(*this, own.kind, shard, true, own.key, own.value);
+      own.begin_client(*this, own.kind, shard, true, own.key, own.value);
       c.n = 1;
       return rdma::OpStatus::pending;
     }
@@ -1100,16 +1178,21 @@ rdma::OpStatus KvStore::settle(ClientOp& c) {
     ++(own.hit ? stats_.cache_hits : stats_.cache_misses);
     count(own.hit ? Op::kv_cache_hit : Op::kv_cache_miss);
   }
-  if (own.status != rdma::OpStatus::ok || !own.found) return own.status;
-  c.found = true;
-  c.value = own.value;
+  if (own.status != rdma::OpStatus::ok) return own.status;
+  c.found = own.found;
+  if (own.found) c.value = own.value;
   // Cache a clean snapshot (v1 == v2, even, nonzero) of the key's cell,
-  // top or chain (a key has one cell per copy), and only while the copy the
-  // machine read still serves as primary: a parked read can straddle a
-  // routing change.
-  if (own.with_cache && !own.hit && !degraded_[s] &&
-      pack_copy(copy_of(shard, false)) == own.home) {
-    cache_[s][own.key] = CacheEntry{own.cell, own.ver, own.value};
+  // top or chain (a key has one cell per copy), while the copy the machine
+  // read still serves as primary. A miss leaves the key no cell there.
+  if (!own.with_cache || own.hit || !serves(own)) return own.status;
+  if (own.found) {
+    CacheEntry& e = entries[own.key];
+    e.cell[0] = own.cell;
+    e.version = own.ver;
+    e.value = own.value;
+  } else if (const auto it = entries.find(own.key);
+             it != entries.end() && forget_primary(it->second)) {
+    entries.erase(it);
   }
   return own.status;
 }

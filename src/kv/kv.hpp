@@ -22,18 +22,23 @@
 //     the insert has not linearized yet and reads as a miss. An uncached
 //     top-cell get is that one round (2 AMOs, 1 get); a chain walk reads
 //     the head and snapshots each cell it passes.
-//   * put / erase — the owner and replica machines run in lockstep:
-//     {version read, claim CAS} -> lock CAS -> {value or tombstone write,
-//     release}, three overlapped rounds and five AMOs per copy for a
-//     top-cell write. The last round issues the data store before the
-//     release; one origin's requests to a target apply in issue order, and
-//     the drivers retire them in that order. A key has at most one cell
-//     per copy: a put that must create a cell walks the whole chain, takes
-//     the slot lock (the top cell's seqlock, at the version its walk
-//     started from) and only under it reclaims the first tombstone it
-//     passed or links a fresh overflow cell (the hashtable's fetch_add +
-//     link-at-head protocol). A relock at a moved version re-reads the key
-//     beside its CAS and re-locates if the cell now holds another key.
+//   * put / erase — the owner and replica machines run in lockstep. A
+//     write of a key this rank wrote or read before starts with a *take*
+//     of the cell its entry names on each copy: a fetch-or of the odd bit,
+//     then a read of the key word, locking the cell iff the version it
+//     returns is even; then {value or tombstone write, release}. Two
+//     overlapped rounds and four AMOs per copy, top cell or chain. A take
+//     that finds another key under its lock releases at +2 and walks from
+//     the top, like a first write: {version read, claim CAS} -> lock CAS
+//     -> {write, release}, three rounds and five AMOs per copy for a top
+//     cell. The last round issues the data store before the release; one
+//     origin's requests to a target apply in issue order, and the drivers
+//     retire them in that order. A key has at most one cell per copy: a
+//     put that must create a cell walks the whole chain, takes the slot
+//     lock (the top cell's seqlock, at the version its walk started from)
+//     and only under it reclaims the first tombstone it passed or links a
+//     fresh overflow cell (the hashtable's fetch_add + link-at-head
+//     protocol). A lock CAS that loses to a moved version becomes a take.
 //     Erase tombstones the key word so the cell can be reclaimed. A non-ok
 //     status means "unknown effect": the copies may disagree (the replica
 //     may be ahead of a failed owner) until the scrub reconciles them.
@@ -41,22 +46,26 @@
 //     of both copies name the keys, read machines compare them, and put or
 //     erase machines in a conditional repair mode rewrite the loser, so a
 //     repair keeps one cell per key like any write (rule: scrub()).
-//   * client cache — per key: an entry is {cell, version, value} for the
-//     key's cell, top or chain, on the shard's primary copy, filled from a
-//     clean snapshot. A cell's key and value change only while its version
-//     is odd (or where no entry can name it: an unclaimed slot, an
+//   * client cache — per key: an entry holds the key's cell, top or
+//     chain, on each copy (hints, from cells a machine located or wrote,
+//     so always linked), and {version, value} of the primary cell, filled
+//     from a clean snapshot. A cell's key and value change only while its
+//     version is odd (or where no entry can name it: an unclaimed slot, an
 //     unlinked overflow cell) and versions only grow, so an unchanged
 //     version proves the cell still holds the pair; with one cell per key
 //     no other cell can serve or take a value for it. A hit is ONE round
-//     of one AMO; a stale entry snapshots its cell in place and walks from
-//     the top only if the key left it. A write to another key leaves an
-//     entry warm.
+//     of one AMO; a stale entry, or one with only the cell, snapshots the
+//     cell in place and walks from the top only if the key left it. The
+//     rank's own write drops the value and keeps the cells (an erase drops
+//     the entry); a write to another key leaves an entry warm. Writes keep
+//     and take hints whatever client_cache says; it governs reads.
 //   * replication / failover — writes fan out to a replica region on rank
 //     (owner+1)%p; a client observing the owner dead (fail-stop liveness
 //     or a typed peer_dead status) marks the shard degraded and routes to
 //     the replica. Degraded reads bypass the cache (its entries hold
 //     versions of the primary copy's cells, which the replica's need not
-//     match), which is the modeled SLO degradation bench_kv measures.
+//     match), which is the modeled SLO degradation bench_kv measures;
+//     degraded writes still take the replica's cells.
 //   * self-healing recovery (DESIGN.md §13) — heal() turns the degraded
 //     state back into a healthy one: the lowest alive rank is elected
 //     coordinator, CAS-claims the routing generation word (even = stable,
@@ -203,7 +212,8 @@ class KvStore {
   rdma::OpStatus probe_owner(int shard);
   const KvStats& stats() const noexcept { return stats_; }
   const KvConfig& config() const noexcept { return cfg_; }
-  /// Keys currently cached for `shard` on this client.
+  /// Keys whose value this client caches for `shard` (an entry that holds
+  /// only the key's cells does not count).
   std::size_t cached_entries(int shard) const;
 
   // --- recovery (DESIGN.md §13) --------------------------------------------
@@ -368,6 +378,10 @@ class KvStore {
   rdma::OpStatus run(ClientOp& c, rdma::OpStatus st);
   /// Marks `shard` degraded (first peer_dead / liveness miss on its owner).
   void fail_over(int shard);
+  /// True while the copy `m` addressed still serves `shard` in that role
+  /// (a parked op can straddle a routing change), a primary only while the
+  /// shard is not degraded: the cell it found may enter the key's entry.
+  bool serves(const RegionOp& m) const;
   /// Retires an op addressed at a shard whose owner AND replica are dead.
   rdma::OpStatus data_loss_on(int shard);
   bool any_peer_dead() const;
@@ -382,12 +396,18 @@ class KvStore {
   std::uint64_t gen_seen_ = 0;          ///< generation the table was read at
   std::vector<bool> degraded_;          ///< per shard, client-local view
 
-  // Per-key cache: the cell of shard s's primary copy that held {key,
-  // value} at `version`; valid while that cell's version is unchanged.
+  // Per-key entry. cell[0] and cell[1] are the key's cells on shard s's
+  // primary and replica copies when this rank last located or wrote the
+  // key there: hints, which a write takes and a read snapshots, validating
+  // the key under the lock or in the snapshot. {version, value} is a value
+  // cached from the primary cell, valid while that cell's version is
+  // unchanged; version 0 means none.
   struct CacheEntry {
-    std::size_t cell;  ///< byte offset of the cell in the window
-    std::uint64_t version, value;
+    std::size_t cell[2] = {};  ///< byte offsets in the window, 0 = unknown
+    std::uint64_t version = 0, value = 0;
   };
+  /// Drops what `e` knows of the primary copy; true if nothing is left.
+  static bool forget_primary(CacheEntry& e);
   std::vector<std::unordered_map<std::uint64_t, CacheEntry>> cache_;
   KvStats stats_;
 };

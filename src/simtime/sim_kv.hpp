@@ -21,12 +21,14 @@ struct KvParams {
   /// Remote requests of the full versioned read of a top cell, one round:
   /// the version, a get of the whole cell, the version again.
   int uncached_reqs = 3;
-  /// Overlapped rounds of a top-cell put: {claim CAS, version read} ->
-  /// lock CAS -> {value write, release}. Both copies run in lockstep, so
-  /// replication adds AMOs but no rounds.
-  int put_rounds = 3;
-  /// Remote AMOs a put issues against one region (the five above).
-  int put_amos = 5;
+  /// Overlapped rounds of a put of a key the client wrote or read before:
+  /// a take of the cell it remembers, {fetch-or, key read} -> {value
+  /// write, release}. Both copies run in lockstep, so replication adds
+  /// AMOs but no rounds. (A first put of a key walks from the top: three
+  /// rounds and five AMOs.)
+  int put_rounds = 2;
+  /// Remote AMOs a put issues against one region (the four above).
+  int put_amos = 4;
   bool replicate = true;     ///< puts fan out to the replica region (x2)
   double hit_rate = 0.80;    ///< healthy-mode cache hit fraction
   double read_ratio = 0.95;  ///< fraction of client ops that are gets
@@ -69,7 +71,7 @@ double kv_read_p99_us(const KvParams& p, bool degraded = false);
 /// one network round trip per overlapped round plus the origin's issue
 /// overhead per AMO. Write-through replication doubles the AMOs while the
 /// shard is healthy (degraded mode writes the surviving replica only):
-/// 3 * 2.4 + 10 * 0.416 = 11.36 us healthy, 9.28 us degraded.
+/// 2 * 2.4 + 8 * 0.416 = 8.13 us healthy, 6.46 us degraded.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
 /// Probability mass of the hottest shard under the Zipf(s) key popularity

@@ -169,11 +169,13 @@ TEST(Kv, CollisionsSpillToOverflowChains) {
 
 TEST(Kv, ReplicatedWriteRoundCounts) {
   // One driver round overlaps every live copy's requests, so a replicated
-  // top-cell put costs the three rounds of one copy: {claim CAS, version
-  // read} -> lock CAS -> {value write, release}. A read takes a cell's
-  // snapshot in one round: {version, get of the whole cell, version}.
-  // (The op_from_string round trip of Op::kv_round is covered by
-  // TraceNames.OpToStringRoundTripsExhaustively.)
+  // top-cell put costs the rounds of one copy: a fresh claim is {claim
+  // CAS, version read} -> lock CAS -> {value write, release}; a put of a
+  // key this rank wrote before takes the cell its entry names on each
+  // copy, {fetch-or, key read} -> {value write, release}, top or chain. A
+  // read takes a cell's snapshot in one round: {version, get of the whole
+  // cell, version}. (The op_from_string round trip of Op::kv_round is
+  // covered by TraceNames.OpToStringRoundTripsExhaustively.)
   KvConfig cfg;
   cfg.shards = 2;
   cfg.table_slots = 1;  // a second key of the shard goes to the chain
@@ -201,19 +203,25 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
     };
     if (ctx.rank() == 0) {
       const auto put = [&](std::uint64_t k, std::uint64_t val) {
-        return cost([&] { return store.put(k, val); }).rounds;
+        return cost([&] { return store.put(k, val); });
       };
-      EXPECT_EQ(put(a, 1), 3u);  // fresh claim
-      EXPECT_EQ(put(a, 2), 3u);  // overwrite
+      EXPECT_EQ(put(a, 1).rounds, 3u);  // fresh claim
+      // Overwrite: a take and a write on each copy, 4 AMOs per copy (the
+      // fetch-or, the key read, the value, the release) and no get.
+      Cost c = put(a, 2);
+      EXPECT_EQ(c.rounds, 2u);
+      EXPECT_EQ(c.amos, 8u);
+      EXPECT_EQ(c.gets, 0u);
       // Fresh chain insert: top -> head -> slot lock -> FAA -> fill ->
       // link -> release.
-      EXPECT_EQ(put(b, 3), 7u);
-      // Chain overwrite: top -> head -> cell -> lock -> {write, release}.
-      EXPECT_EQ(put(b, 4), 5u);
-      // Uncached get: one snapshot round of the top cell, 2 AMOs and 1
+      EXPECT_EQ(put(b, 3).rounds, 7u);
+      // Chain overwrite: the take goes straight to b's chain cell.
+      EXPECT_EQ(put(b, 4).rounds, 2u);
+      // The puts left a's entry only its cells. A get snapshots the hinted
+      // cell: one round of 2 AMOs and 1 get, like an uncached top-cell
       // get; a warm cache hit is one round reading the cached cell's
       // version, 1 AMO and no get.
-      Cost c = get(a);
+      c = get(a);
       EXPECT_EQ(c.rounds, 1u);
       EXPECT_EQ(c.amos, 2u);
       EXPECT_EQ(c.gets, 1u);
@@ -222,9 +230,9 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       EXPECT_EQ(c.amos, 1u);
       EXPECT_EQ(c.gets, 0u);
       EXPECT_EQ(v, 2u);
-      // Chain key: top snapshot -> head -> chain-cell snapshot once; then
-      // the chain cell is cached like a top cell.
-      EXPECT_EQ(get(b).rounds, 3u);
+      // Chain key: the hinted chain cell's snapshot, no walk; then the
+      // chain cell is cached like a top cell.
+      EXPECT_EQ(get(b).rounds, 1u);
       EXPECT_EQ(get(b).rounds, 1u);
       EXPECT_EQ(v, 4u);
       EXPECT_EQ(store.cached_entries(store.shard_of(b)), 2u);
@@ -237,7 +245,8 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
     if (ctx.rank() == 0) {
       // A stale entry: the version check, then a snapshot of the cached
       // cell in place, which still holds the key, so no walk. It counts
-      // as a miss: every cached get is a hit or a miss.
+      // as a miss: every cached get is a hit or a miss, a hinted snapshot
+      // too.
       const Cost c = get(a);
       EXPECT_EQ(c.rounds, 2u);
       EXPECT_EQ(c.amos, 3u);
@@ -314,7 +323,7 @@ TEST(Kv, DelayedRelockNeverWritesIntoAnotherKeysCell) {
   // (k, 99) and reads k's top cell at version 2. While its lock CAS is in
   // flight, rank 0 (k's owner) erases k and puts k2, which collides, into
   // the same top cell. Rank 2's lock then loses to the moved version; its
-  // relock must notice the cell now holds k2 and re-locate k instead of
+  // take must notice the cell now holds k2 and re-locate k instead of
   // writing 99 into k2's cell.
   fabric::FabricOptions opts;
   opts.domain.nranks = 3;
@@ -363,6 +372,127 @@ TEST(Kv, DelayedRelockNeverWritesIntoAnotherKeysCell) {
           if (found) {
             EXPECT_EQ(v, 99u);
           }
+        }
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
+}
+
+TEST(Kv, StaleHintNeverWritesIntoAnotherKeysCell) {
+  // One top slot per shard. Ranks 0 and 2 put k, so each holds k's top
+  // cell on both copies as a hint. Rank 1 erases k and puts j, which
+  // reclaims k's tombstoned top cell on both copies. Rank 0 puts k again:
+  // its takes read j under the lock, release and walk, so k lands in a
+  // cell of its own and j keeps its value on both copies. Rank 2's entry
+  // still names the top cell, now j's: its get snapshots that cell, sees
+  // j, and walks on to k's cell, so it returns k's value, never j's.
+  KvConfig cfg;
+  cfg.shards = 3;
+  cfg.table_slots = 1;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    const std::uint64_t k = 1;
+    std::uint64_t j = 2;
+    while (store.shard_of(j) != store.shard_of(k)) ++j;
+    std::uint64_t v = 0;
+    bool found = false;
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.put(k, 10), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 2) {
+      ASSERT_EQ(store.put(k, 11), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.erase(k), OpStatus::ok);
+      ASSERT_EQ(store.put(j, 20), OpStatus::ok);  // reclaims k's top cell
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.put(k, 30), OpStatus::ok);
+      for (const bool replica : {false, true}) {
+        const char* copy = replica ? "replica" : "primary";
+        ASSERT_EQ(store.debug_read_copy(j, replica, &v, &found),
+                  OpStatus::ok);
+        EXPECT_TRUE(found) << copy;
+        EXPECT_EQ(v, 20u) << "a stale hint wrote into j's cell on the "
+                          << copy;
+        ASSERT_EQ(store.debug_read_copy(k, replica, &v, &found),
+                  OpStatus::ok);
+        EXPECT_TRUE(found) << copy;
+        EXPECT_EQ(v, 30u) << copy;
+      }
+      EXPECT_EQ(store.scrub(store.shard_of(k)).repairs, 0u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 2) {
+      ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 30u) << "a hinted read served another key's value";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(Kv, TakeWhoseKeyReadFailedReleasesTheCell) {
+  // One transient fault site per rank and no retry budget. The seed puts
+  // rank 2's site, a permanent failure, past its setup, and makes the
+  // other ranks' sites latency spikes. Rank 2 writes the key once, pads
+  // its op count to one below the site and writes again: the take's
+  // fetch-or locks the owner's cell at an even version and its key read
+  // fails. The put retires with that failure, but must release the cell
+  // first: with no death, nothing would ever revoke it, and rank 2's next
+  // put would wait on it until the watchdog ends the run.
+  constexpr std::uint64_t kFrom = 1000;
+  fabric::FabricOptions opts;
+  opts.domain.nranks = 3;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.fault.transient_faults_per_rank = 1;
+  opts.domain.fault.horizon_ops = 2 * kFrom;
+  opts.domain.fault.retry_budget = 0;
+  opts.errors_return = true;
+  opts.hang_timeout_ns = 60'000'000'000;
+  const auto spike = [](const rdma::Nic& nic) {
+    return nic.fault_schedule().at(0).kind == rdma::FaultKind::latency_spike;
+  };
+  for (opts.domain.fault.seed = 1;; ++opts.domain.fault.seed) {
+    rdma::Domain dom(opts.domain);
+    if (dom.nic(2).fault_schedule().at(0).at_op >= kFrom && !spike(dom.nic(2)) &&
+        spike(dom.nic(0)) && spike(dom.nic(1))) {
+      break;
+    }
+  }
+  fabric::run_ranks(
+      3,
+      [&](RankCtx& ctx) {
+        KvStore store(ctx);
+        const auto key = key_owned_by(store, 0);
+        ASSERT_EQ(store.replica_of(store.shard_of(key)), 1);
+        if (ctx.rank() == 2) {
+          ASSERT_EQ(store.put(key, 1), OpStatus::ok);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 2) {
+          // Ops in issue order: the owner's fetch-or, then its key read.
+          const std::uint64_t site = ctx.nic().fault_schedule()[0].at_op;
+          ASSERT_LT(ctx.nic().issued_ops(), site - 1);
+          while (ctx.nic().issued_ops() < site - 1) store.generation();
+          const auto st = store.put(key, 2);
+          EXPECT_TRUE(st == OpStatus::timeout || st == OpStatus::cq_error)
+              << rdma::to_string(st);
+          ASSERT_EQ(store.put(key, 3), OpStatus::ok);
+        }
+        ctx.barrier();
+        std::uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(key, &v, &found), OpStatus::ok);
+        EXPECT_TRUE(found);
+        EXPECT_EQ(v, 3u);
+        if (ctx.rank() == 0) {
+          EXPECT_EQ(store.scrub(store.shard_of(key)).repairs, 0u);
         }
         ctx.barrier();
         store.destroy(ctx);
@@ -886,13 +1016,16 @@ TEST(KvChaos, DeterministicAcrossSeeds) {
   }
 }
 
-TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
-  // The lockstep write locks both copies in the same round, so a writer
-  // that dies can leave BOTH copies odd. Kill the writer (rank 2, host of
-  // neither copy) at every op index of one replicated put. Survivors' gets
-  // must retire ok with the old or the new value (revoking the dead
-  // writer's lock) or typed peer_dead, and never hang; a survivor's put
-  // then revokes the other copy's lock and leaves the pair in agreement.
+namespace {
+
+/// Kills the writer (rank 2, host of neither copy) at every op index of
+/// one replicated put of a key and returns the put's op count. Survivors'
+/// gets must retire ok with the old or the new value (revoking the dead
+/// writer's lock) or typed peer_dead, and never hang; a survivor's put
+/// then revokes the other copy's lock and leaves the pair in agreement.
+/// With `hinted`, rank 2 wrote the key before, so its put takes the cells
+/// its entry names instead of walking from the top.
+std::uint64_t writer_death_sweep(bool hinted) {
   constexpr std::uint64_t kPad = 10000;  // the put starts at this op index
   std::uint64_t put_ops = 0;
   for (std::uint64_t k = 0;; ++k) {
@@ -911,7 +1044,7 @@ TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
           KvStore store(ctx);
           const auto key = key_owned_by(store, 0);
           const int s = store.shard_of(key);
-          if (ctx.rank() == 0) {
+          if (ctx.rank() == (hinted ? 2 : 0)) {
             ASSERT_EQ(store.put(key, 1), OpStatus::ok);
           }
           ctx.barrier();  // last collective: the kill lands in the put
@@ -946,7 +1079,19 @@ TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
     EXPECT_EQ(survivors.load(), 2) << "kill at op " << k;
     if (put_done) break;  // the kill site moved past the put's last op
   }
-  EXPECT_EQ(put_ops, 10u) << "a replicated top-cell put is 2 x 5 AMOs";
+  return put_ops;
+}
+
+}  // namespace
+
+TEST(KvChaos, WriterDeathSweepInsideReplicatedPut) {
+  // The lockstep write locks both copies in the same round, so a writer
+  // that dies can leave BOTH copies odd. Two sweeps: a put that walks from
+  // the top, and a put that takes the cells the writer's entry names.
+  EXPECT_EQ(writer_death_sweep(false), 10u)
+      << "a replicated top-cell put is 2 x 5 AMOs";
+  EXPECT_EQ(writer_death_sweep(true), 8u)
+      << "a hinted replicated put is 2 x 4 AMOs";
 }
 
 TEST(KvChaos, ReclaimerDeathNeverServesTheErasedValue) {
@@ -1257,12 +1402,16 @@ TEST(KvFleet, RecordsLatenciesAndStaysCoherent) {
 TEST(KvFleet, SlowPathsRunOnTheFiber) {
   // One top cell per shard: most keys live in overflow chains, so fleet
   // reads walk chains, and reads and writes of the hot keys meet odd
-  // versions and relocks. Every round of them runs on the client fiber,
+  // versions and takes. Every round of them runs on the client fiber,
   // one round per fiber step at most; the retirement identity holds and
-  // every key reads back a legal value.
+  // every key reads back a legal value. A fleet lasts ~15 ms; on a loaded
+  // host the rank threads can run it in turns so that no read meets a
+  // held version, so a fleet that saw no read retry runs again with the
+  // next seed, every pass checked in full, at most kPasses times.
   constexpr int kRanks = 3;
   constexpr std::uint64_t kKeys = 64;
   constexpr int kOps = 512;
+  constexpr int kPasses = 4;
   fabric::FabricOptions opts;
   opts.domain.ranks_per_node = 1;
   opts.domain.inject = rdma::Injection::model;
@@ -1283,34 +1432,41 @@ TEST(KvFleet, SlowPathsRunOnTheFiber) {
         fc.ops_per_rank = kOps;
         fc.read_ratio = 0.5;
         fc.keyspace = kKeys;
-        fc.seed = 7;
-        const std::uint64_t r0 = store.stats().read_retries;
-        const OpCounters c0 = op_counters();
-        const auto res = store.run_fleet(ctx, fc);
-        const OpCounters d = op_counters().since(c0);
-        retries += store.stats().read_retries - r0;
-        EXPECT_EQ(res.issued, static_cast<std::uint64_t>(kOps));
-        EXPECT_EQ(res.reads + res.writes, res.issued);
-        EXPECT_EQ(res.ok_ops + res.peer_dead + res.retry_routing +
-                      res.data_loss + res.failed_other,
-                  res.issued);
-        EXPECT_EQ(res.ok_ops, res.issued);  // healthy fleet
-        EXPECT_LE(d.get(Op::kv_round), d.get(Op::fiber_switch))
-            << "a fiber step issued more than one round";
-        ctx.barrier();
-        for (std::uint64_t k = 1; k <= kKeys; ++k) {
-          std::uint64_t v = 0;
-          bool found = false;
-          ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
-          EXPECT_TRUE(found) << "key " << k;
-          EXPECT_TRUE(v == k * 3 || v == k * 31 + 7)
-              << "key " << k << " read " << v;
+        for (int pass = 0; pass < kPasses; ++pass) {
+          fc.seed = 7 + static_cast<std::uint64_t>(pass);
+          const std::uint64_t r0 = store.stats().read_retries;
+          const OpCounters c0 = op_counters();
+          const auto res = store.run_fleet(ctx, fc);
+          const OpCounters d = op_counters().since(c0);
+          retries += store.stats().read_retries - r0;
+          EXPECT_EQ(res.issued, static_cast<std::uint64_t>(kOps));
+          EXPECT_EQ(res.reads + res.writes, res.issued);
+          EXPECT_EQ(res.ok_ops + res.peer_dead + res.retry_routing +
+                        res.data_loss + res.failed_other,
+                    res.issued);
+          EXPECT_EQ(res.ok_ops, res.issued);  // healthy fleet
+          EXPECT_LE(d.get(Op::kv_round), d.get(Op::fiber_switch))
+              << "a fiber step issued more than one round";
+          ctx.barrier();
+          for (std::uint64_t k = 1; k <= kKeys; ++k) {
+            std::uint64_t v = 0;
+            bool found = false;
+            ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+            EXPECT_TRUE(found) << "key " << k;
+            EXPECT_TRUE(v == k * 3 || v == k * 31 + 7)
+                << "key " << k << " read " << v;
+          }
+          // Every rank added its retries before the barrier above and
+          // reads the total before the one below, so all ranks agree.
+          const bool met = retries.load() > 0;
+          ctx.barrier();
+          if (met) break;
         }
-        ctx.barrier();
         store.destroy(ctx);
       },
       opts);
-  EXPECT_GT(retries.load(), 0u) << "no read met a held or moved version";
+  EXPECT_GT(retries.load(), 0u) << "no read met a held or moved version in "
+                                << kPasses << " fleets";
 }
 
 // --- self-healing recovery (DESIGN.md §13) -----------------------------------

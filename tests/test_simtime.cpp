@@ -390,10 +390,11 @@ TEST(SimKv, DegradedTailNoBetterThanHealthy) {
   // Degraded puts write one region instead of two: cheaper per op, which
   // is the one silver lining the SLO table shows.
   EXPECT_LT(kv_put_us(p, true), kv_put_us(p, false));
-  // Lockstep copies: three overlapped rounds either way, plus the origin
-  // issue overhead of 10 (healthy) or 5 (degraded) AMOs.
-  EXPECT_NEAR(kv_put_us(p, false), 3 * 2.4 + 10 * 0.416, 1e-9);
-  EXPECT_NEAR(kv_put_us(p, true), 3 * 2.4 + 5 * 0.416, 1e-9);
+  // Lockstep copies: two overlapped rounds either way (a take, then the
+  // write), plus the origin issue overhead of 8 (healthy) or 4 (degraded)
+  // AMOs.
+  EXPECT_NEAR(kv_put_us(p, false), 2 * 2.4 + 8 * 0.416, 1e-9);
+  EXPECT_NEAR(kv_put_us(p, true), 2 * 2.4 + 4 * 0.416, 1e-9);
 }
 
 TEST(SimKv, ThroughputMonotoneAndSaturating) {
