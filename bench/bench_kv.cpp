@@ -1,7 +1,7 @@
 // KV service SLO harness: closed-loop Zipfian fleets against the sharded
 // store (src/kv) under the injected Gemini cost model.
 //
-// Three sections, two with built-in acceptance gates (exit 1):
+// Four sections, three with built-in acceptance gates (exit 1):
 //
 //   1. SLO table (informational): p in {2, 4} client ranks x read_ratio in
 //      {0.95, 0.5}; each rank runs a closed-loop fleet (8 fibers, Zipf 0.9
@@ -29,6 +29,15 @@
 //      seeded by a rank that does not read them, so the reader's first
 //      get of each is the key's full read, the reference for its degraded
 //      gets; a rank's own writes leave it the key's cells to read in place.
+//   4. Self-healing (gated): section 3's phases, then heal() and the same
+//      reads against the healed routing (recovery_slo() lists the read
+//      gates). Rank 0 also times hinted puts of six more doomed-rank keys
+//      before the kill and after heal(). Gates: exact counters (2 rounds
+//      per put; 8 AMOs healthy, 9 after, the generation read riding the
+//      first round) and a timing ceiling, post p50 <= C x healthy p50,
+//      with C halfway between the closed forms with the generation inside
+//      the first round (8.54 us) and as a round of its own (10.94 us),
+//      each over the healthy 8.13 us: C ~ 1.20.
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh
 // as BENCH_kv.json).
@@ -98,6 +107,50 @@ constexpr GetCost kTopRead{2, 1, false};
 GetCost with_generation(GetCost c) {
   ++c.amos;
   return c;
+}
+
+/// What one put issued: driver rounds and AMOs (remote, or on the
+/// caller's own memory), and whether it retired ok.
+struct PutCost {
+  std::uint64_t rounds = 0, amos = 0;
+  bool ok = false;
+  bool operator==(const PutCost&) const = default;
+};
+
+/// One put of `key`, timed into `*ns`; returns what it issued.
+PutCost timed_put(KvStore& store, std::uint64_t key, std::uint64_t value,
+                  std::uint64_t* ns) {
+  const OpCounters c0 = op_counters();
+  Timer t;
+  const OpStatus st = store.put(key, value);
+  *ns = t.elapsed_ns();
+  const OpCounters d = op_counters().since(c0);
+  return {d.get(Op::kv_round),
+          d.get(Op::transport_amo) + d.get(Op::local_atomic),
+          st == OpStatus::ok};
+}
+
+// A hinted put takes the key's cell on both copies and then writes it: 2
+// rounds of 4 AMOs per copy. Once a death was seen, its first round also
+// reads the routing generation: one more AMO, no more rounds.
+constexpr PutCost kHintedPut{2, 8, true};
+constexpr PutCost kHintedPutAfterDeath{2, 9, true};
+
+/// Exact median of `ns`, in us.
+double median_us(std::vector<std::uint64_t> ns) {
+  if (ns.empty()) return 0;
+  const auto mid = ns.begin() + static_cast<std::ptrdiff_t>(ns.size() / 2);
+  std::nth_element(ns.begin(), mid, ns.end());
+  return us(*mid);
+}
+
+/// Timing ceiling of the post-recovery put gate, over the healthy put:
+/// halfway between the closed form with the generation inside the first
+/// round (kv_post_recovery_put_us) and with it as a round of its own.
+double post_put_ceiling() {
+  const sim::KvParams p;
+  const double inside = sim::kv_post_recovery_put_us(p);
+  return (inside + p.amo_us / 2.0) / sim::kv_put_us(p);
 }
 
 /// True if the cold reads are full reads: a top-cell one 2 AMOs and 1 get,
@@ -292,31 +345,42 @@ struct RecoveryRow {
   bool healed_ok = false;
   bool degraded_cleared = false;
   bool counts_exact = false;  ///< every timed get issued what it should
+  /// Hinted puts of their own doomed-rank keys, exact medians.
+  double healthy_put_p50_us = 0, post_put_p50_us = 0;
+  bool put_counts_exact = false;  ///< every timed put issued what it should
 };
 
-/// Self-healing SLO: healthy reads -> owner kill -> degraded reads ->
-/// heal() (replica promotion + frozen-image drain + scrub, timed) -> the
-/// same reads against the healed routing. The gates assert the full
-/// restoration story: recovery typed-completes, degraded() clears
-/// everywhere, the post-recovery tail returns to within 1.5x of healthy
-/// (the generation check rides the read's first round), and cache
-/// leverage is back: exact counters (every healthy or post-recovery get a
-/// hit, every degraded get its key's full read, a top-cell one 2 AMOs and
-/// 1 get, plus the generation AMO once the death was seen) and degraded
-/// p50 >= leverage_floor() x post-recovery p50.
+/// Self-healing SLO: healthy reads and puts -> owner kill -> degraded
+/// reads -> heal() (replica promotion + frozen-image drain + scrub, timed)
+/// -> the same reads and puts against the healed routing. The gates
+/// assert the full restoration story: recovery typed-completes,
+/// degraded() clears everywhere, the post-recovery tail returns to within
+/// 1.5x of healthy (the generation check rides the read's first round),
+/// and cache leverage is back: exact counters (every healthy or
+/// post-recovery get a hit, every degraded get its key's full read, a
+/// top-cell one 2 AMOs and 1 get, plus the generation AMO once the death
+/// was seen) and degraded p50 >= leverage_floor() x post-recovery p50.
+/// Puts come back too: exact counters (every timed put 2 rounds, 8 AMOs
+/// healthy, 9 after) and post p50 <= post_put_ceiling() x healthy p50.
+/// The routing home is rank 3, so the generation is a remote request.
 RecoveryRow recovery_slo() {
   constexpr int kRanks = 4;
   constexpr int kReadsPerKey = 32;
+  constexpr int kPutsPerKey = 32;
   fabric::FabricOptions opts = internode_model();
   opts.domain.fault.kill_rank = 1;
   opts.domain.fault.kill_at_op = 400;
   opts.errors_return = true;
+  KvConfig cfg;
+  cfg.routing_rank = 3;
   RecoveryRow row;
   fabric::run_ranks(kRanks, [&](RankCtx& ctx) {
-    KvStore store(ctx);
-    std::vector<std::uint64_t> keys;  // owned by the doomed rank
-    for (std::uint64_t k = 1; keys.size() < 6; ++k) {
-      if (store.owner_of(store.shard_of(k)) == 1) keys.push_back(k);
+    KvStore store(ctx, cfg);
+    // Keys owned by the doomed rank: six read by rank 0, six it puts.
+    std::vector<std::uint64_t> keys, put_keys;
+    for (std::uint64_t k = 1; put_keys.size() < 6; ++k) {
+      if (store.owner_of(store.shard_of(k)) != 1) continue;
+      (keys.size() < 6 ? keys : put_keys).push_back(k);
     }
     if (ctx.rank() == 2) {  // not the reader: its first gets are full reads
       for (const auto k : keys) store.put(k, k + 1);
@@ -337,6 +401,20 @@ RecoveryRow recovery_slo() {
       }
       row.healthy_p50_us = us(healthy.quantile(0.5));
       row.healthy_p99_us = us(healthy.quantile(0.99));
+      // Each key's first put claims its cells, which every later put of
+      // it takes.
+      row.put_counts_exact = true;
+      std::vector<std::uint64_t> puts;
+      for (const auto k : put_keys) store.put(k, 1);
+      for (int r = 0; r < kPutsPerKey; ++r) {
+        for (const auto k : put_keys) {
+          if (timed_put(store, k, 2, &ns) != kHintedPut) {
+            row.put_counts_exact = false;
+          }
+          puts.push_back(ns);
+        }
+      }
+      row.healthy_put_p50_us = median_us(puts);
       int done = 1;
       ctx.send(1, /*tag=*/3, &done, sizeof done);  // release the doomed rank
     }
@@ -410,6 +488,20 @@ RecoveryRow recovery_slo() {
     }
     row.post_p50_us = us(post.quantile(0.5));
     row.post_p99_us = us(post.quantile(0.99));
+
+    // Post-recovery puts: the moved shards' hints went with their old
+    // routing, so one untimed put per key locates the cells again.
+    std::vector<std::uint64_t> puts;
+    for (const auto k : put_keys) store.put(k, 3);
+    for (int r = 0; r < kPutsPerKey; ++r) {
+      for (const auto k : put_keys) {
+        if (timed_put(store, k, 4, &ns) != kHintedPutAfterDeath) {
+          row.put_counts_exact = false;
+        }
+        puts.push_back(ns);
+      }
+    }
+    row.post_put_p50_us = median_us(puts);
     // No barrier/destroy: collective with a dead rank.
   }, opts);
   return row;
@@ -445,6 +537,7 @@ int main() {
   }
 
   // --- self-healing recovery gate ------------------------------------------
+  const double put_ceiling = post_put_ceiling();
   RecoveryRow rec;
   bool rec_ok = false;
   for (int attempt = 0; attempt < 3 && !rec_ok; ++attempt) {
@@ -455,9 +548,12 @@ int main() {
     const bool leverage_restored =
         rec.counts_exact && rec.post_p50_us > 0 &&
         rec.degraded_p50_us >= min_leverage * rec.post_p50_us;
+    const bool puts_restored =
+        rec.put_counts_exact && rec.healthy_put_p50_us > 0 &&
+        rec.post_put_p50_us <= put_ceiling * rec.healthy_put_p50_us;
     rec_ok = rec.healed_ok && rec.degraded_cleared &&
              rec.drained_bytes > 0 && rec.recovery_drain_us > 0 &&
-             tail_restored && leverage_restored;
+             tail_restored && leverage_restored && puts_restored;
   }
 
   const sim::KvParams model;
@@ -544,6 +640,17 @@ int main() {
       rec.rereplicated, rec.degraded_cleared ? "true" : "false",
       rec.counts_exact ? "true" : "false", model_recovery_us, ratio(model_recovery_us, rec.recovery_drain_us),
       sim::kv_post_recovery_p99_us(model));
+  std::printf(",\n");
+  std::printf(
+      "  \"recovery_put\": {\"name\": \"post_recovery_put\", "
+      "\"healthy_p50_us\": %.2f, \"post_recovery_p50_us\": %.2f, "
+      "\"post_over_healthy\": %.3f, \"ceiling\": %.3f, "
+      "\"model_healthy_us\": %.2f, \"model_post_recovery_us\": %.2f, "
+      "\"counts_exact\": %s}\n",
+      rec.healthy_put_p50_us, rec.post_put_p50_us,
+      ratio(rec.post_put_p50_us, rec.healthy_put_p50_us), put_ceiling,
+      sim::kv_put_us(model), sim::kv_post_recovery_put_us(model),
+      rec.put_counts_exact ? "true" : "false");
   std::printf("}\n");
 
   if (!cache_ok) {
@@ -570,11 +677,13 @@ int main() {
                  "FAIL: self-healing gate (healed_ok=%d degraded_cleared=%d "
                  "counts_exact=%d drained=%llu drain_us=%.2f "
                  "healthy_p99=%.2f post_p99=%.2f degraded_p50=%.2f "
-                 "post_p50=%.2f)\n",
+                 "post_p50=%.2f put_counts_exact=%d healthy_put_p50=%.2f "
+                 "post_put_p50=%.2f, ceiling %.3fx)\n",
                  rec.healed_ok, rec.degraded_cleared, rec.counts_exact,
                  static_cast<unsigned long long>(rec.drained_bytes),
                  rec.recovery_drain_us, rec.healthy_p99_us, rec.post_p99_us,
-                 rec.degraded_p50_us, rec.post_p50_us);
+                 rec.degraded_p50_us, rec.post_p50_us, rec.put_counts_exact,
+                 rec.healthy_put_p50_us, rec.post_put_p50_us, put_ceiling);
     return 1;
   }
   return 0;

@@ -24,8 +24,9 @@
 #      self-healing recovery/scrub/reconfiguration suite)
 #   4. AddressSanitizer build + the suites that move bytes through the
 #      NIC's staging buffers and fragment lists (contiguous, vectored and
-#      datatype issue, comm, property-based RMA, accumulate): zero
-#      AddressSanitizer reports
+#      datatype issue, comm, property-based RMA, accumulate), and the KV
+#      service, whose one-round routing read lands an rget in a table the
+#      caller owns: zero AddressSanitizer reports
 #   5. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
@@ -36,8 +37,11 @@
 #      the sim_kv closed form), the failover SLO with typed peer_dead and
 #      the same counter and timing-floor checks on healthy against
 #      degraded reads, and a full healing pass — promotion +
-#      re-replication with post-recovery p99 within 1.5x of healthy and
-#      the same leverage checks — exiting non-zero on violation)
+#      re-replication with post-recovery p99 within 1.5x of healthy, the
+#      same leverage checks, and hinted puts after the heal at exact
+#      counters (the generation read inside the first round) under a
+#      timing ceiling from the sim_kv closed forms — exiting non-zero on
+#      violation)
 #   6. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
 #      must be valid JSON and must have dropped zero events
 #   7. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an
@@ -72,13 +76,14 @@ ctest --test-dir build-benchmark --output-on-failure
 # lock revocations race the survivors' reads differently on every run. The
 # KvScrub suite races the anti-entropy scrub against a live writer, the
 # KvFleet suite's interleavings depend on how reads and priority writes
-# share each rank's thread, and the KvSeqlock suite's modeled input only
+# share each rank's thread, the KvSeqlock suite's modeled input only
 # sometimes lands a write inside one read's snapshot window, so a broken
-# version bracket can slip through a single run.
+# version bracket can slip through a single run, and the KvRecovery
+# suite's routing refetches and stale clients race a coordinator.
 ./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
   --gtest_brief=1
 ./build/tests/test_kv \
-  --gtest_filter='KvChaos.*:KvScrub.*:KvFleet.*:KvSeqlock.*' \
+  --gtest_filter='KvChaos.*:KvScrub.*:KvFleet.*:KvSeqlock.*:KvRecovery.*' \
   --gtest_repeat=3 --gtest_brief=1
 
 # Recovery chaos: staggered double kills under seeds 11/22/33 with a
@@ -109,13 +114,15 @@ cmake --build build-tsan --target \
 # means zero reports.
 cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
 cmake --build build-asan --target \
-  test_rdma test_batch test_datatype test_comm test_prop_rma test_accumulate
+  test_rdma test_batch test_datatype test_comm test_prop_rma test_accumulate \
+  test_kv
 ./build-asan/tests/test_rdma
 ./build-asan/tests/test_batch
 ./build-asan/tests/test_datatype
 ./build-asan/tests/test_comm
 ./build-asan/tests/test_prop_rma
 ./build-asan/tests/test_accumulate
+./build-asan/tests/test_kv
 
 scripts/bench_smoke.sh
 

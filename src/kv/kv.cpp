@@ -202,13 +202,13 @@ rdma::OpStatus KvStore::amo_write(int t, std::size_t off, std::uint64_t v) {
 // --- versioned routing -------------------------------------------------------
 //
 // The routing table carries a generation word: even = stable, odd = a
-// reconfiguration is in flight. Clients that have observed a death validate
-// their cached generation with one AMO per op (in a read's first round);
-// a mismatch retires the op as typed
-// retry_routing and — once the generation is stable again — re-fetches a
-// consistent {generation, table} pair. Before any death the generation
-// cannot have moved, so the healthy fast path skips all of this for the
-// cost of one atomic load and a branch.
+// reconfiguration is in flight. Clients that have observed a death read
+// the generation inside every op's first round (RegionOp::issue); a
+// mismatch fails that round on every machine of the op, which retires
+// typed retry_routing and — once the generation is stable again —
+// re-fetches a consistent {generation, table} pair. Before any death the
+// generation cannot have moved, so the healthy fast path skips all of this
+// for the cost of one atomic load and a branch.
 
 bool KvStore::routing_suspect() const {
   return fabric_->domain().death_epoch() != 0;
@@ -237,58 +237,42 @@ rdma::OpStatus KvStore::handle_gen_mismatch(std::uint64_t gen) {
   return rdma::OpStatus::retry_routing;
 }
 
-rdma::OpStatus KvStore::check_generation() {
-  if (!routing_suspect()) return rdma::OpStatus::ok;
-  std::uint64_t g = 0;
-  const auto st = amo_read(cfg_.routing_rank, 0, &g);
-  if (st != rdma::OpStatus::ok) return st;
-  if (g == gen_seen_) return rdma::OpStatus::ok;
-  return handle_gen_mismatch(g);
-}
-
-rdma::OpStatus KvStore::raw_fetch_table(std::vector<std::uint64_t>* table) {
-  // The coordinator republishes routing entries with AMO writes while the
-  // generation is odd, so a refetch can race those writes: the table is an
-  // AMO-raced region and must be read word-wise through fetch-AMOs (the
-  // same rule every other raced word in the store follows), not one rget.
-  // All fetches go in flight before any is awaited, so the word-wise read
-  // still overlaps into ~one round trip.
-  const auto n = static_cast<std::size_t>(cfg_.shards);
-  table->assign(n, 0);
-  std::vector<core::RmaRequest> reqs(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    reqs[s] = win_.rfetch_and_op(nullptr, &(*table)[s], Elem::u64,
-                                 RedOp::no_op, cfg_.routing_rank, 16 + 8 * s);
-  }
+rdma::OpStatus KvStore::read_routing(std::uint64_t* gen,
+                                     std::vector<std::uint64_t>* table) {
+  // A snapshot like a cell's: the coordinator writes entries only while
+  // the generation is odd, and generations only grow, so two equal, even
+  // reads around the table prove no entry moved between them (an odd
+  // pair is only whole to the coordinator that holds it). The three
+  // requests apply in issue order, and the rget moves whole aligned words,
+  // each atomic against the coordinator's AMO writes.
+  const int t = cfg_.routing_rank;
+  table->assign(static_cast<std::size_t>(cfg_.shards), 0);
+  std::uint64_t again = 0;
+  core::RmaRequest reqs[3] = {
+      win_.rfetch_and_op(nullptr, gen, Elem::u64, RedOp::no_op, t, 0),
+      win_.rget(table->data(), 8 * table->size(), t, 16),
+      win_.rfetch_and_op(nullptr, &again, Elem::u64, RedOp::no_op, t, 0)};
   rdma::OpStatus st = rdma::OpStatus::ok;
   for (auto& req : reqs) {
     const auto s = wait_req(req);
     if (s != rdma::OpStatus::ok && st == rdma::OpStatus::ok) st = s;
   }
-  return st;
+  if (st != rdma::OpStatus::ok) return st;
+  return *gen == again ? rdma::OpStatus::ok : rdma::OpStatus::retry_routing;
 }
 
 rdma::OpStatus KvStore::try_fetch_routing() {
-  // Consistent-pair protocol: generation, table, generation again — accept
-  // only a stable (even) generation that did not move across the table
-  // get. This is what makes a LATE first fetch safe: a client attaching
-  // while a recovery is republishing entries can never install a half-new
-  // table under an old generation stamp.
-  std::uint64_t g1 = 0;
-  auto st = amo_read(cfg_.routing_rank, 0, &g1);
-  if (st != rdma::OpStatus::ok) return st;
-  if ((g1 & 1) != 0) return rdma::OpStatus::retry_routing;
+  // Only a stable (even) generation names a published table. This is what
+  // makes a LATE first fetch safe: a client attaching while a recovery is
+  // republishing entries can never install a half-new table under an old
+  // generation stamp.
+  std::uint64_t gen = 0;
   std::vector<std::uint64_t> table;
-  st = raw_fetch_table(&table);
+  const auto st = read_routing(&gen, &table);
   if (st != rdma::OpStatus::ok) return st;
-  std::uint64_t g2 = 0;
-  st = amo_read(cfg_.routing_rank, 0, &g2);
-  if (st != rdma::OpStatus::ok) return st;
-  if (g1 != g2) return rdma::OpStatus::retry_routing;
-  const std::vector<std::uint64_t> old = std::move(routing_);
-  routing_ = std::move(table);
-  gen_seen_ = g1;
-  apply_routing(old);
+  if ((gen & 1) != 0) return rdma::OpStatus::retry_routing;
+  gen_seen_ = gen;
+  apply_routing(std::move(table));
   return rdma::OpStatus::ok;
 }
 
@@ -302,10 +286,11 @@ rdma::OpStatus KvStore::fetch_routing() {
   }
 }
 
-void KvStore::apply_routing(const std::vector<std::uint64_t>& old) {
+void KvStore::apply_routing(std::vector<std::uint64_t> table) {
+  routing_.swap(table);  // `table` holds the replaced entries from here on
   for (int s = 0; s < cfg_.shards; ++s) {
     const auto i = static_cast<std::size_t>(s);
-    if (old.size() == routing_.size() && old[i] != routing_[i]) {
+    if (table.size() == routing_.size() && table[i] != routing_[i]) {
       // The shard's copies moved: entries hold the old primary's versions.
       cache_[i].clear();
     }
@@ -346,7 +331,8 @@ bool KvStore::forget_primary(CacheEntry& e) {
 // --- region-op machine -------------------------------------------------------
 //
 // One KV op against ONE copy of a shard. issue() posts the current round's
-// requests (at most four, all in flight together); advance() consumes
+// requests (at most four, all in flight together, a client op's first
+// round counting its routing generation read); advance() consumes
 // their results and picks the next state. The drivers own the waiting (see
 // "drivers" below). Within a round the NIC applies one origin's requests
 // to a target in issue order (as an RC queue pair does), and the drivers
@@ -378,9 +364,9 @@ struct KvStore::RegionOp {
   using Kind = KvStore::Kind;
   enum class Step : std::uint8_t { done, next, contended };
   enum class State : std::uint8_t {
-    check,    // cached read: [generation] + the cached cell's version
-    top,      // [generation] + a read's snapshot of the top cell; a
-              // write's top version + top key (a claim CAS for puts)
+    check,    // cached read: the cached cell's version
+    top,      // a read's snapshot of the top cell; a write's top
+              // version + top key (a claim CAS for puts)
     head,     // chain head
     cell,     // a read's snapshot of a chain cell; a write's version +
               // key + next
@@ -426,15 +412,15 @@ struct KvStore::RegionOp {
     st = State::top;
   }
 
-  /// A client op starts from the key's entry. A read validates the routing
-  /// generation once a death was seen and, with the cache on, checks the
-  /// cached version or snapshots the hinted cell in place; a write takes
-  /// the cell the entry names on this copy.
+  /// A client op starts from the key's entry, its first round validated by
+  /// the routing generation once a death was seen. A read with the cache
+  /// on checks the cached version or snapshots the hinted cell in place; a
+  /// write takes the cell the entry names on this copy.
   void begin_client(KvStore& kv, Kind k, int s, bool rep, std::uint64_t ky,
                     std::uint64_t val) {
     begin(kv, k, s, rep, ky, val);
+    with_gen = kv.routing_suspect();
     if (k == Kind::read) {
-      with_gen = kv.routing_suspect();
       with_cache = kv.cfg_.client_cache && !rep;
       if (!with_cache) return;
     }
@@ -454,11 +440,13 @@ struct KvStore::RegionOp {
     }
   }
 
-  void issue(KvStore& kv) {
+  /// Posts the round's requests. In a client op's first round once a
+  /// death was seen (`with_gen`), the lead machine, the op's serving copy,
+  /// then reads the routing generation for every machine of the op;
+  /// issued last, it leaves a take's fetch-or request 0.
+  void issue(KvStore& kv, bool lead) {
     round_st = rdma::OpStatus::ok;
     const std::size_t top = l.off_table(slot);
-    // The generation rides the op's first round, a check or a top round.
-    if (with_gen) read(kv, kv.cfg_.routing_rank, 0, &gen);
     switch (st) {
       case State::check: read(kv, t, cell + kVerOff, &w[0]); break;
       case State::top:
@@ -467,7 +455,9 @@ struct KvStore::RegionOp {
           break;
         }
         read(kv, t, top + kVerOff, &w[1]);
-        if (kind == Kind::put) {
+        // A stale op must not leave a claim at version 0: a put claims
+        // only once the generation has passed.
+        if (kind == Kind::put && !with_gen) {
           cas(kv, top, 0, key, &w[0]);
         } else {
           read(kv, t, top, &w[0]);
@@ -527,6 +517,7 @@ struct KvStore::RegionOp {
       case State::release: unlock(kv, ver + 2); break;
       case State::done: break;
     }
+    if (with_gen && lead) read(kv, kv.cfg_.routing_rank, 0, &gen);
   }
 
   /// Retires request `r` of the round with status `s`.
@@ -541,7 +532,7 @@ struct KvStore::RegionOp {
   /// count can never drift from what the round sends.
   int width(KvStore& kv) {
     sizing = true;
-    issue(kv);
+    issue(kv, true);
     sizing = false;
     const int n = nreq;
     nreq = 0;
@@ -550,10 +541,13 @@ struct KvStore::RegionOp {
 
   Step advance(KvStore& kv) {
     nreq = 0;
+    const bool gen_round = with_gen;
+    with_gen = false;  // validated once per op, in its first round
     // Past the lock a failure still releases, so it cannot wedge the cell.
     // A failure under the slot lock releases the top before it retires,
     // and so does a take whose fetch-or set the odd bit of an even version
-    // and whose key read failed: it holds that cell.
+    // and whose key read failed or whose op read a stale generation: it
+    // holds that cell.
     if (round_st != rdma::OpStatus::ok && st != State::write &&
         st != State::revoke) {
       const bool took = st == State::lock && take &&
@@ -572,10 +566,6 @@ struct KvStore::RegionOp {
       act = Act::update;
       return go(State::release);
     }
-    if (with_gen && gen != kv.gen_seen_) {
-      return finish(kv.handle_gen_mismatch(gen));
-    }
-    with_gen = false;  // validated once per op, in its first round
     switch (st) {
       case State::check:
         // Unchanged version: the cell still holds the pair, and it is the
@@ -586,6 +576,8 @@ struct KvStore::RegionOp {
         }
         return go(State::snap);  // most likely still the key's cell
       case State::top:
+        // A free slot that the validating round only read: claim it now.
+        if (gen_round && kind == Kind::put && w[0] == 0) return go(State::top);
         if (w[0] == key || (kind == Kind::put && w[0] == 0)) {
           cell = l.off_table(slot);
           return kind == Kind::read ? snapped(kv) : located(w[1]);
@@ -890,7 +882,8 @@ struct KvStore::ClientOp {
 // --- drivers -----------------------------------------------------------------
 //
 // One round routine serves both drivers: issue_round() posts every live
-// machine's requests, and retire_round() retires them in issue order, then
+// machine's requests, and retire_round() retires them in issue order,
+// fails the round on every machine if the lead's generation is stale, then
 // advances each machine. drive() runs it on the calling thread, where each
 // retirement spins until its request's deadline; the fleet's fibers park
 // once per round until round_deadline() and retire after it.
@@ -905,7 +898,7 @@ bool KvStore::live(RegionOp* const* ops, int n) {
 void KvStore::issue_round(RegionOp* const* ops, int n) {
   count(Op::kv_round);
   for (int i = 0; i < n; ++i) {
-    if (ops[i]->st != RegionOp::State::done) ops[i]->issue(*this);
+    if (ops[i]->st != RegionOp::State::done) ops[i]->issue(*this, i == 0);
   }
 }
 
@@ -926,6 +919,16 @@ bool KvStore::retire_round(RegionOp* const* ops, int n) {
   for (int i = 0; i < n; ++i) {
     for (int r = 0; r < ops[i]->nreq; ++r) {
       ops[i]->fold(r, wait_req(ops[i]->req[r]));
+    }
+  }
+  // A stale generation, the lead's last request, fails the round on every
+  // machine of the op: each takes its failure path, which releases a cell
+  // that a take locked, and settle() refetches the table.
+  const RegionOp& lead = *ops[0];
+  if (lead.with_gen && lead.req_st[lead.nreq - 1] == rdma::OpStatus::ok &&
+      lead.gen != gen_seen_) {
+    for (int i = 0; i < n; ++i) {
+      ops[i]->round_st = rdma::OpStatus::retry_routing;
     }
   }
   bool contended = false;
@@ -1112,8 +1115,6 @@ rdma::OpStatus KvStore::start(ClientOp& c, Kind kind,
     // takes its locks there.
     const auto it = cache_[s].find(key);
     if (it != cache_[s].end()) it->second.version = 0;
-    const auto gst = check_generation();
-    if (gst != rdma::OpStatus::ok) return gst;
   }
   if (!degraded_[s] && !win_.peer_alive(owner_of(shard))) fail_over(shard);
   const bool deg = degraded_[s];
@@ -1134,6 +1135,11 @@ bool KvStore::serves(const RegionOp& m) const {
 
 rdma::OpStatus KvStore::settle(ClientOp& c) {
   RegionOp& own = c.copy[0];
+  // A stale generation retired every machine, each having released what
+  // it took: no key or value was written, and the table is refetched.
+  if (own.status == rdma::OpStatus::retry_routing) {
+    return handle_gen_mismatch(own.gen);
+  }
   const int shard = own.shard;
   const auto s = static_cast<std::size_t>(shard);
   auto& entries = cache_[s];

@@ -74,11 +74,15 @@
 //     spare region on a surviving rank (fail-stop memory stays readable —
 //     the paper's decoupling claim doing fault-tolerance work), reconciles
 //     the pair with the scrub, publishes the new entries and
-//     releases the generation. Clients validate the generation with one
-//     AMO overlapped with their first read round (only once a death has
-//     been observed — zero healthy-path cost) and retire racing ops with
-//     typed retry_routing; a shard whose owner AND replica died retires
-//     data_loss, never a stale frozen value.
+//     releases the generation. Once a death has been observed (zero
+//     healthy-path cost before), every client op, read or write, reads
+//     the generation with one more request in its first round; a stale
+//     one fails that round on every copy (a take releases at +2, and a put
+//     claims a free top slot only one round later), so racing ops retire
+//     typed retry_routing having written no key or value. The table is
+//     read like a cell, in one round: {generation, one rget, generation}.
+//     A shard whose owner AND replica died retires data_loss, never a
+//     stale frozen value.
 //
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
 // fibers on the progress engine. Every round of every op, chain walks,
@@ -313,23 +317,25 @@ class KvStore {
   /// Routing validation is armed only once a death has been observed
   /// (reconfigurations happen only after deaths), so the healthy fast path
   /// pays one load + branch — the PR 5 fault-gate discipline.
+  /// Once armed, every client op reads the generation in its first round.
   bool routing_suspect() const;
-  /// One AMO generation check (only when suspect). On mismatch the table
-  /// is re-fetched and the op retires typed retry_routing.
-  rdma::OpStatus check_generation();
   /// Classifies a generation word that differs from gen_seen_: refreshes
   /// on a stable (even) generation, and always retires retry_routing.
   rdma::OpStatus handle_gen_mismatch(std::uint64_t gen);
-  /// One consistent {generation, table} fetch: the generation re-read after
-  /// the table get must match it and be stable (even), else retry_routing.
+  /// One round to the routing home, retired in issue order: the
+  /// generation, one rget of the table, the generation again. ok iff the
+  /// two generation reads agree; `*table` is then the table published at
+  /// `*gen` when `*gen` is even. Else retry_routing.
+  rdma::OpStatus read_routing(std::uint64_t* gen,
+                              std::vector<std::uint64_t>* table);
+  /// read_routing() at a stable (even) generation, installed; else
+  /// retry_routing.
   rdma::OpStatus try_fetch_routing();
   /// try_fetch_routing() retried (with backoff) until it installs a table.
   rdma::OpStatus fetch_routing();
-  /// Installs a freshly fetched table: recomputes degraded() from
-  /// liveness and drops caches of shards whose entries moved.
-  void apply_routing(const std::vector<std::uint64_t>& old);
-  /// Raw one-sided table get, parity-blind (coordinator-internal).
-  rdma::OpStatus raw_fetch_table(std::vector<std::uint64_t>* table);
+  /// Installs `table`: recomputes degraded() from liveness and drops caches
+  /// of shards whose entries moved.
+  void apply_routing(std::vector<std::uint64_t> table);
 
   // --- recovery internals (kv/recovery.cpp) ---------------------------------
   /// Coordinator body: claim/adopt the generation, plan promotions and
@@ -351,11 +357,12 @@ class KvStore {
 
   // --- region-op drivers ----------------------------------------------------
   /// The round routine both drivers share. issue_round() posts every live
-  /// machine's requests; round_deadline() is the last completion deadline
-  /// of the round in flight (0 when due now); retire_round() retires the
-  /// requests in issue order, which is the order deferred delivery applies
-  /// them in, and advances every machine, returning true when one of them
-  /// contended.
+  /// machine's requests, ops[0] leading (it reads a client op's routing
+  /// generation); round_deadline() is the last completion deadline of the
+  /// round in flight (0 when due now); retire_round() retires the requests
+  /// in issue order, which is the order deferred delivery applies them in,
+  /// fails every machine's round on a stale generation, and advances every
+  /// machine, returning true when one of them contended.
   static bool live(RegionOp* const* ops, int n);
   void issue_round(RegionOp* const* ops, int n);
   static std::uint64_t round_deadline(RegionOp* const* ops, int n);
@@ -367,12 +374,13 @@ class KvStore {
   void drive(RegionOp& op);
   /// Routes a get, put or erase: arms `c` with the serving copy's machine,
   /// and for a healthy write the replica's in lockstep, and returns
-  /// pending, or returns the op's typed retirement (data_loss, routing).
+  /// pending, or returns the op's typed retirement (data_loss).
   rdma::OpStatus start(ClientOp& c, Kind kind, std::uint64_t key,
                        std::uint64_t value);
-  /// Retires a driven op: on an owner peer_dead it fails over and re-arms
-  /// a get or an unreplicated write on the replica (pending again); a get
-  /// fills the cache and `c`'s result.
+  /// Retires a driven op: a stale generation refetches the table; on an
+  /// owner peer_dead it fails over and re-arms a get or an unreplicated
+  /// write on the replica (pending again); a get fills the cache and `c`'s
+  /// result.
   rdma::OpStatus settle(ClientOp& c);
   /// Blocking: drives `c` from start()'s status `st` to retirement.
   rdma::OpStatus run(ClientOp& c, rdma::OpStatus st);

@@ -132,8 +132,10 @@ Copy KvStore::pick_spare(int owner_rank,
 rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
   count(Op::kv_recovery);
   trace::emit(trace::EvClass::recovery, trace::EvPhase::begin, rank_, 0, gen);
+  // The generation is ours (odd), so no other writer moves the table.
+  std::uint64_t held = 0;
   std::vector<std::uint64_t> table;
-  auto st = raw_fetch_table(&table);
+  auto st = read_routing(&held, &table);
   if (st != rdma::OpStatus::ok) return st;
 
   // Spare-bank occupancy from the table itself: the generation CAS
@@ -222,9 +224,7 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
       // client) and reconcile every touched pair: the drained frozen image
       // carries writes the promoted replica may have never seen, and the
       // promoted copy carries writes newer than the frozen image.
-      const std::vector<std::uint64_t> old = routing_;
-      routing_ = table;
-      apply_routing(old);
+      apply_routing(table);
       bool rescan = false;
       for (const int s : touched) {
         const ScrubResult sr = scrub(s);
@@ -306,29 +306,23 @@ RecoveryReport KvStore::heal() {
       return rep;
     }
     // Follower: wait for the coordinator to finish (generation even AND
-    // every shard either fully healthy or terminally lost), then install
-    // the new table. Politely — backoff + yield_check, never a raw spin.
-    // A recovery that completed since we started waiting (generation moved
-    // to a NEW even value) also releases the wait: a death that arrived
-    // after the coordinator returned belongs to the caller's next heal()
-    // pass, not this one.
-    std::uint64_t g = 0;
-    auto st = amo_read(cfg_.routing_rank, 0, &g);
-    if (st != rdma::OpStatus::ok) {
+    // every shard either fully healthy or terminally lost). Each stable
+    // {generation, table} pair read on the way is installed, so the last
+    // one is the new table. Politely — backoff + yield_check, never a raw
+    // spin. A recovery that completed since we started waiting (generation
+    // moved to a NEW even value) also releases the wait: a death that
+    // arrived after the coordinator returned belongs to the caller's next
+    // heal() pass, not this one.
+    const auto st = try_fetch_routing();
+    if (st != rdma::OpStatus::ok && st != rdma::OpStatus::retry_routing) {
       rep.status = st;
       return rep;
     }
-    if (first_even == ~std::uint64_t{0} && (g & 1) == 0) first_even = g;
-    if ((g & 1) == 0) {
-      std::vector<std::uint64_t> table;
-      st = raw_fetch_table(&table);
-      if (st != rdma::OpStatus::ok) {
-        rep.status = st;
-        return rep;
-      }
+    if (st == rdma::OpStatus::ok) {
+      if (first_even == ~std::uint64_t{0}) first_even = gen_seen_;
       bool settled = true;
       int lost = 0;
-      for (const auto w : table) {
+      for (const auto w : routing_) {
         const bool pa = win_.peer_alive(
             unpack_copy(static_cast<std::uint32_t>(w)).rank);
         const bool ra = win_.peer_alive(
@@ -342,12 +336,7 @@ RecoveryReport KvStore::heal() {
           break;
         }
       }
-      if (settled || g != first_even) {
-        st = fetch_routing();
-        if (st != rdma::OpStatus::ok) {
-          rep.status = st;
-          return rep;
-        }
+      if (settled || gen_seen_ != first_even) {
         rep.generation = gen_seen_;
         rep.lost = lost;
         if (lost > 0) {

@@ -87,4 +87,9 @@ double kv_post_recovery_p99_us(const KvParams& p) {
   return kv_read_p99_us(p, /*degraded=*/false);
 }
 
+double kv_post_recovery_put_us(const KvParams& p) {
+  // The healed put's rounds, plus the generation request in its first.
+  return kv_put_us(p) + p.amo_service_us;
+}
+
 }  // namespace fompi::sim

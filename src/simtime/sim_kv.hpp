@@ -101,10 +101,19 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
                       std::uint64_t keys, std::uint64_t chunk = 2048);
 
 /// Modeled post-recovery p99 get latency (us): recovery restores the
-/// healthy read path exactly (the generation check OVERLAPS the read's
-/// first round — AMOs in flight together — so it adds no serialized
-/// round trip and the healthy cached/uncached round budgets are
-/// unchanged).
+/// healthy read path's rounds (once a death was seen, every op reads the
+/// routing generation inside its first round — AMOs in flight together —
+/// so it adds no serialized round trip and the healthy cached/uncached
+/// round budgets are unchanged).
 double kv_post_recovery_p99_us(const KvParams& p);
+
+/// Modeled post-recovery put latency (us): the generation read is one
+/// more request in the put's first round, not a round of its own,
+///
+///   put_rounds * amo_us + (2 * put_amos + 1) * amo_service_us
+///
+/// = 2 * 2.4 + 9 * 0.416 = 8.54 us, against 8.13 us healthy (a separate
+/// generation round before the put would cost 10.94 us).
+double kv_post_recovery_put_us(const KvParams& p);
 
 }  // namespace fompi::sim

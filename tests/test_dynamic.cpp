@@ -250,8 +250,12 @@ TEST(Dynamic, AttachDetachStormDoesNotLeakRegistrations) {
   // count (window control blocks included).
   fabric::run_ranks(2, [](RankCtx& ctx) {
     auto& reg = ctx.fabric().domain().registry();
+    // Read between two barriers: window creation has rank 0 register every
+    // rank's control block before its first barrier, so a base read after
+    // rank 0 entered create_dynamic would count those blocks.
     ctx.barrier();
     const std::size_t base_live = reg.live_count();
+    ctx.barrier();
     {
       Win win = Win::create_dynamic(ctx);
       for (int round = 0; round < 10; ++round) {

@@ -1976,6 +1976,118 @@ TEST(KvRecovery, StaleClientRetiresTypedRetryRoutingThenRecovers) {
   EXPECT_EQ(survivors.load(), 3);
 }
 
+namespace {
+
+/// Four ranks on separate nodes. `before` runs on every rank, then rank 1
+/// is killed at its op 400 and ranks 0 and 2 heal. Rank 3 never refreshes
+/// its routing: once the recovery released the generation, `stale` runs
+/// there, and its first op meets a stale generation.
+template <class Before, class Stale>
+void run_stale_client(const KvConfig& cfg, Before before, Stale stale) {
+  constexpr int kRanks = 4;
+  fabric::FabricOptions opts;
+  opts.domain.nranks = kRanks;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.fault.kill_rank = 1;
+  opts.domain.fault.kill_at_op = 400;
+  opts.errors_return = true;
+  std::atomic<int> survivors{0};
+  fabric::run_ranks(
+      kRanks,
+      [&](RankCtx& ctx) {
+        KvStore store(ctx, cfg);
+        before(store, ctx);
+        ctx.barrier();
+        if (ctx.rank() == 1) {
+          for (int i = 0; i < 100000; ++i) {
+            store.put(6660001, static_cast<std::uint64_t>(i));
+          }
+          FAIL() << "rank 1 must have been killed";
+        }
+        while (store.peer_alive(1)) ctx.yield_check();
+        if (ctx.rank() == 3) {
+          while (store.generation() < 2) ctx.yield_check();
+          stale(store);
+        } else {
+          heal_until_settled(store, ctx);
+        }
+        survivors.fetch_add(1);
+      },
+      opts);
+  EXPECT_EQ(survivors.load(), kRanks - 1);
+}
+
+}  // namespace
+
+TEST(KvRecovery, StaleHintedPutReleasesItsTakeBeforeRetrying) {
+  // A stale client's put of a key it wrote before takes the key's cells
+  // on both copies in its first round, the round that also reads the
+  // generation. The stale generation fails that round on both machines,
+  // and each releases its take at +2 before the put retires
+  // retry_routing: the key's next get reads a clean cell at once (a cell
+  // left odd would cost it the 256-spin revocation) and serves the old
+  // value, and the retried put lands in a hinted put's two rounds.
+  run_stale_client(
+      KvConfig{},
+      [](KvStore& store, RankCtx& ctx) {
+        // Owner rank 2, replica rank 3: the death touches neither copy.
+        const auto key = key_owned_by(store, 2);
+        ASSERT_EQ(store.replica_of(store.shard_of(key)), 3);
+        if (ctx.rank() == 3) {
+          ASSERT_EQ(store.put(key, 61), OpStatus::ok);  // leaves the hints
+        }
+      },
+      [](KvStore& store) {
+        const auto key = key_owned_by(store, 2);
+        EXPECT_EQ(store.put(key, 62), OpStatus::retry_routing);
+        const std::uint64_t retries = store.stats().read_retries;
+        std::uint64_t v = 0;
+        bool found = false;
+        EXPECT_EQ(store.get(key, &v, &found), OpStatus::ok);
+        EXPECT_TRUE(found);
+        EXPECT_EQ(v, 61u) << "the stale put wrote";
+        EXPECT_EQ(store.stats().read_retries, retries)
+            << "the stale put left its take locked";
+        // The retry is a hinted put after a death: 2 rounds and 4 AMOs per
+        // copy, plus the generation read inside the first round.
+        const OpCounters c0 = op_counters();
+        EXPECT_EQ(store.put(key, 63), OpStatus::ok);
+        const OpCounters d = op_counters().since(c0);
+        EXPECT_EQ(d.get(Op::kv_round), 2u);
+        EXPECT_EQ(d.get(Op::transport_amo) + d.get(Op::local_atomic), 9u);
+        EXPECT_EQ(store.get(key, &v, &found), OpStatus::ok);
+        EXPECT_EQ(v, 63u);
+      });
+}
+
+TEST(KvRecovery, StaleColdPutLeavesNoClaimAtVersionZero) {
+  // With one top cell per shard, a stale client's first put of a fresh
+  // key meets a free top slot. Its first round reads the slot instead of
+  // claiming it, so the stale generation retires it having claimed
+  // nothing. A claim left at version 0 would hold the slot: the next put
+  // of another key in it would spin until it buries the claim. That put
+  // instead runs the deferred claim: {top version, top key, generation}
+  // -> {top version, claim CAS} -> lock CAS -> {value, release}.
+  KvConfig cfg;
+  cfg.table_slots = 1;
+  run_stale_client(
+      cfg, [](KvStore&, RankCtx&) {},
+      [](KvStore& store) {
+        const std::uint64_t fresh = key_owned_by(store, 2);
+        std::uint64_t other = fresh + 1;
+        while (store.shard_of(other) != store.shard_of(fresh)) ++other;
+        EXPECT_EQ(store.put(fresh, 71), OpStatus::retry_routing);
+        const OpCounters c0 = op_counters();
+        EXPECT_EQ(store.put(other, 72), OpStatus::ok);
+        EXPECT_EQ(op_counters().since(c0).get(Op::kv_round), 4u)
+            << "the stale put left a claim at version 0";
+        std::uint64_t v = 0;
+        bool found = true;
+        EXPECT_EQ(store.get(fresh, &v, &found), OpStatus::ok);
+        EXPECT_FALSE(found);
+      });
+}
+
 // --- anti-entropy scrub -------------------------------------------------------
 
 TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/timing.hpp"
 #include "core/mcs_lock.hpp"
 
 using namespace fompi;
@@ -73,22 +72,32 @@ TEST(Mcs, ContendedAcquireBoundedRemoteOps) {
 
 TEST(Mcs, HandoffOrderIsFifo) {
   // Ranks enqueue in a controlled order; the lock must be granted in the
-  // same order.
+  // same order. The order is read off the queue's tail word (at the
+  // master, rank 0; r + 1 names rank r as the last one queued), not
+  // forced by sleeps.
   const int p = 3;
   std::atomic<int> next_expected{1};
   fabric::run_ranks(p, [&](RankCtx& ctx) {
     Win win = Win::allocate(ctx, 64);
     win.lock_all();
     McsLock lock(win, 0);
+    const auto wait_tail_names = [&](int r) {
+      std::uint64_t tail = 0;
+      while (true) {
+        win.fetch_and_op(nullptr, &tail, Elem::u64, RedOp::no_op, 0, 0);
+        if (tail == static_cast<std::uint64_t>(r) + 1) return;
+        ctx.yield_check();
+      }
+    };
     if (ctx.rank() == 0) {
-      lock.acquire();          // hold while the others queue up
-      ctx.barrier();           // rank 1 then rank 2 enqueue (ordered below)
-      spin_for_ns(10'000'000); // let both enter the queue
+      lock.acquire();      // hold while the others queue up
+      ctx.barrier();       // rank 1 then rank 2 enqueue (ordered below)
+      wait_tail_names(2);  // both are in the queue
       lock.release();
       ctx.barrier();
     } else {
       ctx.barrier();
-      if (ctx.rank() == 2) spin_for_ns(5'000'000);  // rank 1 queues first
+      if (ctx.rank() == 2) wait_tail_names(1);  // rank 1 queues first
       lock.acquire();
       EXPECT_EQ(next_expected.fetch_add(1), ctx.rank());
       lock.release();

@@ -487,6 +487,15 @@ TEST(SimKvRecovery, PostRecoveryTailEqualsHealthyAndBeatsDegraded) {
               1e-9);
 }
 
+TEST(SimKvRecovery, PostRecoveryPutAddsARequestNotARound) {
+  // Once a death was seen, a put reads the routing generation inside its
+  // first round: the healed put pays one more request's issue cost, not
+  // the round trip a separate generation read would add.
+  KvParams p;
+  EXPECT_NEAR(kv_post_recovery_put_us(p), 2 * 2.4 + 9 * 0.416, 1e-9);
+  EXPECT_LT(kv_post_recovery_put_us(p), kv_put_us(p) + p.amo_us);
+}
+
 TEST(SimKvRecovery, ChunkingOnlyAddsSetupOverhead) {
   // Finer drain chunks pay more BTE channel setups for the same bytes:
   // recovery time is nonincreasing in chunk size, with equal stream cost.
