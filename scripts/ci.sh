@@ -1,6 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
+#   0. Modeled-time lint: outside src/rdma/ and src/common/timing.hpp no
+#      code line under src/ names the injection mode, time_scale or the
+#      spin waits; every other layer charges and waits for modeled time
+#      through Nic::charge_model_ns / Nic::wait_model_time
 #   1. Release build with warnings as errors + full ctest suite (the tier-1
 #      gate from ROADMAP.md), then the repo benchmark's own ctest
 #      (quantile_test + fompi_bench --smoke with its fleet correctness
@@ -55,6 +59,17 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Modeled time has one owner, the NIC (DESIGN.md §2): a layer above it that
+# reads Injection:: or time_scale, or spins, re-implements the charge rule.
+# Comment lines are exempt.
+if grep -rnE 'Injection::|time_scale|spin_for_ns|spin_until_ns' src \
+    --include='*.cpp' --include='*.hpp' |
+  grep -vE '^src/rdma/|^src/common/timing\.hpp:' |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "modeled time charged or waited for outside rdma::Nic (lines above)" >&2
+  exit 1
+fi
 
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build

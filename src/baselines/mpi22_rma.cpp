@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/timing.hpp"
-
 namespace fompi::baselines {
 
 Mpi22Win Mpi22Win::allocate(fabric::RankCtx& ctx, std::size_t bytes) {
@@ -13,10 +11,7 @@ Mpi22Win Mpi22Win::allocate(fabric::RankCtx& ctx, std::size_t bytes) {
 void Mpi22Win::free() { win_.free(); }
 
 void Mpi22Win::charge_us(double us) const {
-  const auto& cfg = fabric_->domain().config();
-  if (cfg.inject == rdma::Injection::model && us > 0) {
-    spin_for_ns(static_cast<std::uint64_t>(us * 1e3 * cfg.time_scale));
-  }
+  fabric_->domain().nic(win_.rank()).charge_model_ns(us * 1e3);
 }
 
 void Mpi22Win::put(const void* src, std::size_t len, int target,
@@ -40,7 +35,9 @@ void Mpi22Win::accumulate(const void* origin, std::size_t count, Elem e,
 void Mpi22Win::fence() {
   // Worse-scaling barrier: extra per-round software cost.
   const int p = std::max(2, win_.nranks());
-  charge_us((model_.mpi22_fence_per_log_us - 2.9) * std::log2(p));
+  charge_us((model_.mpi22_fence_per_log_us -
+             perf::PaperModel{}.fence_per_log_us) *
+            std::log2(p));
   win_.fence();
 }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/timing.hpp"
 #include "perfmodel/cost_functions.hpp"
 
 namespace fompi::baselines {
@@ -11,7 +10,8 @@ PgasConfig make_upc_like() {
   const perf::BaselineModel m;
   PgasConfig cfg;
   cfg.per_op_extra_us = m.upc_extra_us;
-  cfg.barrier_round_factor = m.upc_barrier_per_log_us / 2.9;
+  cfg.barrier_round_factor =
+      m.upc_barrier_per_log_us / perf::PaperModel{}.fence_per_log_us;
   return cfg;
 }
 
@@ -19,7 +19,8 @@ PgasConfig make_caf_like() {
   const perf::BaselineModel m;
   PgasConfig cfg;
   cfg.per_op_extra_us = m.caf_extra_us;
-  cfg.barrier_round_factor = m.caf_sync_all_per_log_us / 2.9;
+  cfg.barrier_round_factor =
+      m.caf_sync_all_per_log_us / perf::PaperModel{}.fence_per_log_us;
   return cfg;
 }
 
@@ -72,11 +73,7 @@ void* SharedArray::local() noexcept {
 }
 
 void SharedArray::charge_overhead() const {
-  const auto& cfg = fabric_->domain().config();
-  if (cfg.inject == rdma::Injection::model && cfg_.per_op_extra_us > 0) {
-    spin_for_ns(static_cast<std::uint64_t>(cfg_.per_op_extra_us * 1e3 *
-                                           cfg.time_scale));
-  }
+  fabric_->domain().nic(rank_).charge_model_ns(cfg_.per_op_extra_us * 1e3);
 }
 
 void SharedArray::memput(int target, std::size_t off, const void* src,
@@ -99,13 +96,12 @@ void SharedArray::barrier() {
   fence();
   // Extra runtime rounds relative to the foMPI barrier are charged as
   // overhead before entering the same dissemination barrier.
-  const auto& cfg = fabric_->domain().config();
-  if (cfg.inject == rdma::Injection::model && cfg_.barrier_round_factor > 1) {
+  if (cfg_.barrier_round_factor > 1) {
     const double extra_rounds =
         (cfg_.barrier_round_factor - 1.0) *
         std::log2(std::max(2, fabric_->nranks()));
-    spin_for_ns(static_cast<std::uint64_t>(extra_rounds * 2.9e3 *
-                                           cfg.time_scale));
+    fabric_->domain().nic(rank_).charge_model_ns(
+        extra_rounds * perf::PaperModel{}.fence_per_log_us * 1e3);
   }
   fabric_->coll().barrier(rank_);
 }

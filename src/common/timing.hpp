@@ -1,10 +1,11 @@
 // Wall-clock timing and calibrated busy-waiting.
 //
 // The paper measures with the cycle-accurate RDTSC counter; we use
-// steady_clock (nanosecond resolution on Linux) and provide a calibrated
-// spin-wait used to inject modeled network latencies into the real code
-// path. All spin loops yield: the test machine may have a single hardware
-// thread, and a non-yielding spinner would starve its peer rank.
+// steady_clock (nanosecond resolution on Linux) and provide calibrated
+// spin-waits. Modeled network time is charged and waited for only by
+// rdma::Nic (charge_model_ns / wait_model_time), which builds on these;
+// elsewhere spin_for_ns stands in for compute in benches and tests. Long
+// spins yield: a non-yielding spinner would starve a co-scheduled rank.
 #pragma once
 
 #include <chrono>

@@ -24,28 +24,24 @@ P2P::P2P(rdma::Domain& domain, std::function<void()> yield_check,
 std::uint64_t P2P::model_now() const noexcept { return now_ns(); }
 
 double P2P::eager_latency_ns(int me, int dst, std::size_t len) const {
-  const auto& cfg = domain_.config();
-  if (cfg.inject != rdma::Injection::model) return 0.0;
-  const auto& m = cfg.model;
+  const auto& m = domain_.config().model;
   if (domain_.same_node(me, dst)) {
     // Shared-memory eager: one staging copy plus the delivery copy.
-    return (m.intra_latency_ns(len) + m.intra_byte_ns * double(len)) *
-           cfg.time_scale;
+    return domain_.model_ns(m.intra_latency_ns(len) +
+                            m.intra_byte_ns * double(len));
   }
   // Network put plus the receiver-side eager copy out of the system buffer.
-  return (m.put_latency_ns(len) + m.intra_byte_ns * double(len)) *
-         cfg.time_scale;
+  return domain_.model_ns(m.put_latency_ns(len) +
+                          m.intra_byte_ns * double(len));
 }
 
 double P2P::rndv_latency_ns(int me, int dst, std::size_t len) const {
-  const auto& cfg = domain_.config();
-  if (cfg.inject != rdma::Injection::model) return 0.0;
-  const auto& m = cfg.model;
+  const auto& m = domain_.config().model;
   if (domain_.same_node(me, dst)) {
-    return (2.0 * m.intra_base_ns + m.intra_latency_ns(len)) * cfg.time_scale;
+    return domain_.model_ns(2.0 * m.intra_base_ns + m.intra_latency_ns(len));
   }
   // RTS/CTS handshake (two small control messages) plus the bulk transfer.
-  return (2.0 * m.put_latency_ns(8) + m.put_latency_ns(len)) * cfg.time_scale;
+  return domain_.model_ns(2.0 * m.put_latency_ns(8) + m.put_latency_ns(len));
 }
 
 void P2P::complete_now(const std::shared_ptr<detail::ReqState>& st, int src,
@@ -70,9 +66,8 @@ void P2P::spin_until_done(detail::ReqState& st, int peer) {
     }
     backoff.pause();
   }
-  const std::uint64_t ready = st.ready_at.load(std::memory_order_relaxed);
-  const std::uint64_t t = now_ns();
-  if (ready > t) spin_for_ns(ready - t);
+  domain_.nic(st.owner).wait_model_time(
+      st.ready_at.load(std::memory_order_relaxed));
 }
 
 void P2P::deposit(int me, int dst, int tag, const void* buf, std::size_t len,
@@ -80,12 +75,10 @@ void P2P::deposit(int me, int dst, int tag, const void* buf, std::size_t len,
                   const std::shared_ptr<detail::ReqState>& sreq) {
   FOMPI_REQUIRE(dst >= 0 && dst < domain_.nranks(), ErrClass::rank,
                 "send: destination rank out of range");
-  const auto& cfg = domain_.config();
-  if (cfg.inject == rdma::Injection::model) {
-    const double o = domain_.same_node(me, dst) ? cfg.model.intra_overhead_ns
-                                                : cfg.model.inter_overhead_ns;
-    spin_for_ns(static_cast<std::uint64_t>(o * cfg.time_scale));
-  }
+  const auto& m = domain_.config().model;
+  domain_.nic(me).charge_model_ns(domain_.same_node(me, dst)
+                                      ? m.intra_overhead_ns
+                                      : m.inter_overhead_ns);
   count(Op::transport_put);
   count(Op::bytes_copied, len);
 
@@ -126,10 +119,7 @@ void P2P::deposit(int me, int dst, int tag, const void* buf, std::size_t len,
   } else {
     // Rendezvous: only the ready-to-send envelope travels now.
     u.arrive_at = model_now() + static_cast<std::uint64_t>(
-                                    cfg.inject == rdma::Injection::model
-                                        ? cfg.model.put_latency_ns(8) *
-                                              cfg.time_scale
-                                        : 0.0);
+                                    domain_.model_ns(m.put_latency_ns(8)));
     u.sender_buf = buf;
     u.sender = sreq;  // completed by the receiver at match time
   }
@@ -137,13 +127,13 @@ void P2P::deposit(int me, int dst, int tag, const void* buf, std::size_t len,
 }
 
 void P2P::send(int me, int dst, int tag, const void* buf, std::size_t len) {
-  auto sreq = std::make_shared<detail::ReqState>();
+  auto sreq = std::make_shared<detail::ReqState>(me);
   deposit(me, dst, tag, buf, len, /*synchronous=*/false, sreq);
   spin_until_done(*sreq, dst);
 }
 
 void P2P::ssend(int me, int dst, int tag, const void* buf, std::size_t len) {
-  auto sreq = std::make_shared<detail::ReqState>();
+  auto sreq = std::make_shared<detail::ReqState>(me);
   deposit(me, dst, tag, buf, len, /*synchronous=*/true, sreq);
   spin_until_done(*sreq, dst);
 }
@@ -151,7 +141,7 @@ void P2P::ssend(int me, int dst, int tag, const void* buf, std::size_t len) {
 P2PRequest P2P::isend(int me, int dst, int tag, const void* buf,
                       std::size_t len) {
   P2PRequest req;
-  req.state_ = std::make_shared<detail::ReqState>();
+  req.state_ = std::make_shared<detail::ReqState>(me);
   deposit(me, dst, tag, buf, len, /*synchronous=*/false, req.state_);
   return req;
 }
@@ -159,7 +149,7 @@ P2PRequest P2P::isend(int me, int dst, int tag, const void* buf,
 P2PRequest P2P::issend(int me, int dst, int tag, const void* buf,
                        std::size_t len) {
   P2PRequest req;
-  req.state_ = std::make_shared<detail::ReqState>();
+  req.state_ = std::make_shared<detail::ReqState>(me);
   deposit(me, dst, tag, buf, len, /*synchronous=*/true, req.state_);
   return req;
 }
@@ -168,7 +158,7 @@ P2PRequest P2P::irecv(int me, int src, int tag, void* buf, std::size_t cap) {
   FOMPI_REQUIRE(src == kAnySource || (src >= 0 && src < domain_.nranks()),
                 ErrClass::rank, "irecv: source rank out of range");
   P2PRequest req;
-  req.state_ = std::make_shared<detail::ReqState>();
+  req.state_ = std::make_shared<detail::ReqState>(me);
   Mailbox& box = *mail_[static_cast<std::size_t>(me)];
   std::unique_lock lock(box.mu);
   // Match the unexpected queue in arrival order (ignoring modeled arrival

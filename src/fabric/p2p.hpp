@@ -39,6 +39,8 @@ struct Status {
 
 namespace detail {
 struct ReqState {
+  explicit ReqState(int owner) : owner(owner) {}
+  const int owner;  // the rank that waits on it (whose NIC waits)
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> ready_at{0};  // modeled arrival time (ns)
   std::atomic<bool> truncated{false};
@@ -131,10 +133,11 @@ class P2P {
   void complete_now(const std::shared_ptr<detail::ReqState>& st, int src,
                     int tag, std::size_t len, std::uint64_t ready_at,
                     bool truncated);
-  /// Spins until the request completes, with exponential backoff. When
-  /// `peer` is a valid rank, a fault-plan death of that peer raises a typed
-  /// peer_dead error instead of spinning forever (-1 = unknown peer, e.g. a
-  /// wildcard receive).
+  /// Spins until the request completes, with exponential backoff, then
+  /// waits for its modeled arrival on the owner's NIC. When `peer` is a
+  /// valid rank, a fault-plan death of that peer raises a typed peer_dead
+  /// error instead of spinning forever (-1 = unknown peer, e.g. a wildcard
+  /// receive).
   void spin_until_done(detail::ReqState& st, int peer = -1);
 
   rdma::Domain& domain_;

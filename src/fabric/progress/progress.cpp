@@ -264,26 +264,14 @@ std::uint64_t NotifyPlane::consumed(int me) const {
 
 // --- Scheduler --------------------------------------------------------------
 
-namespace {
-// Nearest a parked priority fiber's deadline must be for the idle loop to
-// spin to it; spin_for_ns's busy-spin bound.
-constexpr std::uint64_t kPrioritySpinNs = 5'000;
-
-double op_issue_ns(const rdma::Nic& nic) {
-  const rdma::DomainConfig& c = nic.domain().config();
-  return c.inject == rdma::Injection::model
-             ? c.model.inter_overhead_ns * c.time_scale
-             : 0.0;
-}
-}  // namespace
-
 Scheduler::Scheduler(Fabric& fabric, int rank)
     : Scheduler(fabric.domain().nic(rank), [&fabric] { fabric.yield_check(); }) {}
 
 Scheduler::Scheduler(rdma::Nic& nic, std::function<void()> yield_check)
     : nic_(nic),
       yield_check_(std::move(yield_check)),
-      op_issue_ns_(op_issue_ns(nic)) {}
+      op_issue_ns_(nic.domain().model_ns(
+          nic.domain().config().model.inter_overhead_ns)) {}
 
 Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {
   Fiber& f = *fiber;
@@ -475,22 +463,21 @@ void Scheduler::run() {
     // Every fiber is parked. This is the engine's single suspension point:
     // yield_check keeps fault-kill semantics (a fleet abort unwinds out of
     // run()), and the backoff resets whenever a wakeup fired. A parked
-    // priority fiber is waited for as a blocking wait would be: a next
-    // deadline within kPrioritySpinNs is spun to, yielding the thread only
-    // on every 64th pass, and the check at the top of the loop resumes the
-    // fiber; a farther one is polled without backoff.
-    std::uint64_t spin_to = 0;
+    // priority fiber is waited for as a blocking wait would be: the NIC
+    // waits for the next deadline (Nic::wait_model_time), yielding the
+    // thread here only on every 64th pass, and the check at the top of the
+    // loop resumes the fiber.
+    std::uint64_t wait_to = 0;
     if (!prio_heap_.empty()) {
-      spin_to = prio_heap_.front().deadline;
-      if (!heap_.empty()) spin_to = std::min(spin_to, heap_.front().deadline);
-      if (spin_to > now_ns() + kPrioritySpinNs) spin_to = 0;
+      wait_to = prio_heap_.front().deadline;
+      if (!heap_.empty()) wait_to = std::min(wait_to, heap_.front().deadline);
     }
-    if (spin_to == 0 || (++idle_spins_ & 63u) == 0) yield_check_();
+    if (wait_to == 0 || (++idle_spins_ & 63u) == 0) yield_check_();
     if (poll_once()) {
       backoff.reset();
-    } else if (spin_to != 0) {
-      spin_until_ns(spin_to);
-    } else if (prio_heap_.empty()) {
+    } else if (wait_to != 0) {
+      nic_.wait_model_time(wait_to);
+    } else {
       backoff.pause();
     }
   }

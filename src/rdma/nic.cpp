@@ -361,6 +361,7 @@ void Nic::batch_flush() {
     const double chain = cfg.model.batch_chain_latency_ns(n, channels_);
     doorbell_ns = static_cast<std::uint64_t>((over + chain) * scale);
     doorbell_end = now_ns() + doorbell_ns;
+    modeled_ns_ += doorbell_ns;
   }
   for (const BatchEntry& e : batch_entries_) {
     PendingOp* op = nullptr;
@@ -385,31 +386,28 @@ void Nic::batch_flush() {
   wait_model_time(doorbell_end);
 }
 
-void Nic::wait_model_time(std::uint64_t complete_at) {
+void Nic::wait_model_time(std::uint64_t deadline) const {
   if (domain_.config().inject != Injection::model) return;
-  const std::uint64_t t = now_ns();
-  if (complete_at <= t) return;
-  const std::uint64_t ns = complete_at - t;
-  // Short waits busy-spin for timing fidelity. Long waits are an unbounded
-  // (minutes under large time_scale) completion spin: yield and poll the
-  // domain's progress hook so a peer failure aborts the wait instead of
-  // letting the fleet hang on a dead rank.
+  // A long wait is an unbounded (minutes under large time_scale) completion
+  // spin: yield and poll the domain's progress hook so a peer failure
+  // aborts the wait instead of letting the fleet hang on a dead rank. The
+  // last 5 us busy-spin to the absolute deadline, for timing fidelity.
   constexpr std::uint64_t kPoliteThreshold = 5'000;  // 5 us
-  if (ns <= kPoliteThreshold) {
-    spin_for_ns(ns);
-    return;
-  }
-  while (now_ns() < complete_at) {
+  std::uint64_t t = now_ns();
+  while (t + kPoliteThreshold < deadline) {
     std::this_thread::yield();
     domain_.progress_check();
+    t = now_ns();
   }
+  while (t < deadline) t = now_ns();
 }
 
 void Nic::charge_model_ns(double ns) {
-  if (domain_.config().inject != Injection::model || ns <= 0.0) return;
-  const std::uint64_t done =
-      now_ns() +
-      static_cast<std::uint64_t>(ns * domain_.config().time_scale);
+  const auto busy =
+      static_cast<std::uint64_t>(std::max(0.0, domain_.model_ns(ns)));
+  if (busy == 0) return;
+  modeled_ns_ += busy;
+  const std::uint64_t done = now_ns() + busy;
   if (done > latest_complete_at_) latest_complete_at_ = done;
   wait_model_time(done);
 }
@@ -636,9 +634,11 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
     const double scale = cfg.time_scale;
     model_lat = static_cast<std::uint64_t>(latency_ns * scale * fault_scale);
     if (!batched) {
+      // Not wait_model_time: the overhead spin never raises.
       const std::uint64_t issue_start = now_ns();
-      spin_until_ns(issue_start +
-                    static_cast<std::uint64_t>(overhead_ns * scale));
+      const auto busy = static_cast<std::uint64_t>(overhead_ns * scale);
+      modeled_ns_ += busy;
+      spin_until_ns(issue_start + busy);
       complete_at = issue_start + model_lat;
       latest_complete_at_ = std::max(latest_complete_at_, complete_at);
     }

@@ -205,11 +205,23 @@ class alignas(kCacheLine) Nic {
   /// intra-node path.
   void local_fence();
 
-  /// Charges `ns` of modeled time to this rank for work the NIC did not
-  /// perform itself (e.g. the collectives' shared-memory copy fallback, the
-  /// moral equivalent of an XPMEM attach + memcpy). Scaled by time_scale
-  /// and folded into latest_complete_at_; a no-op under Injection::none.
+  // --- modeled time: the one place it is charged and waited for -----------
+  /// Charges `ns` of modeled busy time to this rank for work the NIC did
+  /// not perform itself: the collectives' shared-memory copy fallback (the
+  /// moral equivalent of an XPMEM attach + memcpy), the baselines' per-op
+  /// software extras, p2p's send overhead. Scaled by Domain::model_ns,
+  /// metered, folded into latest_complete_at_ and waited for; a no-op
+  /// under Injection::none.
   void charge_model_ns(double ns);
+  /// Blocks until the absolute now_ns() `deadline` under Injection::model
+  /// (returns at once otherwise). It yields and polls the domain's progress
+  /// hook while the deadline is more than 5 us away, so a wait on a dead
+  /// fleet aborts instead of hanging, then spins to the deadline.
+  void wait_model_time(std::uint64_t deadline) const;
+  /// Modeled busy time (ns, scaled) this NIC charged its rank so far:
+  /// unbatched issue overheads, doorbells and charge_model_ns. Waits for
+  /// completions are not counted. 0 under Injection::none.
+  std::uint64_t modeled_ns() const noexcept { return modeled_ns_; }
 
   /// Explicit nonblocking operations with a live (unretired) handle.
   std::size_t explicit_outstanding() const noexcept { return explicit_live_; }
@@ -349,7 +361,6 @@ class alignas(kCacheLine) Nic {
   /// Retires a live explicit handle: moves the data of a successful op,
   /// emits its completion event, frees the slot; returns the op's status.
   OpStatus retire(Handle h);
-  void wait_model_time(std::uint64_t complete_at);
 
   /// Per-issue fault-plan gate: advances the op index, fires the kill/hang
   /// schedule, runs the bounded retransmission loop for a scheduled
@@ -428,6 +439,7 @@ class alignas(kCacheLine) Nic {
 
   std::vector<PendingOp*> drain_scratch_;  // gsync working set, recycled
   std::uint64_t latest_complete_at_ = 0;   // max completion time seen
+  std::uint64_t modeled_ns_ = 0;           // see modeled_ns()
 
   // Throughput mode. With the default NicConfig the issue path pays one
   // extra predictable branch (no batch open, auto_batch_ false).
@@ -490,6 +502,12 @@ class Domain {
   RegionRegistry& registry() noexcept { return registry_; }
   const DomainConfig& config() const noexcept { return cfg_; }
   Nic& nic(int rank);
+
+  /// The one conversion from a cost-model duration to modeled time: `ns`
+  /// x time_scale under Injection::model, 0 under Injection::none.
+  double model_ns(double ns) const noexcept {
+    return cfg_.inject == Injection::model ? ns * cfg_.time_scale : 0.0;
+  }
 
   /// Invoked on every iteration of an unbounded NIC model-time spin
   /// (wait/gsync); the runtime installs a hook that raises when a peer

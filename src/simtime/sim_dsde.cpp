@@ -110,8 +110,8 @@ DsdeSeries simulate_dsde(int p, const DsdeParams& params) {
   // and a slower fence (perf::BaselineModel).
   const perf::BaselineModel bm;
   SyncParams sp22 = sp;
-  sp22.msg_latency_us =
-      sp.msg_latency_us * bm.mpi22_fence_per_log_us / 2.9;
+  sp22.msg_latency_us = sp.msg_latency_us * bm.mpi22_fence_per_log_us /
+                        perf::PaperModel{}.fence_per_log_us;
   const double fence22 = simulate_dissemination_barrier(p, sp22);
   out.mpi22_rma_us = 2 * fence22 +
                      params.k * (params.overhead_us + bm.mpi22_extra_us) +

@@ -2,11 +2,12 @@
 // window wrapper.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 
-#include "common/timing.hpp"
 #include "baselines/mpi22_rma.hpp"
 #include "baselines/pgas.hpp"
+#include "common/buffer.hpp"
 
 using namespace fompi;
 using baselines::Mpi22Win;
@@ -65,14 +66,17 @@ TEST(Pgas, UpcConfigurationAddsOverheadUnderModel) {
     SharedArray plain(ctx, 64);
     SharedArray upc(ctx, 64, baselines::make_upc_like());
     const std::uint64_t v = 1;
-    Timer t0;
+    // Modeled busy time from the NIC's meter, not wall time, which host
+    // load also moves.
+    const std::uint64_t m0 = ctx.nic().modeled_ns();
     for (int i = 0; i < 50; ++i) plain.memput(1 - ctx.rank(), 0, &v, 8);
     plain.fence();
-    const double base = t0.elapsed_us();
-    Timer t1;
+    const std::uint64_t m1 = ctx.nic().modeled_ns();
     for (int i = 0; i < 50; ++i) upc.memput(1 - ctx.rank(), 0, &v, 8);
     upc.fence();
-    const double with_overhead = t1.elapsed_us();
+    const double base = static_cast<double>(m1 - m0) / 1e3;
+    const double with_overhead =
+        static_cast<double>(ctx.nic().modeled_ns() - m1) / 1e3;
     EXPECT_GT(with_overhead, base + 40.0)
         << "UPC layer must add ~1.2us per op";
     plain.destroy(ctx);
@@ -129,19 +133,91 @@ TEST(Mpi22, SlowerThanCoreUnderModel) {
     core::Win fast = core::Win::allocate(ctx, 64);
     Mpi22Win slow = Mpi22Win::allocate(ctx, 64);
     const std::uint64_t v = 5;
+    // Modeled busy time from the NIC's meter, as in the Pgas test above.
+    rdma::Nic& nic = ctx.nic();
     fast.fence();
-    Timer t0;
+    const std::uint64_t f0 = nic.modeled_ns();
     for (int i = 0; i < 20; ++i) fast.put(&v, 8, 1 - ctx.rank(), 0);
     fast.fence();
-    const double fast_us = t0.elapsed_us();
+    const double fast_us = static_cast<double>(nic.modeled_ns() - f0) / 1e3;
     slow.fence();
-    Timer t1;
+    const std::uint64_t s0 = nic.modeled_ns();
     for (int i = 0; i < 20; ++i) slow.put(&v, 8, 1 - ctx.rank(), 0);
     slow.fence();
-    const double slow_us = t1.elapsed_us();
+    const double slow_us = static_cast<double>(nic.modeled_ns() - s0) / 1e3;
     EXPECT_GT(slow_us, fast_us + 100.0)
         << "MPI-2.2 comparator must pay ~9us per op";
     slow.free();
     fast.free();
   }, opts);
+}
+
+// Every layer charges modeled busy time through the NIC, so each charge
+// below moves Nic::modeled_ns() by exactly the busy time it charges, scaled
+// by time_scale; its waits (completions, gsync) add nothing. Under
+// Injection::none nothing is charged.
+TEST(ModeledMeter, EveryChargeReachesTheMeter) {
+  for (const auto inject : {rdma::Injection::model, rdma::Injection::none}) {
+    fabric::FabricOptions opts;
+    opts.domain.ranks_per_node = 1;
+    opts.domain.inject = inject;
+    opts.domain.time_scale = 2.0;
+    fabric::run_ranks(2, [inject](RankCtx& ctx) {
+      SharedArray upc(ctx, 64, baselines::make_upc_like());
+      Mpi22Win mpi22 = Mpi22Win::allocate(ctx, 64);
+      const std::uint64_t v = 1;
+      mpi22.fence();
+      if (ctx.rank() == 0) {
+        const rdma::NetworkModel& m = ctx.fabric().domain().config().model;
+        const perf::BaselineModel bm;
+        const double scale = inject == rdma::Injection::model ? 2.0 : 0.0;
+        const auto busy = [scale](double ns) {
+          return static_cast<std::uint64_t>(ns * scale);
+        };
+        rdma::Nic& nic = ctx.nic();
+        const auto charged = [&nic](const std::function<void()>& op) {
+          const std::uint64_t m0 = nic.modeled_ns();
+          op();
+          return nic.modeled_ns() - m0;
+        };
+        AlignedBuffer mem(64);
+        const rdma::RegionDesc d =
+            ctx.fabric().domain().registry().register_region(1, mem.data(),
+                                                             64);
+        EXPECT_EQ(charged([&] { nic.put(1, d, 0, &v, 8); }),
+                  busy(m.inter_overhead_ns))
+            << "inter-node blocking put";
+        EXPECT_EQ(charged([&] { nic.charge_model_ns(1000); }), busy(1000))
+            << "charge_model_ns";
+        EXPECT_EQ(charged([&] {
+                    nic.batch_begin();
+                    for (int i = 0; i < 4; ++i) nic.put_nbi(1, d, 8 * i, &v, 8);
+                    nic.batch_flush();
+                    nic.gsync();
+                  }),
+                  busy(m.inter_overhead_ns + m.batch_chain_latency_ns(4, 1)))
+            << "one doorbell for a 4-op batch";
+        EXPECT_EQ(charged([&] {
+                    upc.memput(1, 0, &v, 8);
+                    upc.fence();
+                  }),
+                  busy(bm.upc_extra_us * 1e3) + busy(m.inter_overhead_ns))
+            << "UPC memput";
+        EXPECT_EQ(charged([&] { mpi22.put(&v, 8, 1, 0); }),
+                  busy(bm.mpi22_extra_us * 1e3) + busy(m.inter_overhead_ns))
+            << "MPI-2.2 put";
+        EXPECT_EQ(charged([&] { ctx.send(1, 7, &v, 8); }),
+                  busy(m.inter_overhead_ns))
+            << "p2p send";
+        ctx.fabric().domain().registry().deregister(d.rkey);
+      } else {
+        std::uint64_t got = 0;
+        ctx.recv(0, 7, &got, 8);
+        EXPECT_EQ(got, v);
+      }
+      mpi22.fence();
+      mpi22.free();
+      upc.destroy(ctx);
+    }, opts);
+  }
 }
