@@ -11,13 +11,14 @@
 //      the sim_kv closed forms are printed beside them.
 //   2. Cache leverage (gated): a version-validated cache hit is one round
 //      of one AMO; the versioned read is one round too, of two AMOs and
-//      one get of the cell, so the cache saves issue cost, not a round
-//      trip. Two checks: exact counters (every timed warm get is a hit of
-//      1 AMO and no get, every uncached get 2 AMOs and 1 get) and a timing
-//      floor, warm-cache get rate >= 1 + (L - 1) / 2 times the uncached
-//      rate, with L = kv_read_us(uncached) / kv_read_us(cached) ~ 1.30
-//      the closed-form leverage (floor ~ 1.15). Three attempts:
-//      thread-rank wall smear can spoil one.
+//      one get of the cell behind one doorbell, so the cache saves two
+//      chain links and their software cost, not a round trip. Two checks:
+//      exact counters (every timed warm get is a hit of 1 AMO and no get,
+//      every uncached get 2 AMOs and 1 get) and a timing floor, warm-cache
+//      get rate >= 1 + (L - 1) / 2 times the uncached rate, with
+//      L = kv_read_us(uncached) / kv_read_us(cached) ~ 1.03 the
+//      closed-form leverage (floor ~ 1.02). Three attempts: thread-rank
+//      wall smear can spoil one.
 //   3. Failover SLO degradation (gated): phase A reads rank-1-owned keys
 //      healthy (warm cache), then the seeded fault plan kills rank 1 and
 //      phase B re-reads the same keys degraded (replica serving, cache
@@ -35,9 +36,9 @@
 //      before the kill and after heal(). Gates: exact counters (2 rounds
 //      per put; 8 AMOs healthy, 9 after, the generation read riding the
 //      first round) and a timing ceiling, post p50 <= C x healthy p50,
-//      with C halfway between the closed forms with the generation inside
-//      the first round (8.54 us) and as a round of its own (10.94 us),
-//      each over the healthy 8.13 us: C ~ 1.20.
+//      with C halfway between the closed form with the generation inside
+//      the first round (5.95 us) and that form one round trip later
+//      (8.35 us), each over the healthy 5.90 us: C ~ 1.21.
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh
 // as BENCH_kv.json).
@@ -146,7 +147,7 @@ double median_us(std::vector<std::uint64_t> ns) {
 
 /// Timing ceiling of the post-recovery put gate, over the healthy put:
 /// halfway between the closed form with the generation inside the first
-/// round (kv_post_recovery_put_us) and with it as a round of its own.
+/// round (kv_post_recovery_put_us) and that form one round trip later.
 double post_put_ceiling() {
   const sim::KvParams p;
   const double inside = sim::kv_post_recovery_put_us(p);

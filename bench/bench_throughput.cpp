@@ -8,9 +8,12 @@
 //      auto-batched at 1/2/4 channels. Doorbell coalescing must deliver
 //      >= 2x the unbatched rate (the Fig 5b plateau is overhead-limited;
 //      one doorbell per batch amortizes it away).
-//   2. Large-transfer striping: one 1 MiB blocking put with the payload
-//      striped round-robin across 1/2/4 BTE channels. Modeled wall time
-//      must decrease monotonically with the channel count.
+//   2. Large-transfer striping: one 1 MiB put with the payload striped
+//      round-robin across 1/2/4 BTE channels. Its modeled latency (the
+//      completion deadline the NIC stamps, read from just before the
+//      issue) must decrease monotonically with the channel count. The
+//      put's wall time would also carry the host copy of the payload,
+//      which does not shrink with channels.
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh as
 // BENCH_throughput.json).
@@ -32,6 +35,10 @@ namespace {
 constexpr int kReps = 5;
 constexpr int kSmallOps = 4096;     // 8-byte puts per timed rep
 constexpr std::size_t kBigBytes = std::size_t{1} << 20;  // striped transfer
+/// A stripe reading also carries the software time between its clock read
+/// and the issue, well under this; a channel count counts as faster only
+/// when it cuts the modeled latency by more.
+constexpr double kStripeResolutionUs = 1.0;
 
 DomainConfig internode_model(const NicConfig& nic) {
   DomainConfig cfg;
@@ -95,9 +102,11 @@ RateResult small_op_rate(const std::string& name, const NicConfig& nic) {
 
 struct StripeResult {
   int channels = 1;
-  double us_per_put = 0;  ///< modeled wall time of one 1 MiB blocking put
+  double us_per_put = 0;  ///< modeled latency of one 1 MiB put
 };
 
+/// Median over kReps puts of the modeled latency: the put's completion
+/// deadline less a clock read taken just before its issue.
 StripeResult stripe_time(int channels) {
   NicConfig nic;
   nic.channels = channels;
@@ -108,10 +117,17 @@ StripeResult stripe_time(int channels) {
       dom.registry().register_region(1, mem.data(), 2 * kBigBytes);
   AlignedBuffer payload(kBigBytes);
 
+  std::vector<double> us;
+  for (int r = 0; r < kReps; ++r) {
+    const std::uint64_t t0 = now_ns();
+    const Handle h = n.put_nb(1, d, 0, payload.data(), kBigBytes);
+    us.push_back(static_cast<double>(n.completion_deadline(h) - t0) / 1e3);
+    n.wait(h);
+  }
+  std::sort(us.begin(), us.end());
   StripeResult r;
   r.channels = channels;
-  r.us_per_put =
-      median_ns([&] { n.put(1, d, 0, payload.data(), kBigBytes); }) / 1e3;
+  r.us_per_put = us[us.size() / 2];
   return r;
 }
 
@@ -170,9 +186,10 @@ int main() {
     rc = 1;
   }
   for (std::size_t i = 1; i < stripes.size(); ++i) {
-    if (stripes[i].us_per_put >= stripes[i - 1].us_per_put) {
+    if (stripes[i].us_per_put >
+        stripes[i - 1].us_per_put - kStripeResolutionUs) {
       std::fprintf(stderr,
-                   "FAIL: striping not monotone: ch%d %.1f us >= ch%d %.1f us\n",
+                   "FAIL: striping not monotone: ch%d %.1f us vs ch%d %.1f us\n",
                    stripes[i].channels, stripes[i].us_per_put,
                    stripes[i - 1].channels, stripes[i - 1].us_per_put);
       rc = 1;

@@ -28,12 +28,25 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 
-./build/bench/bench_fastpath | tee BENCH_fastpath.json
-./build/bench/bench_datatype | tee BENCH_datatype.json
-./build/bench/bench_throughput | tee BENCH_throughput.json
-./build/bench/bench_collectives | tee BENCH_collectives.json
-./build/bench/bench_overlap | tee BENCH_overlap.json
-./build/bench/bench_kv | tee BENCH_kv.json
+# Runs bench $1 into $2, then prints the file. The bench's own exit status
+# decides (its self-gates exit 1): a pipe into tee would report tee's, and
+# POSIX sh has no pipefail.
+bench_json() {
+  status=0
+  "./build/bench/$1" > "$2" || status=$?
+  cat "$2"
+  if [ "$status" -ne 0 ]; then
+    echo "$1 failed (exit $status)" >&2
+    exit "$status"
+  fi
+}
+
+bench_json bench_fastpath BENCH_fastpath.json
+bench_json bench_datatype BENCH_datatype.json
+bench_json bench_throughput BENCH_throughput.json
+bench_json bench_collectives BENCH_collectives.json
+bench_json bench_overlap BENCH_overlap.json
+bench_json bench_kv BENCH_kv.json
 ./build/bench/bench_fig4_latency
 ./build/bench/bench_fig6b_fence
 

@@ -268,10 +268,14 @@ Scheduler::Scheduler(Fabric& fabric, int rank)
     : Scheduler(fabric.domain().nic(rank), [&fabric] { fabric.yield_check(); }) {}
 
 Scheduler::Scheduler(rdma::Nic& nic, std::function<void()> yield_check)
-    : nic_(nic),
-      yield_check_(std::move(yield_check)),
-      op_issue_ns_(nic.domain().model_ns(
-          nic.domain().config().model.inter_overhead_ns)) {}
+    : nic_(nic), yield_check_(std::move(yield_check)) {}
+
+std::uint64_t Scheduler::issue_cost_ns(int ops) const noexcept {
+  const rdma::Domain& dom = nic_.domain();
+  const rdma::DomainConfig& cfg = dom.config();
+  return static_cast<std::uint64_t>(dom.model_ns(cfg.model.doorbell_ns(
+      static_cast<std::size_t>(ops), true, cfg.nic.channels)));
+}
 
 Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {
   Fiber& f = *fiber;

@@ -221,11 +221,10 @@ class Scheduler {
   /// earliest deadline a priority fiber is parked on. Always true while no
   /// priority fiber is parked or runnable.
   bool admits(std::uint64_t cost_ns) const;
-  /// Modeled issue time of `ops` operations: ops x the model's per-op
-  /// injection overhead x time_scale; 0 under Injection::none.
-  std::uint64_t issue_cost_ns(int ops) const noexcept {
-    return static_cast<std::uint64_t>(ops * op_issue_ns_);
-  }
+  /// Modeled issue time of a round of `ops` operations chained behind one
+  /// inter-node doorbell (NetworkModel::doorbell_ns: the injection
+  /// overhead once plus the chain links), scaled; 0 under Injection::none.
+  std::uint64_t issue_cost_ns(int ops) const noexcept;
 
   // --- suspension hooks (called by the FOMPI_FIBER_* macros) ---------------
   void await_handle(Fiber& f, rdma::Handle h);
@@ -268,7 +267,6 @@ class Scheduler {
 
   rdma::Nic& nic_;
   std::function<void()> yield_check_;
-  double op_issue_ns_ = 0;  ///< modeled issue time of one op (0: none)
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::deque<Fiber*> urgent_;    // runnable priority fibers, served first
   std::deque<Fiber*> runnable_;

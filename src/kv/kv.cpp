@@ -897,9 +897,15 @@ bool KvStore::live(RegionOp* const* ops, int n) {
 
 void KvStore::issue_round(RegionOp* const* ops, int n) {
   count(Op::kv_round);
+  // A round's requests are independent by construction, so they chain
+  // behind one doorbell: the rank pays the injection overhead once per
+  // round, plus a chain link per extra request.
+  rdma::Nic& nic = fabric_->domain().nic(rank_);
+  nic.batch_begin();
   for (int i = 0; i < n; ++i) {
     if (ops[i]->st != RegionOp::State::done) ops[i]->issue(*this, i == 0);
   }
+  nic.batch_flush();
 }
 
 std::uint64_t KvStore::round_deadline(RegionOp* const* ops, int n) {
@@ -1239,10 +1245,11 @@ rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
 // like any other, a contended machine parks on a fiber-native backoff, and
 // no step issues more than one round. A write is a priority fiber: once
 // due, its next round starts before any read step, and a read starts a
-// round only if the round's modeled issue time ends before the write's
-// next deadline (Scheduler::admits). While the rank's write is in flight
-// no fiber pulls a new op, as when the write held the thread. A gated
-// fiber parks on poll_ready; it never yield-spins.
+// round only if the round's doorbell, its modeled issue time
+// (Scheduler::issue_cost_ns), ends before the write's next deadline
+// (Scheduler::admits). While the rank's write is in flight no fiber pulls
+// a new op, as when the write held the thread. A gated fiber parks on
+// poll_ready; it never yield-spins.
 
 namespace {
 // Fiber-native backoff of a contended machine: doubles from the first to

@@ -12,9 +12,12 @@
 //     together. One round routine (issue every live machine, wait
 //     once until the round's last deadline, retire in issue order,
 //     advance) serves both drivers: drive() spins through the wait on the
-//     calling thread, a fleet fiber parks through it. RegionOp (kv.cpp) is
-//     the only code that knows the cell layout past the key word, or the
-//     seqlock.
+//     calling thread, a fleet fiber parks through it. A round's requests
+//     are independent, so both copies' requests and the generation read
+//     chain behind ONE NIC doorbell: the rank pays the 416 ns injection
+//     overhead once per round plus 45 ns per extra request, not once per
+//     request (Nic::batch_flush). RegionOp (kv.cpp) is the only code that
+//     knows the cell layout past the key word, or the seqlock.
 //   * get  — a one-sided versioned read: the 8-byte version word is a
 //     seqlock over RMA (odd = write in progress). One round snapshots a
 //     cell: {v1, one get of the whole cell, v2}, issued in that order and
@@ -89,11 +92,11 @@
 // seqlock retries and failover re-issues included, runs on the client
 // fiber through the shared round routine, one round per fiber step. A
 // write runs as a priority fiber: its next round starts before any read
-// step, and a read starts a round only if the round's modeled issue time
-// ends before the write's next completion. While a rank's write is in
-// flight its fibers pull no new op, so a rank has one write and any
-// number of reads in flight. Per-op-class latencies go into trace
-// LatencyHistos.
+// step, and a read starts a round only if the round's doorbell (its
+// modeled issue time) ends before the write's next completion. While a
+// rank's write is in flight its fibers pull no new op, so a rank has one
+// write and any number of reads in flight. Per-op-class latencies go into
+// trace LatencyHistos.
 #pragma once
 
 #include <cstdint>
@@ -358,11 +361,12 @@ class KvStore {
   // --- region-op drivers ----------------------------------------------------
   /// The round routine both drivers share. issue_round() posts every live
   /// machine's requests, ops[0] leading (it reads a client op's routing
-  /// generation); round_deadline() is the last completion deadline of the
-  /// round in flight (0 when due now); retire_round() retires the requests
-  /// in issue order, which is the order deferred delivery applies them in,
-  /// fails every machine's round on a stale generation, and advances every
-  /// machine, returning true when one of them contended.
+  /// generation), behind one NIC doorbell; round_deadline() is the last
+  /// completion deadline of the round in flight (0 when due now);
+  /// retire_round() retires the requests in issue order, which is the
+  /// order deferred delivery applies them in, fails every machine's round
+  /// on a stale generation, and advances every machine, returning true
+  /// when one of them contended.
   static bool live(RegionOp* const* ops, int n);
   void issue_round(RegionOp* const* ops, int n);
   static std::uint64_t round_deadline(RegionOp* const* ops, int n);

@@ -95,7 +95,10 @@ struct NetworkModel {
   // Coalesced issue (Nic::batch_begin/batch_flush or NicConfig.auto_batch)
   // chains descriptors behind ONE doorbell, like vectored ops but across
   // independent operations: the software+doorbell overhead is paid once per
-  // batch and each extra descriptor costs batch_chain_ns on the wire.
+  // batch and each extra descriptor costs batch_chain_ns on the wire. The
+  // overhead overlaps the wire as it does for an unbatched op, so each
+  // descriptor completes its own latency plus the chain after the doorbell
+  // starts. The KV round routine and the collectives ring one per round.
   // Slingshot-class NICs (RAMC) additionally expose several independent
   // ordered memory channels; a chained batch drains round-robin across
   // them, and large BTE transfers stripe their payload over all channels at
@@ -111,6 +114,14 @@ struct NetworkModel {
     const std::size_t ch = channels < 1 ? 1 : static_cast<std::size_t>(channels);
     const std::size_t links = ndesc - 1;
     return batch_chain_ns * static_cast<double>((links + ch - 1) / ch);
+  }
+
+  /// Origin busy time of one doorbell chaining `ndesc` descriptors: the
+  /// injection overhead once plus the chain links, so one descriptor costs
+  /// what an unbatched op does.
+  double doorbell_ns(std::size_t ndesc, bool inter, int channels) const noexcept {
+    return (inter ? inter_overhead_ns : intra_overhead_ns) +
+           batch_chain_latency_ns(ndesc, channels);
   }
 
   /// Put latency with the payload striped round-robin over `channels`; BTE

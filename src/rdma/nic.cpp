@@ -350,19 +350,23 @@ void Nic::batch_flush() {
 
   // One doorbell for the whole chain: the injection overhead is charged
   // once, plus batch_chain_ns per extra descriptor — drained round-robin
-  // over the configured channels (per-channel ordering preserved).
-  std::uint64_t doorbell_end = 0;
+  // over the configured channels (per-channel ordering preserved). As for
+  // an unbatched op, the overhead overlaps the wire: each descriptor
+  // completes the chain plus its own latency after the doorbell starts,
+  // so a one-descriptor doorbell lands when the same op unbatched would.
+  std::uint64_t start = 0;
   std::uint64_t doorbell_ns = 0;
+  std::uint64_t chain_ns = 0;
   const DomainConfig& cfg = domain_.config();
   if (cfg.inject == Injection::model) {
-    const double scale = cfg.time_scale;
-    const double over =
-        inter ? cfg.model.inter_overhead_ns : cfg.model.intra_overhead_ns;
-    const double chain = cfg.model.batch_chain_latency_ns(n, channels_);
-    doorbell_ns = static_cast<std::uint64_t>((over + chain) * scale);
-    doorbell_end = now_ns() + doorbell_ns;
+    doorbell_ns = static_cast<std::uint64_t>(
+        domain_.model_ns(cfg.model.doorbell_ns(n, inter, channels_)));
+    chain_ns = static_cast<std::uint64_t>(
+        domain_.model_ns(cfg.model.batch_chain_latency_ns(n, channels_)));
+    start = now_ns();
     modeled_ns_ += doorbell_ns;
   }
+  const std::uint64_t doorbell_end = start + doorbell_ns;
   for (const BatchEntry& e : batch_entries_) {
     PendingOp* op = nullptr;
     if (e.slot != BatchEntry::kNoSlot2) {
@@ -370,7 +374,7 @@ void Nic::batch_flush() {
     } else if (e.implicit_idx != BatchEntry::kNoSlot2) {
       op = &implicit_ops_[e.implicit_idx];
     }
-    const std::uint64_t done = doorbell_end + e.lat_ns;
+    const std::uint64_t done = start + chain_ns + e.lat_ns;
     if (op != nullptr) {
       op->batch_pending = false;
       op->complete_at = done;

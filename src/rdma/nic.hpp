@@ -189,10 +189,14 @@ class alignas(kCacheLine) Nic {
   void batch_begin();
   /// Rings the doorbell for the open batch (explicit or auto), charging
   /// the injection overhead once plus batch_chain_ns per extra descriptor
-  /// (divided round-robin across the configured channels), and assigns
-  /// every batched op its modeled completion time. No-op when no batch is
-  /// open. Also invoked implicitly by gsync, by test/wait on a
-  /// batch-pending handle, and once kBatchCapacity descriptors queue up.
+  /// (divided round-robin across the configured channels;
+  /// NetworkModel::doorbell_ns), and assigns every batched op its modeled
+  /// completion time: the doorbell's start plus the chain plus the op's
+  /// own latency. The overhead overlaps the wire as it does for an
+  /// unbatched op, so a one-descriptor doorbell completes when the op
+  /// would have unbatched. No-op when no batch is open. Also invoked
+  /// implicitly by gsync, by test/wait on a batch-pending handle, and once
+  /// kBatchCapacity descriptors queue up.
   void batch_flush();
   /// True while a batch scope (explicit or auto) is open.
   bool batch_active() const noexcept { return batch_open_; }

@@ -6,10 +6,11 @@
 namespace fompi::sim {
 
 namespace {
-/// One network round trip per round plus the origin's issue cost per
-/// request.
+/// One network round trip per round plus the origin's doorbell per round:
+/// the issue overhead once, then a chain link per extra request.
 double rounds_us(const KvParams& p, int rounds, int reqs) {
-  return rounds * p.amo_us + reqs * p.amo_service_us;
+  return rounds * (p.amo_us + p.amo_service_us) +
+         (reqs - rounds) * p.chain_us;
 }
 // A hit is one round (the cached cell's version), and so is the full
 // versioned read: {v1, the whole cell, v2}.
@@ -88,8 +89,9 @@ double kv_post_recovery_p99_us(const KvParams& p) {
 }
 
 double kv_post_recovery_put_us(const KvParams& p) {
-  // The healed put's rounds, plus the generation request in its first.
-  return kv_put_us(p) + p.amo_service_us;
+  // The healed put's rounds, plus the generation request chained behind
+  // its first round's doorbell.
+  return kv_put_us(p) + p.chain_us;
 }
 
 }  // namespace fompi::sim

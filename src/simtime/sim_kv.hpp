@@ -36,8 +36,12 @@ struct KvParams {
   int shards = 8;
   double zipf_s = 0.9;       ///< key->shard popularity skew
   /// NIC-side occupancy per served AMO (the Gemini per-op overhead): one
-  /// shard owner sustains 1/0.416 ~ 2.4 M served AMOs/s.
+  /// shard owner sustains 1/0.416 ~ 2.4 M served AMOs/s. The origin pays
+  /// it once per round: a round's requests chain behind one doorbell.
   double amo_service_us = 0.416;
+  /// Each request of a round beyond the first, chained behind the round's
+  /// doorbell (the rdma NetworkModel's batch_chain_ns).
+  double chain_us = 0.045;
 
   // --- recovery constants (DESIGN.md §13) -----------------------------------
   /// BTE bulk-channel setup per drain chunk and per-byte streaming cost
@@ -48,14 +52,16 @@ struct KvParams {
 };
 
 /// Mean modeled get latency (us), each read charged like a put: one round
-/// trip per round plus the origin's issue overhead per request,
+/// trip per round plus the origin's doorbell per round, the issue overhead
+/// once and a chain link per extra request,
 ///
-///   h * (1 * amo_us + 1 * svc) + (1 - h) * (1 * amo_us + 3 * svc)
+///   h * (amo_us + svc) + (1 - h) * (amo_us + svc + 2 * chain)
 ///
-/// = 2.8 us cached, 3.65 us uncached: both are one round, so the cache
-/// saves issue cost, not round trips. Degraded mode (owner dead, replica
-/// serving) bypasses the client cache, so every read pays the full
-/// versioned-read cost — the SLO degradation bench_kv measures.
+/// = 2.82 us cached, 2.91 us uncached: both are one round, so the cache
+/// saves two chain links and their software cost, not round trips.
+/// Degraded mode (owner dead, replica serving) bypasses the client cache,
+/// so every read pays the full versioned-read cost — the SLO degradation
+/// bench_kv measures.
 double kv_read_us(const KvParams& p, bool degraded = false);
 
 /// Modeled p99 get latency (us): the uncached versioned read whenever the
@@ -66,12 +72,13 @@ double kv_read_p99_us(const KvParams& p, bool degraded = false);
 
 /// Mean modeled put latency (us):
 ///
-///   put_rounds * amo_us + issued_AMOs * amo_service_us
+///   put_rounds * (amo_us + svc) + (issued_AMOs - put_rounds) * chain
 ///
-/// one network round trip per overlapped round plus the origin's issue
-/// overhead per AMO. Write-through replication doubles the AMOs while the
-/// shard is healthy (degraded mode writes the surviving replica only):
-/// 2 * 2.4 + 8 * 0.416 = 8.13 us healthy, 6.46 us degraded.
+/// one network round trip and one doorbell per overlapped round, plus a
+/// chain link per AMO beyond a round's first. Write-through replication
+/// doubles the AMOs while the shard is healthy (degraded mode writes the
+/// surviving replica only): 2 * (2.4 + 0.416) + 6 * 0.045 = 5.90 us
+/// healthy, 5.72 us degraded.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
 /// Probability mass of the hottest shard under the Zipf(s) key popularity
@@ -108,12 +115,13 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
 double kv_post_recovery_p99_us(const KvParams& p);
 
 /// Modeled post-recovery put latency (us): the generation read is one
-/// more request in the put's first round, not a round of its own,
+/// more request chained behind the put's first doorbell, not a round of
+/// its own,
 ///
-///   put_rounds * amo_us + (2 * put_amos + 1) * amo_service_us
+///   kv_put_us + chain
 ///
-/// = 2 * 2.4 + 9 * 0.416 = 8.54 us, against 8.13 us healthy (a separate
-/// generation round before the put would cost 10.94 us).
+/// = 5.90 + 0.045 = 5.95 us, against 5.90 us healthy (a generation round
+/// of its own, a round trip and a doorbell, would make it 8.72 us).
 double kv_post_recovery_put_us(const KvParams& p);
 
 }  // namespace fompi::sim

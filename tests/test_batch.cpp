@@ -13,6 +13,7 @@
 
 #include "common/buffer.hpp"
 #include "common/instr.hpp"
+#include "common/timing.hpp"
 #include "core/window.hpp"
 #include "fabric/fabric.hpp"
 #include "rdma/network_model.hpp"
@@ -153,6 +154,70 @@ TEST(Batch, CapacityReachedFlushesImplicitly) {
   nic.gsync();
   EXPECT_EQ(nic.doorbells_rung(), 3u);
   EXPECT_EQ(nic.implicit_outstanding(), 0u);
+}
+
+TEST(Batch, DoorbellOverlapsItsOverheadWithTheWire) {
+  // A doorbell's overhead overlaps the wire, as an unbatched op's does:
+  // each descriptor completes the chain plus its own latency after the
+  // doorbell starts, while the origin is busy for the overhead plus the
+  // chain. So a one-descriptor doorbell completes exactly when the same op
+  // unbatched would. Deadlines are absolute, so each op's modeled start
+  // (its deadline less the chain and its latency) is bracketed by clock
+  // reads around the issue or the flush: at or after the read before,
+  // and its busy time ended by the read after. At time_scale 50 the
+  // overhead is 20.8 us, so a doorbell that added it in series would land
+  // far outside the bracket.
+  DomainConfig cfg = internode(2, Injection::model);
+  cfg.time_scale = 50;
+  Domain dom(cfg);
+  Nic& nic = dom.nic(0);
+  AlignedBuffer mem(256);
+  const RegionDesc d = dom.registry().register_region(1, mem.data(), 256);
+  alignas(8) std::uint64_t src = 5;
+  const NetworkModel& m = cfg.model;
+  const auto scaled = [&](double ns) {
+    return static_cast<std::uint64_t>(ns * cfg.time_scale);
+  };
+  const std::uint64_t lat = scaled(m.put_latency_ns(8));
+  const auto expect_start_in = [](std::uint64_t start, std::uint64_t t0,
+                                  std::uint64_t t1, std::uint64_t busy,
+                                  const std::string& what) {
+    EXPECT_GE(start, t0) << what;
+    EXPECT_LE(start + busy, t1)
+        << what << ": completes after its busy time instead of overlapping it";
+  };
+
+  {
+    const std::uint64_t busy = scaled(m.inter_overhead_ns);
+    const std::uint64_t m0 = nic.modeled_ns();
+    const std::uint64_t t0 = now_ns();
+    const Handle h = nic.put_nb(1, d, 0, &src, 8);
+    const std::uint64_t t1 = now_ns();
+    EXPECT_EQ(nic.modeled_ns() - m0, busy);
+    expect_start_in(nic.completion_deadline(h) - lat, t0, t1, busy,
+                    "unbatched");
+    EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
+  }
+  for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+    const std::uint64_t chain = scaled(m.batch_chain_latency_ns(n, 1));
+    const std::uint64_t busy = scaled(m.doorbell_ns(n, true, 1));
+    EXPECT_EQ(busy, scaled(m.inter_overhead_ns) + chain);
+    nic.batch_begin();
+    std::vector<Handle> hs;
+    for (std::size_t i = 0; i < n; ++i) {
+      hs.push_back(nic.put_nb(1, d, 8 * i, &src, 8));
+    }
+    const std::uint64_t m0 = nic.modeled_ns();
+    const std::uint64_t t0 = now_ns();
+    nic.batch_flush();
+    const std::uint64_t t1 = now_ns();
+    EXPECT_EQ(nic.modeled_ns() - m0, busy);
+    for (const Handle h : hs) {
+      expect_start_in(nic.completion_deadline(h) - chain - lat, t0, t1, busy,
+                      std::to_string(n) + "-descriptor doorbell");
+      EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
+    }
+  }
 }
 
 // --- sync points flush open batches --------------------------------------------

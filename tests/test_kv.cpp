@@ -174,15 +174,16 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
   // key this rank wrote before takes the cell its entry names on each
   // copy, {fetch-or, key read} -> {value write, release}, top or chain. A
   // read takes a cell's snapshot in one round: {version, get of the whole
-  // cell, version}. (The op_from_string round trip of Op::kv_round is
-  // covered by TraceNames.OpToStringRoundTripsExhaustively.)
+  // cell, version}. Each round's requests chain behind one NIC doorbell.
+  // (The op_from_string round trip of Op::kv_round is covered by
+  // TraceNames.OpToStringRoundTripsExhaustively.)
   KvConfig cfg;
   cfg.shards = 2;
   cfg.table_slots = 1;  // a second key of the shard goes to the chain
   fabric::run_ranks(2, [&](RankCtx& ctx) {
     KvStore store(ctx, cfg);
     struct Cost {
-      std::uint64_t rounds, amos, gets;
+      std::uint64_t rounds, amos, gets, doorbells, descriptors;
     };
     const auto cost = [](auto&& op) {
       const OpCounters c0 = op_counters();
@@ -191,7 +192,8 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       // An AMO on the caller's own memory counts as a local atomic.
       return Cost{d.get(Op::kv_round),
                   d.get(Op::transport_amo) + d.get(Op::local_atomic),
-                  d.get(Op::transport_get)};
+                  d.get(Op::transport_get), d.get(Op::doorbell_ring),
+                  d.get(Op::batched_op)};
     };
     const std::uint64_t a = 1;
     std::uint64_t b = 2;
@@ -212,6 +214,9 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       EXPECT_EQ(c.rounds, 2u);
       EXPECT_EQ(c.amos, 8u);
       EXPECT_EQ(c.gets, 0u);
+      // One doorbell per round, both copies' requests behind it.
+      EXPECT_EQ(c.doorbells, 2u);
+      EXPECT_EQ(c.descriptors, 8u);
       // Fresh chain insert: top -> head -> slot lock -> FAA -> fill ->
       // link -> release.
       EXPECT_EQ(put(b, 3).rounds, 7u);
@@ -225,6 +230,8 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       EXPECT_EQ(c.rounds, 1u);
       EXPECT_EQ(c.amos, 2u);
       EXPECT_EQ(c.gets, 1u);
+      EXPECT_EQ(c.doorbells, 1u);
+      EXPECT_EQ(c.descriptors, 3u);
       c = get(a);
       EXPECT_EQ(c.rounds, 1u);
       EXPECT_EQ(c.amos, 1u);
@@ -260,6 +267,30 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
     ctx.barrier();
     store.destroy(ctx);
   });
+
+  // Busy time under the model, both copies remote: a hinted put's two
+  // rounds each ring one doorbell of 4 requests, 2 x (416 + 3 x 45) =
+  // 1102 ns on the client's NIC (8 x 416 = 3328 ns at one doorbell per
+  // request).
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.inject = rdma::Injection::model;
+  fabric::run_ranks(
+      3,
+      [&](RankCtx& ctx) {
+        KvStore store(ctx, cfg);
+        if (ctx.rank() == 0) {
+          const std::uint64_t k = key_owned_by(store, 1);
+          ASSERT_EQ(store.replica_of(store.shard_of(k)), 2);
+          ASSERT_EQ(store.put(k, 1), OpStatus::ok);  // leaves the hints
+          const std::uint64_t m0 = ctx.nic().modeled_ns();
+          EXPECT_EQ(store.put(k, 2), OpStatus::ok);
+          EXPECT_EQ(ctx.nic().modeled_ns() - m0, 1102u);
+        }
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
 }
 
 TEST(Kv, ReaderSeeingNewValueNeverLeavesPeerCacheStale) {

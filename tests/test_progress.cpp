@@ -368,9 +368,12 @@ TEST(Scheduler, AdmissionEndsBeforeTheEarliestPriorityDeadline) {
   cfg.time_scale = 2;
   Domain dom(cfg);
   progress::Scheduler sched(dom.nic(0), [] {});
-  // Five ops at the model's per-op injection overhead, scaled.
+  // A round of five ops rings one doorbell: the injection overhead once
+  // plus four chain links, scaled.
   EXPECT_EQ(sched.issue_cost_ns(5),
-            static_cast<std::uint64_t>(5 * cfg.model.inter_overhead_ns * 2));
+            static_cast<std::uint64_t>(
+                (cfg.model.inter_overhead_ns + 4 * cfg.model.batch_chain_ns) *
+                2));
   auto& sleeper = sched.spawn<PrioritySleeper>(20'000'000);  // 20 ms
   auto& probe = sched.spawn<AdmissionProbe>(sleeper);
   sched.run();

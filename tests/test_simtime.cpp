@@ -352,18 +352,19 @@ TEST(SimColl, AllgatherBytesStillLinearAtLargeBlocks) {
 
 TEST(SimKv, CacheLeverageMatchesClosedForm) {
   // A version-validated cache hit is one round of 1 AMO; the full
-  // versioned read is one round too: 2 AMOs and 1 get of the cell. The hit
-  // saves issue cost, not a round trip, so the leverage is
-  // (2.4 + 3*0.416) / (2.4 + 0.416) ~ 1.30; bench_kv's timing floors sit
-  // halfway between 1 and it.
+  // versioned read is one round too: 2 AMOs and 1 get of the cell behind
+  // one doorbell. The hit saves two chain links, not a round trip, so the
+  // leverage is (2.4 + 0.416 + 2*0.045) / (2.4 + 0.416) ~ 1.03; bench_kv's
+  // timing floors sit halfway between 1 and it.
   KvParams p;
   p.hit_rate = 1.0;
   const double cached = kv_read_us(p);
   p.hit_rate = 0.0;
   const double uncached = kv_read_us(p);
   EXPECT_NEAR(cached, 2.4 + 0.416, 1e-9);
-  EXPECT_NEAR(uncached, 2.4 + 3 * 0.416, 1e-9);
-  EXPECT_NEAR(uncached / cached, (2.4 + 3 * 0.416) / (2.4 + 0.416), 1e-9);
+  EXPECT_NEAR(uncached, 2.4 + 0.416 + 2 * 0.045, 1e-9);
+  EXPECT_NEAR(uncached / cached, (2.4 + 0.416 + 2 * 0.045) / (2.4 + 0.416),
+              1e-9);
 }
 
 TEST(SimKv, MeanReadMonotoneInHitRate) {
@@ -384,17 +385,17 @@ TEST(SimKv, DegradedTailNoBetterThanHealthy) {
   EXPECT_GT(kv_read_us(p, /*degraded=*/true), kv_read_us(p, false));
   EXPECT_GE(kv_read_p99_us(p, true), kv_read_p99_us(p, false));
   // The p99 is the uncached read in both modes for any realistic cache:
-  // one round of 2 AMOs and 1 get.
-  EXPECT_NEAR(kv_read_p99_us(p, false), 2.4 + 3 * 0.416, 1e-9);
-  EXPECT_NEAR(kv_read_p99_us(p, true), 2.4 + 3 * 0.416, 1e-9);
+  // one round of 2 AMOs and 1 get behind one doorbell.
+  EXPECT_NEAR(kv_read_p99_us(p, false), 2.4 + 0.416 + 2 * 0.045, 1e-9);
+  EXPECT_NEAR(kv_read_p99_us(p, true), 2.4 + 0.416 + 2 * 0.045, 1e-9);
   // Degraded puts write one region instead of two: cheaper per op, which
   // is the one silver lining the SLO table shows.
   EXPECT_LT(kv_put_us(p, true), kv_put_us(p, false));
   // Lockstep copies: two overlapped rounds either way (a take, then the
-  // write), plus the origin issue overhead of 8 (healthy) or 4 (degraded)
-  // AMOs.
-  EXPECT_NEAR(kv_put_us(p, false), 2 * 2.4 + 8 * 0.416, 1e-9);
-  EXPECT_NEAR(kv_put_us(p, true), 2 * 2.4 + 4 * 0.416, 1e-9);
+  // write), each one doorbell of 4 (healthy) or 2 (degraded) AMOs: the
+  // issue overhead once plus a chain link per extra AMO.
+  EXPECT_NEAR(kv_put_us(p, false), 2 * (2.4 + 0.416) + 6 * 0.045, 1e-9);
+  EXPECT_NEAR(kv_put_us(p, true), 2 * (2.4 + 0.416) + 2 * 0.045, 1e-9);
 }
 
 TEST(SimKv, ThroughputMonotoneAndSaturating) {
@@ -483,16 +484,18 @@ TEST(SimKvRecovery, PostRecoveryTailEqualsHealthyAndBeatsDegraded) {
   p.hit_rate = 1.0;
   const double cached = kv_read_us(p);
   p.hit_rate = 0.0;
-  EXPECT_NEAR(kv_read_us(p) / cached, (2.4 + 3 * 0.416) / (2.4 + 0.416),
-              1e-9);
+  EXPECT_NEAR(kv_read_us(p) / cached,
+              (2.4 + 0.416 + 2 * 0.045) / (2.4 + 0.416), 1e-9);
 }
 
 TEST(SimKvRecovery, PostRecoveryPutAddsARequestNotARound) {
   // Once a death was seen, a put reads the routing generation inside its
-  // first round: the healed put pays one more request's issue cost, not
-  // the round trip a separate generation read would add.
+  // first round: the healed put pays one more chain link behind that
+  // round's doorbell, not the round trip a separate generation read would
+  // add.
   KvParams p;
-  EXPECT_NEAR(kv_post_recovery_put_us(p), 2 * 2.4 + 9 * 0.416, 1e-9);
+  EXPECT_NEAR(kv_post_recovery_put_us(p), 2 * (2.4 + 0.416) + 7 * 0.045,
+              1e-9);
   EXPECT_LT(kv_post_recovery_put_us(p), kv_put_us(p) + p.amo_us);
 }
 
