@@ -333,7 +333,13 @@ void Nic::batch_enqueue(const BatchEntry& e, bool inter) {
     count(Op::pool_grow);
   }
   batch_entries_.push_back(e);
-  if (++batch_ndesc_ >= kBatchCapacity) batch_flush();
+  if (++batch_ndesc_ < kBatchCapacity) return;
+  // A full chain rings its doorbell. An explicit scope stays open for the
+  // rest of its ops; an auto scope reopens on the next batchable op.
+  const bool keep = batch_explicit_;
+  batch_flush();
+  batch_open_ = keep;
+  batch_explicit_ = keep;
 }
 
 void Nic::batch_flush() {

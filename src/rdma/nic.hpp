@@ -196,7 +196,8 @@ class alignas(kCacheLine) Nic {
   /// unbatched op, so a one-descriptor doorbell completes when the op
   /// would have unbatched. No-op when no batch is open. Also invoked
   /// implicitly by gsync, by test/wait on a batch-pending handle, and once
-  /// kBatchCapacity descriptors queue up.
+  /// kBatchCapacity descriptors queue up (an explicit scope then stays
+  /// open, so its later ops chain behind the next doorbell).
   void batch_flush();
   /// True while a batch scope (explicit or auto) is open.
   bool batch_active() const noexcept { return batch_open_; }

@@ -6,11 +6,14 @@
 namespace fompi::sim {
 
 namespace {
+constexpr double kChainUs = 0.045;  // batch_chain_ns under the model
+/// Descriptors one doorbell chains (the rdma Nic's batch capacity).
+constexpr std::uint64_t kDoorbellDescs = 64;
+
 /// One network round trip per round plus the origin's doorbell per round:
 /// the issue overhead once, then a chain link per extra request.
 double rounds_us(const KvParams& p, int rounds, int reqs) {
-  return rounds * (p.amo_us + p.amo_service_us) +
-         (reqs - rounds) * p.chain_us;
+  return rounds * (p.amo_us + p.amo_service_us) + (reqs - rounds) * kChainUs;
 }
 // A hit is one round (the cached cell's version), and so is the full
 // versioned read: {v1, the whole cell, v2}.
@@ -75,9 +78,13 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
                           static_cast<double>(shard_bytes) * p.bte_byte_ns /
                               1e3;
   // The scrub's reads of every key on both copies overlap: one round,
-  // uncached_reqs issued per key and copy.
-  const double reads_us = p.amo_us + 2.0 * static_cast<double>(keys) *
-                                         p.uncached_reqs * p.amo_service_us;
+  // uncached_reqs issued per key and copy, behind a doorbell per 64.
+  const std::uint64_t reqs =
+      2 * keys * static_cast<std::uint64_t>(p.uncached_reqs);
+  const std::uint64_t doorbells = (reqs + kDoorbellDescs - 1) / kDoorbellDescs;
+  const double reads_us =
+      p.amo_us + static_cast<double>(doorbells) * p.amo_service_us +
+      static_cast<double>(reqs - doorbells) * kChainUs;
   const double gen_us = 2.0 * p.amo_us;  // claim CAS + release write
   return 3.0 * image_us + reads_us + gen_us;
 }
@@ -91,7 +98,7 @@ double kv_post_recovery_p99_us(const KvParams& p) {
 double kv_post_recovery_put_us(const KvParams& p) {
   // The healed put's rounds, plus the generation request chained behind
   // its first round's doorbell.
-  return kv_put_us(p) + p.chain_us;
+  return kv_put_us(p) + kChainUs;
 }
 
 }  // namespace fompi::sim

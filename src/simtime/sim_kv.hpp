@@ -37,11 +37,9 @@ struct KvParams {
   double zipf_s = 0.9;       ///< key->shard popularity skew
   /// NIC-side occupancy per served AMO (the Gemini per-op overhead): one
   /// shard owner sustains 1/0.416 ~ 2.4 M served AMOs/s. The origin pays
-  /// it once per round: a round's requests chain behind one doorbell.
+  /// it once per doorbell: a round's requests chain behind one doorbell,
+  /// each beyond the first for a 45 ns chain link (batch_chain_ns).
   double amo_service_us = 0.416;
-  /// Each request of a round beyond the first, chained behind the round's
-  /// doorbell (the rdma NetworkModel's batch_chain_ns).
-  double chain_us = 0.045;
 
   // --- recovery constants (DESIGN.md §13) -----------------------------------
   /// BTE bulk-channel setup per drain chunk and per-byte streaming cost
@@ -101,9 +99,12 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p = {});
 /// the key-wise scrub: one such chunked snapshot of each copy to list the
 /// keys, and the overlapped read of every key on both copies (one round,
 /// uncached_reqs issued per copy and key; a healthy pair needs no repair
-/// round), plus the generation claim + release CAS pair. Linear in
-/// bytes at fixed chunking, linear in keys — and stream-dominated for
-/// large shard images, which is the shape test_simtime pins.
+/// round), plus the generation claim + release CAS pair. The read round's
+/// n requests ring ceil(n / 64) doorbells (a doorbell chains at most 64
+/// descriptors), each charged the issue overhead, plus a chain link per
+/// request beyond a doorbell's first. Linear in bytes at fixed chunking,
+/// linear in keys — and stream-dominated for large shard images, which is
+/// the shape test_simtime pins.
 double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
                       std::uint64_t keys, std::uint64_t chunk = 2048);
 

@@ -138,22 +138,42 @@ TEST(Batch, BteSizedOpsBypassTheBatch) {
 }
 
 TEST(Batch, CapacityReachedFlushesImplicitly) {
-  NicConfig nc;
-  nc.auto_batch = true;
-  Domain dom(internode(2, Injection::model, nc));
-  Nic& nic = dom.nic(0);
-  AlignedBuffer mem(4096);
-  const RegionDesc d = dom.registry().register_region(1, mem.data(), 4096);
-  alignas(8) std::uint64_t src = 9;
+  // A full chain of 64 rings its doorbell and batching goes on: an auto
+  // scope reopens at the next op, and an explicit scope stays open, so its
+  // later ops chain behind the next doorbell instead of issuing one by
+  // one. Either way 130 puts ring 3 doorbells carrying all 130.
+  for (const bool explicit_scope : {false, true}) {
+    const char* what = explicit_scope ? "explicit scope" : "auto_batch";
+    NicConfig nc;
+    nc.auto_batch = !explicit_scope;
+    const DomainConfig cfg = internode(2, Injection::model, nc);
+    Domain dom(cfg);
+    Nic& nic = dom.nic(0);
+    AlignedBuffer mem(2048);
+    const RegionDesc d = dom.registry().register_region(1, mem.data(), 2048);
+    alignas(8) std::uint64_t src = 9;
+    const auto busy = [&](std::size_t n) {
+      return static_cast<std::uint64_t>(cfg.model.doorbell_ns(n, true, 1) *
+                                        cfg.time_scale);
+    };
 
-  for (int i = 0; i < 130; ++i) {
-    nic.put_nbi(1, d, static_cast<std::size_t>(i) * 8u, &src, 8);
+    const OpCounters before = op_counters();
+    const std::uint64_t m0 = nic.modeled_ns();
+    if (explicit_scope) nic.batch_begin();
+    for (int i = 0; i < 130; ++i) {
+      nic.put_nbi(1, d, static_cast<std::size_t>(i) * 8u, &src, 8);
+    }
+    EXPECT_EQ(nic.doorbells_rung(), 2u) << what;  // two full batches of 64
+    EXPECT_EQ(nic.batch_depth(), 2u) << what;     // remainder still open
+    nic.gsync();
+    EXPECT_EQ(nic.doorbells_rung(), 3u) << what;
+    EXPECT_EQ(nic.implicit_outstanding(), 0u) << what;
+
+    const OpCounters delta = op_counters().since(before);
+    EXPECT_EQ(delta.get(Op::doorbell_ring), 3u) << what;
+    EXPECT_EQ(delta.get(Op::batched_op), 130u) << what;
+    EXPECT_EQ(nic.modeled_ns() - m0, 2 * busy(64) + busy(2)) << what;
   }
-  EXPECT_EQ(nic.doorbells_rung(), 2u);  // two full batches of 64
-  EXPECT_EQ(nic.batch_depth(), 2u);     // remainder still open
-  nic.gsync();
-  EXPECT_EQ(nic.doorbells_rung(), 3u);
-  EXPECT_EQ(nic.implicit_outstanding(), 0u);
 }
 
 TEST(Batch, DoorbellOverlapsItsOverheadWithTheWire) {

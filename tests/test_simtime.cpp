@@ -470,6 +470,20 @@ TEST(SimKvRecovery, DrainIsBteStreamDominatedAtScale) {
   EXPECT_LT(t2 / t1, 2.05);
 }
 
+TEST(SimKvRecovery, ScrubReadsRingADoorbellPer64Requests) {
+  // The scrub reads every key on both copies in one round, three requests
+  // per key and copy, chained behind a doorbell per 64: 10 keys are 60
+  // requests behind one doorbell, 11 keys are 66 behind two. With no image
+  // to drain, the rest is that round's trip and the generation claim and
+  // release.
+  KvParams p;
+  const double fixed = 3 * 2.4;
+  EXPECT_NEAR(kv_recovery_us(p, 0, 0), fixed, 1e-9);
+  EXPECT_NEAR(kv_recovery_us(p, 0, 10), fixed + 0.416 + 59 * 0.045, 1e-9);
+  EXPECT_NEAR(kv_recovery_us(p, 0, 11), fixed + 2 * 0.416 + 64 * 0.045,
+              1e-9);
+}
+
 TEST(SimKvRecovery, PostRecoveryTailEqualsHealthyAndBeatsDegraded) {
   // The whole point of healing: the post-recovery p99 is the HEALTHY p99
   // (the generation check overlaps the read's first round, costing no
