@@ -98,7 +98,8 @@ struct NetworkModel {
   // batch and each extra descriptor costs batch_chain_ns on the wire. The
   // overhead overlaps the wire as it does for an unbatched op, so each
   // descriptor completes its own latency plus the chain after the doorbell
-  // starts. The KV round routine and the collectives ring one per round.
+  // starts (for an explicit scope, at its first descriptor's post). The KV
+  // round routine and the collectives ring one per round.
   // Slingshot-class NICs (RAMC) additionally expose several independent
   // ordered memory channels; a chained batch drains round-robin across
   // them, and large BTE transfers stripe their payload over all channels at

@@ -194,7 +194,10 @@ class alignas(kCacheLine) Nic {
   /// completion time: the doorbell's start plus the chain plus the op's
   /// own latency. The overhead overlaps the wire as it does for an
   /// unbatched op, so a one-descriptor doorbell completes when the op
-  /// would have unbatched. No-op when no batch is open. Also invoked
+  /// would have unbatched. An explicit scope's doorbell starts at its
+  /// chain's first post, so the host time spent posting the rest runs
+  /// inside the modeled overhead and chain; an auto scope's starts at the
+  /// flush. No-op when no batch is open. Also invoked
   /// implicitly by gsync, by test/wait on a batch-pending handle, and once
   /// kBatchCapacity descriptors queue up (an explicit scope then stays
   /// open, so its later ops chain behind the next doorbell).
@@ -454,6 +457,7 @@ class alignas(kCacheLine) Nic {
   bool batch_explicit_ = false;  // opened by batch_begin (vs auto)
   bool batch_inter_ = false;     // any inter-node descriptor enqueued
   std::size_t batch_ndesc_ = 0;
+  std::uint64_t batch_start_ = 0;  // first post of an explicit chain, or 0
   std::vector<BatchEntry> batch_entries_;  // capacity recycled across flushes
   std::uint64_t doorbells_ = 0;
 

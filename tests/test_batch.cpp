@@ -183,10 +183,10 @@ TEST(Batch, DoorbellOverlapsItsOverheadWithTheWire) {
   // chain. So a one-descriptor doorbell completes exactly when the same op
   // unbatched would. Deadlines are absolute, so each op's modeled start
   // (its deadline less the chain and its latency) is bracketed by clock
-  // reads around the issue or the flush: at or after the read before,
-  // and its busy time ended by the read after. At time_scale 50 the
-  // overhead is 20.8 us, so a doorbell that added it in series would land
-  // far outside the bracket.
+  // reads around the issue, or around the posts and the flush: at or
+  // after the read before, and its busy time ended by the read after. At
+  // time_scale 50 the overhead is 20.8 us, so a doorbell that added it in
+  // series would land far outside the bracket.
   DomainConfig cfg = internode(2, Injection::model);
   cfg.time_scale = 50;
   Domain dom(cfg);
@@ -218,24 +218,45 @@ TEST(Batch, DoorbellOverlapsItsOverheadWithTheWire) {
                     "unbatched");
     EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
   }
-  for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
-    const std::uint64_t chain = scaled(m.batch_chain_latency_ns(n, 1));
-    const std::uint64_t busy = scaled(m.doorbell_ns(n, true, 1));
-    EXPECT_EQ(busy, scaled(m.inter_overhead_ns) + chain);
-    nic.batch_begin();
-    std::vector<Handle> hs;
-    for (std::size_t i = 0; i < n; ++i) {
-      hs.push_back(nic.put_nb(1, d, 8 * i, &src, 8));
-    }
-    const std::uint64_t m0 = nic.modeled_ns();
-    const std::uint64_t t0 = now_ns();
-    nic.batch_flush();
-    const std::uint64_t t1 = now_ns();
-    EXPECT_EQ(nic.modeled_ns() - m0, busy);
-    for (const Handle h : hs) {
-      expect_start_in(nic.completion_deadline(h) - chain - lat, t0, t1, busy,
-                      std::to_string(n) + "-descriptor doorbell");
-      EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
+  // An explicit scope's doorbell starts at its chain's first post, read
+  // where an unbatched op reads its issue start, so it starts before the
+  // flush; an auto scope's starts at the flush.
+  DomainConfig auto_cfg = cfg;
+  auto_cfg.nic.auto_batch = true;
+  Domain auto_dom(auto_cfg);
+  const RegionDesc auto_d =
+      auto_dom.registry().register_region(1, mem.data(), 256);
+  for (const bool explicit_scope : {true, false}) {
+    Nic& bn = explicit_scope ? nic : auto_dom.nic(0);
+    const RegionDesc& bd = explicit_scope ? d : auto_d;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+      const std::string what = std::to_string(n) + "-descriptor " +
+                               (explicit_scope ? "explicit" : "auto") +
+                               " doorbell";
+      const std::uint64_t chain = scaled(m.batch_chain_latency_ns(n, 1));
+      const std::uint64_t busy = scaled(m.doorbell_ns(n, true, 1));
+      EXPECT_EQ(busy, scaled(m.inter_overhead_ns) + chain);
+      const std::uint64_t m0 = bn.modeled_ns();
+      const std::uint64_t t0 = now_ns();
+      if (explicit_scope) bn.batch_begin();
+      std::vector<Handle> hs;
+      for (std::size_t i = 0; i < n; ++i) {
+        hs.push_back(bn.put_nb(1, bd, 8 * i, &src, 8));
+      }
+      const std::uint64_t posted = now_ns();
+      bn.batch_flush();
+      const std::uint64_t t1 = now_ns();
+      EXPECT_EQ(bn.modeled_ns() - m0, busy) << what;
+      for (const Handle h : hs) {
+        const std::uint64_t start = bn.completion_deadline(h) - chain - lat;
+        expect_start_in(start, t0, t1, busy, what);
+        if (explicit_scope) {
+          EXPECT_LE(start, posted) << what << ": starts after its posts";
+        } else {
+          EXPECT_GE(start, posted) << what << ": starts before its flush";
+        }
+        EXPECT_EQ(bn.wait_status(h), OpStatus::ok);
+      }
     }
   }
 }
