@@ -33,6 +33,24 @@ int main() {
     core::Win w = core::Win::allocate(ctx, 4096);
     w.free();
   });
+  {
+    // The rows above are medians of 3 reps in one fabric, so the first
+    // allocate, which builds the symmetric heap (4 x 16 MiB mapped, pages
+    // committed on first touch), never reaches them. This row times the
+    // first allocate + free of each of 5 fresh fabrics.
+    std::vector<double> first;
+    for (int f = 0; f < 5; ++f) {
+      first.push_back(
+          measure(4, internode_model(), 1, [](fabric::RankCtx& ctx) {
+            Timer t;
+            core::Win w = core::Win::allocate(ctx, 4096);
+            w.free();
+            return t.elapsed_us();
+          }).median_us);
+    }
+    std::printf("%-28s%12.1f\n", "allocate, fresh fabric",
+                summarize(first).median);
+  }
   timed("create_dynamic + attach", [](fabric::RankCtx& ctx) {
     std::vector<std::byte> mem(4096);
     core::Win w = core::Win::create_dynamic(ctx);

@@ -16,7 +16,9 @@
 #      recovery-chaos suite (staggered double kills + heal-until-settled
 #      under the same seeds) repeated to confirm the self-healing
 #      invariants hold across thread schedules
-#   3. ThreadSanitizer build + the concurrency-heavy tests (datatype
+#   3. ThreadSanitizer build + the concurrency-heavy tests (window
+#      creation in all four flavors, dynamic-window attach/detach and its
+#      descriptor caches, fence and PSCW, the MCS queue lock, datatype
 #      flatten-cache sharing, RDMA issue paths, locks, comm, accumulate,
 #      flight-recorder tracing, doorbell batching/striping, fault
 #      injection/recovery incl. Delivery::deferred under a fault plan,
@@ -26,11 +28,12 @@
 #      notify plane, and the KV service's seqlock reads under a
 #      concurrent writer plus its kill/failover path and the full
 #      self-healing recovery/scrub/reconfiguration suite)
-#   4. AddressSanitizer build + the suites that move bytes through the
-#      NIC's staging buffers and fragment lists (contiguous, vectored and
-#      datatype issue, comm, property-based RMA, accumulate), and the KV
-#      service, whose one-round routing read lands an rget in a table the
-#      caller owns: zero AddressSanitizer reports
+#   4. AddressSanitizer build + window creation and teardown (the mapped
+#      symmetric heap, control blocks, registrations), the suites that
+#      move bytes through the NIC's staging buffers and fragment lists
+#      (contiguous, vectored and datatype issue, comm, property-based RMA,
+#      accumulate), and the KV service, whose one-round routing read lands
+#      an rget in a table the caller owns: zero AddressSanitizer reports
 #   5. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
@@ -111,8 +114,13 @@ ctest --test-dir build-benchmark --output-on-failure
 
 cmake -B build-tsan -G Ninja -DFOMPI_SANITIZE=thread
 cmake --build build-tsan --target \
+  test_window test_dynamic test_sync_active test_mcs \
   test_rdma test_lock test_datatype test_comm test_accumulate test_trace \
   test_batch test_fault test_collectives test_progress test_kv
+./build-tsan/tests/test_window
+./build-tsan/tests/test_dynamic
+./build-tsan/tests/test_sync_active
+./build-tsan/tests/test_mcs
 ./build-tsan/tests/test_rdma
 ./build-tsan/tests/test_lock
 ./build-tsan/tests/test_datatype
@@ -126,11 +134,14 @@ cmake --build build-tsan --target \
 ./build-tsan/tests/test_kv
 
 # AddressSanitizer aborts the binary on its first report, so a clean exit
-# means zero reports.
+# means zero reports. Window memory is mapped, not malloc'd, so it carries
+# no heap redzones; RMA into it stays range-checked by the NIC. test_alloc
+# replaces operator new and stays out of both sanitizer builds.
 cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
 cmake --build build-asan --target \
-  test_rdma test_batch test_datatype test_comm test_prop_rma test_accumulate \
-  test_kv
+  test_window test_rdma test_batch test_datatype test_comm test_prop_rma \
+  test_accumulate test_kv
+./build-asan/tests/test_window
 ./build-asan/tests/test_rdma
 ./build-asan/tests/test_batch
 ./build-asan/tests/test_datatype

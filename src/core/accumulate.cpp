@@ -241,10 +241,10 @@ RmaRequest Win::raccumulate(const void* origin, std::size_t count, Elem e,
     resolve_target(target, tdisp, len, &desc, &off);
     const auto* vals = static_cast<const std::uint64_t*>(origin);
     const rdma::AmoOp opcode = amo_opcode(op);
-    req.handles_.reserve(count);
+    if (count > 1) req.spill_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      req.handles_.push_back(req.nic_->amo_nb(target, desc, off + 8 * i,
-                                              opcode, vals[i], 0, nullptr));
+      req.add(req.nic_->amo_nb(target, desc, off + 8 * i, opcode, vals[i], 0,
+                               nullptr));
     }
     return req;
   }
@@ -265,21 +265,22 @@ void Win::get_accumulate(const void* origin, void* result, std::size_t count,
     resolve_target(target, tdisp, len, &desc, &off);
     const auto* vals = static_cast<const std::uint64_t*>(origin);
     auto* out = static_cast<std::uint64_t*>(result);
-    rdma::Nic& n = nic();
     // Explicit nonblocking AMOs, completed together: fetch results land in
-    // the result buffer in element order.
-    std::vector<rdma::Handle> handles;
-    handles.reserve(count);
+    // the result buffer in element order. One element (fetch_and_op) keeps
+    // its handle inline.
+    RmaRequest req;
+    req.nic_ = &nic();
+    if (count > 1) req.spill_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       if (op == RedOp::no_op) {
-        handles.push_back(n.amo_nb(target, desc, off + 8 * i,
-                                   rdma::AmoOp::read, 0, 0, &out[i]));
+        req.add(req.nic_->amo_nb(target, desc, off + 8 * i, rdma::AmoOp::read,
+                                 0, 0, &out[i]));
       } else {
-        handles.push_back(n.amo_nb(target, desc, off + 8 * i, amo_opcode(op),
-                                   vals[i], 0, &out[i]));
+        req.add(req.nic_->amo_nb(target, desc, off + 8 * i, amo_opcode(op),
+                                 vals[i], 0, &out[i]));
       }
     }
-    for (rdma::Handle h : handles) n.wait(h);
+    req.wait();
     return;
   }
   accumulate_fallback(origin, result, count, e, op, target, tdisp);
@@ -303,7 +304,7 @@ RmaRequest Win::rfetch_and_op(const void* origin, void* result, Elem e,
     resolve_target(target, tdisp, 8, &desc, &off);
     std::uint64_t v = 0;
     if (op != RedOp::no_op) std::memcpy(&v, origin, 8);
-    req.handles_.push_back(req.nic_->amo_nb(
+    req.add(req.nic_->amo_nb(
         target, desc, off,
         op == RedOp::no_op ? rdma::AmoOp::read : amo_opcode(op), v, 0,
         static_cast<std::uint64_t*>(result)));
@@ -329,9 +330,8 @@ RmaRequest Win::rcompare_and_swap(const void* origin, const void* compare,
     std::uint64_t o, c;
     std::memcpy(&o, origin, 8);
     std::memcpy(&c, compare, 8);
-    req.handles_.push_back(
-        req.nic_->amo_nb(target, desc, off, rdma::AmoOp::cas, o, c,
-                         static_cast<std::uint64_t*>(result)));
+    req.add(req.nic_->amo_nb(target, desc, off, rdma::AmoOp::cas, o, c,
+                             static_cast<std::uint64_t*>(result)));
     return req;
   }
   // 4-byte CAS runs the lock-based fallback eagerly; already done.

@@ -281,7 +281,7 @@ RmaRequest Win::rput(const void* origin, std::size_t len, int target,
   rdma::RegionDesc desc;
   std::size_t off = 0;
   resolve_target(target, tdisp, len, &desc, &off);
-  req.handles_.push_back(nic().put_nb(target, desc, off, origin, len));
+  req.add(nic().put_nb(target, desc, off, origin, len));
   return req;
 }
 
@@ -293,15 +293,30 @@ RmaRequest Win::rget(void* origin, std::size_t len, int target,
   rdma::RegionDesc desc;
   std::size_t off = 0;
   resolve_target(target, tdisp, len, &desc, &off);
-  req.handles_.push_back(nic().get_nb(target, desc, off, origin, len));
+  req.add(nic().get_nb(target, desc, off, origin, len));
   return req;
+}
+
+void RmaRequest::add(rdma::Handle h) {
+  if (n_ == 0 && spill_.empty()) {
+    one_ = h;
+    n_ = 1;
+    return;
+  }
+  if (n_ != 0) spill_.push_back(one_);
+  n_ = 0;
+  spill_.push_back(h);
 }
 
 bool RmaRequest::test() {
   FOMPI_REQUIRE(valid(), ErrClass::arg, "test on an invalid request");
-  while (!handles_.empty()) {
-    if (!nic_->test(handles_.back())) return false;
-    handles_.pop_back();
+  while (!spill_.empty()) {
+    if (!nic_->test(spill_.back())) return false;
+    spill_.pop_back();
+  }
+  if (n_ != 0) {
+    if (!nic_->test(one_)) return false;
+    n_ = 0;
   }
   nic_ = nullptr;
   return true;
@@ -309,9 +324,8 @@ bool RmaRequest::test() {
 
 void RmaRequest::wait() {
   FOMPI_REQUIRE(valid(), ErrClass::arg, "wait on an invalid request");
-  for (rdma::Handle h : handles_) nic_->wait(h);
-  handles_.clear();
-  nic_ = nullptr;
+  for (rdma::Handle h : handles()) nic_->wait(h);
+  dismiss();
 }
 
 }  // namespace fompi::core

@@ -131,6 +131,17 @@ Win Win::create(fabric::RankCtx& ctx, void* base, std::size_t bytes,
 }
 
 Win Win::allocate(fabric::RankCtx& ctx, std::size_t bytes, WinConfig cfg) {
+  return allocate_on_heap(ctx, bytes, cfg, WinKind::allocated);
+}
+
+Win Win::allocate_shared(fabric::RankCtx& ctx, std::size_t bytes,
+                         WinConfig cfg) {
+  // Same layout as allocate, plus shared_query.
+  return allocate_on_heap(ctx, bytes, cfg, WinKind::shared_mem);
+}
+
+Win Win::allocate_on_heap(fabric::RankCtx& ctx, std::size_t bytes,
+                          WinConfig cfg, WinKind kind) {
   // The symmetric heap is a per-fabric singleton, constructed on first use.
   auto& fabric = ctx.fabric();
   std::shared_ptr<SymHeap> heap;
@@ -154,8 +165,8 @@ Win Win::allocate(fabric::RankCtx& ctx, std::size_t bytes, WinConfig cfg) {
   Win w = make_collective(
       ctx, cfg,
       /*init_leader=*/
-      [&, offset, bytes, attempts](Shared& s) {
-        s.kind = WinKind::allocated;
+      [&, offset, bytes, attempts, kind](Shared& s) {
+        s.kind = kind;
         s.heap = heap;
         s.heap_off = offset;
         s.alloc_bytes = bytes;
@@ -167,14 +178,6 @@ Win Win::allocate(fabric::RankCtx& ctx, std::size_t bytes, WinConfig cfg) {
         s.bases[idx] = s.heap->rank_ptr(me, offset);
         s.sizes[idx] = bytes;
       });
-  return w;
-}
-
-Win Win::allocate_shared(fabric::RankCtx& ctx, std::size_t bytes,
-                         WinConfig cfg) {
-  Win w = allocate(ctx, bytes, cfg);
-  w.shared_->kind = WinKind::shared_mem;  // same layout, plus shared_query
-  ctx.barrier();
   return w;
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/ops.hpp"
@@ -62,6 +63,9 @@ enum class DynMode : std::uint8_t {
 ///                      behave identically under both modes.
 enum class ErrMode : std::uint8_t { errors_are_fatal, errors_return };
 
+/// Window flavor (defined in win_internal.hpp).
+enum class WinKind : std::uint8_t;
+
 /// Tuning knobs fixed at window creation.
 struct WinConfig {
   /// Capacity of the PSCW matching list: the maximum number of concurrent
@@ -80,6 +84,8 @@ struct WinConfig {
 };
 
 /// Completion handle for request-based operations (rput/rget/raccumulate).
+/// The first handle lives inline, so a one-op request allocates nothing;
+/// only a multi-element raccumulate spills its handles to the heap.
 class RmaRequest {
  public:
   RmaRequest() = default;
@@ -92,21 +98,29 @@ class RmaRequest {
   // --- progress-engine hooks ----------------------------------------------
   /// Fragment handles, exposed so a fiber can park on them (await) instead
   /// of spin-testing. Empty for requests that completed eagerly.
-  const std::vector<rdma::Handle>& handles() const noexcept {
-    return handles_;
+  std::span<const rdma::Handle> handles() const noexcept {
+    if (!spill_.empty()) return spill_;
+    return {&one_, n_};
   }
   rdma::Nic* nic() const noexcept { return nic_; }
   /// Releases the request without waiting: the caller retired every handle
   /// itself (e.g. through Scheduler::await_handle).
   void dismiss() noexcept {
     nic_ = nullptr;
-    handles_.clear();
+    n_ = 0;
+    spill_.clear();
   }
 
  private:
   friend class Win;
+  /// Appends a handle: inline while it is the only one, else all of them
+  /// in the spill.
+  void add(rdma::Handle h);
+
   rdma::Nic* nic_ = nullptr;
-  std::vector<rdma::Handle> handles_;
+  rdma::Handle one_ = 0;
+  std::size_t n_ = 0;  ///< handles held inline (0 or 1)
+  std::vector<rdma::Handle> spill_;
 };
 
 class Win {
@@ -303,6 +317,10 @@ class Win {
   static Win make_collective(fabric::RankCtx& ctx, WinConfig cfg,
                              const std::function<void(Shared&)>& init_leader,
                              const std::function<void(Shared&, int)>& init_rank);
+  /// allocate and allocate_shared: a symmetric-heap block whose kind the
+  /// leader sets once, before make_collective's barrier publishes it.
+  static Win allocate_on_heap(fabric::RankCtx& ctx, std::size_t bytes,
+                              WinConfig cfg, WinKind kind);
 
   RankState& st() const;
   Shared& sh() const;

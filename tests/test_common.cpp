@@ -136,6 +136,22 @@ TEST(Buffer, AlignedAndZeroed) {
   }
 }
 
+TEST(Buffer, MoveCarriesTheMapping) {
+  // The length travels with the mapping: the destination unmaps all of it,
+  // and the moved-from buffer is empty.
+  AlignedBuffer a(3 * 4096 + 100);
+  a.data()[3 * 4096] = std::byte{7};
+  AlignedBuffer b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(b.size(), 3u * 4096 + 100);
+  EXPECT_EQ(b.data()[3 * 4096], std::byte{7});
+  AlignedBuffer c(64);
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(c.size(), 3u * 4096 + 100);
+  EXPECT_EQ(c.data()[3 * 4096], std::byte{7});
+}
+
 TEST(Buffer, EmptyBufferIsSafe) {
   AlignedBuffer buf;
   EXPECT_TRUE(buf.empty());

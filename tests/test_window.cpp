@@ -1,6 +1,8 @@
 // Window creation flavors, the symmetric heap protocol, shared windows,
 // and teardown hygiene.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <thread>
@@ -10,6 +12,21 @@
 using namespace fompi;
 using core::Win;
 using fabric::RankCtx;
+
+namespace {
+
+/// Pages overlapping [p, p + bytes) that the kernel holds resident.
+std::size_t resident_pages(std::byte* p, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto lead = reinterpret_cast<std::uintptr_t>(p) % page;
+  std::vector<unsigned char> vec((lead + bytes + page - 1) / page);
+  EXPECT_EQ(::mincore(p - lead, lead + bytes, vec.data()), 0);
+  std::size_t n = 0;
+  for (const unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+}  // namespace
 
 TEST(Window, CreateExposesUserMemory) {
   fabric::run_ranks(4, [](RankCtx& ctx) {
@@ -113,6 +130,34 @@ TEST(Window, HeapBlockReusableAfterFree) {
       w.free();  // without the release, the heap would exhaust
     }
   });
+}
+
+TEST(Window, AllocateCommitsOnlyTouchedPages) {
+  // The heap maps its arena instead of zeroing it, as the paper's processes
+  // only mmap() the proposed address (Sec 2.2): a 4 KiB window in a heap of
+  // 4 x 64 MiB (65,536 pages) commits the few pages it touches.
+  constexpr std::size_t kBytes = 4096;
+  std::size_t resident = 0;
+  fabric::run_ranks(4, [&](RankCtx& ctx) {
+    core::WinConfig cfg;
+    cfg.symheap_bytes = std::size_t{64} << 20;
+    Win win = Win::allocate(ctx, kBytes, cfg);
+    const auto* mine = static_cast<const std::byte*>(win.base());
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < kBytes; ++i) nonzero += mine[i] != std::byte{0};
+    EXPECT_EQ(nonzero, 0u) << "fresh window memory must read zero";
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      auto heap = std::static_pointer_cast<core::SymHeap>(
+          ctx.fabric().ext_get("core.symheap"));
+      for (int r = 0; r < ctx.nranks(); ++r) {
+        resident += resident_pages(heap->rank_ptr(r, 0), heap->capacity());
+      }
+    }
+    ctx.barrier();
+    win.free();
+  });
+  EXPECT_LE(resident, 256u);
 }
 
 TEST(Window, SharedQueryDirectStores) {
