@@ -13,16 +13,40 @@ using namespace fompi::bench;
 int main() {
   std::printf("Ablation: window creation strategies\n\n");
 
-  header("creation + free cost [us] (4 ranks, Gemini model)");
+  // Each row: kReps creations + frees in one 4-rank fabric, each reduced
+  // max-over-ranks. Wall time is a median with its quartiles, since host
+  // load moves it; the modeled busy time (Nic::modeled_ns: injection
+  // overheads, doorbells and charged copies) is exact, so its min and max
+  // agree unless a flavour's protocol varies between reps.
+  constexpr int kReps = 21;
+  header("creation + free cost [us] (4 ranks, Gemini model, 21 reps)");
+  std::printf("%-28s%12s%20s%14s%14s\n", "flavour", "wall p50",
+              "wall [q1, q3]", "modeled min", "modeled max");
   auto timed = [&](const char* name,
                    const std::function<void(fabric::RankCtx&)>& body) {
-    const double us =
-        measure(4, internode_model(), 3, [&](fabric::RankCtx& ctx) {
-          Timer t;
-          body(ctx);
-          return t.elapsed_us();
-        }).median_us;
-    std::printf("%-28s%12.1f\n", name, us);
+    std::vector<double> wall(kReps, 0.0), modeled(kReps, 0.0);
+    std::mutex mu;
+    fabric::run_ranks(
+        4,
+        [&](fabric::RankCtx& ctx) {
+          for (std::size_t r = 0; r < kReps; ++r) {
+            ctx.barrier();
+            const std::uint64_t m0 = ctx.nic().modeled_ns();
+            Timer t;
+            body(ctx);
+            const double us = t.elapsed_us();
+            const double mus =
+                static_cast<double>(ctx.nic().modeled_ns() - m0) / 1e3;
+            std::scoped_lock lock(mu);
+            wall[r] = std::max(wall[r], us);
+            modeled[r] = std::max(modeled[r], mus);
+          }
+        },
+        internode_model());
+    const Stats w = summarize(wall);
+    const Stats m = summarize(modeled);
+    std::printf("%-28s%12.1f%10.1f,%8.1f%14.2f%14.2f\n", name, w.median,
+                wall[kReps / 4], wall[3 * kReps / 4], m.min, m.max);
   };
   timed("create (user memory)", [](fabric::RankCtx& ctx) {
     std::vector<std::byte> mem(4096);
@@ -34,10 +58,10 @@ int main() {
     w.free();
   });
   {
-    // The rows above are medians of 3 reps in one fabric, so the first
-    // allocate, which builds the symmetric heap (4 x 16 MiB mapped, pages
-    // committed on first touch), never reaches them. This row times the
-    // first allocate + free of each of 5 fresh fabrics.
+    // The rows above run in one fabric, so the first allocate, which
+    // builds the symmetric heap (4 x 16 MiB mapped, pages committed on
+    // first touch), never reaches them. This row times the first allocate
+    // + free of each of 5 fresh fabrics.
     std::vector<double> first;
     for (int f = 0; f < 5; ++f) {
       first.push_back(

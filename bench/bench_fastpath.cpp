@@ -288,7 +288,7 @@ int main() {
     AlignedBuffer mem(1 << 16);
     const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 16);
     alignas(8) std::uint64_t src = 1;
-    fompi::fabric::progress::Scheduler sched(nic, [] {});
+    fompi::fabric::progress::Scheduler sched(nic);
     results.push_back(run_case(
         "put8_blocking_sched_idle",
         [&](int i) { nic.put(1, d, (i % 64) * 8u, &src, 8); }, [] {}));

@@ -126,7 +126,7 @@ double pipeline_ns_per_op(Kind kind, int fibers, rdma::Injection inject) {
   const int total = per_fiber * fibers;
   std::vector<double> ns;
   for (int r = 0; r < kReps + 1; ++r) {  // first rep is warmup
-    progress::Scheduler sched(nic, [] {});
+    progress::Scheduler sched(nic);
     for (int f = 0; f < fibers; ++f) {
       sched.spawn<OpPipeline>(nic, d, kind, per_fiber);
     }
@@ -187,7 +187,7 @@ double notify_rate_mops(int fibers) {
         progress::NotifyPlane& plane = *win.notify_plane();
         double us = 0;
         if (ctx.rank() == 0) {
-          progress::Scheduler sched(ctx.fabric(), ctx.rank());
+          progress::Scheduler sched(ctx.nic());
           for (int f = 0; f < fibers; ++f) {
             sched.spawn<NotifyPostFiber>(plane, 0, 1, per_fiber);
           }

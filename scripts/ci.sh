@@ -1,10 +1,14 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
-#   0. Modeled-time lint: outside src/rdma/ and src/common/timing.hpp no
-#      code line under src/ names the injection mode, time_scale or the
-#      spin waits; every other layer charges and waits for modeled time
-#      through Nic::charge_model_ns / Nic::wait_model_time
+#   0. Two lints over src/. Modeled time: outside src/rdma/ and
+#      src/common/timing.hpp no code line names the injection mode,
+#      time_scale or the spin waits; every other layer charges and waits
+#      for modeled time through Nic::charge_model_ns / Nic::wait_model_time.
+#      Waiting: outside src/rdma/ and src/common/ no code line calls
+#      yield_check, check_abort or std::this_thread::yield (the test-facing
+#      RankCtx::yield_check excepted); every blocking wait goes through
+#      rdma::Domain::wait_until or its back-off step, Domain::backoff_step
 #   1. Release build with warnings as errors + full ctest suite (the tier-1
 #      gate from ROADMAP.md), then the repo benchmark's own ctest
 #      (quantile_test + fompi_bench --smoke with its fleet correctness
@@ -71,6 +75,19 @@ if grep -rnE 'Injection::|time_scale|spin_for_ns|spin_until_ns' src \
   grep -vE '^src/rdma/|^src/common/timing\.hpp:' |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
   echo "modeled time charged or waited for outside rdma::Nic (lines above)" >&2
+  exit 1
+fi
+
+# Waiting has one owner, rdma::Domain (DESIGN.md §8): a wait that yields or
+# checks for a fleet abort by hand can skip the progress hook or the
+# dead-peer re-check. RankCtx::yield_check, which test and bench loops
+# call, is the one exemption. Comment lines are exempt.
+if grep -rnE '(yield_check_?|check_abort)[[:space:]]*\(|std::this_thread::yield' \
+    src --include='*.cpp' --include='*.hpp' |
+  grep -vE '^src/rdma/|^src/common/' |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -vE '^src/fabric/fabric\.hpp:[0-9]+:  void yield_check\(\) const \{'; then
+  echo "a wait bypasses rdma::Domain::wait_until/backoff_step (lines above)" >&2
   exit 1
 fi
 

@@ -143,7 +143,8 @@ std::vector<DsdeMsg> exchange_reduce_scatter(
 // synchronous sends and drives them to completion; the receiver fiber
 // drains probe-able messages, starts the nonblocking barrier once the local
 // sends finished, and parks on poll_ready() in between — the scheduler's
-// idle loop (yield_check + reset-on-progress backoff) does the waiting.
+// idle loop (one reset-on-progress back-off step per idle pass) does the
+// waiting.
 namespace progress = fabric::progress;
 
 class NbxSenderFiber final : public progress::Fiber {
@@ -235,7 +236,7 @@ std::vector<DsdeMsg> exchange_nbx(fabric::RankCtx& ctx,
                                   const std::vector<DsdeMsg>& sends) {
   std::vector<DsdeMsg> received;
   bool all_sent = false;
-  progress::Scheduler sched(ctx.fabric(), ctx.rank());
+  progress::Scheduler sched(ctx.nic());
   sched.spawn<NbxSenderFiber>(ctx, sends, &all_sent);
   sched.spawn<NbxReceiverFiber>(ctx, &all_sent, &received);
   sched.run();

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/backoff.hpp"
 #include "fabric/progress/progress.hpp"
 
 namespace fompi::apps {
@@ -271,8 +270,8 @@ void MilcSolver::exchange_halos(fabric::RankCtx& ctx,
   std::array<bool, 8> fetched{};
   int pending = 8;
   Backoff backoff;  // reset on progress: back off only while truly idle
-  while (pending > 0) {
-    const int before_pending = pending;
+  // Pulls every face whose flag arrived; true once all eight are in.
+  const auto pull_arrived = [&] {
     for (int d = 0; d < 4; ++d) {
       for (int dir : {-1, +1}) {
         const int i = flag_index(d, dir);
@@ -288,17 +287,13 @@ void MilcSolver::exchange_halos(fabric::RankCtx& ctx,
                  buf_off_[static_cast<std::size_t>(flag_index(d, -dir))]);
         fetched[static_cast<std::size_t>(i)] = true;
         --pending;
-      }
-    }
-    if (pending > 0) {
-      ctx.yield_check();
-      if (pending == before_pending) {
-        backoff.pause();
-      } else {
         backoff.reset();
       }
     }
-  }
+    return pending == 0;
+  };
+  ctx.fabric().domain().wait_until(pull_arrived, rdma::Domain::NoPeer(),
+                                   &backoff);
   win_.flush_all();  // all gets landed
   for (int d = 0; d < 4; ++d) {
     for (int dir : {-1, +1}) {

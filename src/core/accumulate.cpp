@@ -20,7 +20,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/backoff.hpp"
 #include "common/instr.hpp"
 #include "core/win_internal.hpp"
 
@@ -41,12 +40,10 @@ void Win::acc_lock_acquire(int target) {
   rdma::Nic& n = nic();
   const auto& tdesc = s.ctrl_desc[static_cast<std::size_t>(target)];
   const std::uint64_t mine = static_cast<std::uint64_t>(rank_) + 1;
-  Backoff backoff;
-  while (n.amo(target, tdesc, CtrlLayout::kAccLock, rdma::AmoOp::cas, mine,
-               0) != 0) {
-    backoff.pause();
-    s.fabric->check_abort();
-  }
+  s.fabric->domain().wait_until([&] {
+    return n.amo(target, tdesc, CtrlLayout::kAccLock, rdma::AmoOp::cas, mine,
+                 0) == 0;
+  });
 }
 
 void Win::acc_lock_release(int target) {

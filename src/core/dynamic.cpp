@@ -18,7 +18,6 @@
 
 #include <cstring>
 
-#include "common/backoff.hpp"
 #include "common/instr.hpp"
 #include "core/win_internal.hpp"
 
@@ -107,17 +106,13 @@ void Win::refresh_dyn_cache(int target) {
   std::uint64_t id1 = 0;
   // Seqlock-style: the directory snapshot is only valid if the id did not
   // change while we were reading it.
-  Backoff backoff;
-  while (true) {
+  s.fabric->domain().wait_until([&] {
     id1 = n.amo(target, tdesc, CtrlLayout::kDynId, rdma::AmoOp::read, 0);
     n.get(target, tdesc, L.dyndir_off(0), dir.data(),
           dir.size() * sizeof(std::uint64_t));
-    const std::uint64_t id2 =
-        n.amo(target, tdesc, CtrlLayout::kDynId, rdma::AmoOp::read, 0);
-    if (id1 == id2) break;
-    backoff.pause();
-    s.fabric->check_abort();
-  }
+    return n.amo(target, tdesc, CtrlLayout::kDynId, rdma::AmoOp::read, 0) ==
+           id1;
+  });
   cache.entries.clear();
   for (int i = 0; i < L.max_dyn; ++i) {
     const std::size_t base = 4 * static_cast<std::size_t>(i);

@@ -26,7 +26,6 @@
 // asserted by test_instr_bounds.
 #include "core/window.hpp"
 
-#include "common/backoff.hpp"
 #include "common/instr.hpp"
 #include "core/win_internal.hpp"
 #include "trace/trace.hpp"
@@ -108,22 +107,22 @@ rdma::OpStatus Win::lock_impl(LockType type, int target) {
       const std::uint64_t old = n.amo(target, tdesc, CtrlLayout::kLocalLock,
                                       rdma::AmoOp::fetch_add, 1);
       if ((old & kWriterBit) != 0) {
-        Backoff backoff;
         int probe = 0;
-        while ((n.amo(target, tdesc, CtrlLayout::kLocalLock, rdma::AmoOp::read,
-                      0) &
-                kWriterBit) != 0) {
-          backoff.pause();
-          s.fabric->check_abort();
+        d.wait_until([&] {
+          if ((n.amo(target, tdesc, CtrlLayout::kLocalLock, rdma::AmoOp::read,
+                     0) &
+               kWriterBit) == 0) {
+            return true;
+          }
           if (fault_on && ++probe % kOwnerProbePeriod == 0) {
             try_revoke_dead_owner(target);
           }
-        }
+          return false;
+        });
       }
     } else {
-      Backoff backoff;
       int probe = 0;
-      while (true) {
+      d.wait_until([&] {
         count(Op::protocol_branch);
         bool registered_now = false;
         if (rs.excl_held == 0 && !registered) {
@@ -135,9 +134,7 @@ rdma::OpStatus Win::lock_impl(LockType type, int target) {
           if ((old & kGlobalShrdMask) != 0) {
             n.amo(kMaster, mdesc, CtrlLayout::kGlobalLock,
                   rdma::AmoOp::fetch_add, ~kGlobalExclUnit + 1);  // -unit
-            backoff.pause();
-            s.fabric->check_abort();
-            continue;
+            return false;
           }
           registered_now = true;
           registered = true;
@@ -145,7 +142,7 @@ rdma::OpStatus Win::lock_impl(LockType type, int target) {
         // Invariant (2): the local lock must be completely free.
         const std::uint64_t old = n.amo(target, tdesc, CtrlLayout::kLocalLock,
                                         rdma::AmoOp::cas, kWriterBit, 0);
-        if (old == 0) break;
+        if (old == 0) return true;
         if (registered_now) {
           // Release the global registration while waiting, so lock_all
           // requests are not starved (the paper's two-step retry).
@@ -153,12 +150,11 @@ rdma::OpStatus Win::lock_impl(LockType type, int target) {
                 ~kGlobalExclUnit + 1);
           registered = false;
         }
-        backoff.pause();
-        s.fabric->check_abort();
         if (fault_on && ++probe % kOwnerProbePeriod == 0) {
           try_revoke_dead_owner(target);
         }
-      }
+        return false;
+      });
       if (fault_on) {
         // Record ownership so survivors can revoke if this rank dies while
         // holding the lock.
@@ -263,16 +259,14 @@ void Win::lock_all() {
   const trace::Span tsp(trace::EvClass::lock);
   rdma::Nic& n = nic();
   const auto& mdesc = s.ctrl_desc[kMaster];
-  Backoff backoff;
-  while (true) {
+  s.fabric->domain().wait_until([&] {
     const std::uint64_t old = n.amo(kMaster, mdesc, CtrlLayout::kGlobalLock,
                                     rdma::AmoOp::fetch_add, 1);
-    if ((old >> 32) == 0) break;  // no exclusive holder registered
+    if ((old >> 32) == 0) return true;  // no exclusive holder registered
     n.amo(kMaster, mdesc, CtrlLayout::kGlobalLock, rdma::AmoOp::fetch_add,
           ~std::uint64_t{0});
-    backoff.pause();
-    s.fabric->check_abort();
-  }
+    return false;
+  });
   rs.lock_all = true;
 }
 

@@ -1,9 +1,7 @@
 #include "core/mcs_lock.hpp"
 
 #include <atomic>
-#include <thread>
 
-#include "common/backoff.hpp"
 #include "core/win_internal.hpp"
 
 namespace fompi::core {
@@ -16,7 +14,7 @@ std::atomic_ref<std::uint64_t> local_word(Win& win, std::size_t disp) {
   return std::atomic_ref<std::uint64_t>(*p);
 }
 
-/// Spin iterations between dead-predecessor probes while queued (each probe
+/// Back-off steps between dead-predecessor probes while queued (each probe
 /// costs one remote read, so it stays off the fault-free path entirely:
 /// probes fire only once a rank has actually died).
 constexpr int kDeadProbePeriod = 32;
@@ -74,29 +72,27 @@ void McsLock::acquire() {
     return;
   }
 
-  // Spin on our own flag — purely local memory, zero remote traffic. The
-  // yield_check propagates a peer failure instead of spinning forever on a
-  // flag nobody will ever clear. Once a rank has died anywhere in the
-  // fabric, periodically probe the predecessor: if it died *holding* the
-  // lock (frozen flag == 0), steal it.
+  // Wait on our own flag — purely local memory, zero remote traffic. The
+  // wait's back-off step propagates a peer failure instead of waiting
+  // forever on a flag nobody will ever clear. Once the predecessor has
+  // died, periodically probe it: if it died *holding* the lock (frozen
+  // flag == 0), steal it.
   auto flag = local_word(win_, disp_ + kLocked);
-  Backoff backoff;
   int probe = 0;
-  while (flag.load(std::memory_order_acquire) != 0) {
-    win_.yield_check();
-    backoff.pause();
-    if (++probe % kDeadProbePeriod == 0 && !win_.peer_alive(pred)) {
-      std::uint64_t pflag = 1;
-      win_.get_accumulate(nullptr, &pflag, 1, Elem::u64, RedOp::no_op, pred,
-                          disp_ + kLocked);
-      if (pflag == 0) {
-        flag.store(0, std::memory_order_release);
-        break;
-      }
-      // The predecessor died while waiting; the releaser-side skip hands
-      // the lock past it to us, so keep spinning on our own flag.
+  win_.domain().wait_until([&] {
+    if (flag.load(std::memory_order_acquire) == 0) return true;
+    if (++probe % kDeadProbePeriod != 0 || win_.peer_alive(pred)) return false;
+    std::uint64_t pflag = 1;
+    win_.get_accumulate(nullptr, &pflag, 1, Elem::u64, RedOp::no_op, pred,
+                        disp_ + kLocked);
+    if (pflag == 0) {
+      flag.store(0, std::memory_order_release);
+      return true;
     }
-  }
+    // The predecessor died while waiting; the releaser-side skip hands the
+    // lock past it to us, so keep waiting on our own flag.
+    return false;
+  });
 }
 
 void McsLock::release() {
@@ -110,11 +106,8 @@ void McsLock::release() {
                           disp_ + kTail);
     if (prev == mine) return;  // nobody queued behind us
     // A successor is in the middle of linking: wait for the pointer.
-    Backoff backoff;
-    while (next.load(std::memory_order_acquire) == 0) {
-      win_.yield_check();
-      backoff.pause();
-    }
+    win_.domain().wait_until(
+        [&] { return next.load(std::memory_order_acquire) != 0; });
   }
   std::uint64_t succ_val = next.load(std::memory_order_acquire);
   while (true) {

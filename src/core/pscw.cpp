@@ -13,7 +13,6 @@
 // post/complete issue O(k) messages for k neighbors; start/wait issue none.
 #include "core/window.hpp"
 
-#include "common/backoff.hpp"
 #include "common/instr.hpp"
 #include "core/win_internal.hpp"
 #include "trace/trace.hpp"
@@ -47,10 +46,9 @@ void Win::post(const fabric::Group& group) {
     // origin via remote CAS, starting at a position hashed by our rank to
     // spread concurrent posters.
     const int cap = L.max_neighbors;
-    Backoff backoff;
-    bool placed = false;
-    for (int sweep = 0; !placed; ++sweep) {
-      FOMPI_REQUIRE(sweep < 64, ErrClass::rma_sync,
+    int sweep = 0;
+    s.fabric->domain().wait_until([&] {
+      FOMPI_REQUIRE(sweep++ < 64, ErrClass::rma_sync,
                     "post: matching list full (raise WinConfig::max_neighbors)");
       for (int i = 0; i < cap; ++i) {
         const int slot = (rank_ + i) % cap;
@@ -59,13 +57,10 @@ void Win::post(const fabric::Group& group) {
                   L.slot_off(slot), rdma::AmoOp::cas, slot_value(rank_),
                   /*compare=*/0);
         count(Op::protocol_branch);
-        if (old == 0) {
-          placed = true;
-          break;
-        }
+        if (old == 0) return true;
       }
-      if (!placed) backoff.pause();
-    }
+      return false;
+    });
   }
   rs.exposure_group = group;
 }
@@ -86,36 +81,22 @@ void Win::start(const fabric::Group& group) {
     FOMPI_REQUIRE(target >= 0 && target < s.nranks, ErrClass::rank,
                   "start: target out of range");
     const std::uint64_t want = slot_value(target);
-    Backoff backoff;
-    bool found = false;
-    bool saw_dead = false;  // one full re-scan after observing the death
-    while (!found) {
+    const auto posted = [&] {
       for (int slot = 0; slot < L.max_neighbors; ++slot) {
         auto word = s.ctrl_word(rank_, L.slot_off(slot));
         if (word.load(std::memory_order_acquire) != want) continue;
         // Consume: only the local rank removes entries, so a plain
         // exchange is race-free against remote CAS(0 -> v) insertions.
-        if (word.exchange(0, std::memory_order_acq_rel) == want) {
-          found = true;
-          break;
-        }
+        if (word.exchange(0, std::memory_order_acq_rel) == want) return true;
       }
-      if (!found) {
-        // A target the fault plan killed will never post; raise instead of
-        // spinning forever (a typed error in either ErrMode: there is no
-        // epoch to tear down yet). The target may have posted and THEN died
-        // inside our scan window — its announcement CAS precedes the death
-        // mark, so one more scan after observing the death settles it.
-        if (saw_dead) {
-          raise(ErrClass::peer_dead, "start: target rank died before posting");
-        }
-        if (d.death_epoch() != 0 && !d.alive(target)) {
-          saw_dead = true;
-          continue;
-        }
-        s.fabric->yield_check();
-        backoff.pause();
-      }
+      return false;
+    };
+    // A target the fault plan killed will never post; raise instead of
+    // waiting forever (a typed error in either ErrMode: there is no epoch
+    // to tear down yet).
+    if (d.wait_until(posted, [&] { return !d.alive(target); }) !=
+        rdma::OpStatus::ok) {
+      raise(ErrClass::peer_dead, "start: target rank died before posting");
     }
   }
   rs.access_group = group;
@@ -175,32 +156,22 @@ rdma::OpStatus Win::wait_impl() {
   const auto expected =
       static_cast<std::uint64_t>(rs.exposure_group->size());
   auto counter = s.ctrl_word(rank_, CtrlLayout::kCompletion);
-  Backoff backoff;
-  while (counter.load(std::memory_order_acquire) < expected) {
-    // An access-group member the fault plan killed may never call
-    // complete(): abandon the epoch (drain whatever completions arrived so
-    // the counter is clean for the next epoch) and report peer_dead. The
-    // counter is re-checked after observing the death — an origin may have
-    // bumped it and died afterwards (its AMO precedes the death mark), in
-    // which case the epoch finished and the normal path below applies.
-    if (d.death_epoch() != 0) {
-      bool origin_dead = false;
-      for (int origin : *rs.exposure_group) {
-        if (!d.alive(origin)) {
-          origin_dead = true;
-          break;
-        }
-      }
-      if (origin_dead &&
-          counter.load(std::memory_order_acquire) < expected) {
-        counter.exchange(0, std::memory_order_acq_rel);
-        nic().local_fence();
-        rs.exposure_group.reset();
-        return rdma::OpStatus::peer_dead;
-      }
+  const auto origin_dead = [&] {
+    for (int origin : *rs.exposure_group) {
+      if (!d.alive(origin)) return true;
     }
-    s.fabric->yield_check();
-    backoff.pause();
+    return false;
+  };
+  if (d.wait_until(
+          [&] { return counter.load(std::memory_order_acquire) >= expected; },
+          origin_dead) != rdma::OpStatus::ok) {
+    // An access-group member the fault plan killed never called
+    // complete(): abandon the epoch (drain whatever completions arrived so
+    // the counter is clean for the next epoch) and report peer_dead.
+    counter.exchange(0, std::memory_order_acq_rel);
+    nic().local_fence();
+    rs.exposure_group.reset();
+    return rdma::OpStatus::peer_dead;
   }
   counter.fetch_sub(expected, std::memory_order_acq_rel);
   // The origins' puts are already globally visible (they committed before

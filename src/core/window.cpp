@@ -63,7 +63,7 @@ void* Win::shared_query(int target) const {
 
 int Win::alloc_attempts() const { return sh().alloc_attempts; }
 
-void Win::yield_check() const { sh().fabric->yield_check(); }
+const rdma::Domain& Win::domain() const { return sh().fabric->domain(); }
 
 // ---------------------------------------------------------------------------
 // Collective creation

@@ -285,7 +285,7 @@ class Win {
   /// Nonblocking: consumes and returns the oldest local record matching
   /// `tag` (kAnyNotifyTag matches all). False if none is pending.
   bool notify_probe(std::uint64_t tag, fabric::progress::NotifyRecord* out);
-  /// Blocks (politely, via yield_check) until at least one matching record
+  /// Blocks (through Domain::wait_until) until at least one matching record
   /// arrived; consumes up to `max` of them. `source` = -1 matches any
   /// origin. If every candidate source died first: with `status` non-null
   /// stores peer_dead and returns 0, else raises.
@@ -302,10 +302,9 @@ class Win {
   /// windows; 0 otherwise). For the ablation bench.
   int alloc_attempts() const;
 
-  /// One polite spin iteration: yields, then raises if a peer rank failed.
-  /// Every unbounded spin loop built on window memory (MCS lock, notified
-  /// access) must call this per iteration (CLAUDE.md rule).
-  void yield_check() const;
+  /// The RDMA domain under the window. A wait built on window memory (the
+  /// MCS lock) goes through its wait_until, like every blocking wait.
+  const rdma::Domain& domain() const;
 
  private:
   struct Shared;

@@ -16,10 +16,8 @@ int floor_log2(int n) noexcept {
 }
 }  // namespace
 
-Collectives::Collectives(rdma::Domain& domain,
-                         std::function<void()> yield_check, CollConfig cfg)
+Collectives::Collectives(rdma::Domain& domain, CollConfig cfg)
     : domain_(domain),
-      yield_check_(std::move(yield_check)),
       cfg_(cfg),
       state_(static_cast<std::size_t>(domain.nranks())),
       published_(static_cast<std::size_t>(domain.nranks())) {
@@ -97,16 +95,20 @@ void Collectives::barrier(int rank) {
   const RankState& st = state_[static_cast<std::size_t>(rank)];
   ibarrier_begin(rank);
   // A fresh back-off per dissemination round, as each round is a new wait.
+  // The poll itself raises peer_dead once a round's writer died with its
+  // flag still missing.
   Backoff backoff;
   int round = st.ib_round;
-  while (!ibarrier_test(rank)) {
-    if (st.ib_round != round) {
-      round = st.ib_round;
-      backoff.reset();
-    }
-    yield_check_();
-    backoff.pause();
-  }
+  domain_.wait_until(
+      [&] {
+        if (ibarrier_test(rank)) return true;
+        if (st.ib_round != round) {
+          round = st.ib_round;
+          backoff.reset();
+        }
+        return false;
+      },
+      rdma::Domain::NoPeer(), &backoff);
 }
 
 void Collectives::ibarrier_begin(int rank) {
@@ -185,17 +187,10 @@ void Collectives::put_slot(int rank, int target, int slot, std::uint64_t seq) {
 void Collectives::wait_slot(int rank, int slot, std::uint64_t seq,
                             int writer) {
   const int word = kMaxRounds + slot;
-  Backoff backoff;
-  while (load_word(rank, word) < seq) {
-    yield_check_();
-    // Same dead-writer protocol as the barrier: re-check the slot AFTER
-    // observing the death so a flag delivered just before the kill is
-    // never mistaken for a lost one.
-    if (domain_.death_epoch() != 0 && !domain_.alive(writer) &&
-        load_word(rank, word) < seq) {
-      raise(ErrClass::peer_dead, "collective: peer rank died");
-    }
-    backoff.pause();
+  if (domain_.wait_until([&] { return load_word(rank, word) >= seq; },
+                         [&] { return !domain_.alive(writer); }) !=
+      rdma::OpStatus::ok) {
+    raise(ErrClass::peer_dead, "collective: peer rank died");
   }
 }
 
@@ -203,19 +198,15 @@ void Collectives::wait_counter(int rank, const std::uint64_t* word,
                                std::uint64_t target) {
   (void)rank;
   std::atomic_ref<const std::uint64_t> w(*word);
-  Backoff backoff;
-  while (w.load(std::memory_order_acquire) < target) {
-    yield_check_();
-    // Arrival counters aggregate all senders, so a missing increment
-    // cannot be attributed to a specific peer. Every rank participates in
-    // a collective, so ANY death means it cannot be completed reliably —
-    // abort with a typed peer_dead (MPI semantics: a collective over a
-    // communicator with a dead member fails).
-    if (domain_.death_epoch() != 0 &&
-        w.load(std::memory_order_acquire) < target) {
-      raise(ErrClass::peer_dead, "collective: peer rank died");
-    }
-    backoff.pause();
+  // Arrival counters aggregate all senders, so a missing increment cannot
+  // be attributed to a specific peer. Every rank participates in a
+  // collective, so ANY death means it cannot be completed reliably: fail
+  // with a typed peer_dead (MPI semantics: a collective over a
+  // communicator with a dead member fails).
+  if (domain_.wait_until(
+          [&] { return w.load(std::memory_order_acquire) >= target; },
+          [] { return true; }) != rdma::OpStatus::ok) {
+    raise(ErrClass::peer_dead, "collective: peer rank died");
   }
 }
 

@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -159,10 +158,9 @@ class AllreducePlan {
 
 class Collectives {
  public:
-  /// `yield_check` is invoked on every spin iteration; it must yield and
-  /// may throw to abort a collective when a peer has failed.
-  Collectives(rdma::Domain& domain, std::function<void()> yield_check,
-              CollConfig cfg = {});
+  /// Every wait takes the domain's back-off step, whose progress hook
+  /// aborts a collective when a peer has failed.
+  explicit Collectives(rdma::Domain& domain, CollConfig cfg = {});
   ~Collectives();
 
   int nranks() const noexcept { return domain_.nranks(); }
@@ -383,10 +381,10 @@ class Collectives {
 
   /// Blocking 8-byte put of `seq` into `target`'s data notify slot.
   void put_slot(int rank, int target, int slot, std::uint64_t seq);
-  /// Spins until this rank's data slot reaches `seq`; raises peer_dead if
+  /// Waits until this rank's data slot reaches `seq`; raises peer_dead if
   /// `writer` died with the flag still missing.
   void wait_slot(int rank, int slot, std::uint64_t seq, int writer);
-  /// Spins until this rank's arrival counter reaches `target`. Counters
+  /// Waits until this rank's arrival counter reaches `target`. Counters
   /// aggregate all senders, so a missing increment cannot be attributed:
   /// any rank death aborts the collective (all ranks are participants).
   void wait_counter(int rank, const std::uint64_t* word,
@@ -451,7 +449,6 @@ class Collectives {
                           std::uint64_t* ctr_expected);
 
   rdma::Domain& domain_;
-  std::function<void()> yield_check_;
   CollConfig cfg_;
   int log2p_;
   // Topology (fixed at construction from DomainConfig::ranks_per_node).

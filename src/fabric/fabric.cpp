@@ -14,15 +14,11 @@ Fabric::Fabric(FabricOptions opts) : opts_(opts), domain_(opts.domain) {
   if (opts_.hang_timeout_ns != 0) {
     watchdog_deadline_ns_ = now_ns() + opts_.hang_timeout_ns;
   }
-  coll_ = std::make_unique<Collectives>(domain_, [this] { yield_check(); },
-                                        opts_.coll);
-  p2p_ = std::make_unique<P2P>(domain_, [this] { yield_check(); },
-                               opts_.eager_threshold);
-  // NIC model-time completion spins (wait/gsync) poll this hook so a peer
-  // failure aborts the spin instead of hanging the fleet (CLAUDE.md rule).
-  domain_.set_progress_hook(
-      [](void* self) { static_cast<const Fabric*>(self)->check_abort(); },
-      this);
+  coll_ = std::make_unique<Collectives>(domain_, opts_.coll);
+  p2p_ = std::make_unique<P2P>(domain_, opts_.eager_threshold);
+  // Every back-off step and the NIC's long model-time waits poll this hook,
+  // so a peer failure unwinds a waiting rank instead of hanging the fleet.
+  domain_.set_progress_hook(&Fabric::progress_hook, this);
 }
 
 std::exception_ptr Fabric::first_error() const {
@@ -58,24 +54,20 @@ void Fabric::abort(std::exception_ptr e) const noexcept {
   aborted_.store(true, std::memory_order_release);
 }
 
-void Fabric::check_abort() const {
-  // Hang watchdog: every spinning rank funnels through here (yield_check
-  // and the NIC progress hook), so a silently hung peer — one that never
-  // throws — still gets the fleet unwound with a typed timeout.
-  if (watchdog_deadline_ns_ != 0 &&
-      !aborted_.load(std::memory_order_relaxed) &&
-      now_ns() > watchdog_deadline_ns_) {
-    abort(std::make_exception_ptr(
+void Fabric::progress_hook(void* fabric) {
+  // Hang watchdog: every waiting rank funnels through here (each back-off
+  // step and the NIC's long waits), so a silently hung peer — one that
+  // never throws — still gets the fleet unwound with a typed timeout.
+  const Fabric& f = *static_cast<const Fabric*>(fabric);
+  if (f.watchdog_deadline_ns_ != 0 &&
+      !f.aborted_.load(std::memory_order_relaxed) &&
+      now_ns() > f.watchdog_deadline_ns_) {
+    f.abort(std::make_exception_ptr(
         Error(ErrClass::timeout, "fabric hang watchdog expired")));
   }
-  if (aborted_.load(std::memory_order_acquire)) {
+  if (f.aborted_.load(std::memory_order_acquire)) {
     raise(ErrClass::internal, "aborted: a peer rank failed");
   }
-}
-
-void Fabric::yield_check() const {
-  std::this_thread::yield();
-  check_abort();
 }
 
 void run_ranks(int nranks, const std::function<void(RankCtx&)>& body,
@@ -113,8 +105,8 @@ void run_ranks(int nranks, const std::function<void(RankCtx&)>& body,
   for (auto& t : threads) t.join();
 
   if (std::exception_ptr e = fabric.first_error()) {
-    // A rank failed (or a killed peer aborted the fleet through
-    // yield_check): dump the flight-recorder rings post-mortem so the hang
+    // A rank failed (or a killed peer aborted the fleet through the
+    // progress hook): dump the flight-recorder rings post-mortem so the hang
     // leaves evidence of what every rank was doing.
     if (trace::TraceSession* ts = trace::TraceSession::active()) {
       const std::string path = ts->write_postmortem();

@@ -3,9 +3,10 @@
 // A Fabric plays the role of the machine: it owns the RDMA domain (NICs +
 // registration), the collectives context and the two-sided messaging state.
 // run_ranks() spawns one OS thread per simulated MPI process and hands each
-// a RankCtx. If any rank throws, the fabric aborts: every spinning peer
-// notices and unwinds, the first exception is rethrown to the caller —
-// so a failing test reports an error instead of deadlocking the suite.
+// a RankCtx. If any rank throws, the fabric aborts: every waiting peer
+// notices at its next back-off step and unwinds, and the first exception
+// is rethrown to the caller — so a failing test reports an error instead
+// of deadlocking the suite.
 #pragma once
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "fabric/collectives.hpp"
@@ -31,9 +33,9 @@ struct FabricOptions {
   /// peer_dead failures. Default (false) keeps errors-are-fatal: any rank
   /// death aborts everyone.
   bool errors_return = false;
-  /// Hang watchdog: if nonzero, any spin that reaches check_abort() after
-  /// this many wall nanoseconds since fabric construction aborts the fleet
-  /// with ErrClass::timeout. Catches silently hung ranks (e.g.
+  /// Hang watchdog: if nonzero, any wait that reaches the domain's progress
+  /// hook after this many wall nanoseconds since fabric construction aborts
+  /// the fleet with ErrClass::timeout. Catches silently hung ranks (e.g.
   /// FaultPlan::hang_instead_of_kill) that never throw. 0 = disabled.
   std::uint64_t hang_timeout_ns = 0;
   /// Collective-layer tuning (flat-fallback cutoff, alltoall protocol
@@ -52,13 +54,9 @@ class Fabric {
   P2P& p2p() noexcept { return *p2p_; }
   const FabricOptions& options() const noexcept { return opts_; }
 
-  /// Records the first failure and wakes all spinners. Const because the
-  /// hang watchdog fires from check_abort() on any spinning rank.
+  /// Records the first failure and wakes all waiters. Const because the
+  /// hang watchdog fires from the progress hook on any waiting rank.
   void abort(std::exception_ptr e) const noexcept;
-  /// Throws if a peer rank has failed.
-  void check_abort() const;
-  /// One spin iteration: yield, then propagate peer failure if any.
-  void yield_check() const;
   /// The first recorded failure (null if none). Safe to call after all
   /// rank threads joined.
   std::exception_ptr first_error() const;
@@ -80,6 +78,10 @@ class Fabric {
                                      std::shared_ptr<void> value);
 
  private:
+  /// The domain's progress hook, polled by every back-off step: fires the
+  /// hang watchdog, then raises if the fleet aborted.
+  static void progress_hook(void* fabric);
+
   FabricOptions opts_;
   rdma::Domain domain_;
   std::unique_ptr<Collectives> coll_;
@@ -128,8 +130,10 @@ class RankCtx {
     fabric_.p2p().recv(rank_, src, tag, buf, cap, st);
   }
 
-  /// One polite spin iteration (yields; throws on peer failure).
-  void yield_check() const { fabric_.yield_check(); }
+  /// One polite spin iteration for test and bench loops: yields, then
+  /// raises if the fleet aborted. Library waits go through
+  /// rdma::Domain::wait_until instead.
+  void yield_check() const { std::this_thread::yield(); nic_.domain().progress_check(); }
 
  private:
   Fabric& fabric_;

@@ -2,18 +2,14 @@
 
 #include <cstring>
 
-#include "common/backoff.hpp"
 #include "common/error.hpp"
 #include "common/instr.hpp"
 #include "common/timing.hpp"
 
 namespace fompi::fabric {
 
-P2P::P2P(rdma::Domain& domain, std::function<void()> yield_check,
-         std::size_t eager_threshold)
-    : domain_(domain),
-      yield_check_(std::move(yield_check)),
-      eager_threshold_(eager_threshold) {
+P2P::P2P(rdma::Domain& domain, std::size_t eager_threshold)
+    : domain_(domain), eager_threshold_(eager_threshold) {
   mail_.reserve(static_cast<std::size_t>(domain.nranks()));
   for (int r = 0; r < domain.nranks(); ++r) {
     mail_.push_back(std::make_unique<Mailbox>());
@@ -54,17 +50,11 @@ void P2P::complete_now(const std::shared_ptr<detail::ReqState>& st, int src,
 }
 
 void P2P::spin_until_done(detail::ReqState& st, int peer) {
-  Backoff backoff;
-  while (!st.done.load(std::memory_order_acquire)) {
-    yield_check_();
-    // Re-check done after observing the death: the peer may have completed
-    // this request and died afterwards inside our yield window (its
-    // completion store precedes the death mark).
-    if (peer >= 0 && domain_.death_epoch() != 0 && !domain_.alive(peer) &&
-        !st.done.load(std::memory_order_acquire)) {
-      raise(ErrClass::peer_dead, "p2p: peer rank died");
-    }
-    backoff.pause();
+  if (domain_.wait_until(
+          [&] { return st.done.load(std::memory_order_acquire); },
+          [&] { return peer >= 0 && !domain_.alive(peer); }) !=
+      rdma::OpStatus::ok) {
+    raise(ErrClass::peer_dead, "p2p: peer rank died");
   }
   domain_.nic(st.owner).wait_model_time(
       st.ready_at.load(std::memory_order_relaxed));

@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -61,8 +60,7 @@ class P2PRequest {
 
 class P2P {
  public:
-  P2P(rdma::Domain& domain, std::function<void()> yield_check,
-      std::size_t eager_threshold);
+  P2P(rdma::Domain& domain, std::size_t eager_threshold);
 
   std::size_t eager_threshold() const noexcept { return eager_threshold_; }
 
@@ -133,15 +131,14 @@ class P2P {
   void complete_now(const std::shared_ptr<detail::ReqState>& st, int src,
                     int tag, std::size_t len, std::uint64_t ready_at,
                     bool truncated);
-  /// Spins until the request completes, with exponential backoff, then
-  /// waits for its modeled arrival on the owner's NIC. When `peer` is a
-  /// valid rank, a fault-plan death of that peer raises a typed peer_dead
-  /// error instead of spinning forever (-1 = unknown peer, e.g. a wildcard
+  /// Waits until the request completes (Domain::wait_until), then waits
+  /// for its modeled arrival on the owner's NIC. When `peer` is a valid
+  /// rank, a fault-plan death of that peer raises a typed peer_dead error
+  /// instead of waiting forever (-1 = unknown peer, e.g. a wildcard
   /// receive).
   void spin_until_done(detail::ReqState& st, int peer = -1);
 
   rdma::Domain& domain_;
-  std::function<void()> yield_check_;
   std::size_t eager_threshold_;
   std::vector<std::unique_ptr<Mailbox>> mail_;
 };

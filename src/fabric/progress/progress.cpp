@@ -132,26 +132,29 @@ rdma::OpStatus NotifyPlane::post(int me, int target, std::uint64_t tag,
                         static_cast<std::size_t>(nranks_) +
                     static_cast<std::size_t>(target)];
   if (!fits(seq, cached)) {
-    Backoff backoff;
-    while (true) {
-      std::uint64_t cursor = 0;
-      st = n.wait_status(cursor_nb(me, target, &cursor));
-      if (st != rdma::OpStatus::ok) return st;
-      // Order our upcoming slot reuse after the consumer's reads of the
-      // previous record in this slot (pairs with its cursor release store).
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (cursor > cached) cached = cursor;
-      if (fits(seq, cached)) break;
-      // A dead consumer's cursor is frozen: type the failure instead of
-      // retrying forever. (Reads of dead memory still succeed, so the
-      // cursor get above does not catch this.)
-      if (!fabric_.domain().alive(target)) return rdma::OpStatus::peer_dead;
-      count(Op::notify_retry);
-      trace::emit(trace::EvClass::notify_post, trace::EvPhase::retry, target,
-                  seq);
-      fabric_.yield_check();
-      backoff.pause();
-    }
+    const rdma::Domain& dom = fabric_.domain();
+    // A dead consumer's cursor is frozen: the wait types the failure
+    // instead of retrying forever. (Reads of dead memory still succeed, so
+    // the cursor get does not catch it.)
+    const rdma::OpStatus waited = dom.wait_until(
+        [&] {
+          std::uint64_t cursor = 0;
+          st = n.wait_status(cursor_nb(me, target, &cursor));
+          if (st != rdma::OpStatus::ok) return true;
+          // Order our upcoming slot reuse after the consumer's reads of the
+          // previous record in this slot (pairs with its cursor release
+          // store).
+          std::atomic_thread_fence(std::memory_order_acquire);
+          if (cursor > cached) cached = cursor;
+          if (fits(seq, cached)) return true;
+          count(Op::notify_retry);
+          trace::emit(trace::EvClass::notify_post, trace::EvPhase::retry,
+                      target, seq);
+          return false;
+        },
+        [&] { return !dom.alive(target); });
+    if (st != rdma::OpStatus::ok) return st;
+    if (waited != rdma::OpStatus::ok) return waited;
   }
 
   st = n.wait_status(record_nb(me, target, seq, tag, tdisp, bytes));
@@ -226,30 +229,24 @@ std::size_t NotifyPlane::waitsome(int me, std::uint64_t tag,
                                   NotifyRecord* out, std::size_t max,
                                   int source, rdma::OpStatus* status) {
   const trace::Span sp(trace::EvClass::notify_wait, source, tag);
-  Backoff backoff;
-  while (true) {
-    const bool progressed = drain(me);
-    const std::size_t n = match(me, tag, out, max);
-    if (n > 0) {
-      if (status != nullptr) *status = rdma::OpStatus::ok;
-      return n;
-    }
-    if (source >= 0 && source_dead(source)) {
-      // The producer may have stamped records right before dying; drain
-      // raced above, so nothing matched — the wait can never be satisfied.
-      if (status != nullptr) {
-        *status = rdma::OpStatus::peer_dead;
-        return 0;
-      }
-      raise(ErrClass::peer_dead, "notify wait: producing rank died");
-    }
-    fabric_.yield_check();
-    if (progressed) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
+  const rdma::Domain& dom = fabric_.domain();
+  std::size_t n = 0;
+  Backoff backoff;  // restarts whenever records arrive, matching or not
+  // A producer stamps its records before its death mark, so the wait
+  // drains once more after seeing the death before it reports it.
+  const rdma::OpStatus st = dom.wait_until(
+      [&] {
+        if (drain(me)) backoff.reset();
+        n = match(me, tag, out, max);
+        return n > 0;
+      },
+      [&] { return source >= 0 && !dom.alive(source); }, &backoff);
+  if (status != nullptr) {
+    *status = st;
+  } else if (st != rdma::OpStatus::ok) {
+    raise(ErrClass::peer_dead, "notify wait: producing rank died");
   }
+  return n;
 }
 
 std::uint64_t NotifyPlane::reserved(int me) const {
@@ -264,11 +261,7 @@ std::uint64_t NotifyPlane::consumed(int me) const {
 
 // --- Scheduler --------------------------------------------------------------
 
-Scheduler::Scheduler(Fabric& fabric, int rank)
-    : Scheduler(fabric.domain().nic(rank), [&fabric] { fabric.yield_check(); }) {}
-
-Scheduler::Scheduler(rdma::Nic& nic, std::function<void()> yield_check)
-    : nic_(nic), yield_check_(std::move(yield_check)) {}
+Scheduler::Scheduler(rdma::Nic& nic) : nic_(nic) {}
 
 std::uint64_t Scheduler::issue_cost_ns(int ops) const noexcept {
   const rdma::Domain& dom = nic_.domain();
@@ -338,17 +331,25 @@ void Scheduler::await_epoch(Fiber& f) {
   heap_push(HandleWait{deadline, &f, rdma::kDoneHandle, /*epoch=*/true});
 }
 
+bool Scheduler::notify_settled(const NotifyWait& w) {
+  Fiber& f = *w.fiber;
+  if (w.plane->probe(rank(), w.tag, &f.wake_record_)) {
+    make_runnable(&f, rdma::OpStatus::ok);
+    return true;
+  }
+  if (w.source < 0 || !w.plane->source_dead(w.source)) return false;
+  // The producer stamps its records before its death mark: probe once more
+  // after seeing the death, and report it only if still nothing matched.
+  make_runnable(&f, w.plane->probe(rank(), w.tag, &f.wake_record_)
+                        ? rdma::OpStatus::ok
+                        : rdma::OpStatus::peer_dead);
+  return true;
+}
+
 void Scheduler::await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
                              int source) {
-  if (plane.probe(rank(), tag, &f.wake_record_)) {
-    make_runnable(&f, rdma::OpStatus::ok);
-    return;
-  }
-  if (source >= 0 && plane.source_dead(source)) {
-    make_runnable(&f, rdma::OpStatus::peer_dead);
-    return;
-  }
-  notify_waits_.push_back(NotifyWait{&f, &plane, tag, source});
+  const NotifyWait w{&f, &plane, tag, source};
+  if (!notify_settled(w)) notify_waits_.push_back(w);
 }
 
 void Scheduler::await_ready(Fiber& f) { ready_waits_.push_back(&f); }
@@ -410,12 +411,7 @@ bool Scheduler::poll_once() {
   bool progressed = wake_due(prio_heap_);
   if (wake_due(heap_)) progressed = true;
   for (auto it = notify_waits_.begin(); it != notify_waits_.end();) {
-    if (it->plane->probe(rank(), it->tag, &it->fiber->wake_record_)) {
-      make_runnable(it->fiber, rdma::OpStatus::ok);
-      it = notify_waits_.erase(it);
-      progressed = true;
-    } else if (it->source >= 0 && it->plane->source_dead(it->source)) {
-      make_runnable(it->fiber, rdma::OpStatus::peer_dead);
+    if (notify_settled(*it)) {
       it = notify_waits_.erase(it);
       progressed = true;
     } else {
@@ -435,6 +431,7 @@ bool Scheduler::poll_once() {
 }
 
 void Scheduler::run() {
+  const rdma::Domain& dom = nic_.domain();
   Backoff backoff;
   while (live_ > 0) {
     // A parked priority fiber is checked at every step boundary, so once
@@ -450,9 +447,10 @@ void Scheduler::run() {
       queue.pop_front();
       ++switches_;
       // A chain of always-runnable fibers never reaches the idle path below;
-      // a periodic check keeps even that loop abortable on peer death
-      // without taxing every switch.
-      if ((switches_ & 63u) == 0) yield_check_();
+      // a periodic back-off step (its spin is reset after every fiber step)
+      // keeps even that loop abortable on peer death without taxing every
+      // switch.
+      if ((switches_ & 63u) == 0) dom.backoff_step(backoff);
       count(Op::fiber_switch);
       trace::emit(trace::EvClass::fiber, trace::EvPhase::begin, -1, f->id_);
       f->step(*this);
@@ -465,25 +463,23 @@ void Scheduler::run() {
       continue;
     }
     // Every fiber is parked. This is the engine's single suspension point:
-    // yield_check keeps fault-kill semantics (a fleet abort unwinds out of
-    // run()), and the backoff resets whenever a wakeup fired. A parked
-    // priority fiber is waited for as a blocking wait would be: the NIC
-    // waits for the next deadline (Nic::wait_model_time), yielding the
-    // thread here only on every 64th pass, and the check at the top of the
-    // loop resumes the fiber.
+    // a pass that woke nothing takes one back-off step, whose progress hook
+    // keeps fault-kill semantics (a fleet abort unwinds out of run()), and
+    // the back-off restarts whenever a wakeup fired. A parked priority
+    // fiber is waited for as a blocking wait would be: the NIC waits for
+    // the next deadline (Nic::wait_model_time), the step runs only on every
+    // 64th pass, and the check at the top of the loop resumes the fiber.
+    if (poll_once()) {
+      backoff.reset();
+      continue;
+    }
     std::uint64_t wait_to = 0;
     if (!prio_heap_.empty()) {
       wait_to = prio_heap_.front().deadline;
       if (!heap_.empty()) wait_to = std::min(wait_to, heap_.front().deadline);
     }
-    if (wait_to == 0 || (++idle_spins_ & 63u) == 0) yield_check_();
-    if (poll_once()) {
-      backoff.reset();
-    } else if (wait_to != 0) {
-      nic_.wait_model_time(wait_to);
-    } else {
-      backoff.pause();
-    }
+    if (wait_to == 0 || (++idle_spins_ & 63u) == 0) dom.backoff_step(backoff);
+    if (wait_to != 0) nic_.wait_model_time(wait_to);
   }
 }
 

@@ -23,9 +23,9 @@
 //     `await_epoch()` on the NIC's quiesce deadline; the scheduler's
 //     retire path makes them runnable again. A rank with N fibers keeps N
 //     ops in flight while burning issue overhead only — no spin between
-//     issue and completion. The single idle loop goes through the
-//     fabric's yield_check, so fault kills unwind parked fleets with
-//     typed statuses instead of hanging them. Priority fibers resume
+//     issue and completion. The single idle loop takes the domain's
+//     back-off step, so fault kills unwind parked fleets with typed
+//     statuses instead of hanging them. Priority fibers resume
 //     before ordinary ones; while one is parked on a deadline, every step
 //     boundary checks that deadline, and admits() tells an ordinary fiber
 //     whether work of a given modeled issue time ends before it.
@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -106,9 +105,10 @@ class NotifyPlane {
   /// (kAnyNotifyTag matches all). Nonblocking.
   bool probe(int me, std::uint64_t tag, NotifyRecord* out);
   /// Blocks until >= 1 matching records arrived; consumes up to `max` of
-  /// them. With `source >= 0` the wait is typed: if that rank dies the
-  /// call returns 0 with *status = peer_dead (or raises when `status` is
-  /// null) instead of hanging. Suspension goes through yield_check.
+  /// them. With `source >= 0` the wait is typed: if that rank dies with
+  /// no matching record left, the call returns 0 with *status = peer_dead
+  /// (or raises when `status` is null) instead of hanging. Waits through
+  /// rdma::Domain::wait_until.
   std::size_t waitsome(int me, std::uint64_t tag, NotifyRecord* out,
                        std::size_t max, int source = -1,
                        rdma::OpStatus* status = nullptr);
@@ -180,12 +180,10 @@ class Fiber {
 /// retires the due ones — O(log n) per wakeup, no per-op spin.
 class Scheduler {
  public:
-  /// Fabric-integrated: suspension points run ctx-equivalent yield_check,
-  /// so a fleet abort unwinds out of run().
-  Scheduler(Fabric& fabric, int rank);
-  /// Raw-domain form (benches without a fabric): `yield_check` is invoked
-  /// on every idle iteration and must provide equivalent abort semantics.
-  Scheduler(rdma::Nic& nic, std::function<void()> yield_check);
+  /// Runs on `nic`'s rank thread. Its idle passes take the domain's
+  /// back-off step, so the progress hook (Fabric installs the fleet abort
+  /// and hang watchdog) unwinds run().
+  explicit Scheduler(rdma::Nic& nic);
 
   /// Constructs and adopts a fiber; runnable immediately. Valid to call
   /// from inside a running fiber. The reference stays valid until the
@@ -200,8 +198,8 @@ class Scheduler {
   Fiber& adopt(std::unique_ptr<Fiber> fiber);
 
   /// Runs until every adopted fiber is done. The only blocking point is
-  /// the internal idle loop (yield_check + deadline/notify/ready polling
-  /// with reset-on-progress backoff).
+  /// the internal idle loop (deadline/notify/ready polling with one
+  /// reset-on-progress back-off step per pass that woke nothing).
   void run();
 
   std::size_t switches() const noexcept { return switches_; }
@@ -240,7 +238,8 @@ class Scheduler {
   /// Parks the fiber for `delay_ns` wall nanoseconds on the deadline heap —
   /// a fiber-native backoff for retry loops (scrub re-reads, routing
   /// re-fetches), so a waiting fiber never raw-spins: the scheduler's idle
-  /// loop (and its yield_check) stays the engine's single suspension point.
+  /// loop (and its back-off step) stays the engine's single suspension
+  /// point.
   void await_backoff(Fiber& f, std::uint64_t delay_ns);
 
  private:
@@ -259,6 +258,9 @@ class Scheduler {
   };
 
   void make_runnable(Fiber* f, rdma::OpStatus st);
+  /// Polls one notify wait; true once it settled and its fiber is runnable
+  /// (a matching record, or its source died with none left).
+  bool notify_settled(const NotifyWait& w);
   bool poll_once();
   /// Wakes every entry of `heap` due at now_cache_; true if any woke.
   bool wake_due(std::vector<HandleWait>& heap);
@@ -266,7 +268,6 @@ class Scheduler {
   static HandleWait heap_pop(std::vector<HandleWait>& heap);
 
   rdma::Nic& nic_;
-  std::function<void()> yield_check_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::deque<Fiber*> urgent_;    // runnable priority fibers, served first
   std::deque<Fiber*> runnable_;

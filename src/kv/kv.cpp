@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/backoff.hpp"
 #include "common/instr.hpp"
 #include "common/rng.hpp"
 #include "common/timing.hpp"
@@ -277,13 +276,13 @@ rdma::OpStatus KvStore::try_fetch_routing() {
 }
 
 rdma::OpStatus KvStore::fetch_routing() {
-  Backoff bo;
-  while (true) {
-    const auto st = try_fetch_routing();
-    if (st != rdma::OpStatus::retry_routing) return st;
-    bo.pause();  // reconfiguration in flight: poll politely, never raw-spin
-    fabric_->yield_check();
-  }
+  // A reconfiguration in flight answers retry_routing: wait it out.
+  rdma::OpStatus st = rdma::OpStatus::ok;
+  fabric_->domain().wait_until([&] {
+    st = try_fetch_routing();
+    return st != rdma::OpStatus::retry_routing;
+  });
+  return st;
 }
 
 void KvStore::apply_routing(std::vector<std::uint64_t> table) {
@@ -948,14 +947,14 @@ bool KvStore::retire_round(RegionOp* const* ops, int n) {
 }
 
 void KvStore::drive(RegionOp* const* ops, int n) {
-  Backoff bo;
-  while (live(ops, n)) {
-    issue_round(ops, n);
-    if (retire_round(ops, n)) {
-      bo.pause();
-      fabric_->yield_check();
+  // Rounds run back to back; a contended round backs off before the next.
+  fabric_->domain().wait_until([&] {
+    while (live(ops, n)) {
+      issue_round(ops, n);
+      if (retire_round(ops, n)) return false;
     }
-  }
+    return true;
+  });
 }
 
 void KvStore::drive(RegionOp& op) {
@@ -1374,7 +1373,7 @@ KvStore::FleetResult KvStore::run_fleet(fabric::RankCtx& ctx,
     op.is_read = coin.uniform() < fc.read_ratio;
   }
   FleetResult res;
-  fabric::progress::Scheduler sched(*fabric_, rank_);
+  fabric::progress::Scheduler sched(fabric_->domain().nic(rank_));
   ClientFiber::Fleet fleet{ops, sched, &res};
   const std::size_t pool = std::min<std::size_t>(
       static_cast<std::size_t>(fc.fibers),

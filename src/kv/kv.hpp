@@ -227,8 +227,8 @@ class KvStore {
   /// Self-healing pass; any surviving rank may call it (not collective).
   /// The lowest alive rank coordinates: replica promotion, one-sided drain
   /// of the dead rank's frozen image into a spare region, version-winner
-  /// scrub, generation bump. Other callers wait (fiber/backoff through
-  /// yield_check) for the generation to stabilize, then refresh. Returns a
+  /// scrub, generation bump. Other callers wait (one back-off step per
+  /// poll) for the generation to stabilize, then refresh. Returns a
   /// typed report; with cfg.abort_on_data_loss an unrecoverable shard
   /// raises ErrClass::data_loss (fleet abort + post-mortem trace dump).
   RecoveryReport heal();
@@ -372,8 +372,8 @@ class KvStore {
   static std::uint64_t round_deadline(RegionOp* const* ops, int n);
   bool retire_round(RegionOp* const* ops, int n);
   /// Blocking driver: the round routine until every machine is done, each
-  /// retirement spinning until its deadline; contention backs off through
-  /// Backoff + yield_check.
+  /// retirement spinning until its deadline; a contended round waits one
+  /// back-off step (Domain::wait_until) before the next.
   void drive(RegionOp* const* ops, int n);
   void drive(RegionOp& op);
   /// Routes a get, put or erase: arms `c` with the serving copy's machine,

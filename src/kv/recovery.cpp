@@ -19,12 +19,11 @@
 //     reconciles the surviving copy with the drained frozen image, which
 //     may hold writes whose replica half never landed.
 //
-// All waiting is fiber- or backoff-based through Fabric::yield_check —
+// All waiting is fiber-based or takes the domain's back-off step —
 // recovery never raw-spins, and costs nothing until a death is observed.
 #include <algorithm>
 #include <vector>
 
-#include "common/backoff.hpp"
 #include "common/instr.hpp"
 #include "fabric/progress/progress.hpp"
 #include "kv/kv.hpp"
@@ -161,7 +160,6 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
     // Plan: one drain per shard with exactly one dead copy. Re-planned
     // after every pass so a rank that dies mid-drain or mid-scrub gets
     // folded in instead of wedging recovery.
-    fabric_->yield_check();
     std::vector<DrainPlan> plans;
     rep->lost = 0;
     for (int s = 0; s < cfg_.shards; ++s) {
@@ -191,7 +189,7 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
 
     // Drain all frozen images concurrently on the progress engine.
     {
-      fabric::progress::Scheduler sched(*fabric_, rank_);
+      fabric::progress::Scheduler sched(fabric_->domain().nic(rank_));
       for (auto& p : plans) {
         sched.spawn<DrainFiber>(*this, &p, &rep->drained_bytes);
       }
@@ -235,7 +233,7 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
       touched.clear();
       if (!rescan) break;
     }
-    bo.pause();
+    fabric_->domain().backoff_step(bo);
   }
 
   // Release the generation: even again, one CAS-visible word. gen_seen_
@@ -294,8 +292,7 @@ RecoveryReport KvStore::heal() {
           return rep;
         }
         if (prev != g) {  // raced another claimant: observe and retry
-          bo.pause();
-          fabric_->yield_check();
+          fabric_->domain().backoff_step(bo);
           continue;
         }
         g = g + 1;
@@ -308,11 +305,11 @@ RecoveryReport KvStore::heal() {
     // Follower: wait for the coordinator to finish (generation even AND
     // every shard either fully healthy or terminally lost). Each stable
     // {generation, table} pair read on the way is installed, so the last
-    // one is the new table. Politely — backoff + yield_check, never a raw
-    // spin. A recovery that completed since we started waiting (generation
-    // moved to a NEW even value) also releases the wait: a death that
-    // arrived after the coordinator returned belongs to the caller's next
-    // heal() pass, not this one.
+    // one is the new table. Politely — one back-off step per pass, never a
+    // raw spin. A recovery that completed since we started waiting
+    // (generation moved to a NEW even value) also releases the wait: a
+    // death that arrived after the coordinator returned belongs to the
+    // caller's next heal() pass, not this one.
     const auto st = try_fetch_routing();
     if (st != rdma::OpStatus::ok && st != rdma::OpStatus::retry_routing) {
       rep.status = st;
@@ -350,8 +347,7 @@ RecoveryReport KvStore::heal() {
         return rep;
       }
     }
-    bo.pause();
-    fabric_->yield_check();
+    fabric_->domain().backoff_step(bo);
   }
 }
 

@@ -205,13 +205,11 @@ Nic::FaultVerdict Nic::pre_issue_fault_slow(int target, bool is_read,
   // death forever.
   if (my_op >= plan.kill_at(rank_)) {
     if (plan.hang_instead_of_kill) {
-      // Park in an abortable spin: a silent hang, broken only by the
-      // fabric hang watchdog (progress_check raises once the fleet
-      // aborts).
-      for (;;) {
-        std::this_thread::yield();
-        domain_.progress_check();
-      }
+      // Park in an abortable wait: a silent hang, broken only by the
+      // fabric hang watchdog (the step's progress hook raises once the
+      // fleet aborts).
+      Backoff backoff;
+      for (;;) domain_.backoff_step(backoff);
     }
     domain_.mark_dead(rank_);
     trace::emit(trace::EvClass::fault, trace::EvPhase::complete, rank_,

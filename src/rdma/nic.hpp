@@ -47,6 +47,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/backoff.hpp"
 #include "common/buffer.hpp"
 #include "common/rng.hpp"
 #include "rdma/amo.hpp"
@@ -518,9 +519,10 @@ class Domain {
     return cfg_.inject == Injection::model ? ns * cfg_.time_scale : 0.0;
   }
 
-  /// Invoked on every iteration of an unbounded NIC model-time spin
-  /// (wait/gsync); the runtime installs a hook that raises when a peer
-  /// rank failed, so a dead fleet aborts instead of hanging (CLAUDE.md).
+  /// Polled by every back-off step of a blocking wait and by the NIC's
+  /// long model-time waits; the runtime installs a hook that raises when
+  /// the fleet aborted or its hang watchdog expired, so a dead fleet
+  /// unwinds instead of hanging (DESIGN.md §8).
   using ProgressHook = void (*)(void* arg);
   void set_progress_hook(ProgressHook hook, void* arg) noexcept {
     progress_hook_ = hook;
@@ -528,6 +530,40 @@ class Domain {
   }
   void progress_check() const {
     if (progress_hook_ != nullptr) progress_hook_(progress_arg_);
+  }
+
+  // --- waiting: the one back-off step and the one dead-peer rule -----------
+  /// One back-off step of a blocking wait: one yield, then the progress
+  /// hook, then the exponential spin. Counts one Op::retry.
+  void backoff_step(Backoff& bo) const {
+    std::this_thread::yield();
+    progress_check();
+    bo.spin();
+  }
+  /// The `gone` of a wait that no death settles.
+  struct NoPeer {
+    bool operator()() const noexcept { return false; }
+  };
+  /// The one blocking wait (DESIGN.md §8): polls `ready()`, taking one
+  /// back-off step between polls, until it holds; returns ok. Once a death
+  /// has been seen and `gone()` says the party the wait depends on is dead,
+  /// it polls `ready()` once more, because a dead peer's stores precede its
+  /// death mark, and returns peer_dead only if the condition is still
+  /// unmet. `ready` may consume what it finds: it is not polled again after
+  /// it returned true. A wait that restarts its back-off on progress passes
+  /// its own `bo` and resets it from `ready`.
+  template <class Ready, class Gone = NoPeer>
+  OpStatus wait_until(Ready&& ready, Gone&& gone = Gone(),
+                      Backoff* bo = nullptr) const {
+    Backoff own;
+    Backoff& b = bo != nullptr ? *bo : own;
+    while (!ready()) {
+      if (death_epoch() != 0 && gone()) {
+        return ready() ? OpStatus::ok : OpStatus::peer_dead;
+      }
+      backoff_step(b);
+    }
+    return OpStatus::ok;
   }
 
   // --- liveness (fail-stop fault model) -------------------------------------

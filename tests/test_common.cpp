@@ -10,6 +10,7 @@
 #include "common/instr.hpp"
 #include "common/rng.hpp"
 #include "common/timing.hpp"
+#include "rdma/nic.hpp"
 
 using namespace fompi;
 
@@ -161,11 +162,18 @@ TEST(Buffer, EmptyBufferIsSafe) {
 }
 
 TEST(Backoff, GrowsAndResets) {
+  // A back-off is stepped only through the domain: each step counts one
+  // Op::retry and polls the progress hook once, before and after a reset.
+  rdma::Domain dom(rdma::DomainConfig{});
+  int hooks = 0;
+  dom.set_progress_hook([](void* n) { ++*static_cast<int*>(n); }, &hooks);
   Backoff b(16);
   op_counters().reset();
-  for (int i = 0; i < 10; ++i) b.pause();
+  for (int i = 0; i < 10; ++i) dom.backoff_step(b);
   EXPECT_EQ(op_counters().get(Op::retry), 10u);
+  EXPECT_EQ(hooks, 10);
   b.reset();
-  b.pause();
+  dom.backoff_step(b);
   EXPECT_EQ(op_counters().get(Op::retry), 11u);
+  EXPECT_EQ(hooks, 11);
 }

@@ -943,7 +943,7 @@ TEST(FaultChaos, SuspendedFiberFleetUnwindsTypedOnPeerDeath) {
             }
             FAIL() << "rank 1 must have been killed";
           }
-          fabric::progress::Scheduler sched(ctx.fabric(), ctx.rank());
+          fabric::progress::Scheduler sched(ctx.nic());
           std::vector<ChaosAmoFiber*> amos;
           std::vector<ChaosNotifyFiber*> waits;
           for (int i = 0; i < 16; ++i) {

@@ -247,7 +247,7 @@ class FlagWaiter final : public progress::Fiber {
 
 TEST(Scheduler, IdleRunReturnsImmediately) {
   Domain dom(raw_domain(Injection::none));
-  progress::Scheduler sched(dom.nic(0), [] {});
+  progress::Scheduler sched(dom.nic(0));
   sched.run();  // no fibers adopted: must be a no-op
   EXPECT_EQ(sched.switches(), 0u);
   EXPECT_EQ(sched.live(), 0u);
@@ -255,7 +255,7 @@ TEST(Scheduler, IdleRunReturnsImmediately) {
 
 TEST(Scheduler, FibersInterleaveRoundRobin) {
   Domain dom(raw_domain(Injection::none));
-  progress::Scheduler sched(dom.nic(0), [] {});
+  progress::Scheduler sched(dom.nic(0));
   std::string log;
   sched.spawn<LogFiber>(log, 'a', 3);
   sched.spawn<LogFiber>(log, 'b', 3);
@@ -267,7 +267,7 @@ TEST(Scheduler, FibersInterleaveRoundRobin) {
 
 TEST(Scheduler, SpawnDuringRunIsPickedUp) {
   Domain dom(raw_domain(Injection::none));
-  progress::Scheduler sched(dom.nic(0), [] {});
+  progress::Scheduler sched(dom.nic(0));
   std::string log;
   sched.spawn<SpawnerFiber>(log, 3);
   sched.run();
@@ -283,7 +283,7 @@ TEST(Scheduler, AwaitWithoutInjectedTimeCompletesInline) {
   AlignedBuffer mem(1 << 12);
   const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 12);
   const OpCounters before = op_counters();
-  progress::Scheduler sched(nic, [] {});
+  progress::Scheduler sched(nic);
   auto& f = sched.spawn<AmoPipeline>(nic, d, 64);
   sched.run();
   EXPECT_EQ(f.last_status, OpStatus::ok);
@@ -300,7 +300,7 @@ TEST(Scheduler, AwaitEpochDrainsImplicitOps) {
     Nic& nic = dom.nic(0);
     AlignedBuffer mem(1 << 12);
     const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 12);
-    progress::Scheduler sched(nic, [] {});
+    progress::Scheduler sched(nic);
     auto& f = sched.spawn<EpochFiber>(nic, d, 32);
     sched.run();
     EXPECT_EQ(f.epoch_status, OpStatus::ok);
@@ -322,7 +322,7 @@ TEST(Scheduler, ModeledOverlapBeatsSerialIssue) {
     Nic& nic = dom.nic(0);
     AlignedBuffer mem(1 << 12);
     const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 12);
-    progress::Scheduler sched(nic, [] {});
+    progress::Scheduler sched(nic);
     for (int f = 0; f < fibers; ++f) {
       sched.spawn<AmoPipeline>(nic, d, kTotal / fibers);
     }
@@ -344,7 +344,7 @@ TEST(Scheduler, DuePriorityFiberResumesBeforeRunnableOrdinaryFibers) {
   // step boundary after its deadline: at most one ordinary step (the one
   // in progress when the deadline passed) may begin late.
   Domain dom(raw_domain(Injection::none));
-  progress::Scheduler sched(dom.nic(0), [] {});
+  progress::Scheduler sched(dom.nic(0));
   auto& sleeper = sched.spawn<PrioritySleeper>(50'000);
   std::vector<BusyFiber*> busy;
   for (int i = 0; i < 3; ++i) busy.push_back(&sched.spawn<BusyFiber>(sleeper, 400));
@@ -360,14 +360,14 @@ TEST(Scheduler, AdmissionEndsBeforeTheEarliestPriorityDeadline) {
     // No priority fiber: everything is admitted, and the modeled issue
     // cost is zero without injected time.
     Domain dom(raw_domain(Injection::none));
-    progress::Scheduler sched(dom.nic(0), [] {});
+    progress::Scheduler sched(dom.nic(0));
     EXPECT_TRUE(sched.admits(~std::uint64_t{0} / 2));
     EXPECT_EQ(sched.issue_cost_ns(5), 0u);
   }
   DomainConfig cfg = raw_domain(Injection::model);
   cfg.time_scale = 2;
   Domain dom(cfg);
-  progress::Scheduler sched(dom.nic(0), [] {});
+  progress::Scheduler sched(dom.nic(0));
   // A round of five ops rings one doorbell: the injection overhead once
   // plus four chain links, scaled.
   EXPECT_EQ(sched.issue_cost_ns(5),
@@ -391,11 +391,15 @@ TEST(Scheduler, ReadyWaitOnAFlagADeadlineFiberClearsNeverLivelocks) {
   // switches. A livelock trips the watchdog instead of hanging the test.
   for (const bool priority : {false, true}) {
     Domain dom(raw_domain(Injection::model));
-    const std::uint64_t t0 = now_ns();
-    progress::Scheduler sched(dom.nic(0), [t0] {
-      FOMPI_REQUIRE(now_ns() - t0 < 5'000'000'000ull, ErrClass::timeout,
-                    "scheduler livelocked");
-    });
+    std::uint64_t t0 = now_ns();
+    dom.set_progress_hook(
+        [](void* start) {
+          FOMPI_REQUIRE(now_ns() - *static_cast<std::uint64_t*>(start) <
+                            5'000'000'000ull,
+                        ErrClass::timeout, "scheduler livelocked");
+        },
+        &t0);
+    progress::Scheduler sched(dom.nic(0));
     bool flag = true;
     for (int i = 0; i < 4; ++i) sched.spawn<FlagWaiter>(flag);
     sched.spawn<FlagClearer>(flag, priority);

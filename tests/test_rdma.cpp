@@ -4,12 +4,15 @@
 // state).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "common/buffer.hpp"
+#include "common/error.hpp"
 #include "common/instr.hpp"
 #include "common/timing.hpp"
 #include "fabric/fabric.hpp"
@@ -934,4 +937,124 @@ TEST(Nic, VectoredKilledPeerAbortsWaitSpin) {
       },
       opts));
   EXPECT_LT(t.elapsed_us(), 10e6) << "wait spin outlived the dead peer";
+}
+
+// --- waiting: one back-off step, one dead-peer rule (Domain::wait_until) ------
+
+namespace {
+
+/// Rank 1 is the peer a wait watches; rank 2 a bystander.
+DomainConfig three_ranks() {
+  DomainConfig cfg;
+  cfg.nranks = 3;
+  cfg.ranks_per_node = 1;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(Wait, ConditionMetTogetherWithTheDeathMarkReturnsOk) {
+  // A peer's last store precedes its death mark. Here it stores and dies
+  // right after the waiter's first poll read the condition unmet: the
+  // waiter sees the death next, and must poll once more and find the
+  // condition met instead of reporting the peer lost.
+  Domain dom(three_ranks());
+  bool flag = false;
+  int polls = 0;
+  const OpCounters before = op_counters();
+  const OpStatus st = dom.wait_until(
+      [&] {
+        ++polls;
+        const bool met = flag;
+        if (!met) {
+          flag = true;
+          dom.mark_dead(1);
+        }
+        return met;
+      },
+      [&] { return !dom.alive(1); });
+  EXPECT_EQ(st, OpStatus::ok);
+  EXPECT_EQ(polls, 2);
+  EXPECT_EQ(op_counters().since(before).get(Op::retry), 0u);
+}
+
+TEST(Wait, UnmetConditionReportsTheWatchedPeersDeath) {
+  // A bystander's death moves the epoch but not the watched peer: the wait
+  // goes on. Once the watched peer dies, one more poll, then peer_dead.
+  Domain dom(three_ranks());
+  dom.mark_dead(2);
+  int polls = 0;
+  const OpCounters before = op_counters();
+  const OpStatus st = dom.wait_until(
+      [&] {
+        if (++polls == 5) dom.mark_dead(1);
+        return false;
+      },
+      [&] { return !dom.alive(1); });
+  EXPECT_EQ(st, OpStatus::peer_dead);
+  EXPECT_EQ(polls, 6);
+  EXPECT_EQ(op_counters().since(before).get(Op::retry), 4u);
+}
+
+TEST(Wait, UnmetConditionReportsAnyDeath) {
+  // A wait that cannot name its writer (an arrival counter) fails on any
+  // death, after the same one extra poll.
+  Domain dom(three_ranks());
+  int polls = 0;
+  const OpStatus st = dom.wait_until(
+      [&] {
+        if (++polls == 3) dom.mark_dead(2);
+        return false;
+      },
+      [] { return true; });
+  EXPECT_EQ(st, OpStatus::peer_dead);
+  EXPECT_EQ(polls, 4);
+}
+
+TEST(Wait, EachStepCountsOneRetryAndPollsTheHookOnce) {
+  Domain dom(three_ranks());
+  int hooks = 0;
+  dom.set_progress_hook([](void* n) { ++*static_cast<int*>(n); }, &hooks);
+  int polls = 0;
+  const OpCounters before = op_counters();
+  EXPECT_EQ(dom.wait_until([&] { return ++polls == 6; }), OpStatus::ok);
+  EXPECT_EQ(op_counters().since(before).get(Op::retry), 5u);
+  EXPECT_EQ(hooks, 5);
+}
+
+TEST(Wait, FleetAbortUnwindsAWaitTyped) {
+  // Rank 1 fails; rank 0 waits on a condition nobody will meet. Its next
+  // back-off step polls the fabric's hook and unwinds it typed.
+  std::atomic<int> waiter_class{-1};
+  const auto body = [&](fabric::RankCtx& ctx) {
+    if (ctx.rank() == 1) throw std::runtime_error("injected peer failure");
+    try {
+      ctx.fabric().domain().wait_until([] { return false; });
+    } catch (const Error& e) {
+      waiter_class = static_cast<int>(e.err_class());
+      throw;
+    }
+  };
+  EXPECT_THROW(fabric::run_ranks(2, body), std::runtime_error);
+  EXPECT_EQ(waiter_class.load(), static_cast<int>(ErrClass::internal));
+}
+
+TEST(Wait, HangWatchdogUnwindsAWaitTyped) {
+  // No rank fails, but the wait never ends: the watchdog, fired from the
+  // hook of a later step, aborts the fleet with a typed timeout.
+  fabric::FabricOptions opts;
+  opts.hang_timeout_ns = 50'000'000;  // 50 ms
+  Timer t;
+  try {
+    fabric::run_ranks(
+        1,
+        [](fabric::RankCtx& ctx) {
+          ctx.fabric().domain().wait_until([] { return false; });
+        },
+        opts);
+    ADD_FAILURE() << "the watchdog did not fire";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.err_class(), ErrClass::timeout);
+  }
+  EXPECT_LT(t.elapsed_us(), 10e6) << "wait outlived the watchdog";
 }
