@@ -1,14 +1,18 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
-#   0. Two lints over src/. Modeled time: outside src/rdma/ and
+#   0. Three lints over src/. Modeled time: outside src/rdma/ and
 #      src/common/timing.hpp no code line names the injection mode,
 #      time_scale or the spin waits; every other layer charges and waits
 #      for modeled time through Nic::charge_model_ns / Nic::wait_model_time.
 #      Waiting: outside src/rdma/ and src/common/ no code line calls
 #      yield_check, check_abort or std::this_thread::yield (the test-facing
 #      RankCtx::yield_check excepted); every blocking wait goes through
-#      rdma::Domain::wait_until or its back-off step, Domain::backoff_step
+#      rdma::Domain::wait_until or its back-off step, Domain::backoff_step.
+#      The rank's clock: outside src/rdma/, src/common/timing.hpp and
+#      src/trace/ no code line calls now_ns() (the fabric's hang watchdog
+#      and P2P::model_now excepted); a deadline test asks the NIC
+#      (Nic::passed, Nic::last_now), an anchor reads it fresh (Nic::now)
 #   1. Release build with warnings as errors + full ctest suite (the tier-1
 #      gate from ROADMAP.md), then the repo benchmark's own ctest
 #      (quantile_test + fompi_bench --smoke with its fleet correctness
@@ -88,6 +92,20 @@ if grep -rnE '(yield_check_?|check_abort)[[:space:]]*\(|std::this_thread::yield'
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -vE '^src/fabric/fabric\.hpp:[0-9]+:  void yield_check\(\) const \{'; then
   echo "a wait bypasses rdma::Domain::wait_until/backoff_step (lines above)" >&2
+  exit 1
+fi
+
+# The rank's clock has one owner, its rdma::Nic (DESIGN.md §8): it keeps
+# the latest reading, so a layer that reads the clock itself re-reads time
+# the NIC already holds. The fabric's hang watchdog (wall time, not the
+# rank's) and P2P::model_now, p2p's one clock seam, are the exemptions.
+# Comment lines are exempt.
+if grep -rnE '\bnow_ns\(\)' src --include='*.cpp' --include='*.hpp' |
+  grep -vE '^src/rdma/|^src/common/timing\.hpp:|^src/trace/' |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -vE '^src/fabric/fabric\.cpp:[0-9]+:.*watchdog_deadline_ns_' |
+  grep -vE '^src/fabric/p2p\.cpp:[0-9]+:std::uint64_t P2P::model_now\(\) '; then
+  echo "the rank's clock read outside its owner, rdma::Nic (lines above)" >&2
   exit 1
 fi
 

@@ -44,6 +44,7 @@ const char* to_string(Op op) noexcept {
     case Op::kv_drain_chunk:   return "kv_drain_chunk";
     case Op::kv_recovery:      return "kv_recovery";
     case Op::kv_round:         return "kv_round";
+    case Op::clock_read:       return "clock_read";
     case Op::kCount:           break;
   }
   return "unknown";

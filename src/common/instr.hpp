@@ -53,6 +53,8 @@ enum class Op : std::uint32_t {
   kv_drain_chunk,    ///< one re-replication chunk drained (frozen image get)
   kv_recovery,       ///< one completed heal() pass (any outcome)
   kv_round,          ///< one KV driver round (every live copy's AMOs overlapped)
+  clock_read,        ///< one NIC clock read for a decision or an anchor
+                     ///< (not the iterations of a modeled-time spin)
   kCount,
 };
 

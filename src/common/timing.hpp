@@ -56,17 +56,20 @@ inline void spin_for_ns(std::uint64_t ns) noexcept {
   while (now_ns() < deadline) std::this_thread::yield();
 }
 
-/// Busy-wait until an absolute now_ns() deadline. For callers that already
+/// Busy-wait until an absolute now_ns() deadline; returns the reading that
+/// ended the wait (at or past the deadline), so a caller that keeps its
+/// latest reading needs no read of its own. For callers that already
 /// anchored the deadline to a clock read: re-anchoring through spin_for_ns
-/// would cost an extra clock read per op (~35 ns on this host) and drift
-/// modeled time by it. Same yield policy as spin_for_ns.
-inline void spin_until_ns(std::uint64_t deadline) noexcept {
+/// would cost an extra clock read per op (~35 ns on a 4-vCPU x86 host) and
+/// drift modeled time by it. Same yield policy as spin_for_ns.
+inline std::uint64_t spin_until_ns(std::uint64_t deadline) noexcept {
   constexpr std::uint64_t kYieldThreshold = 5'000;  // 5 us
   std::uint64_t t = now_ns();
   while (t < deadline) {
     if (deadline - t > kYieldThreshold) std::this_thread::yield();
     t = now_ns();
   }
+  return t;
 }
 
 /// Robust summary statistics over a sample of measurements.

@@ -201,7 +201,7 @@ bool P2P::test(P2PRequest& req, Status* st) {
   FOMPI_REQUIRE(req.valid(), ErrClass::arg, "test on an invalid request");
   detail::ReqState& s = *req.state_;
   if (!s.done.load(std::memory_order_acquire)) return false;
-  if (s.ready_at.load(std::memory_order_relaxed) > now_ns()) return false;
+  if (s.ready_at.load(std::memory_order_relaxed) > model_now()) return false;
   FOMPI_REQUIRE(!s.truncated.load(std::memory_order_relaxed),
                 ErrClass::truncate, "message longer than receive buffer");
   if (st != nullptr) *st = s.status;

@@ -306,11 +306,11 @@ Scheduler::HandleWait Scheduler::heap_pop(std::vector<HandleWait>& heap) {
 
 void Scheduler::await_handle(Fiber& f, rdma::Handle h) {
   const std::uint64_t deadline = nic_.completion_deadline(h);
-  // now_cache_ (refreshed by poll_once) instead of a fresh clock read: a
-  // ~35 ns read per await is the difference between the saturated pipeline
-  // rate and the closed-form model. A stale cache only parks a due fiber
-  // on the heap, where the next poll retires it.
-  if (deadline == 0 || deadline <= now_cache_) {
+  // The NIC's latest reading instead of a fresh clock read: a ~35 ns read
+  // per await is the difference between the saturated pipeline rate and
+  // the closed-form model. A stale reading only parks a due fiber on the
+  // heap, where the next poll retires it.
+  if (deadline <= nic_.last_now()) {
     // Ready now (completed, failed at issue, or running without injected
     // time): retire on the spot. An await is still a yield point — the
     // fiber goes to the back of the runnable queue, keeping interleaving
@@ -324,7 +324,7 @@ void Scheduler::await_handle(Fiber& f, rdma::Handle h) {
 void Scheduler::await_epoch(Fiber& f) {
   nic_.batch_flush();  // batched ops get their completion time at the flush
   const std::uint64_t deadline = nic_.quiesce_deadline();
-  if (deadline == 0 || deadline <= now_cache_) {
+  if (deadline <= nic_.last_now()) {
     make_runnable(&f, nic_.gsync_status());
     return;
   }
@@ -355,7 +355,7 @@ void Scheduler::await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
 void Scheduler::await_ready(Fiber& f) { ready_waits_.push_back(&f); }
 
 void Scheduler::await_until(Fiber& f, std::uint64_t deadline) {
-  if (deadline == 0 || deadline <= now_cache_) {
+  if (deadline <= nic_.last_now()) {
     make_runnable(&f, rdma::OpStatus::ok);
     return;
   }
@@ -364,26 +364,31 @@ void Scheduler::await_until(Fiber& f, std::uint64_t deadline) {
 }
 
 void Scheduler::await_backoff(Fiber& f, std::uint64_t delay_ns) {
-  // Fresh clock read, not now_cache_: a backoff is a wall-time contract and
-  // the cache can be arbitrarily stale on a quiet scheduler.
-  await_until(f, now_ns() + delay_ns);
+  // A fresh read, not the NIC's latest: a backoff is a wall-time contract
+  // and the latest reading can be arbitrarily stale on a quiet scheduler.
+  await_until(f, nic_.now() + delay_ns);
 }
 
 void Scheduler::await_yield(Fiber& f) {
   (f.priority_ ? urgent_ : runnable_).push_back(&f);
 }
 
-bool Scheduler::admits(std::uint64_t cost_ns) const {
+bool Scheduler::admits(std::uint64_t cost_ns) {
   if (!urgent_.empty()) return false;
-  return prio_heap_.empty() || now_ns() + cost_ns <= prio_heap_.front().deadline;
+  if (prio_heap_.empty()) return true;
+  // Work started now ends by the deadline iff the latest start, deadline -
+  // cost, has not passed; a reading already past it refuses without a read.
+  const std::uint64_t deadline = prio_heap_.front().deadline;
+  return cost_ns <= deadline && !nic_.passed(deadline - cost_ns + 1);
 }
 
 bool Scheduler::wake_due(std::vector<HandleWait>& heap) {
   // The NIC retire path runs here and carries its typed status into the
-  // fiber. Anything becoming due after the caller's clock read is caught by
-  // the next poll.
+  // fiber; it reads no clock, since every woken deadline lies at or behind
+  // the NIC's latest reading. Anything becoming due after that reading is
+  // caught by the next poll.
   bool progressed = false;
-  while (!heap.empty() && heap.front().deadline <= now_cache_) {
+  while (!heap.empty() && heap.front().deadline <= nic_.last_now()) {
     const HandleWait w = heap_pop(heap);
     if (w.sleep) {
       make_runnable(w.fiber, rdma::OpStatus::ok);
@@ -391,7 +396,7 @@ bool Scheduler::wake_due(std::vector<HandleWait>& heap) {
       // More ops may have been issued while this fiber was parked: re-arm
       // on the grown quiesce deadline instead of spinning inside gsync.
       const std::uint64_t deadline = nic_.quiesce_deadline();
-      if (deadline > now_cache_) {
+      if (deadline > nic_.last_now()) {
         heap_push(HandleWait{deadline, w.fiber, rdma::kDoneHandle, true});
         continue;
       }
@@ -405,9 +410,14 @@ bool Scheduler::wake_due(std::vector<HandleWait>& heap) {
 }
 
 bool Scheduler::poll_once() {
-  // Due handle/epoch deadlines. One clock read covers both heaps (and
-  // refreshes the cache await_handle compares against).
-  if (!heap_.empty() || !prio_heap_.empty()) now_cache_ = now_ns();
+  // Due handle/epoch deadlines. At most one clock read covers both heaps:
+  // none when the NIC's latest reading already settles the earlier front.
+  if (!heap_.empty() || !prio_heap_.empty()) {
+    std::uint64_t first = ~std::uint64_t{0};
+    if (!heap_.empty()) first = heap_.front().deadline;
+    if (!prio_heap_.empty()) first = std::min(first, prio_heap_.front().deadline);
+    nic_.passed(first);
+  }
   bool progressed = wake_due(prio_heap_);
   if (wake_due(heap_)) progressed = true;
   for (auto it = notify_waits_.begin(); it != notify_waits_.end();) {
@@ -437,8 +447,7 @@ void Scheduler::run() {
     // A parked priority fiber is checked at every step boundary, so once
     // due it waits behind at most the step in progress. Without one this
     // is a single empty() test.
-    if (!prio_heap_.empty()) {
-      now_cache_ = now_ns();
+    if (!prio_heap_.empty() && nic_.passed(prio_heap_.front().deadline)) {
       wake_due(prio_heap_);
     }
     std::deque<Fiber*>& queue = urgent_.empty() ? runnable_ : urgent_;
@@ -447,10 +456,10 @@ void Scheduler::run() {
       queue.pop_front();
       ++switches_;
       // A chain of always-runnable fibers never reaches the idle path below;
-      // a periodic back-off step (its spin is reset after every fiber step)
-      // keeps even that loop abortable on peer death without taxing every
-      // switch.
-      if ((switches_ & 63u) == 0) dom.backoff_step(backoff);
+      // a periodic yield step keeps even that loop abortable on peer death
+      // without taxing every switch. No poll failed, so it neither spins
+      // nor counts a retry.
+      if ((switches_ & 63u) == 0) dom.yield_step();
       count(Op::fiber_switch);
       trace::emit(trace::EvClass::fiber, trace::EvPhase::begin, -1, f->id_);
       f->step(*this);
@@ -467,19 +476,21 @@ void Scheduler::run() {
     // keeps fault-kill semantics (a fleet abort unwinds out of run()), and
     // the back-off restarts whenever a wakeup fired. A parked priority
     // fiber is waited for as a blocking wait would be: the NIC waits for
-    // the next deadline (Nic::wait_model_time), the step runs only on every
-    // 64th pass, and the check at the top of the loop resumes the fiber.
+    // the next deadline (Nic::wait_model_time), whose last read settles the
+    // check at the top of the loop, and only every 64th pass takes a yield
+    // step (no spin, no retry: the NIC's wait is the back-off).
     if (poll_once()) {
       backoff.reset();
       continue;
     }
-    std::uint64_t wait_to = 0;
-    if (!prio_heap_.empty()) {
-      wait_to = prio_heap_.front().deadline;
-      if (!heap_.empty()) wait_to = std::min(wait_to, heap_.front().deadline);
+    if (prio_heap_.empty()) {
+      dom.backoff_step(backoff);
+      continue;
     }
-    if (wait_to == 0 || (++idle_spins_ & 63u) == 0) dom.backoff_step(backoff);
-    if (wait_to != 0) nic_.wait_model_time(wait_to);
+    std::uint64_t wait_to = prio_heap_.front().deadline;
+    if (!heap_.empty()) wait_to = std::min(wait_to, heap_.front().deadline);
+    if ((++idle_spins_ & 63u) == 0) dom.yield_step();
+    nic_.wait_model_time(wait_to);
   }
 }
 

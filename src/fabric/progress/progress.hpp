@@ -214,11 +214,18 @@ class Scheduler {
   /// checks it, so a due priority fiber waits behind at most the step in
   /// progress.
   void set_priority(Fiber& f, bool on) noexcept { f.priority_ = on; }
+  /// True while a priority fiber is parked on a deadline or runnable: the
+  /// only time admits() can refuse, so an ordinary fiber prices its work
+  /// only then.
+  bool priority_pending() const noexcept {
+    return !urgent_.empty() || !prio_heap_.empty();
+  }
   /// Admission for ordinary fibers: true when work whose modeled issue time
   /// is `cost_ns` (see issue_cost_ns) ends, started now, no later than the
   /// earliest deadline a priority fiber is parked on. Always true while no
-  /// priority fiber is parked or runnable.
-  bool admits(std::uint64_t cost_ns) const;
+  /// priority fiber is parked or runnable. The NIC's latest reading settles
+  /// a refusal; only an admission may cost a clock read.
+  bool admits(std::uint64_t cost_ns);
   /// Modeled issue time of a round of `ops` operations chained behind one
   /// inter-node doorbell (NetworkModel::doorbell_ns: the injection
   /// overhead once plus the chain links), scaled; 0 under Injection::none.
@@ -262,7 +269,8 @@ class Scheduler {
   /// (a matching record, or its source died with none left).
   bool notify_settled(const NotifyWait& w);
   bool poll_once();
-  /// Wakes every entry of `heap` due at now_cache_; true if any woke.
+  /// Wakes every entry of `heap` due at the NIC's latest reading; true if
+  /// any woke.
   bool wake_due(std::vector<HandleWait>& heap);
   void heap_push(HandleWait w);
   static HandleWait heap_pop(std::vector<HandleWait>& heap);
@@ -279,7 +287,6 @@ class Scheduler {
   std::size_t switches_ = 0;
   std::size_t idle_spins_ = 0;  ///< idle passes while a priority fiber parks
   std::uint32_t next_id_ = 0;
-  std::uint64_t now_cache_ = 0;  ///< last poll_once clock read (see .cpp)
 };
 
 }  // namespace progress

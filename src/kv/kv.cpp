@@ -4,7 +4,6 @@
 
 #include "common/instr.hpp"
 #include "common/rng.hpp"
-#include "common/timing.hpp"
 #include "fabric/progress/progress.hpp"
 #include "kv/zipf.hpp"
 
@@ -883,9 +882,10 @@ struct KvStore::ClientOp {
 // One round routine serves both drivers: issue_round() posts every live
 // machine's requests, and retire_round() retires them in issue order,
 // fails the round on every machine if the lead's generation is stale, then
-// advances each machine. drive() runs it on the calling thread, where each
-// retirement spins until its request's deadline; the fleet's fibers park
-// once per round until round_deadline() and retire after it.
+// advances each machine. drive() runs it on the calling thread, where the
+// first retirement spins until its request's deadline and the rest find
+// theirs behind the NIC's latest reading; the fleet's fibers park once per
+// round until the deadline issue_round() returns and retire after it.
 
 bool KvStore::live(RegionOp* const* ops, int n) {
   for (int i = 0; i < n; ++i) {
@@ -894,30 +894,19 @@ bool KvStore::live(RegionOp* const* ops, int n) {
   return false;
 }
 
-void KvStore::issue_round(RegionOp* const* ops, int n) {
+std::uint64_t KvStore::issue_round(RegionOp* const* ops, int n) {
   count(Op::kv_round);
   // A round's requests are independent by construction, so they chain
   // behind one doorbell: the rank pays the injection overhead once per
-  // round, plus a chain link per extra request.
+  // round, plus a chain link per extra request. The doorbells computed
+  // every request's completion, so the round's deadline is theirs, with
+  // no handle looked up.
   rdma::Nic& nic = fabric_->domain().nic(rank_);
   nic.batch_begin();
   for (int i = 0; i < n; ++i) {
     if (ops[i]->st != RegionOp::State::done) ops[i]->issue(*this, i == 0);
   }
-  nic.batch_flush();
-}
-
-std::uint64_t KvStore::round_deadline(RegionOp* const* ops, int n) {
-  std::uint64_t deadline = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int r = 0; r < ops[i]->nreq; ++r) {
-      const core::RmaRequest& req = ops[i]->req[r];
-      for (const auto h : req.handles()) {
-        deadline = std::max(deadline, req.nic()->completion_deadline(h));
-      }
-    }
-  }
-  return deadline;
+  return nic.batch_flush();
 }
 
 bool KvStore::retire_round(RegionOp* const* ops, int n) {
@@ -978,6 +967,35 @@ rdma::OpStatus KvStore::debug_read_copy(std::uint64_t key, bool replica,
   *found = op.found;
   *value = op.found ? op.value : 0;
   return op.status;
+}
+
+std::uint64_t KvStore::debug_round(const std::vector<std::uint64_t>& keys,
+                                   bool write, std::uint64_t value,
+                                   std::uint64_t* latest) {
+  std::vector<ClientOp> cs(keys.size());
+  std::vector<bool> started(keys.size());
+  std::vector<RegionOp*> ops;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    started[i] = start(cs[i], write ? Kind::put : Kind::read, keys[i],
+                       value) == rdma::OpStatus::pending;
+    for (int m = 0; started[i] && m < cs[i].n; ++m) ops.push_back(cs[i].ops[m]);
+  }
+  const int n = static_cast<int>(ops.size());
+  const std::uint64_t parked = issue_round(ops.data(), n);
+  *latest = 0;
+  for (RegionOp* op : ops) {
+    for (int r = 0; r < op->nreq; ++r) {
+      for (const auto h : op->req[r].handles()) {
+        *latest = std::max(*latest, op->req[r].nic()->completion_deadline(h));
+      }
+    }
+  }
+  retire_round(ops.data(), n);
+  drive(ops.data(), n);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (started[i]) run(cs[i], settle(cs[i]));
+  }
+  return parked;
 }
 
 // --- anti-entropy scrub ------------------------------------------------------
@@ -1246,9 +1264,12 @@ rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
 // due, its next round starts before any read step, and a read starts a
 // round only if the round's doorbell, its modeled issue time
 // (Scheduler::issue_cost_ns), ends before the write's next deadline
-// (Scheduler::admits). While the rank's write is in flight no fiber pulls
-// a new op, as when the write held the thread. A gated fiber parks on
-// poll_ready; it never yield-spins.
+// (Scheduler::admits); a read prices its round only while a priority
+// fiber is pending. While the rank's write is in flight no fiber pulls a
+// new op, as when the write held the thread. A gated fiber parks on
+// poll_ready; it never yield-spins. A fleet op's latency runs from its
+// pull to its retirement: the fiber's previous end stamp, unless it parked
+// at the pull since, to a fresh read of the NIC's clock.
 
 namespace {
 // Fiber-native backoff of a contended machine: doubles from the first to
@@ -1278,6 +1299,8 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
     return admitting ? fleet.sched.admits(cost) : !fleet.writing;
   }
 
+  /// Retires the op: one fresh end stamp, which the fiber's next op starts
+  /// from unless the fiber parks at the pull first.
   void record(rdma::OpStatus st) {
     FleetResult* res = fleet.res;
     // Retirement identity: every pulled op lands in exactly one bucket, so
@@ -1291,7 +1314,9 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
       default: ++res->failed_other; break;
     }
     if (c.hit) ++res->cache_hits;
-    const std::uint64_t dur = now_ns() - t0;
+    const std::uint64_t end = fleet.sched.nic().now();
+    const std::uint64_t dur = end - t0;
+    t0 = end;
     if (write) {
       ++res->writes;
       res->write_hist.add(dur);
@@ -1306,13 +1331,18 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
   void step(fabric::progress::Scheduler& s) override {
     FOMPI_FIBER_BEGIN();
     while (true) {
-      while (fleet.writing) FOMPI_FIBER_AWAIT_READY(s);
+      while (fleet.writing) {
+        t0 = 0;  // the previous end stamp no longer starts the next op
+        FOMPI_FIBER_AWAIT_READY(s);
+      }
       if (fleet.cursor >= fleet.ops.size()) break;
       at = fleet.cursor++;
       ++fleet.res->issued;
-      t0 = now_ns();
+      if (t0 == 0) t0 = s.nic().now();
       key = fleet.ops[at].key;
-      target = kv.owner_of(kv.shard_of(key));  // trace label
+      if (trace::bound_ring() != nullptr) {
+        target = kv.owner_of(kv.shard_of(key));  // trace label
+      }
       write = !fleet.ops[at].is_read;
       if (write) {
         fleet.writing = true;
@@ -1321,14 +1351,13 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
       st = kv.start(c, write ? Kind::put : Kind::read, key, key * 31 + 7);
       pause_ns = kContendNs;
       while (st == rdma::OpStatus::pending) {
-        if (!write) {
+        if (!write && s.priority_pending()) {
           cost = s.issue_cost_ns(c.copy[0].width(kv));  // a get: one copy
           admitting = true;
           while (!s.admits(cost)) FOMPI_FIBER_AWAIT_READY(s);
           admitting = false;
         }
-        kv.issue_round(c.ops, c.n);
-        deadline = kv.round_deadline(c.ops, c.n);
+        deadline = kv.issue_round(c.ops, c.n);
         FOMPI_FIBER_AWAIT_UNTIL(s, deadline);
         if (kv.retire_round(c.ops, c.n)) {
           FOMPI_FIBER_BACKOFF(s, pause_ns);
@@ -1350,7 +1379,8 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
   ClientOp c;
   rdma::OpStatus st = rdma::OpStatus::ok;
   std::size_t at = 0;
-  std::uint64_t t0 = 0, key = 0, deadline = 0, cost = 0;
+  std::uint64_t t0 = 0;  ///< the op's start stamp; 0 = read one at the pull
+  std::uint64_t key = 0, deadline = 0, cost = 0;
   std::uint64_t pause_ns = kContendNs;
   int target = 0;
   bool write = false;

@@ -255,6 +255,14 @@ class KvStore {
   /// Read twin of debug_write_copy: a versioned read of ONE copy.
   rdma::OpStatus debug_read_copy(std::uint64_t key, bool replica,
                                  std::uint64_t* value, bool* found);
+  /// Test seam for the round deadline: starts client ops on `keys` (puts
+  /// of `value` when `write`, else gets), posts their first rounds as ONE
+  /// round the way a fleet fiber does, and returns the deadline that round
+  /// parks on; `*latest` receives the latest Nic::completion_deadline over
+  /// the round's handles. Then drives every op to retirement.
+  std::uint64_t debug_round(const std::vector<std::uint64_t>& keys,
+                            bool write, std::uint64_t value,
+                            std::uint64_t* latest);
 
   // --- closed-loop DES client fleet ---------------------------------------
   struct FleetConfig {
@@ -361,15 +369,14 @@ class KvStore {
   // --- region-op drivers ----------------------------------------------------
   /// The round routine both drivers share. issue_round() posts every live
   /// machine's requests, ops[0] leading (it reads a client op's routing
-  /// generation), behind one NIC doorbell; round_deadline() is the last
-  /// completion deadline of the round in flight (0 when due now);
-  /// retire_round() retires the requests in issue order, which is the
-  /// order deferred delivery applies them in, fails every machine's round
-  /// on a stale generation, and advances every machine, returning true
-  /// when one of them contended.
+  /// generation), behind one NIC doorbell (one per 64 requests), and
+  /// returns the latest completion those doorbells computed: the round's
+  /// deadline (0 when due now); retire_round() retires the requests in
+  /// issue order, which is the order deferred delivery applies them in,
+  /// fails every machine's round on a stale generation, and advances
+  /// every machine, returning true when one of them contended.
   static bool live(RegionOp* const* ops, int n);
-  void issue_round(RegionOp* const* ops, int n);
-  static std::uint64_t round_deadline(RegionOp* const* ops, int n);
+  std::uint64_t issue_round(RegionOp* const* ops, int n);
   bool retire_round(RegionOp* const* ops, int n);
   /// Blocking driver: the round routine until every machine is done, each
   /// retirement spinning until its deadline; a contended round waits one

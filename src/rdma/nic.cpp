@@ -308,6 +308,7 @@ void Nic::batch_begin() {
   }
   batch_open_ = true;
   batch_explicit_ = true;
+  batch_done_ = 0;
   if (batch_entries_.capacity() < kBatchCapacity) {
     batch_entries_.reserve(kBatchCapacity);
   }
@@ -321,6 +322,7 @@ bool Nic::batch_accepts(std::size_t len) noexcept {
   // auto_batch: the first batchable op between sync points opens a scope.
   batch_open_ = true;
   batch_explicit_ = false;
+  batch_done_ = 0;
   return true;
 }
 
@@ -340,15 +342,16 @@ void Nic::batch_enqueue(const BatchEntry& e, bool inter) {
   batch_explicit_ = keep;
 }
 
-void Nic::batch_flush() {
-  if (!batch_open_) return;
+std::uint64_t Nic::batch_flush() {
+  if (!batch_open_) return 0;
   batch_open_ = false;
   batch_explicit_ = false;
   const std::size_t n = batch_ndesc_;
   batch_ndesc_ = 0;
   const bool inter = batch_inter_;
   batch_inter_ = false;
-  if (n == 0) return;
+  // A scope whose capacity flush rang its last descriptor rings none here.
+  if (n == 0) return batch_done_;
   ++doorbells_;
   count(Op::doorbell_ring);
 
@@ -372,7 +375,7 @@ void Nic::batch_flush() {
         domain_.model_ns(cfg.model.doorbell_ns(n, inter, channels_)));
     chain_ns = static_cast<std::uint64_t>(
         domain_.model_ns(cfg.model.batch_chain_latency_ns(n, channels_)));
-    start = batch_start_ != 0 ? batch_start_ : now_ns();
+    start = batch_start_ != 0 ? batch_start_ : now();
     modeled_ns_ += doorbell_ns;
   }
   batch_start_ = 0;
@@ -389,31 +392,39 @@ void Nic::batch_flush() {
       op->batch_pending = false;
       op->complete_at = done;
     }
-    if (done > latest_complete_at_) latest_complete_at_ = done;
+    if (done > batch_done_) batch_done_ = done;
   }
+  if (batch_done_ > latest_complete_at_) latest_complete_at_ = batch_done_;
   batch_entries_.clear();
   trace::emit(trace::EvClass::batch, trace::EvPhase::doorbell, -1, n,
               doorbell_ns, doorbell_end);
   // The origin is busy until the doorbell write retires; the wait routes
   // through the domain progress hook, so a batched spin still aborts on a
-  // dead fleet (Fabric::yield_check).
+  // dead fleet.
   wait_model_time(doorbell_end);
+  return batch_done_;
 }
 
-void Nic::wait_model_time(std::uint64_t deadline) const {
+void Nic::wait_model_time(std::uint64_t deadline) {
   if (domain_.config().inject != Injection::model) return;
+  // The latest reading is at most the current time, so a deadline at or
+  // behind it has passed: no clock read (a fiber woken by the scheduler's
+  // reading retires its ops here for free).
+  if (deadline <= now_) return;
   // A long wait is an unbounded (minutes under large time_scale) completion
   // spin: yield and poll the domain's progress hook so a peer failure
   // aborts the wait instead of letting the fleet hang on a dead rank. The
   // last 5 us busy-spin to the absolute deadline, for timing fidelity.
+  // The first read decides; the spin's reads are iterations, not counted.
   constexpr std::uint64_t kPoliteThreshold = 5'000;  // 5 us
-  std::uint64_t t = now_ns();
+  std::uint64_t t = now();
   while (t + kPoliteThreshold < deadline) {
     std::this_thread::yield();
     domain_.progress_check();
     t = now_ns();
   }
   while (t < deadline) t = now_ns();
+  now_ = t;
 }
 
 void Nic::charge_model_ns(double ns) {
@@ -421,7 +432,7 @@ void Nic::charge_model_ns(double ns) {
       static_cast<std::uint64_t>(std::max(0.0, domain_.model_ns(ns)));
   if (busy == 0) return;
   modeled_ns_ += busy;
-  const std::uint64_t done = now_ns() + busy;
+  const std::uint64_t done = now() + busy;
   if (done > latest_complete_at_) latest_complete_at_ = done;
   wait_model_time(done);
 }
@@ -648,17 +659,18 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
     const double scale = cfg.time_scale;
     model_lat = static_cast<std::uint64_t>(latency_ns * scale * fault_scale);
     if (!batched) {
-      // Not wait_model_time: the overhead spin never raises.
-      const std::uint64_t issue_start = now_ns();
+      // Not wait_model_time: the overhead spin never raises. Its last read
+      // becomes the latest reading.
+      const std::uint64_t issue_start = now();
       const auto busy = static_cast<std::uint64_t>(overhead_ns * scale);
       modeled_ns_ += busy;
-      spin_until_ns(issue_start + busy);
+      now_ = spin_until_ns(issue_start + busy);
       complete_at = issue_start + model_lat;
       latest_complete_at_ = std::max(latest_complete_at_, complete_at);
     } else if (batch_ndesc_ == 0 && batch_explicit_) {
       // The first post of an explicit chain opens its doorbell window,
       // read where an unbatched op reads its issue start (batch_flush).
-      batch_start_ = now_ns();
+      batch_start_ = now();
     }
   }
 
@@ -910,7 +922,7 @@ bool Nic::test_status(Handle h, OpStatus* out) {
   if (s->op.batch_pending) batch_flush();
   if (s->op.status == OpStatus::ok &&
       domain_.config().inject == Injection::model &&
-      now_ns() < s->op.complete_at) {
+      !passed(s->op.complete_at)) {
     *out = OpStatus::pending;
     return false;
   }

@@ -49,6 +49,7 @@
 
 #include "common/backoff.hpp"
 #include "common/buffer.hpp"
+#include "common/instr.hpp"
 #include "common/rng.hpp"
 #include "rdma/amo.hpp"
 #include "rdma/network_model.hpp"
@@ -180,6 +181,28 @@ class alignas(kCacheLine) Nic {
     return latest_complete_at_;
   }
 
+  // --- the rank's clock: the NIC is its one owner ----------------------------
+  /// A fresh clock read (now_ns) for an anchor: an op's issue start, an
+  /// explicit doorbell's first post, charge_model_ns, a fleet op's end
+  /// stamp, a backoff's start. It becomes the latest reading and counts one
+  /// Op::clock_read. Reads the clock under Injection::none too: wall-time
+  /// contracts (backoffs) still need it.
+  std::uint64_t now() noexcept {
+    count(Op::clock_read);
+    now_ = now_ns();
+    return now_;
+  }
+  /// The latest reading this NIC took; every modeled-time spin ends on
+  /// one. Never reads the clock, and never runs ahead of it.
+  std::uint64_t last_now() const noexcept { return now_; }
+  /// Has the absolute now_ns() `deadline` passed? The latest reading
+  /// settles a deadline at or behind it; only a later one costs a fresh
+  /// read (DESIGN.md §8: a deadline test asks the NIC; an anchor reads
+  /// fresh).
+  bool passed(std::uint64_t deadline) noexcept {
+    return deadline <= now_ || deadline <= now();
+  }
+
   // --- throughput mode: doorbell batching ------------------------------------
   /// Opens an explicit batch scope: subsequent batchable ops (contiguous
   /// and FMA-sized, i.e. below the model's bte_threshold) accumulate into
@@ -201,8 +224,11 @@ class alignas(kCacheLine) Nic {
   /// flush. No-op when no batch is open. Also invoked
   /// implicitly by gsync, by test/wait on a batch-pending handle, and once
   /// kBatchCapacity descriptors queue up (an explicit scope then stays
-  /// open, so its later ops chain behind the next doorbell).
-  void batch_flush();
+  /// open, so its later ops chain behind the next doorbell). Returns the
+  /// latest modeled completion among the descriptors of every doorbell the
+  /// scope rang, the one deadline a round of its ops waits for (0 when no
+  /// batch was open, and under Injection::none).
+  std::uint64_t batch_flush();
   /// True while a batch scope (explicit or auto) is open.
   bool batch_active() const noexcept { return batch_open_; }
   /// Descriptors enqueued in the open batch.
@@ -223,10 +249,12 @@ class alignas(kCacheLine) Nic {
   /// under Injection::none.
   void charge_model_ns(double ns);
   /// Blocks until the absolute now_ns() `deadline` under Injection::model
-  /// (returns at once otherwise). It yields and polls the domain's progress
-  /// hook while the deadline is more than 5 us away, so a wait on a dead
-  /// fleet aborts instead of hanging, then spins to the deadline.
-  void wait_model_time(std::uint64_t deadline) const;
+  /// (returns at once otherwise). A deadline at or behind the latest
+  /// reading returns without a clock read. It yields and polls the
+  /// domain's progress hook while the deadline is more than 5 us away, so
+  /// a wait on a dead fleet aborts instead of hanging, then spins to the
+  /// deadline; the read that ends the spin becomes the latest reading.
+  void wait_model_time(std::uint64_t deadline);
   /// Modeled busy time (ns, scaled) this NIC charged its rank so far:
   /// unbatched issue overheads, doorbells and charge_model_ns. Waits for
   /// completions are not counted. 0 under Injection::none.
@@ -449,6 +477,7 @@ class alignas(kCacheLine) Nic {
   std::vector<PendingOp*> drain_scratch_;  // gsync working set, recycled
   std::uint64_t latest_complete_at_ = 0;   // max completion time seen
   std::uint64_t modeled_ns_ = 0;           // see modeled_ns()
+  std::uint64_t now_ = 0;                  // see last_now()
 
   // Throughput mode. With the default NicConfig the issue path pays one
   // extra predictable branch (no batch open, auto_batch_ false).
@@ -459,6 +488,7 @@ class alignas(kCacheLine) Nic {
   bool batch_inter_ = false;     // any inter-node descriptor enqueued
   std::size_t batch_ndesc_ = 0;
   std::uint64_t batch_start_ = 0;  // first post of an explicit chain, or 0
+  std::uint64_t batch_done_ = 0;   // latest completion the scope assigned
   std::vector<BatchEntry> batch_entries_;  // capacity recycled across flushes
   std::uint64_t doorbells_ = 0;
 
@@ -533,11 +563,17 @@ class Domain {
   }
 
   // --- waiting: the one back-off step and the one dead-peer rule -----------
-  /// One back-off step of a blocking wait: one yield, then the progress
-  /// hook, then the exponential spin. Counts one Op::retry.
-  void backoff_step(Backoff& bo) const {
+  /// One yield, then the progress hook: a step that neither spins nor
+  /// counts, for a loop that stays abortable where no poll failed (the
+  /// fiber scheduler's periodic check between runnable fibers).
+  void yield_step() const {
     std::this_thread::yield();
     progress_check();
+  }
+  /// One back-off step of a blocking wait whose poll failed: yield_step,
+  /// then the exponential spin. Counts one Op::retry.
+  void backoff_step(Backoff& bo) const {
+    yield_step();
     bo.spin();
   }
   /// The `gone` of a wait that no death settles.

@@ -293,6 +293,61 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
       opts);
 }
 
+TEST(Kv, RoundParksOnTheDeadlineItsDoorbellsComputed) {
+  // A fleet round parks on the latest completion its doorbells computed,
+  // with no handle looked up; it must equal the latest completion deadline
+  // of the round's handles. Under the model, stretched 100x so that a
+  // doorbell's busy time outlasts the host's posting.
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.inject = rdma::Injection::model;
+  opts.domain.time_scale = 100;
+  fabric::run_ranks(
+      3,
+      [&](RankCtx& ctx) {
+        KvStore store(ctx);
+        const std::uint64_t seeded = key_owned_by(store, 2);
+        if (ctx.rank() == 1) {
+          ASSERT_EQ(store.put(seeded, 5), OpStatus::ok);
+        }
+        ctx.barrier();
+        if (ctx.rank() == 0) {
+          std::uint64_t latest = 0;
+          // 22 gets of never-written keys: 66 requests in one round, which
+          // ring two doorbells (64 + 2), and each get retires in it. The
+          // last get reads this rank's own memory, so the second doorbell,
+          // rung once the first one's busy time ended, completes before
+          // the first: the deadline must cover both.
+          std::vector<std::uint64_t> absent;
+          for (std::uint64_t k = 1'000'001; absent.size() < 21; ++k) {
+            if (store.owner_of(store.shard_of(k)) != 0) absent.push_back(k);
+          }
+          absent.push_back(key_owned_by(store, 0, 1'000'001));
+          const std::uint64_t db0 = ctx.nic().doorbells_rung();
+          EXPECT_EQ(store.debug_round(absent, false, 0, &latest), latest);
+          EXPECT_NE(latest, 0u);
+          EXPECT_EQ(ctx.nic().doorbells_rung() - db0, 2u);
+          // An uncached get round: a snapshot of a key another rank wrote.
+          EXPECT_EQ(store.debug_round({seeded}, false, 0, &latest), latest);
+          EXPECT_NE(latest, 0u);
+          // A hinted replicated put round: a take on each copy.
+          const std::uint64_t k = key_owned_by(store, 1);
+          ASSERT_EQ(store.replica_of(store.shard_of(k)), 2);
+          ASSERT_EQ(store.put(k, 1), OpStatus::ok);  // leaves the hints
+          EXPECT_EQ(store.debug_round({k}, true, 2, &latest), latest);
+          EXPECT_NE(latest, 0u);
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+          EXPECT_TRUE(found);
+          EXPECT_EQ(v, 2u);
+        }
+        ctx.barrier();
+        store.destroy(ctx);
+      },
+      opts);
+}
+
 TEST(Kv, ReaderSeeingNewValueNeverLeavesPeerCacheStale) {
   // Ranks 0 and 1 share a node (fast intra-node AMOs); the writer, rank 2,
   // sits behind a network whose AMO round trip is stretched to ~5 ms. B

@@ -265,6 +265,25 @@ TEST(Scheduler, FibersInterleaveRoundRobin) {
   EXPECT_EQ(sched.live(), 0u);
 }
 
+TEST(Scheduler, AlwaysRunnableFibersCountNoRetry) {
+  // Op::retry counts failed polls, and always-runnable fibers fail none:
+  // the abort check on every 64th switch is a yield step that neither
+  // spins nor counts, and it still polls the progress hook.
+  Domain dom(raw_domain(Injection::none));
+  int hooks = 0;
+  dom.set_progress_hook([](void* n) { ++*static_cast<int*>(n); }, &hooks);
+  progress::Scheduler sched(dom.nic(0));
+  std::string log;
+  for (int i = 0; i < 8; ++i) {
+    sched.spawn<LogFiber>(log, static_cast<char>('a' + i), 100);
+  }
+  const OpCounters before = op_counters();
+  sched.run();
+  EXPECT_GE(sched.switches(), 640u);
+  EXPECT_EQ(op_counters().since(before).get(Op::retry), 0u);
+  EXPECT_EQ(static_cast<std::size_t>(hooks), sched.switches() / 64);
+}
+
 TEST(Scheduler, SpawnDuringRunIsPickedUp) {
   Domain dom(raw_domain(Injection::none));
   progress::Scheduler sched(dom.nic(0));

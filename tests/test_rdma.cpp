@@ -689,6 +689,42 @@ TEST(Nic, RegistryChurnStormInvalidatesCaches) {
       opts);
 }
 
+TEST(Nic, DeadlineTestsAskTheLatestReading) {
+  // The NIC owns its rank's clock. A wait ends on a reading; a deadline at
+  // or behind it has passed, so waiting for it reads no clock and leaves
+  // the reading as it was. A later deadline costs one decision read (the
+  // spin's reads are iterations, not counted) and raises the reading to
+  // at least the deadline.
+  DomainConfig cfg = two_rank_internode();
+  cfg.inject = Injection::model;
+  Domain dom(cfg);
+  Nic& nic = dom.nic(0);
+  AlignedBuffer mem(64);
+  const RegionDesc d = dom.registry().register_region(1, mem.data(), 64);
+  nic.wait(nic.amo_nb(1, d, 0, AmoOp::fetch_add, 1, 0, nullptr));
+  const std::uint64_t seen = nic.last_now();
+  ASSERT_NE(seen, 0u);
+  const OpCounters before = op_counters();
+  nic.wait_model_time(seen);
+  nic.wait_model_time(seen - 1'000);
+  EXPECT_TRUE(nic.passed(seen));
+  EXPECT_EQ(nic.last_now(), seen);
+  EXPECT_EQ(op_counters().since(before).get(Op::clock_read), 0u);
+  const std::uint64_t later = seen + 20'000;  // past the 5 us polite spin
+  nic.wait_model_time(later);
+  EXPECT_GE(nic.last_now(), later);
+  EXPECT_TRUE(nic.passed(later));
+  EXPECT_EQ(op_counters().since(before).get(Op::clock_read), 1u);
+
+  // Without injected time there is nothing to wait for: no read at all.
+  Domain plain(two_rank_internode());
+  Nic& pn = plain.nic(0);
+  const OpCounters b2 = op_counters();
+  pn.wait_model_time(now_ns() + 1'000'000);
+  EXPECT_EQ(pn.last_now(), 0u);
+  EXPECT_EQ(op_counters().since(b2).get(Op::clock_read), 0u);
+}
+
 TEST(Nic, KilledPeerAbortsWaitSpin) {
   // Regression for the CLAUDE.md spin-loop rule: a rank parked in wait() on
   // a modeled completion must notice a peer failure through the progress
