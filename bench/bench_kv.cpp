@@ -165,7 +165,7 @@ double median_us(std::vector<std::uint64_t> ns) {
 double post_put_ceiling() {
   const sim::KvParams p;
   const double inside = sim::kv_post_recovery_put_us(p);
-  return (inside + p.amo_us / 2.0) / sim::kv_put_us(p);
+  return (inside + rdma::kGemini.amo_base_ns / 1e3 / 2.0) / sim::kv_put_us(p);
 }
 
 /// True if the cold reads are full reads: a top-cell one 2 AMOs and 1 get,

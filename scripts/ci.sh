@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
-#   0. Three lints over src/. Modeled time: outside src/rdma/ and
+#   0. Four lints over src/. Modeled time: outside src/rdma/ and
 #      src/common/timing.hpp no code line names the injection mode,
 #      time_scale or the spin waits; every other layer charges and waits
 #      for modeled time through Nic::charge_model_ns / Nic::wait_model_time.
@@ -12,7 +12,10 @@
 #      The rank's clock: outside src/rdma/, src/common/timing.hpp and
 #      src/trace/ no code line calls now_ns() (the fabric's hang watchdog
 #      and P2P::model_now excepted); a deadline test asks the NIC
-#      (Nic::passed, Nic::last_now), an anchor reads it fresh (Nic::now)
+#      (Nic::passed, Nic::last_now), an anchor reads it fresh (Nic::now).
+#      The cost model has one owner: no code line under src/simtime holds
+#      a Gemini constant (416 ns, 2.4 us, 45 ns, 1100 ns, 0.145 or 0.16
+#      ns/B) as a literal; the closed forms read rdma::kGemini
 #   1. Release build with warnings as errors + full ctest suite (the tier-1
 #      gate from ROADMAP.md), then the repo benchmark's own ctest
 #      (quantile_test + fompi_bench --smoke with its fleet correctness
@@ -106,6 +109,18 @@ if grep -rnE '\bnow_ns\(\)' src --include='*.cpp' --include='*.hpp' |
   grep -vE '^src/fabric/fabric\.cpp:[0-9]+:.*watchdog_deadline_ns_' |
   grep -vE '^src/fabric/p2p\.cpp:[0-9]+:std::uint64_t P2P::model_now\(\) '; then
   echo "the rank's clock read outside its owner, rdma::Nic (lines above)" >&2
+  exit 1
+fi
+
+# The cost model has one owner, rdma::NetworkModel (DESIGN.md §2): a closed
+# form in src/simtime that types a Gemini constant instead of reading
+# rdma::kGemini drifts from what the NIC charges once either changes. The
+# DES's own calibrations (congestion, flop rates, MPI-1 service, noise)
+# are not Gemini constants. Comment lines are exempt.
+if grep -rnE '(^|[^0-9.])(416(\.0)?|0\.416|2\.4|2400(\.0)?|0\.045|45(\.0)?|1100(\.0)?|0\.145|0\.16)([^0-9]|$)' \
+    src/simtime |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "a Gemini constant typed in src/simtime (lines above)" >&2
   exit 1
 fi
 

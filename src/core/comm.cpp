@@ -15,8 +15,8 @@
 //     are small and numerous, gather the origin into a recycled staging
 //     buffer and issue one contiguous transfer (puts), or fetch the block
 //     and scatter it locally (gets).
-// The choice comes from perf::DatatypePathModel so it tracks the modeled
-// chained-descriptor cost. For static windows (created/allocated/shared)
+// The choice comes from perf::DatatypePathModel, fed the chained-descriptor
+// cost of the NIC's own model. For static windows (created/allocated/shared)
 // resolve_target() is hoisted out of the fragment loop: one descriptor and
 // one span bounds check cover the whole transfer. Dynamic windows keep the
 // per-fragment resolution, since fragments may land in different attached
@@ -32,6 +32,13 @@ namespace fompi::core {
 namespace {
 
 constexpr perf::DatatypePathModel kDtPath{};
+
+/// Chain cost, under the NIC's model, of shipping `count` elements of `t`
+/// as one vectored op: what the chooser weighs packing against.
+double vectored_ns(const rdma::Nic& n, const dt::Datatype& t, int count) {
+  return n.domain().config().model.vec_chain_latency_ns(
+      t.block_count() * static_cast<std::size_t>(count));
+}
 
 /// Bytes a transfer of `count` elements of `t` may touch past its base
 /// displacement — the single hoisted bounds check of the static-window path.
@@ -144,9 +151,8 @@ void Win::issue_put(const void* origin, int ocount, const dt::Datatype& otype,
   RankState& rs = st();
 
   if (ttype.is_contiguous() &&
-      kDtPath.choose_put(otype.block_count() *
-                             static_cast<std::size_t>(ocount),
-                         len) == perf::DatatypePathModel::Strategy::pack) {
+      kDtPath.choose_put(vectored_ns(n, otype, ocount), len) ==
+          perf::DatatypePathModel::Strategy::pack) {
     // Pack protocol: gather the origin layout into the recycled staging
     // buffer, one contiguous transfer. The buffer is reusable as soon as
     // the NIC returns — it either applies the put at issue or stages the
@@ -229,9 +235,8 @@ void Win::issue_get(void* origin, int ocount, const dt::Datatype& otype,
   RankState& rs = st();
 
   if (ttype.is_contiguous() &&
-      kDtPath.choose_get(otype.block_count() *
-                             static_cast<std::size_t>(ocount),
-                         len) == perf::DatatypePathModel::Strategy::pack) {
+      kDtPath.choose_get(vectored_ns(n, otype, ocount), len) ==
+          perf::DatatypePathModel::Strategy::pack) {
     // Unpack protocol: one contiguous fetch into the recycled staging
     // buffer, scatter locally. The scatter needs the data, so this waits
     // for the transfer — the strategy model biases against it accordingly.

@@ -747,6 +747,11 @@ void Collectives::reduce_scatter_block_bytes(int rank, const void* src,
 
 // --- alltoall ---------------------------------------------------------------
 
+/// Largest block the alltoall sends by Bruck (given CollConfig's rank
+/// floor): each block is forwarded up to log p times, so larger blocks go
+/// direct.
+constexpr std::size_t kBruckCutoff = 1024;
+
 void Collectives::alltoall_bytes(int rank, const void* src,
                                  std::size_t block_bytes, void* dst) {
   const int p = nranks();
@@ -769,7 +774,7 @@ void Collectives::alltoall_bytes(int rank, const void* src,
     barrier(rank);
     return;
   }
-  if (block_bytes <= cfg_.bruck_cutoff && p >= cfg_.bruck_min_ranks) {
+  if (block_bytes <= kBruckCutoff && p >= cfg_.bruck_min_ranks) {
     const std::uint64_t seq = enter_data(
         rank, static_cast<std::size_t>(rounds_() * p) * block_bytes);
     alltoall_bruck(rank, src, block_bytes, dst, seq);

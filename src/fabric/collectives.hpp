@@ -66,15 +66,15 @@ struct CollConfig {
   /// instead of running the put/notify trees. 0 disables the fallback —
   /// every collective takes the RMA tree path (what forced-tree tests use).
   std::size_t flat_cutoff = 64;
-  /// Alltoall protocol switch: blocks at or below this take the Bruck
-  /// log-p algorithm (each block forwarded up to log p times); larger
-  /// blocks go direct (p-1 puts + an AMO arrival counter).
-  std::size_t bruck_cutoff = 1024;
-  /// Bruck additionally requires at least this many ranks: below it, the
-  /// direct path's single batched round (doorbell-chained puts at ~45 ns
-  /// apiece) is cheaper than Bruck's log-p *sequential* put+notify rounds,
-  /// both under the Gemini model and in host sync overhead. Lower it to 2
-  /// to force Bruck (what the forced-Bruck tests do).
+  /// Alltoall protocol switch: blocks at or below kBruckCutoff (1 KiB,
+  /// collectives.cpp) take the Bruck log-p algorithm (each block forwarded
+  /// up to log p times) when there are at least this many ranks; larger
+  /// blocks, or fewer ranks, go direct (p-1 puts + an AMO arrival
+  /// counter). Below the rank floor the direct path's single batched round
+  /// (doorbell-chained puts at ~45 ns apiece) is cheaper than Bruck's
+  /// log-p *sequential* put+notify rounds, both under the Gemini model and
+  /// in host sync overhead. Lower it to 2 to force Bruck (what the
+  /// forced-Bruck tests do).
   int bruck_min_ranks = 64;
 };
 

@@ -73,17 +73,16 @@ struct PaperModel {
 ///
 /// When the remote side of a transfer is one contiguous block, the origin
 /// layout can either be shipped as a vectored NIC op (chained descriptors
-/// behind one doorbell, `chain_ns` per extra fragment) or staged through a
-/// pack/unpack buffer (one contiguous transfer plus a local copy of every
-/// payload byte). Packing wins when fragments are small and numerous; the
-/// vector wins when fragments are few or large. The constants mirror
-/// rdma::NetworkModel::vec_chain_ns plus a memcpy-rate estimate, so the
-/// choice tracks the modeled hardware rather than a fixed fragment-count
-/// threshold.
+/// behind one doorbell) or staged through a pack/unpack buffer (one
+/// contiguous transfer plus a local copy of every payload byte). Packing
+/// wins when fragments are small and numerous; the vector wins when
+/// fragments are few or large. The caller passes the vector's chain cost
+/// from its NIC's model (rdma::NetworkModel::vec_chain_latency_ns); this
+/// struct holds only the memcpy-rate estimate, so the choice tracks the
+/// modeled hardware rather than a fixed fragment-count threshold.
 struct DatatypePathModel {
   enum class Strategy : std::uint8_t { vectored, pack };
 
-  double chain_ns = 45.0;        ///< per chained fragment beyond the first
   double pack_byte_ns = 0.25;    ///< local gather/scatter cost per byte
   double pack_setup_ns = 120.0;  ///< staging-buffer bookkeeping per call
   /// A packed get cannot unpack until the data lands, so it completes the
@@ -91,23 +90,21 @@ struct DatatypePathModel {
   /// margin before preferring it over a vectored get.
   double get_pack_bias = 4.0;
 
-  double vectored_ns(std::size_t nfrags) const noexcept {
-    return nfrags > 1 ? chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-  }
   double pack_ns(std::size_t payload_bytes) const noexcept {
     return pack_setup_ns + pack_byte_ns * static_cast<double>(payload_bytes);
   }
 
-  /// Put with a contiguous target: gather-and-send vs chained fragments.
-  Strategy choose_put(std::size_t nfrags,
+  /// Put with a contiguous target: gather-and-send vs chained fragments
+  /// whose chain costs `vectored_ns`.
+  Strategy choose_put(double vectored_ns,
                       std::size_t payload_bytes) const noexcept {
-    return pack_ns(payload_bytes) < vectored_ns(nfrags) ? Strategy::pack
-                                                        : Strategy::vectored;
+    return pack_ns(payload_bytes) < vectored_ns ? Strategy::pack
+                                                : Strategy::vectored;
   }
   /// Get with a contiguous target: fetch-and-unpack vs chained fragments.
-  Strategy choose_get(std::size_t nfrags,
+  Strategy choose_get(double vectored_ns,
                       std::size_t payload_bytes) const noexcept {
-    return pack_ns(payload_bytes) * get_pack_bias < vectored_ns(nfrags)
+    return pack_ns(payload_bytes) * get_pack_bias < vectored_ns
                ? Strategy::pack
                : Strategy::vectored;
   }

@@ -12,7 +12,9 @@
 //
 // This model drives (a) the latency injector of the simulated NIC, so that
 // real-time benchmarks of the real code path reproduce the paper's curve
-// shapes, and (b) the discrete-event simulator for scaling experiments.
+// shapes, and (b) the discrete-event simulator for scaling experiments:
+// every src/simtime closed form reads kGemini, the NIC's default profile,
+// so the DES charges what the NIC charges and holds no copy of a constant.
 #pragma once
 
 #include <cstddef>
@@ -67,12 +69,13 @@ struct NetworkModel {
   // Gemini FMA descriptors can be chained behind a single doorbell: a
   // vectored op pays the base latency once plus a small per-descriptor
   // chain cost, instead of the full base latency per fragment. This is the
-  // hardware mechanism the datatype path exploits (Sec 2.4).
-  double vec_chain_ns = 45.0;  ///< each chained fragment beyond the first
+  // hardware mechanism the datatype path exploits (Sec 2.4); a batched
+  // doorbell (below) chains independent ops over the same link.
+  double chain_ns = 45.0;  ///< each chained descriptor beyond the first
 
   /// Chain cost of `nfrags` fragments behind one doorbell (0 for one).
   double vec_chain_latency_ns(std::size_t nfrags) const noexcept {
-    return nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
+    return nfrags > 1 ? chain_ns * static_cast<double>(nfrags - 1) : 0.0;
   }
 
   /// Completion latency of a vectored put: `nfrags` chained fragments
@@ -95,7 +98,7 @@ struct NetworkModel {
   // Coalesced issue (Nic::batch_begin/batch_flush or NicConfig.auto_batch)
   // chains descriptors behind ONE doorbell, like vectored ops but across
   // independent operations: the software+doorbell overhead is paid once per
-  // batch and each extra descriptor costs batch_chain_ns on the wire. The
+  // batch and each extra descriptor costs chain_ns on the wire. The
   // overhead overlaps the wire as it does for an unbatched op, so each
   // descriptor completes its own latency plus the chain after the doorbell
   // starts (for an explicit scope, at its first descriptor's post). The KV
@@ -104,7 +107,6 @@ struct NetworkModel {
   // ordered memory channels; a chained batch drains round-robin across
   // them, and large BTE transfers stripe their payload over all channels at
   // the cost of one extra per-channel descriptor setup.
-  double batch_chain_ns = 45.0;    ///< per extra descriptor behind a doorbell
   double stripe_chunk_ns = 120.0;  ///< per extra channel: BTE stripe setup
 
   /// Wire time of an n-descriptor chained batch: the descriptors beyond the
@@ -114,7 +116,7 @@ struct NetworkModel {
     if (ndesc <= 1) return 0.0;
     const std::size_t ch = channels < 1 ? 1 : static_cast<std::size_t>(channels);
     const std::size_t links = ndesc - 1;
-    return batch_chain_ns * static_cast<double>((links + ch - 1) / ch);
+    return chain_ns * static_cast<double>((links + ch - 1) / ch);
   }
 
   /// Origin busy time of one doorbell chaining `ndesc` descriptors: the
@@ -146,6 +148,16 @@ struct NetworkModel {
            bte_byte_ns * per;
   }
 };
+
+/// The Blue Waters Gemini profile above: the NIC's default model and the one
+/// instance every src/simtime closed form reads. A second NIC profile is a
+/// second constexpr NetworkModel.
+inline constexpr NetworkModel kGemini{};
+
+/// Descriptors one doorbell chains: a batch that reaches it rings its
+/// doorbell (Nic::batch_enqueue), and sim_kv's recovery form charges one
+/// doorbell per this many scrub reads.
+inline constexpr std::size_t kDoorbellDescs = 64;
 
 /// Throughput-mode configuration of one simulated NIC (all default values
 /// preserve the latency-tuned PR-5 behaviour bit for bit).
@@ -201,7 +213,7 @@ enum class FaultKind : std::uint8_t {
   nic_timeout,       ///< FMA transaction timed out at the origin
   cq_error,          ///< the CQ reported an error completion
   dropped_doorbell,  ///< doorbell write lost; op re-rung after a timeout
-  latency_spike,     ///< op completes, but spike_scale times slower
+  latency_spike,     ///< op completes, but 8x slower (nic.cpp kSpikeScale)
 };
 
 const char* to_string(FaultKind k) noexcept;
@@ -224,8 +236,6 @@ struct FaultPlan {
   int max_repeats = 1;
   /// NIC retransmission budget per op (bounded exponential backoff).
   int retry_budget = 4;
-  /// Modeled-latency multiplier applied by latency_spike faults.
-  double spike_scale = 8.0;
   /// Rank scheduled to die (or hang) at its first issued op at-or-after
   /// kill_at_op (-1 = nobody dies).
   int kill_rank = -1;

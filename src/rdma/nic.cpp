@@ -143,7 +143,7 @@ Nic::Nic(Domain& domain, int rank)
   const NicConfig& nc = domain.config().nic;
   channels_ = std::max(1, nc.channels);
   auto_batch_ = nc.auto_batch;
-  if (auto_batch_) batch_entries_.reserve(kBatchCapacity);
+  if (auto_batch_) batch_entries_.reserve(kDoorbellDescs);
 
   const FaultPlan& plan = domain.config().fault;
   if (!plan.enabled()) return;
@@ -191,6 +191,9 @@ void Nic::update_next_fault_op() noexcept {
   if (kill_at < next) next = kill_at;
   next_fault_op_ = next;
 }
+
+/// Modeled-latency multiplier a latency_spike fault applies to its op.
+constexpr double kSpikeScale = 8.0;
 
 Nic::FaultVerdict Nic::pre_issue_fault_slow(int target, bool is_read,
                                             std::uint64_t my_op) {
@@ -241,7 +244,7 @@ Nic::FaultVerdict Nic::pre_issue_fault_slow(int target, bool is_read,
       count(Op::fault_injected);
       trace::emit(trace::EvClass::fault, trace::EvPhase::issue, target,
                   static_cast<std::uint64_t>(site.kind));
-      v.latency_scale *= plan.spike_scale;
+      v.latency_scale *= kSpikeScale;
       continue;
     }
     // Bounded retransmission. Attempt k of the op is faulted while
@@ -309,8 +312,8 @@ void Nic::batch_begin() {
   batch_open_ = true;
   batch_explicit_ = true;
   batch_done_ = 0;
-  if (batch_entries_.capacity() < kBatchCapacity) {
-    batch_entries_.reserve(kBatchCapacity);
+  if (batch_entries_.capacity() < kDoorbellDescs) {
+    batch_entries_.reserve(kDoorbellDescs);
   }
 }
 
@@ -333,7 +336,7 @@ void Nic::batch_enqueue(const BatchEntry& e, bool inter) {
     count(Op::pool_grow);
   }
   batch_entries_.push_back(e);
-  if (++batch_ndesc_ < kBatchCapacity) return;
+  if (++batch_ndesc_ < kDoorbellDescs) return;
   // A full chain rings its doorbell. An explicit scope stays open for the
   // rest of its ops; an auto scope reopens on the next batchable op.
   const bool keep = batch_explicit_;
@@ -356,7 +359,7 @@ std::uint64_t Nic::batch_flush() {
   count(Op::doorbell_ring);
 
   // One doorbell for the whole chain: the injection overhead is charged
-  // once, plus batch_chain_ns per extra descriptor — drained round-robin
+  // once, plus chain_ns per extra descriptor — drained round-robin
   // over the configured channels (per-channel ordering preserved). As for
   // an unbatched op, the overhead overlaps the wire: each descriptor
   // completes the chain plus its own latency after the doorbell starts,

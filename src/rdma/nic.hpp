@@ -212,7 +212,7 @@ class alignas(kCacheLine) Nic {
   /// doorbell) bypass the batch.
   void batch_begin();
   /// Rings the doorbell for the open batch (explicit or auto), charging
-  /// the injection overhead once plus batch_chain_ns per extra descriptor
+  /// the injection overhead once plus chain_ns per extra descriptor
   /// (divided round-robin across the configured channels;
   /// NetworkModel::doorbell_ns), and assigns every batched op its modeled
   /// completion time: the doorbell's start plus the chain plus the op's
@@ -223,7 +223,7 @@ class alignas(kCacheLine) Nic {
   /// inside the modeled overhead and chain; an auto scope's starts at the
   /// flush. No-op when no batch is open. Also invoked
   /// implicitly by gsync, by test/wait on a batch-pending handle, and once
-  /// kBatchCapacity descriptors queue up (an explicit scope then stays
+  /// kDoorbellDescs descriptors queue up (an explicit scope then stays
   /// open, so its later ops chain behind the next doorbell). Returns the
   /// latest modeled completion among the descriptors of every doorbell the
   /// scope rang, the one deadline a round of its ops waits for (0 when no
@@ -436,8 +436,6 @@ class alignas(kCacheLine) Nic {
     std::uint64_t lat_ns = 0;           ///< modeled op latency (scaled)
     static constexpr std::uint32_t kNoSlot2 = ~std::uint32_t{0};
   };
-  /// Descriptors chained behind one doorbell before an implicit flush.
-  static constexpr std::size_t kBatchCapacity = 64;
   /// True when the open (or to-be-opened auto) batch accepts this op: a
   /// batch scope is available and the op is FMA-sized (below the model's
   /// bte_threshold).
@@ -516,7 +514,7 @@ struct DomainConfig {
   bool shuffle_deferred = false;
   /// Multiplier on all injected model times (1.0 = realistic).
   double time_scale = 1.0;
-  NetworkModel model{};
+  NetworkModel model = kGemini;
   /// Throughput mode: doorbell batching and channel striping (defaults
   /// preserve the latency-tuned single-channel path).
   NicConfig nic{};

@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rdma/network_model.hpp"
+
 namespace fompi::sim {
 
 namespace {
+using rdma::kGemini;
+// The NIC's costs the forms read more than once, in microseconds.
+constexpr double kOverheadUs = kGemini.inter_overhead_ns / 1e3;
+constexpr double kIntraOverheadUs = kGemini.intra_overhead_ns / 1e3;
+constexpr double kPutBaseUs = kGemini.put_base_ns / 1e3;
+
 double log2d(double x) { return std::log2(std::max(2.0, x)); }
 }  // namespace
 
@@ -21,7 +29,7 @@ HashtableSeries simulate_hashtable(int p, const HashtableParams& prm) {
   // RMA transports: pipelined AMOs, injection limited.
   auto rma_rate = [&](double extra_us) {
     const double op_us =
-        (intra_frac * prm.intra_op_us + (1 - intra_frac) * prm.inter_op_us +
+        (intra_frac * kIntraOverheadUs + (1 - intra_frac) * kOverheadUs +
          extra_us) *
         ops_per_insert;
     return static_cast<double>(p) / op_us * 1e6 / 1e9;  // G inserts/s
@@ -36,9 +44,8 @@ HashtableSeries simulate_hashtable(int p, const HashtableParams& prm) {
   const double congestion =
       1.0 + prm.mpi1_congestion_c * log2d(p) * log2d(p);
   const double insert_cost_us =
-      intra_frac * (prm.intra_op_us + prm.mpi1_service_us * 0.4) +
-      (1 - intra_frac) *
-          (prm.inter_op_us + prm.mpi1_service_us * congestion);
+      intra_frac * (kIntraOverheadUs + prm.mpi1_service_us * 0.4) +
+      (1 - intra_frac) * (kOverheadUs + prm.mpi1_service_us * congestion);
   const double batch_us = prm.inserts_per_rank * insert_cost_us +
                           static_cast<double>(p) * prm.mpi1_notify_us;
   out.mpi1_ginserts = static_cast<double>(p) * prm.inserts_per_rank /
@@ -74,8 +81,8 @@ double simulate_msgrate_mops(const MsgRateParams& prm) {
   const double b = std::max(1, prm.batch);
   const double ch = std::max(1, prm.channels);
   const double chains = std::ceil((b - 1.0) / ch);
-  const double batch_ns =
-      prm.doorbell_overhead_ns + prm.sw_issue_ns * b + prm.chain_ns * chains;
+  const double batch_ns = kGemini.inter_overhead_ns + prm.sw_issue_ns * b +
+                          kGemini.chain_ns * chains;
   return b / batch_ns * 1e3;  // ns per batch -> Mops/s
 }
 
@@ -83,13 +90,12 @@ MilcSeries simulate_milc(int p, const MilcParams& prm) {
   const double comp_us = prm.local_sites * prm.flops_per_site /
                          (prm.flops_per_core_gfs * 1e9) * 1e6;
   // Halo exchange: 8 directions, message size fixed under weak scaling.
-  const double halo_bw_us = prm.halo_bytes * 0.16e-3;  // 0.16 ns/B
-  const double rma_halo_us =
-      8.0 * (prm.overhead_us + halo_bw_us) + prm.msg_latency_us +
-      2.4;  // flag AMO + flush
+  const double halo_bw_us = prm.halo_bytes * (kGemini.put_byte_ns / 1e3);
+  const double rma_halo_us = 8.0 * (kOverheadUs + halo_bw_us) + kPutBaseUs +
+                             kGemini.amo_base_ns / 1e3;  // flag AMO + flush
   const double mpi1_halo_us =
-      8.0 * (prm.overhead_us + halo_bw_us + prm.mpi1_halo_extra_us) +
-      2.0 * prm.msg_latency_us;
+      8.0 * (kOverheadUs + halo_bw_us + prm.mpi1_halo_extra_us) +
+      2.0 * kPutBaseUs;
   const double allreduce_us = prm.allreduce_per_log_us * log2d(p);
   const double noise = 1.0 + prm.noise_factor_per_log * log2d(p) * log2d(p);
 

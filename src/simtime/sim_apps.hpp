@@ -2,10 +2,12 @@
 //
 // The thread-rank runtime runs the real applications at up to dozens of
 // ranks (src/apps); these models extend the curves to the paper's scales
-// (32k / 64k / 512k processes) using calibrated per-operation costs and
-// flow arguments. Calibration constants are documented inline; the claims
-// these models support are about curve *shape* (who wins, where the
-// crossovers are), not absolute numbers.
+// (32k / 64k / 512k processes) using per-operation costs and flow
+// arguments. The Gemini costs come from the NIC's own model
+// (rdma::kGemini); the calibrations of the comparators, the flop rates and
+// the noise are documented inline. The claims these models support are
+// about curve *shape* (who wins, where the crossovers are), not absolute
+// numbers.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +19,6 @@ namespace fompi::sim {
 struct HashtableParams {
   int inserts_per_rank = 16384;
   int ranks_per_node = 32;       ///< Blue Waters XE6: 32 cores/node
-  double intra_op_us = 0.080;    ///< pipelined intra-node AMO issue
-  double inter_op_us = 0.416;    ///< pipelined inter-node AMO issue
   double upc_extra_us = 0.020;   ///< UPC runtime per-op cost on top
   double mpi1_service_us = 2.5;  ///< active-message handler + matching
   double mpi1_notify_us = 8.0;   ///< one termination-detection message
@@ -40,7 +40,8 @@ struct HashtableSeries {
   double mpi1_ginserts;
 };
 
-/// Throughput model: RMA inserts are pipelined and injection-limited; the
+/// Throughput model: RMA inserts are pipelined and injection-limited (an
+/// AMO issue costs the NIC model's intra- or inter-node overhead); the
 /// MPI-1 active-message scheme pays the handler service time plus an O(p)
 /// termination-detection phase per batch (each process notifies all
 /// others), which caps its scaling exactly as the paper describes.
@@ -80,16 +81,12 @@ FftSeries simulate_fft(int p, const FftParams& params = {});
 struct MsgRateParams {
   /// Software issue cost per descriptor (fast-path instruction veneer).
   double sw_issue_ns = 20.0;
-  /// Per-doorbell processor->NIC handoff (the Gemini inter_overhead_ns).
-  double doorbell_overhead_ns = 416.0;
-  /// Incremental NIC cost of walking one extra chained descriptor; matches
-  /// NetworkModel::batch_chain_ns.
-  double chain_ns = 45.0;
   int batch = 64;     ///< descriptors coalesced behind one doorbell
   int channels = 1;   ///< NIC channels walking the chain in parallel
 };
 
-/// Closed-form small-op injection rate in Mops/s:
+/// Closed-form small-op injection rate in Mops/s, with the NIC model's
+/// per-doorbell overhead (inter_overhead_ns) and chain link (chain_ns):
 ///
 ///   rate = batch / (overhead + sw*batch + chain * ceil((batch-1)/channels))
 ///
@@ -109,8 +106,6 @@ struct MilcParams {
   double flops_per_core_gfs = 1.0;
   int iterations = 4000;
   double halo_bytes = 4.0 * 4 * 8 * 2 * 72;  ///< 8-dir surface payload
-  double msg_latency_us = 1.0;
-  double overhead_us = 0.416;
   /// Extra per-direction cost of the MPI-1 halo exchange: matching, the
   /// rendezvous handshake of medium messages, and the serialization of
   /// eight sendrecv pairs — the overhead the UPC/foMPI scheme removes
@@ -127,7 +122,8 @@ struct MilcSeries {
 };
 
 /// Weak-scaling completion-time model: per-iteration compute + 8-direction
-/// halo exchange (transport-dependent) + convergence allreduce (log p).
+/// halo exchange (transport-dependent; the NIC model's put latency,
+/// overhead, per-byte and AMO costs) + convergence allreduce (log p).
 MilcSeries simulate_milc(int p, const MilcParams& params = {});
 
 }  // namespace fompi::sim

@@ -2,11 +2,17 @@
 // (src/fabric/collectives) at the paper's scales (up to 512k+ processes).
 //
 // The thread-rank runtime measures the real put/notify trees at up to a few
-// dozen ranks; these forms extend the curves using the same Gemini per-op
-// constants the runtime charges (network_model.hpp), so the claims they
-// support are about round-count *shape* — O(log p) for the tree
-// collectives, O(log nodes) for the hierarchical ones — not absolute
-// numbers.
+// dozen ranks; these forms extend the curves reading the NIC's own Gemini
+// model (rdma::kGemini), so the claims they support are about round-count
+// *shape* — O(log p) for the tree collectives, O(log nodes) for the
+// hierarchical ones — not absolute numbers.
+//
+// Model gap: the alltoallv form charges a leading barrier plus k counter
+// AMOs, the O(log p) + O(k) shape SimColl.AlltoallvSteadyStateIsLogPUpTo512k
+// pins. run_alltoallv runs no barrier and issues p - 1 counter AMOs per
+// rank (alltoallv_put_core), because the dense counter is what makes its
+// two landing banks safe: at p = 256 that is 4 doorbells and about 13 us of
+// busy time, against the form's 0.78 us for the AMO group.
 #pragma once
 
 #include <cstddef>
@@ -22,20 +28,6 @@ enum class CollOp {
 };
 
 struct CollParams {
-  /// One-way latency of a small (FMA-sized) inter-node put.
-  double put_base_us = 1.0;
-  /// Software/injection cost at the origin per issued op (matches the
-  /// Gemini inter_overhead_ns the runtime charges).
-  double overhead_us = 0.416;
-  /// Inter-node serialization per payload byte.
-  double put_byte_ns = 0.16;
-  /// Inter-node AMO latency (the alltoallv arrival counter).
-  double amo_us = 2.4;
-  /// Intra-node copy/put costs (the hierarchy's gather/release tier and
-  /// the flat fallback's modeled copy).
-  double intra_base_us = 0.35;
-  double intra_overhead_us = 0.08;
-  double intra_byte_ns = 0.08;
   /// Ranks per node: 1 = flat trees over all p ranks; > 1 enables the
   /// two-tier hierarchy (intra-node gather, inter-node tree over p /
   /// ranks_per_node leaders).

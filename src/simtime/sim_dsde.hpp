@@ -1,7 +1,9 @@
 // Dynamic sparse data exchange at scale (Fig 7b): the four protocols of
 // Hoefler et al. [15] — personalized alltoall, reduce_scatter, NBX
 // (nonblocking barrier + synchronous sends), and RMA accumulates in active
-// target mode — with k random neighbors per process.
+// target mode — with k random neighbors per process. Message latency,
+// injection overhead and the accumulate's AMO latency are the NIC's own
+// model (rdma::kGemini).
 #pragma once
 
 #include <cstdint>
@@ -11,9 +13,6 @@ namespace fompi::sim {
 struct DsdeParams {
   int k = 6;                    ///< random neighbors per process
   std::uint64_t seed = 42;
-  double msg_latency_us = 1.0;  ///< small-message one-way latency
-  double overhead_us = 0.416;   ///< injection overhead
-  double amo_latency_us = 2.4;  ///< remote accumulate latency
   /// Extra per-message software cost of the two-sided path (matching +
   /// synchronous-send handshake bookkeeping); the NBX rounds run over MPI
   /// point-to-point, not raw RDMA, which is why measured LibNBC sits above

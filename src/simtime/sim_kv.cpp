@@ -3,24 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rdma/network_model.hpp"
+
 namespace fompi::sim {
 
 namespace {
-constexpr double kChainUs = 0.045;  // batch_chain_ns under the model
-/// Descriptors one doorbell chains (the rdma Nic's batch capacity).
-constexpr std::uint64_t kDoorbellDescs = 64;
+using rdma::kGemini;
+// The NIC's costs (the header's amo, svc and chain), in microseconds.
+constexpr double kAmoUs = kGemini.amo_base_ns / 1e3;
+constexpr double kSvcUs = kGemini.inter_overhead_ns / 1e3;
+constexpr double kChainUs = kGemini.chain_ns / 1e3;
 
 /// One network round trip per round plus the origin's doorbell per round:
 /// the issue overhead once, then a chain link per extra request.
-double rounds_us(const KvParams& p, int rounds, int reqs) {
-  return rounds * (p.amo_us + p.amo_service_us) + (reqs - rounds) * kChainUs;
+double rounds_us(int rounds, int reqs) {
+  return rounds * (kAmoUs + kSvcUs) + (reqs - rounds) * kChainUs;
 }
 // A hit is one round (the cached cell's version), and so is the full
 // versioned read: {v1, the whole cell, v2}.
-double cached_us(const KvParams& p) { return rounds_us(p, 1, p.cached_amos); }
-double uncached_us(const KvParams& p) {
-  return rounds_us(p, 1, p.uncached_reqs);
-}
+double cached_us(const KvParams& p) { return rounds_us(1, p.cached_amos); }
+double uncached_us(const KvParams& p) { return rounds_us(1, p.uncached_reqs); }
 }  // namespace
 
 double kv_read_us(const KvParams& p, bool degraded) {
@@ -35,7 +37,7 @@ double kv_read_p99_us(const KvParams& p, bool degraded) {
 
 double kv_put_us(const KvParams& p, bool degraded) {
   const int regions = (p.replicate && !degraded) ? 2 : 1;
-  return rounds_us(p, p.put_rounds, regions * p.put_amos);
+  return rounds_us(p.put_rounds, regions * p.put_amos);
 }
 
 double kv_hot_shard_mass(const KvParams& p) {
@@ -61,7 +63,7 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p) {
       p.read_ratio * ((1.0 - p.hit_rate) * p.uncached_reqs +
                       p.hit_rate * p.cached_amos) +
       (1.0 - p.read_ratio) * p.put_amos;
-  const double serve_mops = 1.0 / (p.amo_service_us * reqs_per_op);
+  const double serve_mops = 1.0 / (kSvcUs * reqs_per_op);
   const double hot_cap = serve_mops / phi;
 
   return std::min(offered, hot_cap);
@@ -74,18 +76,18 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
       static_cast<double>((shard_bytes + chunk - 1) / chunk);
   // One chunked pass over a region image: the drain, and each copy's
   // snapshot in the scrub.
-  const double image_us = chunks * p.bte_setup_us +
-                          static_cast<double>(shard_bytes) * p.bte_byte_ns /
-                              1e3;
+  const double image_us = chunks * (kGemini.bte_setup_ns / 1e3) +
+                          static_cast<double>(shard_bytes) *
+                              kGemini.bte_byte_ns / 1e3;
   // The scrub's reads of every key on both copies overlap: one round,
   // uncached_reqs issued per key and copy, behind a doorbell per 64.
   const std::uint64_t reqs =
       2 * keys * static_cast<std::uint64_t>(p.uncached_reqs);
-  const std::uint64_t doorbells = (reqs + kDoorbellDescs - 1) / kDoorbellDescs;
-  const double reads_us =
-      p.amo_us + static_cast<double>(doorbells) * p.amo_service_us +
-      static_cast<double>(reqs - doorbells) * kChainUs;
-  const double gen_us = 2.0 * p.amo_us;  // claim CAS + release write
+  const std::uint64_t doorbells =
+      (reqs + rdma::kDoorbellDescs - 1) / rdma::kDoorbellDescs;
+  const double reads_us = kAmoUs + static_cast<double>(doorbells) * kSvcUs +
+                          static_cast<double>(reqs - doorbells) * kChainUs;
+  const double gen_us = 2.0 * kAmoUs;  // claim CAS + release write
   return 3.0 * image_us + reads_us + gen_us;
 }
 

@@ -5,7 +5,12 @@
 // curves to cluster scale. As with the figure models, the supported claims
 // are about curve *shape* — cache leverage, tail behavior under failover,
 // where a skewed workload saturates on the hottest shard — not absolute
-// numbers. Calibration constants are documented inline.
+// numbers. The Gemini costs come from the NIC's own model (rdma::kGemini):
+// an AMO round trip amo = amo_base_ns (2.4 us), the origin's doorbell svc =
+// inter_overhead_ns (0.416 us; also the NIC-side occupancy per served AMO,
+// so one shard owner sustains 1/0.416 ~ 2.4 M served AMOs/s), a chain link
+// chain = chain_ns (0.045 us) per request beyond a doorbell's first, and
+// the BTE setup and per-byte costs for recovery.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +18,6 @@
 namespace fompi::sim {
 
 struct KvParams {
-  /// One inter-node AMO round trip (Gemini FADD/CSWAP latency; matches the
-  /// inter_op latency the figure benches charge).
-  double amo_us = 2.4;
   /// Remote requests of a cache-validated hit: the cached cell's version.
   int cached_amos = 1;
   /// Remote requests of the full versioned read of a top cell, one round:
@@ -35,25 +37,13 @@ struct KvParams {
   int fibers = 8;            ///< in-flight ops per closed-loop client rank
   int shards = 8;
   double zipf_s = 0.9;       ///< key->shard popularity skew
-  /// NIC-side occupancy per served AMO (the Gemini per-op overhead): one
-  /// shard owner sustains 1/0.416 ~ 2.4 M served AMOs/s. The origin pays
-  /// it once per doorbell: a round's requests chain behind one doorbell,
-  /// each beyond the first for a 45 ns chain link (batch_chain_ns).
-  double amo_service_us = 0.416;
-
-  // --- recovery constants (DESIGN.md §13) -----------------------------------
-  /// BTE bulk-channel setup per drain chunk and per-byte streaming cost
-  /// (the src/simtime Gemini model's bte_setup_ns = 1100, bte_byte_ns =
-  /// 0.145 expressed in the units used here).
-  double bte_setup_us = 1.1;
-  double bte_byte_ns = 0.145;
 };
 
 /// Mean modeled get latency (us), each read charged like a put: one round
 /// trip per round plus the origin's doorbell per round, the issue overhead
 /// once and a chain link per extra request,
 ///
-///   h * (amo_us + svc) + (1 - h) * (amo_us + svc + 2 * chain)
+///   h * (amo + svc) + (1 - h) * (amo + svc + 2 * chain)
 ///
 /// = 2.82 us cached, 2.91 us uncached: both are one round, so the cache
 /// saves two chain links and their software cost, not round trips.
@@ -70,7 +60,7 @@ double kv_read_p99_us(const KvParams& p, bool degraded = false);
 
 /// Mean modeled put latency (us):
 ///
-///   put_rounds * (amo_us + svc) + (issued_AMOs - put_rounds) * chain
+///   put_rounds * (amo + svc) + (issued_AMOs - put_rounds) * chain
 ///
 /// one network round trip and one doorbell per overlapped round, plus a
 /// chain link per AMO beyond a round's first. Write-through replication
@@ -100,11 +90,12 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p = {});
 /// keys, and the overlapped read of every key on both copies (one round,
 /// uncached_reqs issued per copy and key; a healthy pair needs no repair
 /// round), plus the generation claim + release CAS pair. The read round's
-/// n requests ring ceil(n / 64) doorbells (a doorbell chains at most 64
-/// descriptors), each charged the issue overhead, plus a chain link per
-/// request beyond a doorbell's first. Linear in bytes at fixed chunking,
-/// linear in keys — and stream-dominated for large shard images, which is
-/// the shape test_simtime pins.
+/// n requests ring ceil(n / 64) doorbells (a doorbell chains at most
+/// rdma::kDoorbellDescs = 64 descriptors), each charged the issue
+/// overhead, plus a chain link per request beyond a doorbell's first.
+/// Linear in bytes at fixed chunking, linear in keys — and
+/// stream-dominated for large shard images, which is the shape
+/// test_simtime pins.
 double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
                       std::uint64_t keys, std::uint64_t chunk = 2048);
 

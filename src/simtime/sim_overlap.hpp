@@ -15,15 +15,21 @@
 // saturation, and the amo >= 4x headline the bench gates on).
 #pragma once
 
+#include "rdma/network_model.hpp"
+
 namespace fompi::sim {
 
 struct OverlapModel {
-  /// Origin injection overhead per op (Gemini inter_overhead_ns).
-  double overhead_ns = 416.0;
-  /// Issue-path software cost per op (scheduler switch + bookkeeping).
+  /// Origin injection overhead per op (the NIC model's inter_overhead_ns).
+  double overhead_ns = rdma::kGemini.inter_overhead_ns;
+  /// Issue-path software cost per op: one fiber switch plus the
+  /// completion-heap push/pop around each suspended op. Calibrated against
+  /// bench_overlap's software-only (Injection::none) rows, which measure
+  /// exactly this cost plus the NIC bookkeeping.
   double software_ns = 60.0;
-  /// Network completion latency of the pipelined op.
-  double latency_ns = 2400.0;
+  /// Network completion latency of the pipelined op (default: the NIC
+  /// model's AMO round trip).
+  double latency_ns = rdma::kGemini.amo_base_ns;
 
   /// Steady-state cost per op with `fibers` suspend-on-wait pipelines.
   double ns_per_op(int fibers) const noexcept {
@@ -51,8 +57,8 @@ struct OverlapModel {
   }
 };
 
-/// Factories charged with the Gemini model constants the runtime injects
-/// (rdma::NetworkModel defaults) for the three ops bench_overlap pipelines.
+/// Factories charged with the NIC's model (rdma::kGemini) for the three
+/// ops bench_overlap pipelines.
 OverlapModel overlap_model_put8();
 OverlapModel overlap_model_get8();
 OverlapModel overlap_model_amo8();

@@ -61,9 +61,9 @@ double simulate_dissemination_barrier(int p, const SyncParams& params) {
   return max_exit;
 }
 
-double simulate_pscw_ring(int p, const SyncParams& params,
-                          const PscwCosts& costs) {
+double simulate_pscw_ring(int p, const SyncParams& params) {
   if (p <= 1) return 0.0;
+  const perf::PaperModel costs;
   Sim sim;
   Rng rng(params.seed ^ 0xabcd);
 
@@ -146,23 +146,15 @@ FenceSeries simulate_fence_all(int p, std::uint64_t seed) {
 }
 
 PscwSeries simulate_pscw_all(int p, std::uint64_t seed) {
-  const perf::PaperModel pm;
   const perf::BaselineModel bm;
-  SyncParams sp;
-  sp.per_msg_overhead_us = pm.inject_inter_us;
-  sp.msg_latency_us = 1.0;
+  SyncParams sp;  // the NIC model's message latency
   sp.noise = Noise{p > 1024 ? 0.002 : 0.0, 5.0};
   sp.seed = seed;
-  PscwCosts costs;
-  costs.post_per_neighbor_us = pm.post_per_neighbor_us;
-  costs.complete_per_neighbor_us = pm.complete_per_neighbor_us;
-  costs.start_us = pm.start_us;
-  costs.wait_us = pm.wait_us;
   PscwSeries out;
-  out.fompi_us = simulate_pscw_ring(p, sp, costs);
+  out.fompi_us = simulate_pscw_ring(p, sp);
   // Cray MPI's PSCW carries a per-process software cost (Fig 6c: the
   // latency grows systematically with p).
-  out.craympi_us = simulate_pscw_ring(p, sp, costs) + bm.mpi22_pscw_base_us +
+  out.craympi_us = simulate_pscw_ring(p, sp) + bm.mpi22_pscw_base_us +
                    bm.mpi22_pscw_per_proc_ns * 1e-3 * p;
   return out;
 }

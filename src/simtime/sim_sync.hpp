@@ -3,15 +3,18 @@
 #pragma once
 
 #include "perfmodel/cost_functions.hpp"
+#include "rdma/network_model.hpp"
 #include "simtime/des.hpp"
 
 namespace fompi::sim {
 
 struct SyncParams {
-  /// One-way latency of an 8-byte notification message.
-  double msg_latency_us = 1.0;
-  /// Software cost at the origin per issued notification.
-  double per_msg_overhead_us = 0.416;
+  /// One-way latency of an 8-byte notification message (default: the NIC
+  /// model's small-put latency).
+  double msg_latency_us = rdma::kGemini.put_base_ns / 1e3;
+  /// Software cost at the origin per issued notification (default: the NIC
+  /// model's injection overhead).
+  double per_msg_overhead_us = rdma::kGemini.inter_overhead_ns / 1e3;
   Noise noise{};
   std::uint64_t seed = 42;
 };
@@ -22,16 +25,10 @@ struct SyncParams {
 double simulate_dissemination_barrier(int p, const SyncParams& params);
 
 /// Runs one PSCW epoch on a ring (k = 2 neighbors, the Fig 6c benchmark):
-/// every process posts to its neighbors, starts, completes, waits. Returns
-/// the time until the last process finished wait().
-struct PscwCosts {
-  double post_per_neighbor_us = 0.35;
-  double complete_per_neighbor_us = 0.35;
-  double start_us = 0.7;
-  double wait_us = 1.8;
-};
-double simulate_pscw_ring(int p, const SyncParams& params,
-                          const PscwCosts& costs = {});
+/// every process posts to its neighbors, starts, completes, waits, each
+/// call charged the paper's cost function (perf::PaperModel). Returns the
+/// time until the last process finished wait().
+double simulate_pscw_ring(int p, const SyncParams& params);
 
 /// Fence latency series for all transports of Fig 6b at one process count,
 /// using the calibrated per-round costs (foMPI 2.9us, UPC 2.0us, CAF 8us,

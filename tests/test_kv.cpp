@@ -7,6 +7,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <vector>
 
 #include "common/instr.hpp"
@@ -16,6 +17,7 @@
 #include "kv/kv.hpp"
 #include "kv/zipf.hpp"
 #include "rdma/network_model.hpp"
+#include "simtime/sim_kv.hpp"
 
 using namespace fompi;
 using fabric::RankCtx;
@@ -271,7 +273,15 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
   // Busy time under the model, both copies remote: a hinted put's two
   // rounds each ring one doorbell of 4 requests, 2 x (416 + 3 x 45) =
   // 1102 ns on the client's NIC (8 x 416 = 3328 ns at one doorbell per
-  // request).
+  // request). A get of the key just put snapshots the cell its entry kept
+  // (the entry drops the value): one doorbell of 3 requests, 416 + 2 x 45
+  // = 506 ns. Both equal sim_kv's forms less their round trips, to the
+  // nanosecond, so the closed forms cannot drift from the NIC's meter.
+  const sim::KvParams model;
+  const double rtt_us = rdma::kGemini.amo_base_ns / 1e3;
+  const auto form_ns = [](double us) {
+    return static_cast<std::uint64_t>(std::llround(us * 1e3));
+  };
   fabric::FabricOptions opts;
   opts.domain.ranks_per_node = 1;
   opts.domain.inject = rdma::Injection::model;
@@ -286,6 +296,17 @@ TEST(Kv, ReplicatedWriteRoundCounts) {
           const std::uint64_t m0 = ctx.nic().modeled_ns();
           EXPECT_EQ(store.put(k, 2), OpStatus::ok);
           EXPECT_EQ(ctx.nic().modeled_ns() - m0, 1102u);
+          EXPECT_EQ(ctx.nic().modeled_ns() - m0,
+                    form_ns(sim::kv_put_us(model) - model.put_rounds * rtt_us));
+          const std::uint64_t m1 = ctx.nic().modeled_ns();
+          std::uint64_t v = 0;
+          bool found = false;
+          EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
+          EXPECT_TRUE(found);
+          EXPECT_EQ(v, 2u);
+          EXPECT_EQ(ctx.nic().modeled_ns() - m1, 506u);
+          EXPECT_EQ(ctx.nic().modeled_ns() - m1,
+                    form_ns(sim::kv_read_p99_us(model) - rtt_us));
         }
         ctx.barrier();
         store.destroy(ctx);

@@ -391,7 +391,7 @@ TEST(Scheduler, AdmissionEndsBeforeTheEarliestPriorityDeadline) {
   // plus four chain links, scaled.
   EXPECT_EQ(sched.issue_cost_ns(5),
             static_cast<std::uint64_t>(
-                (cfg.model.inter_overhead_ns + 4 * cfg.model.batch_chain_ns) *
+                (cfg.model.inter_overhead_ns + 4 * cfg.model.chain_ns) *
                 2));
   auto& sleeper = sched.spawn<PrioritySleeper>(20'000'000);  // 20 ms
   auto& probe = sched.spawn<AdmissionProbe>(sleeper);

@@ -396,7 +396,7 @@ TEST(Nic, ModeledLatencyMatchesCostModel) {
   const TraceBind bind(&ring);
   const NetworkModel m;
   const auto chain = [&](std::size_t nfrags) {
-    return nfrags > 1 ? m.vec_chain_ns * static_cast<double>(nfrags - 1)
+    return nfrags > 1 ? m.chain_ns * static_cast<double>(nfrags - 1)
                       : 0.0;
   };
   constexpr std::size_t kBte = 8192;  // >= bte_threshold

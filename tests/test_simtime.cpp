@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "rdma/network_model.hpp"
 #include "simtime/des.hpp"
 #include "simtime/sim_apps.hpp"
 #include "simtime/sim_coll.hpp"
@@ -213,7 +214,7 @@ TEST(SimMsgRate, ChannelsMonotonicallyRaiseTheBatchedRate) {
   MsgRateParams wide;
   wide.channels = 1 << 20;
   const double cap =
-      wide.batch / (wide.doorbell_overhead_ns +
+      wide.batch / (rdma::kGemini.inter_overhead_ns +
                     wide.sw_issue_ns * wide.batch) * 1e3;
   EXPECT_LE(simulate_msgrate_mops(wide), cap * 1.001);
 }
@@ -264,8 +265,8 @@ TEST(SimColl, BarrierFormCrossChecksAgainstDes) {
   // barrier (sim_sync) when fed the same per-round constants.
   CollParams c;
   SyncParams sp;
-  sp.msg_latency_us = c.put_base_us;
-  sp.per_msg_overhead_us = c.overhead_us;
+  sp.msg_latency_us = rdma::kGemini.put_base_ns / 1e3;
+  sp.per_msg_overhead_us = rdma::kGemini.inter_overhead_ns / 1e3;
   sp.noise = Noise{};  // deterministic
   for (int p : {8, 64, 1024, 32768}) {
     const double closed = simulate_coll_us(CollOp::barrier, p, c);
@@ -510,7 +511,8 @@ TEST(SimKvRecovery, PostRecoveryPutAddsARequestNotARound) {
   KvParams p;
   EXPECT_NEAR(kv_post_recovery_put_us(p), 2 * (2.4 + 0.416) + 7 * 0.045,
               1e-9);
-  EXPECT_LT(kv_post_recovery_put_us(p), kv_put_us(p) + p.amo_us);
+  EXPECT_LT(kv_post_recovery_put_us(p),
+            kv_put_us(p) + rdma::kGemini.amo_base_ns / 1e3);
 }
 
 TEST(SimKvRecovery, ChunkingOnlyAddsSetupOverhead) {
