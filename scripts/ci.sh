@@ -23,7 +23,9 @@
 #   2. Seeded chaos gate: the fault-injection suite (hashtable + DSDE +
 #      KV-service workloads under a survivable fault plan, seeds 11/22/33
 #      baked into tests/test_fault.cpp and tests/test_kv.cpp) repeated to
-#      confirm the counters are a pure function of the seed, plus the
+#      confirm the counters are a pure function of the seed, the
+#      suspended-fiber-fleet kill (FaultChaos: 32 parked fibers must all
+#      unwind typed, whichever were parked when the peer died), plus the
 #      recovery-chaos suite (staggered double kills + heal-until-settled
 #      under the same seeds) repeated to confirm the self-healing
 #      invariants hold across thread schedules
@@ -138,7 +140,9 @@ ctest --test-dir build-benchmark --output-on-failure
 
 # Chaos determinism: each Chaos test runs its workload twice per seed and
 # asserts identical injected/retried/failed counters; repeating the whole
-# suite catches any schedule-order dependence the single run misses. The
+# suite catches any schedule-order dependence the single run misses. In
+# FaultChaos, which of its 32 fibers are parked, on a deadline or on a
+# ready-poll, when rank 1 dies depends on the thread schedule. The
 # KvChaos suite also holds the writer-death sweep (the writer killed at
 # every op index of one replicated put; survivors must never hang), whose
 # lock revocations race the survivors' reads differently on every run. The
@@ -148,8 +152,8 @@ ctest --test-dir build-benchmark --output-on-failure
 # sometimes lands a write inside one read's snapshot window, so a broken
 # version bracket can slip through a single run, and the KvRecovery
 # suite's routing refetches and stale clients race a coordinator.
-./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
-  --gtest_brief=1
+./build/tests/test_fault --gtest_filter='Chaos.*:FaultChaos.*' \
+  --gtest_repeat=3 --gtest_brief=1
 ./build/tests/test_kv \
   --gtest_filter='KvChaos.*:KvScrub.*:KvFleet.*:KvSeqlock.*:KvRecovery.*' \
   --gtest_repeat=3 --gtest_brief=1

@@ -31,7 +31,7 @@ namespace fompi::core {
 
 namespace {
 
-constexpr perf::DatatypePathModel kDtPath{};
+using DtPath = perf::DatatypePathModel;
 
 /// Chain cost, under the NIC's model, of shipping `count` elements of `t`
 /// as one vectored op: what the chooser weighs packing against.
@@ -151,8 +151,8 @@ void Win::issue_put(const void* origin, int ocount, const dt::Datatype& otype,
   RankState& rs = st();
 
   if (ttype.is_contiguous() &&
-      kDtPath.choose_put(vectored_ns(n, otype, ocount), len) ==
-          perf::DatatypePathModel::Strategy::pack) {
+      DtPath::choose_put(vectored_ns(n, otype, ocount), len) ==
+          DtPath::Strategy::pack) {
     // Pack protocol: gather the origin layout into the recycled staging
     // buffer, one contiguous transfer. The buffer is reusable as soon as
     // the NIC returns — it either applies the put at issue or stages the
@@ -235,8 +235,8 @@ void Win::issue_get(void* origin, int ocount, const dt::Datatype& otype,
   RankState& rs = st();
 
   if (ttype.is_contiguous() &&
-      kDtPath.choose_get(vectored_ns(n, otype, ocount), len) ==
-          perf::DatatypePathModel::Strategy::pack) {
+      DtPath::choose_get(vectored_ns(n, otype, ocount), len) ==
+          DtPath::Strategy::pack) {
     // Unpack protocol: one contiguous fetch into the recycled staging
     // buffer, scatter locally. The scatter needs the data, so this waits
     // for the transfer — the strategy model biases against it accordingly.

@@ -104,7 +104,7 @@ class RmaRequest {
   }
   rdma::Nic* nic() const noexcept { return nic_; }
   /// Releases the request without waiting: the caller retired every handle
-  /// itself (e.g. through Scheduler::await_handle).
+  /// itself (e.g. through FOMPI_FIBER_AWAIT).
   void dismiss() noexcept {
     nic_ = nullptr;
     n_ = 0;
@@ -293,8 +293,9 @@ class Win {
                               fabric::progress::NotifyRecord* out,
                               std::size_t max, int source = -1,
                               rdma::OpStatus* status = nullptr);
-  /// The underlying plane (null before notify_enable); fibers park on it
-  /// through Scheduler::await_notify.
+  /// The underlying plane (null before notify_enable); a fiber waits on it
+  /// through FOMPI_FIBER_AWAIT_READY, probing from its poll_ready and
+  /// settling through rdma::Domain::poll.
   fabric::progress::NotifyPlane* notify_plane();
 
   // --- diagnostics ---------------------------------------------------------------

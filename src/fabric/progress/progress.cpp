@@ -220,11 +220,6 @@ bool NotifyPlane::probe(int me, std::uint64_t tag, NotifyRecord* out) {
   return match(me, tag, out, 1) == 1;
 }
 
-bool NotifyPlane::source_dead(int rank) const {
-  const auto& d = fabric_.domain();
-  return d.death_epoch() != 0 && !d.alive(rank);
-}
-
 std::size_t NotifyPlane::waitsome(int me, std::uint64_t tag,
                                   NotifyRecord* out, std::size_t max,
                                   int source, rdma::OpStatus* status) {
@@ -261,6 +256,13 @@ std::uint64_t NotifyPlane::consumed(int me) const {
 
 // --- Scheduler --------------------------------------------------------------
 
+namespace {
+// Min-heap order of the deadline heaps.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.deadline > b.deadline;
+};
+}  // namespace
+
 Scheduler::Scheduler(rdma::Nic& nic) : nic_(nic) {}
 
 std::uint64_t Scheduler::issue_cost_ns(int ops) const noexcept {
@@ -280,97 +282,32 @@ Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {
   return f;
 }
 
-void Scheduler::make_runnable(Fiber* f, rdma::OpStatus st) {
-  f->wake_status_ = st;
+void Scheduler::make_runnable(Fiber* f) {
   (f->priority_ ? urgent_ : runnable_).push_back(f);
-}
-
-void Scheduler::heap_push(HandleWait w) {
-  auto& heap = w.fiber->priority_ ? prio_heap_ : heap_;
-  heap.push_back(w);
-  std::push_heap(heap.begin(), heap.end(),
-                 [](const HandleWait& a, const HandleWait& b) {
-                   return a.deadline > b.deadline;
-                 });
-}
-
-Scheduler::HandleWait Scheduler::heap_pop(std::vector<HandleWait>& heap) {
-  std::pop_heap(heap.begin(), heap.end(),
-                [](const HandleWait& a, const HandleWait& b) {
-                  return a.deadline > b.deadline;
-                });
-  const HandleWait w = heap.back();
-  heap.pop_back();
-  return w;
-}
-
-void Scheduler::await_handle(Fiber& f, rdma::Handle h) {
-  const std::uint64_t deadline = nic_.completion_deadline(h);
-  // The NIC's latest reading instead of a fresh clock read: a ~35 ns read
-  // per await is the difference between the saturated pipeline rate and
-  // the closed-form model. A stale reading only parks a due fiber on the
-  // heap, where the next poll retires it.
-  if (deadline <= nic_.last_now()) {
-    // Ready now (completed, failed at issue, or running without injected
-    // time): retire on the spot. An await is still a yield point — the
-    // fiber goes to the back of the runnable queue, keeping interleaving
-    // fair even when every op completes at issue.
-    make_runnable(&f, nic_.wait_status(h));
-    return;
-  }
-  heap_push(HandleWait{deadline, &f, h, /*epoch=*/false});
-}
-
-void Scheduler::await_epoch(Fiber& f) {
-  nic_.batch_flush();  // batched ops get their completion time at the flush
-  const std::uint64_t deadline = nic_.quiesce_deadline();
-  if (deadline <= nic_.last_now()) {
-    make_runnable(&f, nic_.gsync_status());
-    return;
-  }
-  heap_push(HandleWait{deadline, &f, rdma::kDoneHandle, /*epoch=*/true});
-}
-
-bool Scheduler::notify_settled(const NotifyWait& w) {
-  Fiber& f = *w.fiber;
-  if (w.plane->probe(rank(), w.tag, &f.wake_record_)) {
-    make_runnable(&f, rdma::OpStatus::ok);
-    return true;
-  }
-  if (w.source < 0 || !w.plane->source_dead(w.source)) return false;
-  // The producer stamps its records before its death mark: probe once more
-  // after seeing the death, and report it only if still nothing matched.
-  make_runnable(&f, w.plane->probe(rank(), w.tag, &f.wake_record_)
-                        ? rdma::OpStatus::ok
-                        : rdma::OpStatus::peer_dead);
-  return true;
-}
-
-void Scheduler::await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
-                             int source) {
-  const NotifyWait w{&f, &plane, tag, source};
-  if (!notify_settled(w)) notify_waits_.push_back(w);
 }
 
 void Scheduler::await_ready(Fiber& f) { ready_waits_.push_back(&f); }
 
 void Scheduler::await_until(Fiber& f, std::uint64_t deadline) {
+  // The NIC's latest reading instead of a fresh clock read: a ~35 ns read
+  // per park is the difference between the saturated pipeline rate and
+  // the closed-form model. A stale reading only parks a due fiber on the
+  // heap, where the next poll wakes it. A due park is still a yield point
+  // — the fiber goes to the back of the runnable queue, keeping
+  // interleaving fair even when every op completes at issue.
   if (deadline <= nic_.last_now()) {
-    make_runnable(&f, rdma::OpStatus::ok);
+    make_runnable(&f);
     return;
   }
-  heap_push(HandleWait{deadline, &f, rdma::kDoneHandle, /*epoch=*/false,
-                       /*sleep=*/true});
+  auto& heap = f.priority_ ? prio_heap_ : heap_;
+  heap.push_back(Parked{deadline, &f});
+  std::push_heap(heap.begin(), heap.end(), kLater);
 }
 
 void Scheduler::await_backoff(Fiber& f, std::uint64_t delay_ns) {
   // A fresh read, not the NIC's latest: a backoff is a wall-time contract
   // and the latest reading can be arbitrarily stale on a quiet scheduler.
   await_until(f, nic_.now() + delay_ns);
-}
-
-void Scheduler::await_yield(Fiber& f) {
-  (f.priority_ ? urgent_ : runnable_).push_back(&f);
 }
 
 bool Scheduler::admits(std::uint64_t cost_ns) {
@@ -382,36 +319,23 @@ bool Scheduler::admits(std::uint64_t cost_ns) {
   return cost_ns <= deadline && !nic_.passed(deadline - cost_ns + 1);
 }
 
-bool Scheduler::wake_due(std::vector<HandleWait>& heap) {
-  // The NIC retire path runs here and carries its typed status into the
-  // fiber; it reads no clock, since every woken deadline lies at or behind
-  // the NIC's latest reading. Anything becoming due after that reading is
-  // caught by the next poll.
+bool Scheduler::wake_due(std::vector<Parked>& heap) {
+  // Reads no clock: every woken deadline lies at or behind the NIC's
+  // latest reading. Anything becoming due after that reading is caught by
+  // the next poll.
   bool progressed = false;
   while (!heap.empty() && heap.front().deadline <= nic_.last_now()) {
-    const HandleWait w = heap_pop(heap);
-    if (w.sleep) {
-      make_runnable(w.fiber, rdma::OpStatus::ok);
-    } else if (w.epoch) {
-      // More ops may have been issued while this fiber was parked: re-arm
-      // on the grown quiesce deadline instead of spinning inside gsync.
-      const std::uint64_t deadline = nic_.quiesce_deadline();
-      if (deadline > nic_.last_now()) {
-        heap_push(HandleWait{deadline, w.fiber, rdma::kDoneHandle, true});
-        continue;
-      }
-      make_runnable(w.fiber, nic_.gsync_status());
-    } else {
-      make_runnable(w.fiber, nic_.wait_status(w.handle));
-    }
+    std::pop_heap(heap.begin(), heap.end(), kLater);
+    make_runnable(heap.back().fiber);
+    heap.pop_back();
     progressed = true;
   }
   return progressed;
 }
 
 bool Scheduler::poll_once() {
-  // Due handle/epoch deadlines. At most one clock read covers both heaps:
-  // none when the NIC's latest reading already settles the earlier front.
+  // Due deadlines. At most one clock read covers both heaps: none when the
+  // NIC's latest reading already settles the earlier front.
   if (!heap_.empty() || !prio_heap_.empty()) {
     std::uint64_t first = ~std::uint64_t{0};
     if (!heap_.empty()) first = heap_.front().deadline;
@@ -420,17 +344,9 @@ bool Scheduler::poll_once() {
   }
   bool progressed = wake_due(prio_heap_);
   if (wake_due(heap_)) progressed = true;
-  for (auto it = notify_waits_.begin(); it != notify_waits_.end();) {
-    if (notify_settled(*it)) {
-      it = notify_waits_.erase(it);
-      progressed = true;
-    } else {
-      ++it;
-    }
-  }
   for (auto it = ready_waits_.begin(); it != ready_waits_.end();) {
     if ((*it)->poll_ready()) {
-      make_runnable(*it, rdma::OpStatus::ok);
+      make_runnable(*it);
       it = ready_waits_.erase(it);
       progressed = true;
     } else {

@@ -18,14 +18,17 @@
 //     with explicit continuation frames instead of stackful coroutines:
 //     every fiber runs on its rank's own thread, so the engine is
 //     TSan-clean and a context switch costs nanoseconds, not a sigmask
-//     save). `await(handle)` parks the fiber on the op's modeled
-//     completion deadline, `await_notify(tag)` on the notify plane,
-//     `await_epoch()` on the NIC's quiesce deadline; the scheduler's
-//     retire path makes them runnable again. A rank with N fibers keeps N
-//     ops in flight while burning issue overhead only — no spin between
-//     issue and completion. The single idle loop takes the domain's
-//     back-off step, so fault kills unwind parked fleets with typed
-//     statuses instead of hanging them. Priority fibers resume
+//     save). A fiber parks on one of two things: a deadline on the
+//     scheduler's heaps (AWAIT_UNTIL, BACKOFF) or its own poll_ready()
+//     (AWAIT_READY). A handle wait, AWAIT(h), is a deadline plus a
+//     retire: it parks until the op's modeled completion deadline, then
+//     the fiber retires the handle itself. A wait on a condition (a notify
+//     tag, a flag) is a ready-poll that settles through
+//     rdma::Domain::poll, which holds the one dead-peer rule. A rank with
+//     N fibers keeps N ops in flight while burning issue overhead only —
+//     no spin between issue and completion. The single idle loop takes
+//     the domain's back-off step, so fault kills unwind parked fleets with
+//     typed statuses instead of hanging them. Priority fibers resume
 //     before ordinary ones; while one is parked on a deadline, every step
 //     boundary checks that deadline, and admits() tells an ordinary fiber
 //     whether work of a given modeled issue time ends before it.
@@ -113,9 +116,6 @@ class NotifyPlane {
                        std::size_t max, int source = -1,
                        rdma::OpStatus* status = nullptr);
 
-  /// True once `rank` was killed by the fault plan (death-epoch gated).
-  bool source_dead(int rank) const;
-
   // --- diagnostics (tests) -------------------------------------------------
   /// Records reserved in my ring by producers so far (local read).
   std::uint64_t reserved(int me) const;
@@ -123,7 +123,6 @@ class NotifyPlane {
   std::uint64_t consumed(int me) const;
 
  private:
-  friend class Scheduler;
   struct RankRing;
 
   bool drain(int me);  // ring -> pending deque; true if any record moved
@@ -143,31 +142,29 @@ class NotifyPlane {
 
 /// Base class for continuation-frame fibers. Subclasses implement step()
 /// with the FOMPI_FIBER_* macros and keep suspension-surviving state in
-/// members. wake_status()/wake_record() hold the result of the await the
-/// fiber just resumed from.
+/// members.
 class Fiber {
  public:
   virtual ~Fiber() = default;
   bool done() const noexcept { return done_; }
-  /// Status of the op/notify the fiber last awaited (ok, or typed —
-  /// peer_dead etc. — when it failed).
+  /// Status of the handle the fiber last awaited with FOMPI_FIBER_AWAIT
+  /// (ok, or typed — peer_dead etc. — when the op failed).
   rdma::OpStatus wake_status() const noexcept { return wake_status_; }
-  /// Record delivered by the await_notify the fiber last resumed from.
-  const NotifyRecord& wake_record() const noexcept { return wake_record_; }
 
  protected:
   /// One quantum: runs until the next FOMPI_FIBER_* suspension or the end.
   virtual void step(Scheduler& s) = 0;
   /// Polled while parked by FOMPI_FIBER_AWAIT_READY; return true to wake.
-  /// Must be cheap and callable repeatedly from the scheduler idle loop.
+  /// Must be cheap and callable repeatedly from the scheduler idle loop. A
+  /// condition that a dead peer can leave unmet settles through
+  /// rdma::Domain::poll here, so the fiber wakes with a typed peer_dead.
   virtual bool poll_ready() { return true; }
   void finish() noexcept { done_ = true; }
   int pc_ = 0;  ///< continuation frame resume point (macro-managed)
+  rdma::OpStatus wake_status_ = rdma::OpStatus::ok;  ///< FOMPI_FIBER_AWAIT's
 
  private:
   friend class Scheduler;
-  rdma::OpStatus wake_status_ = rdma::OpStatus::ok;
-  NotifyRecord wake_record_{};
   std::uint32_t id_ = 0;
   bool done_ = false;
   bool priority_ = false;
@@ -175,9 +172,9 @@ class Fiber {
 
 /// Per-rank cooperative scheduler. Owns its fibers; run() executes until
 /// every fiber finished. Completion is pull-based (the simulated NIC has
-/// no background thread), so parked handle-waiters sit on a min-heap
-/// keyed by the op's modeled completion deadline and the idle loop
-/// retires the due ones — O(log n) per wakeup, no per-op spin.
+/// no background thread), so a fiber parked on a deadline sits on a
+/// min-heap keyed by it and the idle loop makes the due ones runnable —
+/// O(log n) per wakeup, no per-op spin.
 class Scheduler {
  public:
   /// Runs on `nic`'s rank thread. Its idle passes take the domain's
@@ -198,14 +195,13 @@ class Scheduler {
   Fiber& adopt(std::unique_ptr<Fiber> fiber);
 
   /// Runs until every adopted fiber is done. The only blocking point is
-  /// the internal idle loop (deadline/notify/ready polling with one
+  /// the internal idle loop (deadline and ready polling with one
   /// reset-on-progress back-off step per pass that woke nothing).
   void run();
 
   std::size_t switches() const noexcept { return switches_; }
   std::size_t live() const noexcept { return live_; }
   rdma::Nic& nic() noexcept { return nic_; }
-  int rank() const noexcept { return nic_.rank(); }
 
   // --- priority -------------------------------------------------------------
   /// Makes `f` a priority fiber, or an ordinary one again; a fiber calls it
@@ -232,15 +228,12 @@ class Scheduler {
   std::uint64_t issue_cost_ns(int ops) const noexcept;
 
   // --- suspension hooks (called by the FOMPI_FIBER_* macros) ---------------
-  void await_handle(Fiber& f, rdma::Handle h);
-  void await_epoch(Fiber& f);
-  void await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
-                    int source);
+  /// Parks the fiber until its poll_ready() returns true.
   void await_ready(Fiber& f);
-  void await_yield(Fiber& f);
   /// Parks the fiber until the absolute now_ns() `deadline`, retiring
-  /// nothing: the caller waits once for a set of ops and retires them
-  /// itself, in its own order. 0 or a past deadline is a plain yield.
+  /// nothing: the caller waits once for one op or a set of them and
+  /// retires them itself, in its own order. 0 or a past deadline is a
+  /// plain yield.
   void await_until(Fiber& f, std::uint64_t deadline);
   /// Parks the fiber for `delay_ns` wall nanoseconds on the deadline heap —
   /// a fiber-native backoff for retry loops (scrub re-reads, routing
@@ -250,38 +243,23 @@ class Scheduler {
   void await_backoff(Fiber& f, std::uint64_t delay_ns);
 
  private:
-  struct HandleWait {
+  struct Parked {
     std::uint64_t deadline;
     Fiber* fiber;
-    rdma::Handle handle;  // kDoneHandle marks an epoch (gsync) wait
-    bool epoch;
-    bool sleep = false;  // pure timed backoff: wake with ok at deadline
-  };
-  struct NotifyWait {
-    Fiber* fiber;
-    NotifyPlane* plane;
-    std::uint64_t tag;
-    int source;
   };
 
-  void make_runnable(Fiber* f, rdma::OpStatus st);
-  /// Polls one notify wait; true once it settled and its fiber is runnable
-  /// (a matching record, or its source died with none left).
-  bool notify_settled(const NotifyWait& w);
+  void make_runnable(Fiber* f);
   bool poll_once();
   /// Wakes every entry of `heap` due at the NIC's latest reading; true if
   /// any woke.
-  bool wake_due(std::vector<HandleWait>& heap);
-  void heap_push(HandleWait w);
-  static HandleWait heap_pop(std::vector<HandleWait>& heap);
+  bool wake_due(std::vector<Parked>& heap);
 
   rdma::Nic& nic_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::deque<Fiber*> urgent_;    // runnable priority fibers, served first
   std::deque<Fiber*> runnable_;
-  std::vector<HandleWait> heap_;       // min-heap by deadline
-  std::vector<HandleWait> prio_heap_;  // the same, for priority fibers
-  std::vector<NotifyWait> notify_waits_;
+  std::vector<Parked> heap_;       // min-heap by deadline
+  std::vector<Parked> prio_heap_;  // the same, for priority fibers
   std::vector<Fiber*> ready_waits_;
   std::size_t live_ = 0;
   std::size_t switches_ = 0;
@@ -303,7 +281,8 @@ class Scheduler {
 //   }
 // Rules: one FOMPI_FIBER_* suspension per source line; no locals alive
 // across a suspension (keep them as members); code before
-// FOMPI_FIBER_BEGIN() runs on every re-entry.
+// FOMPI_FIBER_BEGIN() runs on every re-entry. Every suspension is one
+// statement, so it can be a loop body.
 #define FOMPI_FIBER_BEGIN() \
   switch (this->pc_) {      \
     case 0:
@@ -316,29 +295,26 @@ class Scheduler {
     case __LINE__:;                \
   } while (0)
 
-/// Parks the fiber until explicit handle `h` retires; wake_status() holds
-/// the typed result.
-#define FOMPI_FIBER_AWAIT(s, h) \
-  FOMPI_FIBER_SUSPEND_((s).await_handle(*this, (h)))
-/// Parks until every op this rank issued so far completed (gsync).
-#define FOMPI_FIBER_AWAIT_EPOCH(s) \
-  FOMPI_FIBER_SUSPEND_((s).await_epoch(*this))
-/// Parks until a record matching `tag` arrives on `plane` (wake_record()),
-/// or `source` (>= 0) dies (wake_status() == peer_dead).
-#define FOMPI_FIBER_AWAIT_NOTIFY(s, plane, tag, source) \
-  FOMPI_FIBER_SUSPEND_((s).await_notify(*this, (plane), (tag), (source)))
+/// Parks until explicit handle `h` can retire (its modeled completion
+/// deadline), then retires it; wake_status() holds the typed result. `h`
+/// is read again on resume, so it names fiber state (a member).
+#define FOMPI_FIBER_AWAIT(s, h)                                   \
+  do {                                                            \
+    FOMPI_FIBER_AWAIT_UNTIL(s, (s).nic().completion_deadline(h)); \
+    this->wake_status_ = (s).nic().wait_status(h);                \
+  } while (0)
 /// Parks until this->poll_ready() returns true.
 #define FOMPI_FIBER_AWAIT_READY(s) \
   FOMPI_FIBER_SUSPEND_((s).await_ready(*this))
-/// Parks until the absolute now_ns() `deadline` without retiring anything.
+/// Parks until the absolute now_ns() `deadline` without retiring anything;
+/// 0 or a past deadline is a yield.
 #define FOMPI_FIBER_AWAIT_UNTIL(s, deadline) \
   FOMPI_FIBER_SUSPEND_((s).await_until(*this, (deadline)))
 /// Parks for `ns` wall nanoseconds (fiber-native backoff; no raw spin).
 #define FOMPI_FIBER_BACKOFF(s, ns) \
   FOMPI_FIBER_SUSPEND_((s).await_backoff(*this, (ns)))
 /// Cooperative reschedule: goes to the back of the runnable queue.
-#define FOMPI_FIBER_YIELD(s) \
-  FOMPI_FIBER_SUSPEND_((s).await_yield(*this))
+#define FOMPI_FIBER_YIELD(s) FOMPI_FIBER_AWAIT_UNTIL(s, 0)
 
 #define FOMPI_FIBER_END() \
   }                       \

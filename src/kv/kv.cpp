@@ -153,20 +153,14 @@ rdma::OpStatus KvStore::probe_owner(int shard) {
 
 // --- typed-status AMO helpers ------------------------------------------------
 //
-// Every remote word access goes through the request-based ops: faults
-// retire as typed statuses instead of raising (or, under errors_return,
-// silently recording), so the client can degrade per shard. An awaited
-// rput/raccumulate is remotely complete at retire, which the seqlock's
-// publish ordering relies on.
+// Every remote word access goes through the request-based ops, each of
+// which adds exactly one handle: faults and dead targets retire as typed
+// statuses on it instead of raising, so the client can degrade per shard.
+// An awaited rput/raccumulate is remotely complete at retire, which the
+// seqlock's publish ordering relies on.
 
 rdma::OpStatus KvStore::wait_req(core::RmaRequest& req) {
   rdma::OpStatus st = rdma::OpStatus::ok;
-  if (req.handles().empty()) {
-    // Eager retirement: under errors_return a dead-peer issue records into
-    // the window instead of producing a handle. Consume the sticky status.
-    st = win_.last_error();
-    if (st != rdma::OpStatus::ok) win_.clear_last_error();
-  }
   for (const auto h : req.handles()) {
     const auto s = req.nic()->wait_status(h);
     if (s != rdma::OpStatus::ok && st == rdma::OpStatus::ok) st = s;

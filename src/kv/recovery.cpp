@@ -72,11 +72,6 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
       // so a mid-drain death surfaces here as a typed failure.
       req = kv.win_.rput(buf.data(), n, plan->dst.rank,
                          kv.copy_base(plan->dst) + off);
-      if (req.handles().empty()) {
-        const auto le = kv.win_.last_error();
-        kv.win_.clear_last_error();
-        fail(le != rdma::OpStatus::ok ? le : rdma::OpStatus::peer_dead);
-      }
       for (hi = 0; hi < req.handles().size(); ++hi) {
         FOMPI_FIBER_AWAIT(s, req.handles()[hi]);
         if (wake_status() != rdma::OpStatus::ok) fail(wake_status());

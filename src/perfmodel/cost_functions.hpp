@@ -78,33 +78,34 @@ struct PaperModel {
 /// wins when fragments are small and numerous; the vector wins when
 /// fragments are few or large. The caller passes the vector's chain cost
 /// from its NIC's model (rdma::NetworkModel::vec_chain_latency_ns); this
-/// struct holds only the memcpy-rate estimate, so the choice tracks the
-/// modeled hardware rather than a fixed fragment-count threshold.
+/// struct holds only the memcpy-rate estimate, as constants, so the choice
+/// tracks the modeled hardware rather than a fixed fragment-count
+/// threshold.
 struct DatatypePathModel {
   enum class Strategy : std::uint8_t { vectored, pack };
 
-  double pack_byte_ns = 0.25;    ///< local gather/scatter cost per byte
-  double pack_setup_ns = 120.0;  ///< staging-buffer bookkeeping per call
+  static constexpr double kPackByteNs = 0.25;    ///< gather/scatter per byte
+  static constexpr double kPackSetupNs = 120.0;  ///< staging bookkeeping/call
   /// A packed get cannot unpack until the data lands, so it completes the
   /// transfer eagerly and forfeits communication overlap; require this
   /// margin before preferring it over a vectored get.
-  double get_pack_bias = 4.0;
+  static constexpr double kGetPackBias = 4.0;
 
-  double pack_ns(std::size_t payload_bytes) const noexcept {
-    return pack_setup_ns + pack_byte_ns * static_cast<double>(payload_bytes);
+  static double pack_ns(std::size_t payload_bytes) noexcept {
+    return kPackSetupNs + kPackByteNs * static_cast<double>(payload_bytes);
   }
 
   /// Put with a contiguous target: gather-and-send vs chained fragments
   /// whose chain costs `vectored_ns`.
-  Strategy choose_put(double vectored_ns,
-                      std::size_t payload_bytes) const noexcept {
+  static Strategy choose_put(double vectored_ns,
+                             std::size_t payload_bytes) noexcept {
     return pack_ns(payload_bytes) < vectored_ns ? Strategy::pack
                                                 : Strategy::vectored;
   }
   /// Get with a contiguous target: fetch-and-unpack vs chained fragments.
-  Strategy choose_get(double vectored_ns,
-                      std::size_t payload_bytes) const noexcept {
-    return pack_ns(payload_bytes) * get_pack_bias < vectored_ns
+  static Strategy choose_get(double vectored_ns,
+                             std::size_t payload_bytes) noexcept {
+    return pack_ns(payload_bytes) * kGetPackBias < vectored_ns
                ? Strategy::pack
                : Strategy::vectored;
   }

@@ -189,7 +189,7 @@ enum class Delivery : std::uint8_t {
 /// matching ErrClass.
 enum class OpStatus : std::uint8_t {
   ok,         ///< completed successfully
-  pending,    ///< not complete yet (test_status only)
+  pending,    ///< not complete yet (test_status, Domain::poll)
   retired,    ///< handle already retired or stale (ABA tag mismatch)
   timeout,    ///< NIC timeout / dropped doorbell: retry budget exhausted
   cq_error,   ///< completion-queue error: retry budget exhausted

@@ -168,18 +168,12 @@ class alignas(kCacheLine) Nic {
 
   // --- progress-engine hooks (completion -> fiber wakeup) --------------------
   /// Absolute modeled completion time (ns) of an explicit handle, for
-  /// suspend-on-wait waiters: a parked fiber sleeps until this deadline
-  /// instead of spinning in wait_status. Flushes a pending batch first (an
-  /// op cannot complete behind an unrung doorbell). Returns 0 when the
-  /// handle can retire right now — already complete, failed at issue,
-  /// stale, or running under Injection::none.
+  /// suspend-on-wait waiters: FOMPI_FIBER_AWAIT parks its fiber until this
+  /// deadline, then retires the handle through wait_status without a spin.
+  /// Flushes a pending batch first (an op cannot complete behind an unrung
+  /// doorbell). Returns 0 when the handle can retire right now — already
+  /// complete, failed at issue, stale, or running under Injection::none.
   std::uint64_t completion_deadline(Handle h);
-  /// Modeled completion time of everything issued so far (what gsync's
-  /// bulk wait targets); 0 under Injection::none. An epoch waiter parks on
-  /// this and re-arms if more traffic extended it.
-  std::uint64_t quiesce_deadline() const noexcept {
-    return latest_complete_at_;
-  }
 
   // --- the rank's clock: the NIC is its one owner ----------------------------
   /// A fresh clock read (now_ns) for an anchor: an op's issue start, an
@@ -578,26 +572,33 @@ class Domain {
   struct NoPeer {
     bool operator()() const noexcept { return false; }
   };
-  /// The one blocking wait (DESIGN.md §8): polls `ready()`, taking one
-  /// back-off step between polls, until it holds; returns ok. Once a death
-  /// has been seen and `gone()` says the party the wait depends on is dead,
-  /// it polls `ready()` once more, because a dead peer's stores precede its
-  /// death mark, and returns peer_dead only if the condition is still
-  /// unmet. `ready` may consume what it finds: it is not polled again after
-  /// it returned true. A wait that restarts its back-off on progress passes
-  /// its own `bo` and resets it from `ready`.
+  /// The one poll and its dead-peer rule (DESIGN.md §8): ok once `ready()`
+  /// holds, pending while it does not. Once a death has been seen and
+  /// `gone()` says the party the wait depends on is dead, it polls
+  /// `ready()` once more, because a dead peer's stores precede its death
+  /// mark, and returns peer_dead only if the condition is still unmet.
+  /// `ready` may consume what it finds: a caller polls again only after
+  /// pending. A fiber waiting on a condition settles through this from its
+  /// poll_ready.
+  template <class Ready, class Gone = NoPeer>
+  OpStatus poll(Ready&& ready, Gone&& gone = Gone()) const {
+    if (ready()) return OpStatus::ok;
+    if (death_epoch() == 0 || !gone()) return OpStatus::pending;
+    return ready() ? OpStatus::ok : OpStatus::peer_dead;
+  }
+  /// The one blocking wait: poll(), taking one back-off step after each
+  /// pending. A wait that restarts its back-off on progress passes its own
+  /// `bo` and resets it from `ready`.
   template <class Ready, class Gone = NoPeer>
   OpStatus wait_until(Ready&& ready, Gone&& gone = Gone(),
                       Backoff* bo = nullptr) const {
     Backoff own;
     Backoff& b = bo != nullptr ? *bo : own;
-    while (!ready()) {
-      if (death_epoch() != 0 && gone()) {
-        return ready() ? OpStatus::ok : OpStatus::peer_dead;
-      }
+    for (;;) {
+      const OpStatus st = poll(ready, gone);
+      if (st != OpStatus::pending) return st;
       backoff_step(b);
     }
-    return OpStatus::ok;
   }
 
   // --- liveness (fail-stop fault model) -------------------------------------

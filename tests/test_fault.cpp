@@ -321,6 +321,65 @@ TEST(WinErrMode, ErrorsReturnRecordsAndFatalThrowsOnDeadPeer) {
       opts);
 }
 
+TEST(WinErrMode, RequestOpsTowardADeadRankRetireThroughOneHandle) {
+  // The KV's request-op waits (KvStore::wait_req, the recovery drain) read
+  // a failure only from handles. Under errors_return, every request op
+  // toward a dead rank on an allocated window still adds exactly one
+  // handle and records nothing for last_error(): writes and mutating AMOs
+  // retire peer_dead on it, reads of the frozen image retire ok.
+  fabric::FabricOptions opts;
+  opts.domain.nranks = 2;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.fault.kill_rank = 1;
+  opts.domain.fault.kill_at_op = 40;
+  opts.errors_return = true;
+  fabric::run_ranks(
+      2,
+      [](RankCtx& ctx) {
+        WinConfig wcfg;
+        wcfg.err_mode = core::ErrMode::errors_return;
+        Win win = Win::allocate(ctx, 256, wcfg);
+        win.lock_all();
+        alignas(8) std::uint64_t v = 1;
+        if (ctx.rank() == 1) {
+          for (int i = 0; i < 1000; ++i) {
+            win.put(&v, 8, 0, 0);
+            win.flush(0);
+          }
+          FAIL() << "rank 1 must have been killed";
+        }
+        while (win.peer_alive(1)) ctx.yield_check();
+
+        alignas(8) std::uint64_t cmp = 0, got = 0;
+        auto retire = [](core::RmaRequest req) {
+          EXPECT_EQ(req.handles().size(), 1u);
+          OpStatus st = OpStatus::retired;
+          for (const Handle h : req.handles()) st = req.nic()->wait_status(h);
+          req.dismiss();
+          return st;
+        };
+        EXPECT_EQ(retire(win.rput(&v, 8, 1, 0)), OpStatus::peer_dead);
+        EXPECT_EQ(retire(win.rget(&got, 8, 1, 0)), OpStatus::ok);
+        for (const RedOp op : {RedOp::sum, RedOp::bor}) {
+          EXPECT_EQ(retire(win.rfetch_and_op(&v, &got, Elem::u64, op, 1, 8)),
+                    OpStatus::peer_dead);
+        }
+        EXPECT_EQ(retire(win.rfetch_and_op(nullptr, &got, Elem::u64,
+                                           RedOp::no_op, 1, 8)),
+                  OpStatus::ok);
+        EXPECT_EQ(
+            retire(win.rcompare_and_swap(&v, &cmp, &got, Elem::u64, 1, 8)),
+            OpStatus::peer_dead);
+        for (const RedOp op : {RedOp::sum, RedOp::replace}) {
+          EXPECT_EQ(retire(win.raccumulate(&v, 1, Elem::u64, op, 1, 8)),
+                    OpStatus::peer_dead);
+        }
+        EXPECT_EQ(win.last_error(), OpStatus::ok);
+        // No unlock_all()/free(): collective with a dead rank.
+      },
+      opts);
+}
+
 // --- rank kill / hang confinement ---------------------------------------------
 
 TEST(FaultKill, KilledRankConfinedUnderErrorsReturn) {
@@ -887,24 +946,33 @@ class ChaosAmoFiber final : public fabric::progress::Fiber {
 };
 
 /// Parks on a notify tag that is never posted; only the typed death of
-/// the awaited source can wake it.
+/// the awaited source, rank 1, can wake it. Its ready-poll settles through
+/// Domain::poll, so the wait keeps the one dead-peer rule.
 class ChaosNotifyFiber final : public fabric::progress::Fiber {
  public:
-  ChaosNotifyFiber(fabric::progress::NotifyPlane& plane, std::uint64_t tag)
-      : plane_(plane), tag_(tag) {}
+  ChaosNotifyFiber(const Domain& dom, fabric::progress::NotifyPlane& plane,
+                   int me, std::uint64_t tag)
+      : dom_(dom), plane_(plane), me_(me), tag_(tag) {}
   OpStatus final_status = OpStatus::ok;
 
  protected:
+  bool poll_ready() override {
+    final_status = dom_.poll([&] { return plane_.probe(me_, tag_, &rec_); },
+                             [&] { return !dom_.alive(1); });
+    return final_status != OpStatus::pending;
+  }
   void step(fabric::progress::Scheduler& s) override {
     FOMPI_FIBER_BEGIN();
-    FOMPI_FIBER_AWAIT_NOTIFY(s, plane_, tag_, /*source=*/1);
-    final_status = wake_status();
+    FOMPI_FIBER_AWAIT_READY(s);
     FOMPI_FIBER_END();
   }
 
  private:
+  const Domain& dom_;
   fabric::progress::NotifyPlane& plane_;
+  int me_;
   std::uint64_t tag_;
+  fabric::progress::NotifyRecord rec_;
 };
 
 }  // namespace
@@ -951,7 +1019,8 @@ TEST(FaultChaos, SuspendedFiberFleetUnwindsTypedOnPeerDeath) {
           }
           for (int i = 0; i < 16; ++i) {
             waits.push_back(&sched.spawn<ChaosNotifyFiber>(
-                *win.notify_plane(), 1000u + static_cast<std::uint64_t>(i)));
+                ctx.fabric().domain(), *win.notify_plane(), ctx.rank(),
+                1000u + static_cast<std::uint64_t>(i)));
           }
           sched.run();  // returning at all means nothing hung
           for (const auto* f : amos) {

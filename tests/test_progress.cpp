@@ -1,6 +1,7 @@
-// Progress engine coverage: the fiber scheduler (interleaving, awaits,
-// epoch waits, spawn-during-run, modeled overlap, priority fibers and
-// admission, ready waits that never livelock), the put-with-notification
+// Progress engine coverage: the fiber scheduler (interleaving, handle
+// awaits and the data they retire, spawn-during-run, modeled overlap,
+// priority fibers and admission, ready waits that never livelock), the
+// put-with-notification
 // plane (tag matching, per-source ordering, overflow-to-retry, typed
 // peer_dead), and the app pipelines that ride them (DSDE nbx, MILC
 // notify-queue halos).
@@ -88,32 +89,6 @@ class AmoPipeline final : public progress::Fiber {
   int ops_, i_ = 0;
   Handle h_ = kDoneHandle;
   alignas(8) std::uint64_t fetched_ = 0;
-};
-
-/// Issues `ops` implicit puts, then parks on the epoch (gsync) deadline.
-class EpochFiber final : public progress::Fiber {
- public:
-  EpochFiber(Nic& nic, const RegionDesc& d, int ops)
-      : nic_(nic), d_(d), ops_(ops) {}
-  OpStatus epoch_status = OpStatus::pending;
-
- protected:
-  void step(progress::Scheduler& s) override {
-    FOMPI_FIBER_BEGIN();
-    for (i_ = 0; i_ < ops_; ++i_) {
-      src_ = static_cast<std::uint64_t>(i_) + 1;
-      nic_.put_nbi(1, d_, (static_cast<std::size_t>(i_) % 8) * 8, &src_, 8);
-    }
-    FOMPI_FIBER_AWAIT_EPOCH(s);
-    epoch_status = wake_status();
-    FOMPI_FIBER_END();
-  }
-
- private:
-  Nic& nic_;
-  const RegionDesc& d_;
-  int ops_, i_ = 0;
-  alignas(8) std::uint64_t src_ = 0;
 };
 
 /// Spawns `children` LogFibers from inside a running fiber.
@@ -313,17 +288,35 @@ TEST(Scheduler, AwaitWithoutInjectedTimeCompletesInline) {
   EXPECT_GE(delta.get(Op::fiber_switch), 1u);
 }
 
-TEST(Scheduler, AwaitEpochDrainsImplicitOps) {
+TEST(Scheduler, AwaitRetiresTheHandleItParkedOn) {
+  // Under deferred delivery an AMO lands in the target word only when its
+  // handle retires, so the words count the awaits that retired. Eight
+  // fibers of 32 fetch-adds over eight words leave every word at 32 and no
+  // handle live, whether the awaits find their ops complete at issue
+  // (Injection::none) or park on the deadline heap (Injection::model).
   for (const Injection inject : {Injection::none, Injection::model}) {
-    Domain dom(raw_domain(inject));
+    DomainConfig cfg = raw_domain(inject);
+    cfg.delivery = Delivery::deferred;
+    Domain dom(cfg);
     Nic& nic = dom.nic(0);
     AlignedBuffer mem(1 << 12);
     const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 12);
     progress::Scheduler sched(nic);
-    auto& f = sched.spawn<EpochFiber>(nic, d, 32);
+    std::vector<const AmoPipeline*> fibers;
+    for (int f = 0; f < 8; ++f) {
+      fibers.push_back(&sched.spawn<AmoPipeline>(nic, d, 32));
+    }
     sched.run();
-    EXPECT_EQ(f.epoch_status, OpStatus::ok);
-    EXPECT_EQ(nic.outstanding(), 0u);
+    for (const AmoPipeline* f : fibers) {
+      EXPECT_EQ(f->last_status, OpStatus::ok);
+    }
+    for (std::size_t w = 0; w < 8; ++w) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, mem.data() + 8 * w, 8);
+      EXPECT_EQ(word, 32u) << "word " << w << ", model "
+                           << (inject == Injection::model);
+    }
+    EXPECT_EQ(nic.explicit_outstanding(), 0u);
   }
 }
 
