@@ -248,35 +248,12 @@ int main() {
         [&](int i) { nic.put(1, d, (i % 64) * 8u, &src, 8); }, [] {}));
   }
 
-  // --- throughput mode compiled in but idle ------------------------------
-  // Channels configured, but no batch scope ever opened (auto_batch off):
-  // blocking puts must stay on the plain fast path. scripts/ci.sh gates this case against put8_blocking_immediate
-  // (<= 1.25x) so throughput mode can never tax the latency path it is
-  // supposed to leave alone.
-  {
-    DomainConfig cfg;
-    cfg.nranks = 2;
-    cfg.ranks_per_node = 1;
-    cfg.inject = Injection::none;
-    cfg.delivery = Delivery::immediate;
-    cfg.nic.channels = 4;
-    cfg.nic.auto_batch = false;
-    Domain dom(cfg);
-    Nic& nic = dom.nic(0);
-    AlignedBuffer mem(1 << 16);
-    const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 16);
-    alignas(8) std::uint64_t src = 1;
-    results.push_back(run_case(
-        "put8_blocking_batch_idle",
-        [&](int i) { nic.put(1, d, (i % 64) * 8u, &src, 8); }, [] {}));
-  }
-
   // --- fiber scheduler linked but idle -----------------------------------
   // A Scheduler is constructed against the NIC (the progress engine is
   // linked in and armed) but no fiber is ever spawned: blocking puts must
   // stay on the plain fast path. scripts/ci.sh gates this case against
-  // put8_blocking_immediate (<= 1.25x), mirroring the idle-batch gate, so
-  // the overlap engine can never tax the latency path it sits beside.
+  // put8_blocking_immediate (<= 1.25x), so the overlap engine can never
+  // tax the latency path it sits beside.
   {
     DomainConfig cfg;
     cfg.nranks = 2;

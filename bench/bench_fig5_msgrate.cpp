@@ -4,8 +4,6 @@
 // The paper's method: start 1000 transactions back to back without
 // synchronization, bulk-complete once; the per-message cost is the
 // injection overhead (416 ns inter-node, 80 ns intra-node for foMPI).
-#include <string_view>
-
 #include "baselines/mpi22_rma.hpp"
 #include "baselines/pgas.hpp"
 #include "bench_util.hpp"
@@ -28,15 +26,14 @@ double rate_mmps(IssueFn&& issue, CompleteFn&& complete) {
   return kBurst / us;  // messages per microsecond == M msgs/s
 }
 
-void panel(const char* title, const fabric::FabricOptions& opts,
-           bool batched) {
+void panel(const char* title, const fabric::FabricOptions& opts) {
   header(title);
   std::printf("%-24s", "size [B]");
   for (auto s : kSizes) std::printf("%12zu", s);
   std::printf("\n");
 
-  auto run_fompi = [&](std::size_t s, const fabric::FabricOptions& o) {
-    return measure(2, o, 3, [&](fabric::RankCtx& ctx) {
+  auto run_fompi = [&](std::size_t s) {
+    return measure(2, opts, 3, [&](fabric::RankCtx& ctx) {
              static thread_local std::vector<std::byte> buf;
              buf.resize(s);
              core::Win win = core::Win::allocate(
@@ -100,7 +97,7 @@ void panel(const char* title, const fabric::FabricOptions& opts,
 
   std::vector<double> fompi, upc, caf, mpi22, mpi1;
   for (auto s : kSizes) {
-    fompi.push_back(run_fompi(s, opts));
+    fompi.push_back(run_fompi(s));
     upc.push_back(run_pgas(s, baselines::make_upc_like()));
     caf.push_back(run_pgas(s, baselines::make_caf_like()));
     mpi1.push_back(run_mpi1(s));
@@ -109,15 +106,6 @@ void panel(const char* title, const fabric::FabricOptions& opts,
   row("Cray-UPC-like", upc, "%12.3f");
   row("Cray-CAF-like", caf, "%12.3f");
   row("MPI-1 isend", mpi1, "%12.3f");
-  if (batched) {
-    // Throughput mode: the same put burst with doorbell coalescing on
-    // (flush rings one doorbell per batch instead of one per put).
-    fabric::FabricOptions bopts = opts;
-    bopts.domain.nic.auto_batch = true;
-    std::vector<double> fompi_b;
-    for (auto s : kSizes) fompi_b.push_back(run_fompi(s, bopts));
-    row("FOMPI batched", fompi_b, "%12.3f");
-  }
   // Same rates in absolute ops/s (1 M msgs/s == 1e6 ops/s).
   std::vector<double> ops;
   for (double r : fompi) ops.push_back(r * 1e6);
@@ -126,15 +114,10 @@ void panel(const char* title, const fabric::FabricOptions& opts,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool batched = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--batched") batched = true;
-  }
-  std::printf("Figures 5b/5c: message rate [million messages/s]%s\n",
-              batched ? " (+ throughput-mode batched row)" : "");
-  panel("Fig 5b: inter-node", internode_model(), batched);
-  panel("Fig 5c: intra-node", intranode_model(), batched);
+int main() {
+  std::printf("Figures 5b/5c: message rate [million messages/s]\n");
+  panel("Fig 5b: inter-node", internode_model());
+  panel("Fig 5c: intra-node", intranode_model());
   std::printf("\nExpected shape: foMPI ~2.4 M msgs/s inter-node (416 ns "
               "injection) and ~12 M intra-node (80 ns),\nPGAS layers below, "
               "rates falling once the per-byte term dominates.\n");

@@ -33,7 +33,7 @@
 #      creation in all four flavors, dynamic-window attach/detach and its
 #      descriptor caches, fence and PSCW, the MCS queue lock, datatype
 #      flatten-cache sharing, RDMA issue paths, locks, comm, accumulate,
-#      flight-recorder tracing, doorbell batching/striping, fault
+#      flight-recorder tracing, doorbell batching, fault
 #      injection/recovery incl. Delivery::deferred under a fault plan,
 #      the suspended-fiber-fleet chaos kill, and the kills-vector
 #      staggered double-death path, RMA-native collectives incl.
@@ -50,7 +50,7 @@
 #   5. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
-#      >=2x batched speedup and monotone striping, the collectives bench
+#      >=2x batched speedup under explicit scopes, the collectives bench
 #      self-gates log-p DES shapes, the overlap bench self-gates >=4x
 #      64-fiber AMO pipelining, the kv bench self-gates cache leverage
 #      (exact per-get AMO/get counters plus a timing floor derived from
@@ -65,10 +65,9 @@
 #   6. Trace-artifact gate: the Perfetto timeline bench_fig6b_fence emitted
 #      must be valid JSON and must have dropped zero events
 #   7. Idle-tax gates, one parametrised check over BENCH_fastpath.json: an
-#      armed-but-idle fault plan, throughput config (4 channels, no open
-#      batch) or fiber scheduler must not tax the blocking put8 issue path,
-#      and must not fire a fault or ring a coalesced doorbell in its timed
-#      loop
+#      armed-but-idle fault plan or fiber scheduler must not tax the
+#      blocking put8 issue path, and the fault plan must not fire a fault
+#      in its timed loop
 #
 # Runs from any directory; everything lands in build/, build-tsan/ and
 # build-asan/.
@@ -258,9 +257,6 @@ EOF
 # may fire in the timed loop. Generous bound, no rerun.
 idle_tax_gate put8_blocking_fault_armed_idle 1.5 1 \
   fault_injected op_retried op_failed
-# Throughput mode enabled (4 channels) with no open batch: no coalesced
-# doorbell may ring.
-idle_tax_gate put8_blocking_batch_idle 1.25 3 doorbell_ring batched_op
 # A constructed-but-idle fiber scheduler (no fibers adopted).
 idle_tax_gate put8_blocking_sched_idle 1.25 3
 

@@ -28,7 +28,6 @@ const char* to_string(Op op) noexcept {
     case Op::op_failed:        return "op_failed";
     case Op::doorbell_ring:    return "doorbell_ring";
     case Op::batched_op:       return "batched_op";
-    case Op::channel_stripe:   return "channel_stripe";
     case Op::fiber_spawn:      return "fiber_spawn";
     case Op::fiber_switch:     return "fiber_switch";
     case Op::notify_posted:    return "notify_posted";

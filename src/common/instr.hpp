@@ -37,7 +37,6 @@ enum class Op : std::uint32_t {
   op_failed,         ///< one op retired with a failure status (budget spent)
   doorbell_ring,     ///< one coalesced doorbell rung (covers >= 1 descriptors)
   batched_op,        ///< one op enqueued behind a coalesced doorbell
-  channel_stripe,    ///< one BTE transfer striped across NIC channels
   fiber_spawn,       ///< one fiber adopted by a progress-engine scheduler
   fiber_switch,      ///< one fiber resume (continuation-frame re-entry)
   notify_posted,     ///< one put-with-notification record committed

@@ -36,7 +36,7 @@ using DtPath = perf::DatatypePathModel;
 /// Chain cost, under the NIC's model, of shipping `count` elements of `t`
 /// as one vectored op: what the chooser weighs packing against.
 double vectored_ns(const rdma::Nic& n, const dt::Datatype& t, int count) {
-  return n.domain().config().model.vec_chain_latency_ns(
+  return n.domain().config().model.chain_latency_ns(
       t.block_count() * static_cast<std::size_t>(count));
 }
 

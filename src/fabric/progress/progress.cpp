@@ -267,9 +267,8 @@ Scheduler::Scheduler(rdma::Nic& nic) : nic_(nic) {}
 
 std::uint64_t Scheduler::issue_cost_ns(int ops) const noexcept {
   const rdma::Domain& dom = nic_.domain();
-  const rdma::DomainConfig& cfg = dom.config();
-  return static_cast<std::uint64_t>(dom.model_ns(cfg.model.doorbell_ns(
-      static_cast<std::size_t>(ops), true, cfg.nic.channels)));
+  return static_cast<std::uint64_t>(dom.model_ns(
+      dom.config().model.doorbell_ns(static_cast<std::size_t>(ops), true)));
 }
 
 Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {

@@ -60,22 +60,19 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
     for (off = 0; off < total; off += kDrainChunk) {
       n = std::min(kDrainChunk, total - off);
       // Frozen-image read: succeeds even when src's host rank is dead.
+      // Win::rget and Win::rput each retire through exactly one handle.
       req = kv.win_.rget(buf.data(), n, plan->src.rank,
                          kv.copy_base(plan->src) + off);
-      for (hi = 0; hi < req.handles().size(); ++hi) {
-        FOMPI_FIBER_AWAIT(s, req.handles()[hi]);
-        if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      }
+      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
+      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
       req.dismiss();
       if (plan->status != rdma::OpStatus::ok) return finish();
       // The spare target is alive (or was when planned): a mutating put,
       // so a mid-drain death surfaces here as a typed failure.
       req = kv.win_.rput(buf.data(), n, plan->dst.rank,
                          kv.copy_base(plan->dst) + off);
-      for (hi = 0; hi < req.handles().size(); ++hi) {
-        FOMPI_FIBER_AWAIT(s, req.handles()[hi]);
-        if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      }
+      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
+      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
       req.dismiss();
       if (plan->status != rdma::OpStatus::ok) return finish();
       *drained += n;
@@ -95,7 +92,7 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
   DrainPlan* plan;
   std::uint64_t* drained;
   std::vector<std::uint8_t> buf;
-  std::size_t total = 0, off = 0, n = 0, hi = 0;
+  std::size_t total = 0, off = 0, n = 0;
   core::RmaRequest req;
 };
 

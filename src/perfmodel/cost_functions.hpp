@@ -77,7 +77,7 @@ struct PaperModel {
 /// contiguous transfer plus a local copy of every payload byte). Packing
 /// wins when fragments are small and numerous; the vector wins when
 /// fragments are few or large. The caller passes the vector's chain cost
-/// from its NIC's model (rdma::NetworkModel::vec_chain_latency_ns); this
+/// from its NIC's model (rdma::NetworkModel::chain_latency_ns); this
 /// struct holds only the memcpy-rate estimate, as constants, so the choice
 /// tracks the modeled hardware rather than a fixed fragment-count
 /// threshold.

@@ -65,87 +65,45 @@ struct NetworkModel {
   /// Remote AMO completion latency (8-byte operand).
   double amo_latency_ns() const noexcept { return amo_base_ns; }
 
-  // --- vectored (chained-descriptor) transfers ----------------------------
+  // --- chained descriptors: vectored ops and batched doorbells ------------
   // Gemini FMA descriptors can be chained behind a single doorbell: a
   // vectored op pays the base latency once plus a small per-descriptor
   // chain cost, instead of the full base latency per fragment. This is the
-  // hardware mechanism the datatype path exploits (Sec 2.4); a batched
-  // doorbell (below) chains independent ops over the same link.
+  // hardware mechanism the datatype path exploits (Sec 2.4). A batched
+  // doorbell (Nic::batch_begin/batch_flush) chains independent ops the
+  // same way: the injection overhead is paid once per doorbell and each
+  // extra descriptor costs chain_ns on the wire. The KV round routine and
+  // the collectives ring one per round.
   double chain_ns = 45.0;  ///< each chained descriptor beyond the first
 
-  /// Chain cost of `nfrags` fragments behind one doorbell (0 for one).
-  double vec_chain_latency_ns(std::size_t nfrags) const noexcept {
-    return nfrags > 1 ? chain_ns * static_cast<double>(nfrags - 1) : 0.0;
+  /// Chain cost of `n` descriptors behind one doorbell (0 for one): the
+  /// fragments of a vectored op or the ops of a batched doorbell.
+  double chain_latency_ns(std::size_t n) const noexcept {
+    return n > 1 ? chain_ns * static_cast<double>(n - 1) : 0.0;
   }
 
   /// Completion latency of a vectored put: `nfrags` chained fragments
   /// totalling `total_bytes` behind one doorbell.
   double put_vec_latency_ns(std::size_t nfrags,
                             std::size_t total_bytes) const noexcept {
-    return put_latency_ns(total_bytes) + vec_chain_latency_ns(nfrags);
+    return put_latency_ns(total_bytes) + chain_latency_ns(nfrags);
   }
 
   double get_vec_latency_ns(std::size_t nfrags,
                             std::size_t total_bytes) const noexcept {
-    return get_latency_ns(total_bytes) + vec_chain_latency_ns(nfrags);
+    return get_latency_ns(total_bytes) + chain_latency_ns(nfrags);
   }
 
   double intra_latency_ns(std::size_t bytes) const noexcept {
     return intra_base_ns + intra_byte_ns * static_cast<double>(bytes);
   }
 
-  // --- throughput mode: batched doorbells and multi-channel striping -------
-  // Coalesced issue (Nic::batch_begin/batch_flush or NicConfig.auto_batch)
-  // chains descriptors behind ONE doorbell, like vectored ops but across
-  // independent operations: the software+doorbell overhead is paid once per
-  // batch and each extra descriptor costs chain_ns on the wire. The
-  // overhead overlaps the wire as it does for an unbatched op, so each
-  // descriptor completes its own latency plus the chain after the doorbell
-  // starts (for an explicit scope, at its first descriptor's post). The KV
-  // round routine and the collectives ring one per round.
-  // Slingshot-class NICs (RAMC) additionally expose several independent
-  // ordered memory channels; a chained batch drains round-robin across
-  // them, and large BTE transfers stripe their payload over all channels at
-  // the cost of one extra per-channel descriptor setup.
-  double stripe_chunk_ns = 120.0;  ///< per extra channel: BTE stripe setup
-
-  /// Wire time of an n-descriptor chained batch: the descriptors beyond the
-  /// first drain round-robin over `channels` independent channels, so each
-  /// channel serializes only ceil((n-1)/channels) chain links.
-  double batch_chain_latency_ns(std::size_t ndesc, int channels) const noexcept {
-    if (ndesc <= 1) return 0.0;
-    const std::size_t ch = channels < 1 ? 1 : static_cast<std::size_t>(channels);
-    const std::size_t links = ndesc - 1;
-    return chain_ns * static_cast<double>((links + ch - 1) / ch);
-  }
-
   /// Origin busy time of one doorbell chaining `ndesc` descriptors: the
   /// injection overhead once plus the chain links, so one descriptor costs
   /// what an unbatched op does.
-  double doorbell_ns(std::size_t ndesc, bool inter, int channels) const noexcept {
+  double doorbell_ns(std::size_t ndesc, bool inter) const noexcept {
     return (inter ? inter_overhead_ns : intra_overhead_ns) +
-           batch_chain_latency_ns(ndesc, channels);
-  }
-
-  /// Put latency with the payload striped round-robin over `channels`; BTE
-  /// transfers split their byte stream per channel (setup replicated per
-  /// stripe), FMA-sized transfers are never striped (single ordered
-  /// channel keeps per-target ordering, RAMC-style).
-  double put_striped_latency_ns(std::size_t bytes, int channels) const noexcept {
-    if (channels <= 1 || bytes < bte_threshold) return put_latency_ns(bytes);
-    const double per =
-        static_cast<double>(bytes) / static_cast<double>(channels);
-    return bte_setup_ns + stripe_chunk_ns * static_cast<double>(channels - 1) +
-           bte_byte_ns * per;
-  }
-
-  double get_striped_latency_ns(std::size_t bytes, int channels) const noexcept {
-    if (channels <= 1 || bytes < bte_threshold) return get_latency_ns(bytes);
-    const double per =
-        static_cast<double>(bytes) / static_cast<double>(channels);
-    return get_base_ns + bte_setup_ns - put_base_ns +
-           stripe_chunk_ns * static_cast<double>(channels - 1) +
-           bte_byte_ns * per;
+           chain_latency_ns(ndesc);
   }
 };
 
@@ -158,17 +116,6 @@ inline constexpr NetworkModel kGemini{};
 /// doorbell (Nic::batch_enqueue), and sim_kv's recovery form charges one
 /// doorbell per this many scrub reads.
 inline constexpr std::size_t kDoorbellDescs = 64;
-
-/// Throughput-mode configuration of one simulated NIC (all default values
-/// preserve the latency-tuned PR-5 behaviour bit for bit).
-struct NicConfig {
-  /// Independent ordered NIC channels (>= 1). Chained batches drain
-  /// round-robin across channels; BTE-sized transfers stripe their payload.
-  int channels = 1;
-  /// Coalesce ops issued between synchronization points into one doorbell
-  /// (an explicit Nic::batch_begin() scope batches regardless).
-  bool auto_batch = false;
-};
 
 /// How the simulated NIC charges model time to the running code.
 enum class Injection : std::uint8_t {

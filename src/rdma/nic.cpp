@@ -140,11 +140,6 @@ void fetch_bytes(void* dst, const void* src, std::size_t len) {
 
 Nic::Nic(Domain& domain, int rank)
     : domain_(domain), rank_(rank), rng_(domain.config().seed + 0x9e37 * rank) {
-  const NicConfig& nc = domain.config().nic;
-  channels_ = std::max(1, nc.channels);
-  auto_batch_ = nc.auto_batch;
-  if (auto_batch_) batch_entries_.reserve(kDoorbellDescs);
-
   const FaultPlan& plan = domain.config().fault;
   if (!plan.enabled()) return;
   fault_armed_ = true;
@@ -301,32 +296,16 @@ bool Nic::inter_node(int target) const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput mode: doorbell coalescing and channel striping
+// Doorbell batching
 // ---------------------------------------------------------------------------
 
 void Nic::batch_begin() {
-  if (batch_open_) {
-    batch_explicit_ = true;  // adopt an open auto-batch scope
-    return;
-  }
+  if (batch_open_) return;
   batch_open_ = true;
-  batch_explicit_ = true;
   batch_done_ = 0;
   if (batch_entries_.capacity() < kDoorbellDescs) {
     batch_entries_.reserve(kDoorbellDescs);
   }
-}
-
-bool Nic::batch_accepts(std::size_t len) noexcept {
-  // BTE-sized transfers own their doorbell (the bulk engine is not part of
-  // an FMA descriptor chain), so they bypass the batch in every mode.
-  if (len >= domain_.config().model.bte_threshold) return false;
-  if (batch_open_) return true;
-  // auto_batch: the first batchable op between sync points opens a scope.
-  batch_open_ = true;
-  batch_explicit_ = false;
-  batch_done_ = 0;
-  return true;
 }
 
 void Nic::batch_enqueue(const BatchEntry& e, bool inter) {
@@ -337,18 +316,15 @@ void Nic::batch_enqueue(const BatchEntry& e, bool inter) {
   }
   batch_entries_.push_back(e);
   if (++batch_ndesc_ < kDoorbellDescs) return;
-  // A full chain rings its doorbell. An explicit scope stays open for the
-  // rest of its ops; an auto scope reopens on the next batchable op.
-  const bool keep = batch_explicit_;
+  // A full chain rings its doorbell and leaves the scope open, so the
+  // scope's later ops chain behind the next doorbell.
   batch_flush();
-  batch_open_ = keep;
-  batch_explicit_ = keep;
+  batch_open_ = true;
 }
 
 std::uint64_t Nic::batch_flush() {
   if (!batch_open_) return 0;
   batch_open_ = false;
-  batch_explicit_ = false;
   const std::size_t n = batch_ndesc_;
   batch_ndesc_ = 0;
   const bool inter = batch_inter_;
@@ -359,29 +335,25 @@ std::uint64_t Nic::batch_flush() {
   count(Op::doorbell_ring);
 
   // One doorbell for the whole chain: the injection overhead is charged
-  // once, plus chain_ns per extra descriptor — drained round-robin
-  // over the configured channels (per-channel ordering preserved). As for
-  // an unbatched op, the overhead overlaps the wire: each descriptor
-  // completes the chain plus its own latency after the doorbell starts,
-  // so a one-descriptor doorbell lands when the same op unbatched would.
-  // An explicit scope posts its chain back to back, so its doorbell starts
-  // at the chain's first post, and the host time spent posting the rest
-  // falls inside the modeled overhead and chain instead of adding to them.
-  // An auto scope spans whatever code runs between sync points, so its
-  // doorbell starts here.
+  // once, plus chain_ns per extra descriptor. As for an unbatched op, the
+  // overhead overlaps the wire: each descriptor completes the chain plus
+  // its own latency after the doorbell starts, so a one-descriptor
+  // doorbell lands when the same op unbatched would. The scope posts its
+  // chain back to back, so the doorbell starts at the chain's first post
+  // (read in issue), and the host time spent posting the rest falls inside
+  // the modeled overhead and chain instead of adding to them.
   std::uint64_t start = 0;
   std::uint64_t doorbell_ns = 0;
   std::uint64_t chain_ns = 0;
   const DomainConfig& cfg = domain_.config();
   if (cfg.inject == Injection::model) {
     doorbell_ns = static_cast<std::uint64_t>(
-        domain_.model_ns(cfg.model.doorbell_ns(n, inter, channels_)));
+        domain_.model_ns(cfg.model.doorbell_ns(n, inter)));
     chain_ns = static_cast<std::uint64_t>(
-        domain_.model_ns(cfg.model.batch_chain_latency_ns(n, channels_)));
-    start = batch_start_ != 0 ? batch_start_ : now();
+        domain_.model_ns(cfg.model.chain_latency_ns(n)));
+    start = batch_start_;
     modeled_ns_ += doorbell_ns;
   }
-  batch_start_ = 0;
   const std::uint64_t doorbell_end = start + doorbell_ns;
   for (const BatchEntry& e : batch_entries_) {
     PendingOp* op = nullptr;
@@ -614,15 +586,13 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
   if (vectored) count(Op::vectored_op);
   if (req.len != 0) count(Op::bytes_copied, req.len);
 
-  // Throughput mode: a contiguous FMA-sized op inside a batch scope
-  // (explicit or auto) skips its private doorbell; completion times are
-  // assigned when batch_flush rings the shared one. A vectored op is
-  // already one chained doorbell and keeps it. One predictable branch
-  // when idle.
-  bool batched = false;
-  if ((batch_open_ || auto_batch_) && !vectored) {
-    batched = batch_accepts(req.len);
-  }
+  // A contiguous FMA-sized op inside a batch scope skips its private
+  // doorbell; completion times are assigned when batch_flush rings the
+  // shared one. A BTE transfer owns its doorbell (the bulk engine is not
+  // part of an FMA descriptor chain), and a vectored op is already one
+  // chained doorbell. One predictable branch when no scope is open.
+  const bool batched =
+      batch_open_ && !vectored && req.len < cfg.model.bte_threshold;
 
   // Model time accounting: only the injection mode consults the clock; the
   // functional mode (Injection::none) runs the pure software path.
@@ -633,32 +603,18 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
     double overhead_ns = 0.0;
     double latency_ns = 0.0;
     if (inter) {
-      // Payloads stripe over the channels once they cross into BTE
-      // territory, vectored or not.
       overhead_ns = m.inter_overhead_ns;
       switch (req.kind) {
-        case Kind::put:
-          latency_ns = m.put_striped_latency_ns(req.len, channels_);
-          break;
-        case Kind::get:
-          latency_ns = m.get_striped_latency_ns(req.len, channels_);
-          break;
-        case Kind::amo:
-          latency_ns = m.amo_latency_ns();
-          break;
-      }
-      if (channels_ > 1 && req.len >= m.bte_threshold &&
-          req.kind != Kind::amo) {
-        count(Op::channel_stripe);
-        trace::emit(trace::EvClass::channel, trace::EvPhase::issue, target,
-                    static_cast<std::uint64_t>(channels_));
+        case Kind::put: latency_ns = m.put_latency_ns(req.len); break;
+        case Kind::get: latency_ns = m.get_latency_ns(req.len); break;
+        case Kind::amo: latency_ns = m.amo_latency_ns(); break;
       }
     } else {
       overhead_ns = m.intra_overhead_ns;
       latency_ns = req.kind == Kind::amo ? m.intra_amo_ns
                                          : m.intra_latency_ns(req.len);
     }
-    if (vectored) latency_ns += m.vec_chain_latency_ns(req.nfrags);
+    if (vectored) latency_ns += m.chain_latency_ns(req.nfrags);
     const double scale = cfg.time_scale;
     model_lat = static_cast<std::uint64_t>(latency_ns * scale * fault_scale);
     if (!batched) {
@@ -670,9 +626,9 @@ Handle Nic::issue(int target, const RegionDesc& rd, std::size_t offset,
       now_ = spin_until_ns(issue_start + busy);
       complete_at = issue_start + model_lat;
       latest_complete_at_ = std::max(latest_complete_at_, complete_at);
-    } else if (batch_ndesc_ == 0 && batch_explicit_) {
-      // The first post of an explicit chain opens its doorbell window,
-      // read where an unbatched op reads its issue start (batch_flush).
+    } else if (batch_ndesc_ == 0) {
+      // The first post of a chain opens its doorbell window, read where an
+      // unbatched op reads its issue start (batch_flush).
       batch_start_ = now();
     }
   }
@@ -958,7 +914,7 @@ void Nic::gsync() {
 }
 
 OpStatus Nic::gsync_status() {
-  // An open batch (explicit or auto) is flushed before bulk completion:
+  // An open batch scope is flushed before bulk completion:
   // this is what guarantees flush/fence/unlock/complete — which all route
   // through gsync — ring every outstanding doorbell (MPI RMA semantics).
   batch_flush();

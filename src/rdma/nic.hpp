@@ -197,33 +197,30 @@ class alignas(kCacheLine) Nic {
     return deadline <= now_ || deadline <= now();
   }
 
-  // --- throughput mode: doorbell batching ------------------------------------
-  /// Opens an explicit batch scope: subsequent batchable ops (contiguous
-  /// and FMA-sized, i.e. below the model's bte_threshold) accumulate into
-  /// one chained descriptor list and ring a single doorbell at
-  /// batch_flush(). Idempotent — an auto-batch scope already open is
-  /// adopted. BTE transfers and vectored ops (already one chained
+  // --- doorbell batching ------------------------------------------------------
+  /// Opens a batch scope: subsequent batchable ops (contiguous and
+  /// FMA-sized, i.e. below the model's bte_threshold) accumulate into one
+  /// chained descriptor list and ring a single doorbell at batch_flush().
+  /// Idempotent. BTE transfers and vectored ops (already one chained
   /// doorbell) bypass the batch.
   void batch_begin();
-  /// Rings the doorbell for the open batch (explicit or auto), charging
-  /// the injection overhead once plus chain_ns per extra descriptor
-  /// (divided round-robin across the configured channels;
-  /// NetworkModel::doorbell_ns), and assigns every batched op its modeled
+  /// Rings the doorbell for the open scope, charging the injection
+  /// overhead once plus chain_ns per extra descriptor
+  /// (NetworkModel::doorbell_ns), and assigns every batched op its modeled
   /// completion time: the doorbell's start plus the chain plus the op's
   /// own latency. The overhead overlaps the wire as it does for an
   /// unbatched op, so a one-descriptor doorbell completes when the op
-  /// would have unbatched. An explicit scope's doorbell starts at its
-  /// chain's first post, so the host time spent posting the rest runs
-  /// inside the modeled overhead and chain; an auto scope's starts at the
-  /// flush. No-op when no batch is open. Also invoked
-  /// implicitly by gsync, by test/wait on a batch-pending handle, and once
-  /// kDoorbellDescs descriptors queue up (an explicit scope then stays
-  /// open, so its later ops chain behind the next doorbell). Returns the
+  /// would have unbatched. A doorbell starts at its chain's first post, so
+  /// the host time spent posting the rest runs inside the modeled overhead
+  /// and chain. Closes the scope; no-op when none is open. Also invoked by
+  /// gsync and by test/wait on a batch-pending handle. A chain that
+  /// reaches kDoorbellDescs descriptors rings at once and leaves the scope
+  /// open, so its later ops chain behind the next doorbell. Returns the
   /// latest modeled completion among the descriptors of every doorbell the
   /// scope rang, the one deadline a round of its ops waits for (0 when no
-  /// batch was open, and under Injection::none).
+  /// scope was open, and under Injection::none).
   std::uint64_t batch_flush();
-  /// True while a batch scope (explicit or auto) is open.
+  /// True while a batch scope is open.
   bool batch_active() const noexcept { return batch_open_; }
   /// Descriptors enqueued in the open batch.
   std::size_t batch_depth() const noexcept { return batch_ndesc_; }
@@ -420,7 +417,7 @@ class alignas(kCacheLine) Nic {
   /// Builds a failed explicit handle (no data movement, no model time).
   Handle make_failed_handle(OpStatus st, bool implicit);
 
-  // --- throughput mode internals --------------------------------------------
+  // --- doorbell batching internals -------------------------------------------
   /// One descriptor of the open batch. Pool entries are referenced by index
   /// (slab_/implicit_ops_ may reallocate between enqueue and flush); ops
   /// with no pooled record (immediate implicit) carry only their latency.
@@ -430,10 +427,6 @@ class alignas(kCacheLine) Nic {
     std::uint64_t lat_ns = 0;           ///< modeled op latency (scaled)
     static constexpr std::uint32_t kNoSlot2 = ~std::uint32_t{0};
   };
-  /// True when the open (or to-be-opened auto) batch accepts this op: a
-  /// batch scope is available and the op is FMA-sized (below the model's
-  /// bte_threshold).
-  bool batch_accepts(std::size_t len) noexcept;
   /// Records one op into the open batch (model-time bookkeeping only; the
   /// caller has already done counters/data movement).
   void batch_enqueue(const BatchEntry& e, bool inter);
@@ -471,15 +464,12 @@ class alignas(kCacheLine) Nic {
   std::uint64_t modeled_ns_ = 0;           // see modeled_ns()
   std::uint64_t now_ = 0;                  // see last_now()
 
-  // Throughput mode. With the default NicConfig the issue path pays one
-  // extra predictable branch (no batch open, auto_batch_ false).
-  int channels_ = 1;         // cached NicConfig.channels
-  bool auto_batch_ = false;  // cached NicConfig.auto_batch
+  // Doorbell batching. With no scope open the issue path pays one
+  // predictable branch.
   bool batch_open_ = false;
-  bool batch_explicit_ = false;  // opened by batch_begin (vs auto)
-  bool batch_inter_ = false;     // any inter-node descriptor enqueued
+  bool batch_inter_ = false;  // any inter-node descriptor enqueued
   std::size_t batch_ndesc_ = 0;
-  std::uint64_t batch_start_ = 0;  // first post of an explicit chain, or 0
+  std::uint64_t batch_start_ = 0;  // first post of the open chain
   std::uint64_t batch_done_ = 0;   // latest completion the scope assigned
   std::vector<BatchEntry> batch_entries_;  // capacity recycled across flushes
   std::uint64_t doorbells_ = 0;
@@ -509,9 +499,6 @@ struct DomainConfig {
   /// Multiplier on all injected model times (1.0 = realistic).
   double time_scale = 1.0;
   NetworkModel model = kGemini;
-  /// Throughput mode: doorbell batching and channel striping (defaults
-  /// preserve the latency-tuned single-channel path).
-  NicConfig nic{};
   std::uint64_t seed = 42;
   /// Seeded deterministic fault injection (disabled by default; when
   /// disabled the issue path pays exactly one extra branch).

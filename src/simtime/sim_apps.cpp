@@ -78,11 +78,12 @@ FftSeries simulate_fft(int p, const FftParams& prm) {
 }
 
 double simulate_msgrate_mops(const MsgRateParams& prm) {
-  const double b = std::max(1, prm.batch);
-  const double ch = std::max(1, prm.channels);
-  const double chains = std::ceil((b - 1.0) / ch);
-  const double batch_ns = kGemini.inter_overhead_ns + prm.sw_issue_ns * b +
-                          kGemini.chain_ns * chains;
+  const int b = std::max(1, prm.batch);
+  const double sw = prm.sw_issue_ns;
+  // The doorbell starts at the first post; the other b-1 posts overlap it.
+  const double batch_ns =
+      sw + std::max(kGemini.doorbell_ns(static_cast<std::size_t>(b), true),
+                    sw * (b - 1));
   return b / batch_ns * 1e3;  // ns per batch -> Mops/s
 }
 

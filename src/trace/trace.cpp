@@ -28,7 +28,6 @@ const char* to_string(EvClass cls) noexcept {
     case EvClass::barrier:       return "barrier";
     case EvClass::fault:         return "fault";
     case EvClass::batch:         return "batch";
-    case EvClass::channel:       return "channel";
     case EvClass::fiber:         return "fiber";
     case EvClass::notify_post:   return "notify_post";
     case EvClass::kv:            return "kv";

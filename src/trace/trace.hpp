@@ -67,7 +67,6 @@ enum class EvClass : std::uint8_t {
   barrier,        ///< fabric dissemination barrier
   fault,          ///< FaultPlan event (injection / retry / permanent failure)
   batch,          ///< coalesced doorbell rung (arg = chained descriptors)
-  channel,        ///< BTE transfer striped across channels (arg = channels)
   fiber,          ///< fiber resumed (begin) / finished (complete); arg = id
   notify_post,    ///< put-with-notification record posted (arg = tag/seq)
   kv,             ///< KV service client op (arg = key, dur = op latency)

@@ -195,7 +195,7 @@ TEST(ModeledMeter, EveryChargeReachesTheMeter) {
                     nic.batch_flush();
                     nic.gsync();
                   }),
-                  busy(m.inter_overhead_ns + m.batch_chain_latency_ns(4, 1)))
+                  busy(m.inter_overhead_ns + m.chain_latency_ns(4)))
             << "one doorbell for a 4-op batch";
         EXPECT_EQ(charged([&] {
                     upc.memput(1, 0, &v, 8);

@@ -1,7 +1,7 @@
-// Throughput-mode coverage: doorbell coalescing (explicit scopes and
-// auto-batch, the fixed 64-descriptor capacity, vectored ops keeping their
-// own doorbell), implicit batch flushes at every sync point, fault
-// isolation inside a batch, and multi-channel striping.
+// Doorbell batching coverage: batch scopes (the fixed 64-descriptor
+// capacity, vectored and BTE ops keeping their own doorbell, the doorbell
+// overlapping its overhead with the wire), batch flushes at every sync
+// point, and fault isolation inside a batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "fabric/fabric.hpp"
 #include "rdma/network_model.hpp"
 #include "rdma/nic.hpp"
-#include "trace/trace.hpp"
 
 using namespace fompi;
 using namespace fompi::rdma;
@@ -28,13 +27,11 @@ using fabric::RankCtx;
 
 namespace {
 
-DomainConfig internode(int nranks, Injection inject = Injection::none,
-                       NicConfig nic = {}) {
+DomainConfig internode(int nranks, Injection inject = Injection::none) {
   DomainConfig cfg;
   cfg.nranks = nranks;
   cfg.ranks_per_node = 1;  // inter-node ("DMAPP") path
   cfg.inject = inject;
-  cfg.nic = nic;
   return cfg;
 }
 
@@ -138,42 +135,37 @@ TEST(Batch, BteSizedOpsBypassTheBatch) {
 }
 
 TEST(Batch, CapacityReachedFlushesImplicitly) {
-  // A full chain of 64 rings its doorbell and batching goes on: an auto
-  // scope reopens at the next op, and an explicit scope stays open, so its
-  // later ops chain behind the next doorbell instead of issuing one by
-  // one. Either way 130 puts ring 3 doorbells carrying all 130.
-  for (const bool explicit_scope : {false, true}) {
-    const char* what = explicit_scope ? "explicit scope" : "auto_batch";
-    NicConfig nc;
-    nc.auto_batch = !explicit_scope;
-    const DomainConfig cfg = internode(2, Injection::model, nc);
-    Domain dom(cfg);
-    Nic& nic = dom.nic(0);
-    AlignedBuffer mem(2048);
-    const RegionDesc d = dom.registry().register_region(1, mem.data(), 2048);
-    alignas(8) std::uint64_t src = 9;
-    const auto busy = [&](std::size_t n) {
-      return static_cast<std::uint64_t>(cfg.model.doorbell_ns(n, true, 1) *
-                                        cfg.time_scale);
-    };
+  // A full chain of 64 rings its doorbell and leaves the scope open, so
+  // its later ops chain behind the next doorbell instead of issuing one
+  // by one: 130 puts ring 3 doorbells carrying all 130.
+  const DomainConfig cfg = internode(2, Injection::model);
+  Domain dom(cfg);
+  Nic& nic = dom.nic(0);
+  AlignedBuffer mem(2048);
+  const RegionDesc d = dom.registry().register_region(1, mem.data(), 2048);
+  alignas(8) std::uint64_t src = 9;
+  const auto busy = [&](std::size_t n) {
+    return static_cast<std::uint64_t>(cfg.model.doorbell_ns(n, true) *
+                                      cfg.time_scale);
+  };
 
-    const OpCounters before = op_counters();
-    const std::uint64_t m0 = nic.modeled_ns();
-    if (explicit_scope) nic.batch_begin();
-    for (int i = 0; i < 130; ++i) {
-      nic.put_nbi(1, d, static_cast<std::size_t>(i) * 8u, &src, 8);
-    }
-    EXPECT_EQ(nic.doorbells_rung(), 2u) << what;  // two full batches of 64
-    EXPECT_EQ(nic.batch_depth(), 2u) << what;     // remainder still open
-    nic.gsync();
-    EXPECT_EQ(nic.doorbells_rung(), 3u) << what;
-    EXPECT_EQ(nic.implicit_outstanding(), 0u) << what;
-
-    const OpCounters delta = op_counters().since(before);
-    EXPECT_EQ(delta.get(Op::doorbell_ring), 3u) << what;
-    EXPECT_EQ(delta.get(Op::batched_op), 130u) << what;
-    EXPECT_EQ(nic.modeled_ns() - m0, 2 * busy(64) + busy(2)) << what;
+  const OpCounters before = op_counters();
+  const std::uint64_t m0 = nic.modeled_ns();
+  nic.batch_begin();
+  for (int i = 0; i < 130; ++i) {
+    nic.put_nbi(1, d, static_cast<std::size_t>(i) * 8u, &src, 8);
   }
+  EXPECT_EQ(nic.doorbells_rung(), 2u);  // two full batches of 64
+  EXPECT_TRUE(nic.batch_active());
+  EXPECT_EQ(nic.batch_depth(), 2u);     // remainder still open
+  nic.gsync();
+  EXPECT_EQ(nic.doorbells_rung(), 3u);
+  EXPECT_EQ(nic.implicit_outstanding(), 0u);
+
+  const OpCounters delta = op_counters().since(before);
+  EXPECT_EQ(delta.get(Op::doorbell_ring), 3u);
+  EXPECT_EQ(delta.get(Op::batched_op), 130u);
+  EXPECT_EQ(nic.modeled_ns() - m0, 2 * busy(64) + busy(2));
 }
 
 TEST(Batch, DoorbellOverlapsItsOverheadWithTheWire) {
@@ -218,60 +210,43 @@ TEST(Batch, DoorbellOverlapsItsOverheadWithTheWire) {
                     "unbatched");
     EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
   }
-  // An explicit scope's doorbell starts at its chain's first post, read
-  // where an unbatched op reads its issue start, so it starts before the
-  // flush; an auto scope's starts at the flush.
-  DomainConfig auto_cfg = cfg;
-  auto_cfg.nic.auto_batch = true;
-  Domain auto_dom(auto_cfg);
-  const RegionDesc auto_d =
-      auto_dom.registry().register_region(1, mem.data(), 256);
-  for (const bool explicit_scope : {true, false}) {
-    Nic& bn = explicit_scope ? nic : auto_dom.nic(0);
-    const RegionDesc& bd = explicit_scope ? d : auto_d;
-    for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
-      const std::string what = std::to_string(n) + "-descriptor " +
-                               (explicit_scope ? "explicit" : "auto") +
-                               " doorbell";
-      const std::uint64_t chain = scaled(m.batch_chain_latency_ns(n, 1));
-      const std::uint64_t busy = scaled(m.doorbell_ns(n, true, 1));
-      EXPECT_EQ(busy, scaled(m.inter_overhead_ns) + chain);
-      const std::uint64_t m0 = bn.modeled_ns();
-      const std::uint64_t t0 = now_ns();
-      if (explicit_scope) bn.batch_begin();
-      std::vector<Handle> hs;
-      for (std::size_t i = 0; i < n; ++i) {
-        hs.push_back(bn.put_nb(1, bd, 8 * i, &src, 8));
-      }
-      const std::uint64_t posted = now_ns();
-      bn.batch_flush();
-      const std::uint64_t t1 = now_ns();
-      EXPECT_EQ(bn.modeled_ns() - m0, busy) << what;
-      for (const Handle h : hs) {
-        const std::uint64_t start = bn.completion_deadline(h) - chain - lat;
-        expect_start_in(start, t0, t1, busy, what);
-        if (explicit_scope) {
-          EXPECT_LE(start, posted) << what << ": starts after its posts";
-        } else {
-          EXPECT_GE(start, posted) << what << ": starts before its flush";
-        }
-        EXPECT_EQ(bn.wait_status(h), OpStatus::ok);
-      }
+  // A doorbell starts at its chain's first post, read where an unbatched
+  // op reads its issue start, so it starts before the flush.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+    const std::string what = std::to_string(n) + "-descriptor doorbell";
+    const std::uint64_t chain = scaled(m.chain_latency_ns(n));
+    const std::uint64_t busy = scaled(m.doorbell_ns(n, true));
+    EXPECT_EQ(busy, scaled(m.inter_overhead_ns) + chain);
+    const std::uint64_t m0 = nic.modeled_ns();
+    const std::uint64_t t0 = now_ns();
+    nic.batch_begin();
+    std::vector<Handle> hs;
+    for (std::size_t i = 0; i < n; ++i) {
+      hs.push_back(nic.put_nb(1, d, 8 * i, &src, 8));
+    }
+    const std::uint64_t posted = now_ns();
+    nic.batch_flush();
+    const std::uint64_t t1 = now_ns();
+    EXPECT_EQ(nic.modeled_ns() - m0, busy) << what;
+    for (const Handle h : hs) {
+      const std::uint64_t start = nic.completion_deadline(h) - chain - lat;
+      expect_start_in(start, t0, t1, busy, what);
+      EXPECT_LE(start, posted) << what << ": starts after its posts";
+      EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
     }
   }
 }
 
 // --- sync points flush open batches --------------------------------------------
 
-TEST(Batch, GsyncFlushesOpenAutoBatch) {
-  NicConfig nc;
-  nc.auto_batch = true;
-  Domain dom(internode(2, Injection::model, nc));
+TEST(Batch, GsyncFlushesOpenBatch) {
+  Domain dom(internode(2, Injection::model));
   Nic& nic = dom.nic(0);
   AlignedBuffer mem(4096);
   const RegionDesc d = dom.registry().register_region(1, mem.data(), 4096);
   alignas(8) std::uint64_t src = 0xabcdu;
 
+  nic.batch_begin();
   for (int i = 0; i < 8; ++i) {
     nic.put_nbi(1, d, static_cast<std::size_t>(i) * 8u, &src, 8);
   }
@@ -283,43 +258,36 @@ TEST(Batch, GsyncFlushesOpenAutoBatch) {
 }
 
 TEST(Batch, WindowSyncPointsFlushOpenBatches) {
-  // flush / fence / unlock all route through gsync; each must close an
-  // auto-batch scope so MPI RMA completion semantics hold under batching.
+  // flush / fence / unlock all route through gsync; each must ring and
+  // close an open batch scope so MPI RMA completion semantics hold under
+  // batching (the collectives' rounds rely on it).
   fabric::FabricOptions opts;
   opts.domain = internode(2, Injection::none);
-  opts.domain.nic.auto_batch = true;
   fabric::run_ranks(
       2,
       [&](RankCtx& ctx) {
         Win win = Win::allocate(ctx, 4096);
+        Nic& nic = ctx.nic();
+        const int peer = (ctx.rank() + 1) % 2;
         std::uint64_t v = static_cast<std::uint64_t>(ctx.rank()) + 1;
 
-        // Passive target + flush.
+        // Window setup's collectives ring doorbells of their own, so each
+        // check counts from its own batch_begin.
+        const auto sync_rings_scope = [&](std::size_t off, auto&& sync,
+                                          const char* what) {
+          const std::uint64_t db = nic.doorbells_rung();
+          nic.batch_begin();
+          win.put(&v, 8, peer, off);
+          EXPECT_EQ(nic.batch_depth(), 1u) << what;
+          sync();
+          EXPECT_FALSE(nic.batch_active()) << what;
+          EXPECT_EQ(nic.doorbells_rung(), db + 1) << what;
+        };
         win.lock_all();
-        win.put(&v, 8, (ctx.rank() + 1) % 2, 0);
-        EXPECT_TRUE(ctx.nic().batch_active());
-        win.flush((ctx.rank() + 1) % 2);
-        EXPECT_FALSE(ctx.nic().batch_active());
-        const std::uint64_t db_after_flush = ctx.nic().doorbells_rung();
-        EXPECT_GE(db_after_flush, 1u);
-
-        // Unlock. The internal gsync must ring the pending batch; trailing
-        // protocol ops (lock-word releases) issued after it may legitimately
-        // re-open the auto-batch scope, so assert on doorbell progress, not
-        // on batch_active() being false afterwards.
-        win.put(&v, 8, (ctx.rank() + 1) % 2, 8);
-        EXPECT_TRUE(ctx.nic().batch_active());
-        win.unlock_all();
-        const std::uint64_t db_after_unlock = ctx.nic().doorbells_rung();
-        EXPECT_GT(db_after_unlock, db_after_flush);
-
-        // Active target: fence closes the epoch (and rings the batch);
-        // same caveat about trailing fence-counter protocol ops.
-        win.fence();
-        win.put(&v, 8, (ctx.rank() + 1) % 2, 16);
-        EXPECT_TRUE(ctx.nic().batch_active());
-        win.fence();
-        EXPECT_GT(ctx.nic().doorbells_rung(), db_after_unlock);
+        sync_rings_scope(0, [&] { win.flush(peer); }, "flush");
+        sync_rings_scope(8, [&] { win.unlock_all(); }, "unlock_all");
+        win.fence();  // opens an active-target epoch
+        sync_rings_scope(16, [&] { win.fence(); }, "fence");
 
         win.free();
       },
@@ -413,11 +381,11 @@ TEST(Batch, ScheduledFaultInsideBatchFailsOnlyThatOp) {
 
 TEST(Batch, BatchedFleetAbortsOnDeadPeerNotHangs) {
   // Batched completion spins route through the domain progress hook
-  // (Fabric::yield_check): a survivor flushing batched puts at a dead rank
-  // observes typed peer_dead instead of hanging the fleet.
+  // (Domain::progress_check): a survivor flushing a batch scope that holds
+  // a put at a dead rank observes typed peer_dead instead of hanging the
+  // fleet (the put retires at issue and never joins the chain).
   fabric::FabricOptions opts;
   opts.domain = internode(2, Injection::model);
-  opts.domain.nic.auto_batch = true;
   opts.domain.fault.kill_rank = 1;
   // Late enough that both ranks finish the lock_all protocol (~10 ops) before
   // the death; rank 1 then dies inside its put/flush loop.
@@ -433,6 +401,7 @@ TEST(Batch, BatchedFleetAbortsOnDeadPeerNotHangs) {
         std::uint64_t v = 1;
         if (ctx.rank() == 1) {
           for (int i = 0; i < 100; ++i) {
+            ctx.nic().batch_begin();
             win.put(&v, 8, 0, 0);
             win.flush(0);
           }
@@ -441,7 +410,8 @@ TEST(Batch, BatchedFleetAbortsOnDeadPeerNotHangs) {
         while (win.peer_alive(1)) ctx.yield_check();
         OpStatus st = OpStatus::ok;
         for (int i = 0; i < 8 && st == OpStatus::ok; ++i) {
-          win.put(&v, 8, 1, 0);  // auto-batched
+          ctx.nic().batch_begin();
+          win.put(&v, 8, 1, 0);
           st = win.flush_checked(1);
         }
         EXPECT_EQ(st, OpStatus::peer_dead);
@@ -449,72 +419,12 @@ TEST(Batch, BatchedFleetAbortsOnDeadPeerNotHangs) {
       opts);
 }
 
-// --- channel striping ------------------------------------------------------------
+// --- no scope, no doorbell ---------------------------------------------------------
 
-TEST(Batch, StripedModelLatencyDecreasesWithChannels) {
-  NetworkModel m;
-  const std::size_t big = std::size_t{1} << 20;
-  const double t1 = m.put_striped_latency_ns(big, 1);
-  const double t2 = m.put_striped_latency_ns(big, 2);
-  const double t4 = m.put_striped_latency_ns(big, 4);
-  EXPECT_GT(t1, t2);
-  EXPECT_GT(t2, t4);
-  EXPECT_DOUBLE_EQ(t1, m.put_latency_ns(big));  // 1 channel == legacy model
-  // FMA-sized transfers never stripe (ordering).
-  EXPECT_DOUBLE_EQ(m.put_striped_latency_ns(512, 4), m.put_latency_ns(512));
-}
-
-TEST(Batch, StripingReducesModeledWallTime) {
-  // The 1 MiB put's modeled latency, read from its issue event's dur_ns
-  // as Nic.ModeledLatencyMatchesCostModel reads it. Its wall time would
-  // also carry the host copy of the payload, which does not shrink with
-  // channels, and whatever else loads the host. Built without the flight
-  // recorder (FOMPI_TRACE=OFF), the test checks the stripe counters only.
-  trace::TraceSession::Config tcfg;
-  tcfg.postmortem_path.clear();
-  trace::TraceSession session(1, tcfg);
-  trace::Ring& ring = session.ring(0);
-  trace::bind_thread(&ring);
-  const std::size_t big = std::size_t{1} << 20;
-  auto modeled_put = [&](int channels) {
-    NicConfig nc;
-    nc.channels = channels;
-    Domain dom(internode(2, Injection::model, nc));
-    Nic& nic = dom.nic(0);
-    AlignedBuffer mem(2 * big);
-    const RegionDesc d = dom.registry().register_region(1, mem.data(), 2 * big);
-    std::vector<std::byte> payload(big);
-    const OpCounters before = op_counters();
-    const std::size_t from = ring.size();
-    nic.put(1, d, 0, payload.data(), big);
-    const std::uint64_t stripes = op_counters().since(before).get(
-        Op::channel_stripe);
-    EXPECT_EQ(stripes, channels > 1 ? 1u : 0u);
-    trace::flush_thread();
-    for (std::size_t i = from; i < ring.size(); ++i) {
-      if (ring[i].cls == trace::EvClass::put &&
-          ring[i].phase == trace::EvPhase::issue) {
-        return static_cast<double>(ring[i].dur_ns);
-      }
-    }
-    return 0.0;
-  };
-  const double t1 = modeled_put(1);
-  const double t4 = modeled_put(4);
-  trace::bind_thread(nullptr);
-  if (!trace::kEnabled) return;
-  // Modeled: ~153 us at 1 channel vs ~40 us at 4.
-  EXPECT_GT(t4, 0.0) << "no issue event for the 4-channel put";
-  EXPECT_LT(t4, 0.6 * t1);
-}
-
-// --- idle-config invariants ------------------------------------------------------
-
-TEST(Batch, IdleThroughputConfigLeavesSemanticsUnchanged) {
-  NicConfig nc;
-  nc.channels = 4;
-  nc.auto_batch = false;  // throughput machinery armed but never engaged
-  Domain dom(internode(2, Injection::none, nc));
+TEST(Batch, NoScopeRingsNoDoorbell) {
+  // Without a batch scope every op keeps its private doorbell: nothing
+  // batches, and gsync has no chain to ring.
+  Domain dom(internode(2, Injection::none));
   Nic& nic = dom.nic(0);
   AlignedBuffer mem(256);
   const RegionDesc d = dom.registry().register_region(1, mem.data(), 256);

@@ -921,14 +921,10 @@ class ChaosAmoFiber final : public fabric::progress::Fiber {
     static constexpr std::uint64_t kOne = 1;
     FOMPI_FIBER_BEGIN();
     for (;;) {
+      // One handle per request op, even toward a dead rank
+      // (WinErrMode.RequestOpsTowardADeadRankRetireThroughOneHandle).
       req_ = win_.rfetch_and_op(&kOne, &fetched_, Elem::u64, RedOp::sum, 1,
                                 static_cast<std::size_t>(idx_ % 8) * 8);
-      if (req_.handles().empty()) {
-        // Eager retirement (issue path observed the death first).
-        req_.dismiss();
-        final_status = win_.last_error();
-        break;
-      }
       FOMPI_FIBER_AWAIT(s, req_.handles()[0]);
       req_.dismiss();
       final_status = wake_status();

@@ -402,72 +402,66 @@ TEST(Nic, ModeledLatencyMatchesCostModel) {
   constexpr std::size_t kBte = 8192;  // >= bte_threshold
   static_assert(kBte >= NetworkModel{}.bte_threshold);
 
-  for (const int channels : {1, 4}) {
-    DomainConfig cfg;
-    cfg.nranks = 3;
-    cfg.ranks_per_node = 2;  // rank 1 shares rank 0's node, rank 2 does not
-    cfg.inject = Injection::model;
-    cfg.nic.channels = channels;
-    Domain dom(cfg);
-    Nic& nic = dom.nic(0);
-    AlignedBuffer mem1(2 * kBte), mem2(2 * kBte);
-    const RegionDesc descs[3] = {
-        {}, dom.registry().register_region(1, mem1.data(), 2 * kBte),
-        dom.registry().register_region(2, mem2.data(), 2 * kBte)};
-    std::vector<std::byte> buf(kBte);
-    const Frag frags[4] = {{0, 0, 8}, {8, 64, 8}, {16, 128, 8}, {24, 192, 8}};
+  DomainConfig cfg;
+  cfg.nranks = 3;
+  cfg.ranks_per_node = 2;  // rank 1 shares rank 0's node, rank 2 does not
+  cfg.inject = Injection::model;
+  Domain dom(cfg);
+  Nic& nic = dom.nic(0);
+  AlignedBuffer mem1(2 * kBte), mem2(2 * kBte);
+  const RegionDesc descs[3] = {
+      {}, dom.registry().register_region(1, mem1.data(), 2 * kBte),
+      dom.registry().register_region(2, mem2.data(), 2 * kBte)};
+  std::vector<std::byte> buf(kBte);
+  const Frag frags[4] = {{0, 0, 8}, {8, 64, 8}, {16, 128, 8}, {24, 192, 8}};
 
-    for (const int target : {1, 2}) {
-      const bool inter = target == 2;
-      const RegionDesc& d = descs[target];
-      const auto put_ns = [&](std::size_t bytes, std::size_t nfrags) {
-        return inter ? m.put_striped_latency_ns(bytes, channels) +
-                           chain(nfrags)
-                     : m.intra_latency_ns(bytes) + chain(nfrags);
-      };
-      const auto get_ns = [&](std::size_t bytes, std::size_t nfrags) {
-        return inter ? m.get_striped_latency_ns(bytes, channels) +
-                           chain(nfrags)
-                     : m.intra_latency_ns(bytes) + chain(nfrags);
-      };
-      SCOPED_TRACE(::testing::Message()
-                   << "channels " << channels << ", target " << target);
-      using trace::EvClass;
+  for (const int target : {1, 2}) {
+    const bool inter = target == 2;
+    const RegionDesc& d = descs[target];
+    const auto put_ns = [&](std::size_t bytes, std::size_t nfrags) {
+      return (inter ? m.put_latency_ns(bytes) : m.intra_latency_ns(bytes)) +
+             chain(nfrags);
+    };
+    const auto get_ns = [&](std::size_t bytes, std::size_t nfrags) {
+      return (inter ? m.get_latency_ns(bytes) : m.intra_latency_ns(bytes)) +
+             chain(nfrags);
+    };
+    SCOPED_TRACE(::testing::Message() << "target " << target);
+    using trace::EvClass;
 
-      std::size_t from = ring.size();
-      nic.put(target, d, 0, buf.data(), 8);
-      EXPECT_EQ(issue_dur(ring, from, EvClass::put),
-                static_cast<std::uint64_t>(put_ns(8, 1)));
+    std::size_t from = ring.size();
+    nic.put(target, d, 0, buf.data(), 8);
+    EXPECT_EQ(issue_dur(ring, from, EvClass::put),
+              static_cast<std::uint64_t>(put_ns(8, 1)));
+
+    from = ring.size();
+    nic.put(target, d, 0, buf.data(), kBte);
+    EXPECT_EQ(issue_dur(ring, from, EvClass::put),
+              static_cast<std::uint64_t>(put_ns(kBte, 1)));
+
+    from = ring.size();
+    nic.get(target, d, 0, buf.data(), 8);
+    EXPECT_EQ(issue_dur(ring, from, EvClass::get),
+              static_cast<std::uint64_t>(get_ns(8, 1)));
+
+    from = ring.size();
+    nic.amo(target, d, 0, AmoOp::fetch_add, 1);
+    EXPECT_EQ(issue_dur(ring, from, EvClass::amo),
+              static_cast<std::uint64_t>(inter ? m.amo_latency_ns()
+                                               : m.intra_amo_ns));
+
+    for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+      from = ring.size();
+      nic.wait(nic.put_nbv(target, d, 0, 200, buf.data(), frags, n));
+      EXPECT_EQ(issue_dur(ring, from, EvClass::vectored),
+                static_cast<std::uint64_t>(put_ns(8 * n, n)))
+          << n << "-fragment put";
 
       from = ring.size();
-      nic.put(target, d, 0, buf.data(), kBte);
-      EXPECT_EQ(issue_dur(ring, from, EvClass::put),
-                static_cast<std::uint64_t>(put_ns(kBte, 1)));
-
-      from = ring.size();
-      nic.get(target, d, 0, buf.data(), 8);
-      EXPECT_EQ(issue_dur(ring, from, EvClass::get),
-                static_cast<std::uint64_t>(get_ns(8, 1)));
-
-      from = ring.size();
-      nic.amo(target, d, 0, AmoOp::fetch_add, 1);
-      EXPECT_EQ(issue_dur(ring, from, EvClass::amo),
-                static_cast<std::uint64_t>(inter ? m.amo_latency_ns()
-                                                 : m.intra_amo_ns));
-
-      for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
-        from = ring.size();
-        nic.wait(nic.put_nbv(target, d, 0, 200, buf.data(), frags, n));
-        EXPECT_EQ(issue_dur(ring, from, EvClass::vectored),
-                  static_cast<std::uint64_t>(put_ns(8 * n, n)))
-            << n << "-fragment put";
-
-        from = ring.size();
-        nic.wait(nic.get_nbv(target, d, 0, 200, buf.data(), frags, n));
-        EXPECT_EQ(issue_dur(ring, from, EvClass::vectored),
-                  static_cast<std::uint64_t>(get_ns(8 * n, n)))
-            << n << "-fragment get";
-      }
+      nic.wait(nic.get_nbv(target, d, 0, 200, buf.data(), frags, n));
+      EXPECT_EQ(issue_dur(ring, from, EvClass::vectored),
+                static_cast<std::uint64_t>(get_ns(8 * n, n)))
+          << n << "-fragment get";
     }
   }
 }

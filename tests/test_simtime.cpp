@@ -200,25 +200,6 @@ TEST(SimMsgRate, DoorbellBatchingAmortizesOverheadAtLeast2x) {
   EXPECT_LT(b, 1e3 / batched.sw_issue_ns);
 }
 
-TEST(SimMsgRate, ChannelsMonotonicallyRaiseTheBatchedRate) {
-  double prev = 0.0;
-  for (int ch : {1, 2, 4}) {
-    MsgRateParams p;
-    p.channels = ch;
-    const double mops = simulate_msgrate_mops(p);
-    EXPECT_GT(mops, prev) << "channels=" << ch;
-    prev = mops;
-  }
-  // Diminishing returns: the chain walk is only part of the batch cost,
-  // so infinite channels cap out at overhead + sw*batch.
-  MsgRateParams wide;
-  wide.channels = 1 << 20;
-  const double cap =
-      wide.batch / (rdma::kGemini.inter_overhead_ns +
-                    wide.sw_issue_ns * wide.batch) * 1e3;
-  EXPECT_LE(simulate_msgrate_mops(wide), cap * 1.001);
-}
-
 // --- collectives at scale (PR 7) --------------------------------------------
 
 TEST(SimColl, BcastScalesAsLogPUpTo512k) {
