@@ -29,17 +29,10 @@ constexpr int kReps = 5;
 constexpr int kOpsPerRep = 64;
 constexpr std::uint64_t kA2avElems = 8;  // u64 elements per (src,dst) pair
 
-fabric::FabricOptions tree_model() {
-  fabric::FabricOptions o = internode_model();
-  o.coll.flat_cutoff = 0;  // always the RMA put/notify trees
-  return o;
-}
-
-// Two-tier topology: p/rpn "nodes" of rpn ranks, trees forced.
+// Two-tier topology: p/rpn "nodes" of rpn ranks.
 fabric::FabricOptions hier_model(int rpn) {
   fabric::FabricOptions o = internode_model();
   o.domain.ranks_per_node = rpn;
-  o.coll.flat_cutoff = 0;
   return o;
 }
 
@@ -56,7 +49,7 @@ double bcast_us_per_op(int p, const fabric::FabricOptions& o) {
 }
 
 double barrier_us_per_op(int p) {
-  return measure(p, tree_model(), kReps, [&](fabric::RankCtx& ctx) {
+  return measure(p, internode_model(), kReps, [&](fabric::RankCtx& ctx) {
            Timer t;
            for (int i = 0; i < kOpsPerRep; ++i) ctx.barrier();
            return t.elapsed_us() / kOpsPerRep;
@@ -64,7 +57,7 @@ double barrier_us_per_op(int p) {
 }
 
 double alltoallv_us_per_op(int p) {
-  return measure(p, tree_model(), kReps, [&](fabric::RankCtx& ctx) {
+  return measure(p, internode_model(), kReps, [&](fabric::RankCtx& ctx) {
            auto& coll = ctx.fabric().coll();
            const int r = ctx.rank();
            std::vector<std::uint64_t> counts(static_cast<std::size_t>(p),
@@ -120,15 +113,15 @@ int main() {
                      sim::simulate_coll_us(sim::CollOp::alltoallv, p, cp)});
   }
 
-  // Flat vs tree vs hierarchical (8-byte bcast). Flat is the single-node
-  // publish+copy fallback (intranode, default flat_cutoff); tree and
-  // two-tier run the RMA put/notify paths under the Gemini model.
+  // One node vs one rank per node vs two-tier (8-byte bcast), all the one
+  // binomial put/notify tree under the Gemini model: intranode runs it
+  // over the intra-node transport.
+  cases.push_back({"bcast8_intranode_p8", 8, "measured",
+                   bcast_us_per_op(8, intranode_model())});
   cases.push_back(
-      {"bcast8_flat_p8", 8, "measured", bcast_us_per_op(8, intranode_model())});
-  cases.push_back(
-      {"bcast8_tree_p8", 8, "measured", bcast_us_per_op(8, tree_model())});
-  cases.push_back(
-      {"bcast8_tree_p16", 16, "measured", bcast_us_per_op(16, tree_model())});
+      {"bcast8_tree_p8", 8, "measured", bcast_us_per_op(8, internode_model())});
+  cases.push_back({"bcast8_tree_p16", 16, "measured",
+                   bcast_us_per_op(16, internode_model())});
   cases.push_back({"bcast8_hier_p16_rpn4", 16, "measured",
                    bcast_us_per_op(16, hier_model(4))});
   for (int rpn : {1, 4}) {

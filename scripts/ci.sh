@@ -36,8 +36,9 @@
 #      flight-recorder tracing, doorbell batching, fault
 #      injection/recovery incl. Delivery::deferred under a fault plan,
 #      the suspended-fiber-fleet chaos kill, and the kills-vector
-#      staggered double-death path, RMA-native collectives incl.
-#      forced trees and persistent plans, the fiber progress engine +
+#      staggered double-death path, RMA-native collectives incl. the
+#      one-rank-per-node, single-node and two-tier trees and persistent
+#      plans, the fiber progress engine +
 #      notify plane, and the KV service's seqlock reads under a
 #      concurrent writer plus its kill/failover path and the full
 #      self-healing recovery/scrub/reconfiguration suite)
@@ -45,8 +46,11 @@
 #      symmetric heap, control blocks, registrations), the suites that
 #      move bytes through the NIC's staging buffers and fragment lists
 #      (contiguous, vectored and datatype issue, comm, property-based RMA,
-#      accumulate), and the KV service, whose one-round routing read lands
-#      an rget in a table the caller owns: zero AddressSanitizer reports
+#      accumulate), the KV service, whose one-round routing read lands
+#      an rget in a table the caller owns, and the collectives, which copy
+#      between landing regions and caller buffers at computed
+#      displacements (the NIC range-checks puts, not these host copies):
+#      zero AddressSanitizer reports
 #   5. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
@@ -193,7 +197,7 @@ cmake --build build-tsan --target \
 cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
 cmake --build build-asan --target \
   test_window test_rdma test_batch test_datatype test_comm test_prop_rma \
-  test_accumulate test_kv
+  test_accumulate test_kv test_collectives
 ./build-asan/tests/test_window
 ./build-asan/tests/test_rdma
 ./build-asan/tests/test_batch
@@ -202,6 +206,7 @@ cmake --build build-asan --target \
 ./build-asan/tests/test_prop_rma
 ./build-asan/tests/test_accumulate
 ./build-asan/tests/test_kv
+./build-asan/tests/test_collectives
 
 scripts/bench_smoke.sh
 

@@ -16,9 +16,8 @@ int floor_log2(int n) noexcept {
 }
 }  // namespace
 
-Collectives::Collectives(rdma::Domain& domain, CollConfig cfg)
+Collectives::Collectives(rdma::Domain& domain)
     : domain_(domain),
-      cfg_(cfg),
       state_(static_cast<std::size_t>(domain.nranks())),
       published_(static_cast<std::size_t>(domain.nranks())) {
   const int p = domain_.nranks();
@@ -26,11 +25,9 @@ Collectives::Collectives(rdma::Domain& domain, CollConfig cfg)
   FOMPI_REQUIRE(log2p_ <= kMaxRounds, ErrClass::arg, "too many ranks");
 
   const int rpn_cfg = domain_.config().ranks_per_node;
-  single_node_ = rpn_cfg <= 0 || p <= rpn_cfg;
   nnodes_ = p;
-  if (!single_node_ && rpn_cfg >= 2 && rpn_cfg <= kMaxIntra &&
-      p % rpn_cfg == 0 && p / rpn_cfg >= 2) {
-    hier_ = true;
+  if (rpn_cfg >= 2 && rpn_cfg <= kMaxIntra && p % rpn_cfg == 0 &&
+      p / rpn_cfg >= 2) {
     rpn_ = rpn_cfg;
     nnodes_ = p / rpn_cfg;
   }
@@ -49,8 +46,6 @@ Collectives::Collectives(rdma::Domain& domain, CollConfig cfg)
   land_desc_.resize(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) ensure_landing(r, 1);
   scratch_.resize(static_cast<std::size_t>(p));
-  frag_scratch_.resize(static_cast<std::size_t>(p));
-  for (auto& f : frag_scratch_) f.reserve(static_cast<std::size_t>(p));
   put_displ_.resize(static_cast<std::size_t>(p));
   cx_mem_.reserve(static_cast<std::size_t>(p));
   cx_desc_.reserve(static_cast<std::size_t>(p));
@@ -242,26 +237,12 @@ std::uint64_t Collectives::enter_data(int rank, std::size_t landing_bytes) {
   return seq;
 }
 
-bool Collectives::flat_path(std::size_t bytes) const noexcept {
-  return single_node_ && cfg_.flat_cutoff > 0 && bytes <= cfg_.flat_cutoff;
-}
-
-void Collectives::charge_copies(int rank, std::size_t bytes,
-                                std::size_t nblocks) {
-  if (bytes == 0 || nblocks == 0) return;
-  rdma::Nic& nic = domain_.nic(rank);
-  const rdma::NetworkModel& m = domain_.config().model;
-  nic.charge_model_ns(static_cast<double>(nblocks) *
-                      (m.intra_overhead_ns + m.intra_latency_ns(bytes)));
-}
-
 std::size_t Collectives::allreduce_cap(std::size_t nbytes) const noexcept {
-  if (hier_) {
-    return (static_cast<std::size_t>(rpn_) +
-            static_cast<std::size_t>(floor_log2(nnodes_)) + 2) *
-           nbytes;
-  }
-  return (static_cast<std::size_t>(floor_log2(nranks())) + 2) * nbytes;
+  // Member gather area (the leader's own share stays in its accumulator),
+  // then the recursive-doubling rounds and the two fold slots.
+  return (static_cast<std::size_t>(rpn_) - 1 +
+          static_cast<std::size_t>(floor_log2(nnodes_)) + 2) *
+         nbytes;
 }
 
 // --- bcast ------------------------------------------------------------------
@@ -272,68 +253,7 @@ void Collectives::bcast_bytes(int rank, int root, void* data,
   FOMPI_REQUIRE(root >= 0 && root < p, ErrClass::rank,
                 "bcast: root out of range");
   if (nbytes == 0 || p == 1) return;
-  if (flat_path(nbytes)) {
-    if (rank == root) publish(rank, data);
-    barrier(rank);
-    if (rank != root) {
-      std::memcpy(data, peer_ptr(root), nbytes);
-      charge_copies(rank, nbytes, 1);
-    }
-    barrier(rank);
-    return;
-  }
   const std::uint64_t seq = enter_data(rank, nbytes);
-  if (hier_) {
-    bcast_hier(rank, root, data, nbytes, seq);
-  } else {
-    bcast_tree(rank, root, data, nbytes, seq);
-  }
-}
-
-void Collectives::bcast_tree(int rank, int root, void* data,
-                             std::size_t nbytes, std::uint64_t seq) {
-  const int p = nranks();
-  const int rel = (rank - root + p) % p;
-  rdma::Nic& nic = domain_.nic(rank);
-  std::byte* land = land_mem_[static_cast<std::size_t>(rank)].data();
-  // MPICH binomial: receive from rel with the lowest set bit cleared, then
-  // fan out to rel + m for every mask m below the received bit.
-  int mask = 1;
-  while (mask < p) {
-    if (rel & mask) {
-      const int parent = ((rel & ~mask) + root) % p;
-      wait_slot(rank, std::countr_zero(static_cast<unsigned>(mask)), seq,
-                parent);
-      std::memcpy(data, land, nbytes);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  // Fan-out as two doorbell-batched groups: all data puts, gsync (global
-  // visibility — mandatory under deferred delivery), then all notify flags.
-  nic.batch_begin();
-  for (int m = mask; m > 0; m >>= 1) {
-    if (rel + m >= p) continue;
-    const int child = (rel + m + root) % p;
-    nic.put_nbi(child, land_desc_[static_cast<std::size_t>(child)], 0, data,
-                nbytes);
-  }
-  nic.gsync();
-  nic.batch_begin();
-  for (int m = mask; m > 0; m >>= 1) {
-    if (rel + m >= p) continue;
-    const int child = (rel + m + root) % p;
-    const std::size_t off =
-        slot_off(std::countr_zero(static_cast<unsigned>(m)));
-    nic.put_nbi(child, flag_desc_[static_cast<std::size_t>(child)], off, &seq,
-                kFlagBytes);
-  }
-  nic.gsync();
-}
-
-void Collectives::bcast_hier(int rank, int root, void* data,
-                             std::size_t nbytes, std::uint64_t seq) {
   const int node = rank / rpn_;
   const int root_node = root / rpn_;
   // The root represents its own node; every other node is represented by
@@ -347,6 +267,8 @@ void Collectives::bcast_hier(int rank, int root, void* data,
     std::memcpy(data, land, nbytes);
     return;
   }
+  // MPICH binomial over nodes: receive from vnode with the lowest set bit
+  // cleared, then fan out to vnode + m for every mask m below that bit.
   const int vnode = (node - root_node + nnodes_) % nnodes_;
   int mask = 1;
   while (mask < nnodes_) {
@@ -361,8 +283,9 @@ void Collectives::bcast_hier(int rank, int root, void* data,
     mask <<= 1;
   }
   mask >>= 1;
-  // Inter-node children and intra-node members share the two batched
-  // doorbell groups (data, gsync, flags, gsync).
+  // Inter-node children and intra-node members share two doorbell-batched
+  // groups: all data puts, gsync (global visibility — mandatory under
+  // deferred delivery), then all notify flags.
   nic.batch_begin();
   for (int m = mask; m > 0; m >>= 1) {
     if (vnode + m >= nnodes_) continue;
@@ -409,19 +332,6 @@ void Collectives::reduce_bytes(int rank, int root, const void* src, void* dst,
     if (rank == root) std::memcpy(dst, src, nbytes);
     return;
   }
-  if (flat_path(nbytes)) {
-    publish(rank, src);
-    barrier(rank);
-    if (rank == root) {
-      std::memcpy(dst, peer_ptr(0), nbytes);
-      for (int r = 1; r < p; ++r) {
-        cb.fn(cb.ctx, dst, peer_ptr(r), nelems, /*acc_left=*/true);
-      }
-      charge_copies(rank, nbytes, static_cast<std::size_t>(p));
-    }
-    barrier(rank);
-    return;
-  }
   const std::uint64_t seq =
       enter_data(rank, static_cast<std::size_t>(rounds_()) * nbytes);
   reduce_tree(rank, root, src, dst, nelems, esize, cb, seq);
@@ -463,67 +373,15 @@ void Collectives::reduce_tree(int rank, int root, const void* src, void* dst,
 // --- allgather --------------------------------------------------------------
 
 void Collectives::allgather_bytes(int rank, const void* src,
-                                  std::size_t block_bytes, void* dst) {
+                                  std::size_t block, void* dst) {
   const int p = nranks();
-  if (block_bytes == 0) return;
+  if (block == 0) return;
   if (p == 1) {
-    std::memcpy(dst, src, block_bytes);
+    std::memcpy(dst, src, block);
     return;
   }
-  if (flat_path(block_bytes)) {
-    publish(rank, src);
-    barrier(rank);
-    std::byte* d = static_cast<std::byte*>(dst);
-    for (int r = 0; r < p; ++r) {
-      std::memcpy(d + static_cast<std::size_t>(r) * block_bytes, peer_ptr(r),
-                  block_bytes);
-    }
-    charge_copies(rank, block_bytes, static_cast<std::size_t>(p - 1));
-    barrier(rank);
-    return;
-  }
-  const std::size_t cap =
-      hier_ ? static_cast<std::size_t>(rpn_ + p) * block_bytes
-            : static_cast<std::size_t>(p) * block_bytes;
-  const std::uint64_t seq = enter_data(rank, cap);
-  if (hier_) {
-    allgather_hier(rank, src, block_bytes, dst, seq);
-  } else {
-    allgather_bruck(rank, src, block_bytes, dst, seq);
-  }
-}
-
-void Collectives::allgather_bruck(int rank, const void* src, std::size_t block,
-                                  void* dst, std::uint64_t seq) {
-  const int p = nranks();
-  rdma::Nic& nic = domain_.nic(rank);
-  std::byte* land = land_mem_[static_cast<std::size_t>(rank)].data();
-  // Bruck: the landing doubles as the working buffer. After the round with
-  // count c, land[k] holds the block of rank (rank + k) % p for k < 2c.
-  // The blocking put reads land[0, send) while the peer writes my
-  // land[c*block, ...) — disjoint ranges, so in-place is race-free.
-  std::memcpy(land, src, block);
-  int round = 0;
-  for (int cnt = 1; cnt < p; cnt <<= 1, ++round) {
-    const std::size_t send =
-        static_cast<std::size_t>(std::min(cnt, p - cnt)) * block;
-    const int to = (rank - cnt + p) % p;
-    const int from = (rank + cnt) % p;
-    nic.put(to, land_desc_[static_cast<std::size_t>(to)],
-            static_cast<std::size_t>(cnt) * block, land, send);
-    put_slot(rank, to, round, seq);
-    wait_slot(rank, round, seq, from);
-  }
-  std::byte* d = static_cast<std::byte*>(dst);
-  for (int k = 0; k < p; ++k) {
-    std::memcpy(d + static_cast<std::size_t>((rank + k) % p) * block,
-                land + static_cast<std::size_t>(k) * block, block);
-  }
-}
-
-void Collectives::allgather_hier(int rank, const void* src, std::size_t block,
-                                 void* dst, std::uint64_t seq) {
-  const int p = nranks();
+  const std::uint64_t seq =
+      enter_data(rank, static_cast<std::size_t>(p) * block);
   const int node = rank / rpn_;
   const int idx = rank % rpn_;
   const int leader = node * rpn_;
@@ -539,15 +397,17 @@ void Collectives::allgather_hier(int rank, const void* src, std::size_t block,
     std::memcpy(dst, land, static_cast<std::size_t>(p) * block);
     return;
   }
-  // Leader: assemble the node block [0, rpn*block), Bruck it across node
-  // leaders in [rpn*block, (rpn+p)*block), then release the full result.
+  // Leader: assemble the node block in land[0, nblk), then Bruck it across
+  // node leaders with the landing as the working buffer. After the round
+  // with count c, land[k] holds the node block of node (node + k) %
+  // nnodes for k < 2c. The blocking put reads land[0, send) while the
+  // peer writes my land[c*nblk, ...) — disjoint ranges, so in-place is
+  // race-free, and so are the members' gather puts into [block, nblk).
   std::memcpy(land, src, block);
   for (int j = 1; j < rpn_; ++j) {
     wait_slot(rank, kSlotIntraGather + j, seq, rank + j);
   }
   const std::size_t nblk = static_cast<std::size_t>(rpn_) * block;
-  std::byte* land2 = land + nblk;
-  std::memcpy(land2, land, nblk);
   int round = 0;
   for (int cnt = 1; cnt < nnodes_; cnt <<= 1, ++round) {
     const std::size_t send =
@@ -555,15 +415,16 @@ void Collectives::allgather_hier(int rank, const void* src, std::size_t block,
     const int to = ((node - cnt + nnodes_) % nnodes_) * rpn_;
     const int from = ((node + cnt) % nnodes_) * rpn_;
     nic.put(to, land_desc_[static_cast<std::size_t>(to)],
-            nblk + static_cast<std::size_t>(cnt) * nblk, land2, send);
+            static_cast<std::size_t>(cnt) * nblk, land, send);
     put_slot(rank, to, round, seq);
     wait_slot(rank, round, seq, from);
   }
   for (int k = 0; k < nnodes_; ++k) {
     const int n2 = (node + k) % nnodes_;
     std::memcpy(d + static_cast<std::size_t>(n2) * nblk,
-                land2 + static_cast<std::size_t>(k) * nblk, nblk);
+                land + static_cast<std::size_t>(k) * nblk, nblk);
   }
+  if (rpn_ == 1) return;
   nic.batch_begin();
   for (int j = 1; j < rpn_; ++j) {
     nic.put_nbi(rank + j, land_desc_[static_cast<std::size_t>(rank + j)], 0,
@@ -591,17 +452,6 @@ void Collectives::allreduce_bytes(int rank, const void* src, void* dst,
     std::memcpy(dst, src, nbytes);
     return;
   }
-  if (flat_path(nbytes)) {
-    publish(rank, src);
-    barrier(rank);
-    std::memcpy(dst, peer_ptr(0), nbytes);
-    for (int r = 1; r < p; ++r) {
-      cb.fn(cb.ctx, dst, peer_ptr(r), nelems, /*acc_left=*/true);
-    }
-    charge_copies(rank, nbytes, static_cast<std::size_t>(p));
-    barrier(rank);
-    return;
-  }
   const std::uint64_t seq = enter_data(rank, allreduce_cap(nbytes));
   allreduce_core(rank, src, dst, nelems, esize, cb, land_desc_.data(),
                  land_mem_[static_cast<std::size_t>(rank)].data(), 0, seq);
@@ -612,23 +462,18 @@ void Collectives::allreduce_core(int rank, const void* src, void* dst,
                                  Combiner cb, const rdma::RegionDesc* descs,
                                  std::byte* my_base, std::size_t base_off,
                                  std::uint64_t seq) {
-  const int p = nranks();
   const std::size_t nbytes = nelems * esize;
   std::byte* acc = static_cast<std::byte*>(dst);
   std::memcpy(acc, src, nbytes);
-  if (p == 1) return;
   rdma::Nic& nic = domain_.nic(rank);
-  if (!hier_) {
-    rd_allreduce(rank, rank, p, 1, acc, nelems, esize, cb, descs, my_base,
-                 base_off, seq);
-    return;
-  }
   const int node = rank / rpn_;
   const int idx = rank % rpn_;
   const int leader = node * rpn_;
+  // Member j's share lands in its leader's gather slot j - 1.
   if (idx != 0) {
-    nic.put(leader, descs[leader], base_off + static_cast<std::size_t>(idx) * nbytes,
-            acc, nbytes);
+    nic.put(leader, descs[leader],
+            base_off + static_cast<std::size_t>(idx - 1) * nbytes, acc,
+            nbytes);
     put_slot(rank, leader, kSlotIntraGather + idx, seq);
     wait_slot(rank, kSlotIntraRel, seq, leader);
     std::memcpy(acc, my_base, nbytes);
@@ -638,12 +483,13 @@ void Collectives::allreduce_core(int rank, const void* src, void* dst,
   // bit-identical), recursive-double across node leaders, release.
   for (int j = 1; j < rpn_; ++j) {
     wait_slot(rank, kSlotIntraGather + j, seq, rank + j);
-    cb.fn(cb.ctx, acc, my_base + static_cast<std::size_t>(j) * nbytes, nelems,
-          /*acc_left=*/true);
+    cb.fn(cb.ctx, acc, my_base + static_cast<std::size_t>(j - 1) * nbytes,
+          nelems, /*acc_left=*/true);
   }
+  const std::size_t rd_off = static_cast<std::size_t>(rpn_ - 1) * nbytes;
   rd_allreduce(rank, node, nnodes_, rpn_, acc, nelems, esize, cb, descs,
-               my_base + static_cast<std::size_t>(rpn_) * nbytes,
-               base_off + static_cast<std::size_t>(rpn_) * nbytes, seq);
+               my_base + rd_off, base_off + rd_off, seq);
+  if (rpn_ == 1) return;
   nic.batch_begin();
   for (int j = 1; j < rpn_; ++j) {
     nic.put_nbi(rank + j, descs[rank + j], base_off, acc, nbytes);
@@ -724,21 +570,8 @@ void Collectives::reduce_scatter_block_bytes(int rank, const void* src,
     std::memcpy(dst, src, block);
     return;
   }
-  if (flat_path(block)) {
-    publish(rank, src);
-    barrier(rank);
-    const std::size_t off = static_cast<std::size_t>(rank) * block;
-    std::memcpy(dst, static_cast<const std::byte*>(peer_ptr(0)) + off, block);
-    for (int r = 1; r < p; ++r) {
-      cb.fn(cb.ctx, dst, static_cast<const std::byte*>(peer_ptr(r)) + off,
-            nelems, /*acc_left=*/true);
-    }
-    charge_copies(rank, block, static_cast<std::size_t>(p));
-    barrier(rank);
-    return;
-  }
-  // Allreduce the whole vector and keep own block: O(log p) rounds and the
-  // scratch stays local (no collective here uses scratch_ on its tree path).
+  // Allreduce the whole vector and keep own block: O(log p) rounds, and
+  // the scratch stays this call's (allreduce does not touch scratch_).
   std::byte* tmp = scratch_bytes(rank, static_cast<std::size_t>(p) * block);
   allreduce_bytes(rank, src, tmp, static_cast<std::size_t>(p) * nelems, esize,
                   cb);
@@ -747,93 +580,15 @@ void Collectives::reduce_scatter_block_bytes(int rank, const void* src,
 
 // --- alltoall ---------------------------------------------------------------
 
-/// Largest block the alltoall sends by Bruck (given CollConfig's rank
-/// floor): each block is forwarded up to log p times, so larger blocks go
-/// direct.
-constexpr std::size_t kBruckCutoff = 1024;
-
 void Collectives::alltoall_bytes(int rank, const void* src,
-                                 std::size_t block_bytes, void* dst) {
+                                 std::size_t block, void* dst) {
   const int p = nranks();
-  if (block_bytes == 0) return;
+  if (block == 0) return;
   if (p == 1) {
-    std::memcpy(dst, src, block_bytes);
+    std::memcpy(dst, src, block);
     return;
   }
-  if (flat_path(block_bytes)) {
-    publish(rank, src);
-    barrier(rank);
-    std::byte* d = static_cast<std::byte*>(dst);
-    for (int r = 0; r < p; ++r) {
-      std::memcpy(d + static_cast<std::size_t>(r) * block_bytes,
-                  static_cast<const std::byte*>(peer_ptr(r)) +
-                      static_cast<std::size_t>(rank) * block_bytes,
-                  block_bytes);
-    }
-    charge_copies(rank, block_bytes, static_cast<std::size_t>(p - 1));
-    barrier(rank);
-    return;
-  }
-  if (block_bytes <= kBruckCutoff && p >= cfg_.bruck_min_ranks) {
-    const std::uint64_t seq = enter_data(
-        rank, static_cast<std::size_t>(rounds_() * p) * block_bytes);
-    alltoall_bruck(rank, src, block_bytes, dst, seq);
-  } else {
-    enter_data(rank, static_cast<std::size_t>(p) * block_bytes);
-    alltoall_direct(rank, src, block_bytes, dst);
-  }
-}
-
-void Collectives::alltoall_bruck(int rank, const void* src, std::size_t block,
-                                 void* dst, std::uint64_t seq) {
-  const int p = nranks();
-  rdma::Nic& nic = domain_.nic(rank);
-  std::byte* land = land_mem_[static_cast<std::size_t>(rank)].data();
-  std::byte* tmp = scratch_bytes(rank, static_cast<std::size_t>(p) * block);
-  const std::byte* s = static_cast<const std::byte*>(src);
-  // Bruck alltoall: rotate, then in round r ship every block whose index
-  // has bit r set to rank + 2^r as ONE vectored put (chained descriptors,
-  // single doorbell) into that round's private landing region, and rotate
-  // back at the end. log p rounds of p/2 blocks instead of p - 1 puts.
-  for (int k = 0; k < p; ++k) {
-    std::memcpy(tmp + static_cast<std::size_t>(k) * block,
-                s + static_cast<std::size_t>((rank + k) % p) * block, block);
-  }
-  auto& frags = frag_scratch_[static_cast<std::size_t>(rank)];
-  int round = 0;
-  for (int cnt = 1; cnt < p; cnt <<= 1, ++round) {
-    frags.clear();
-    for (int k = 0; k < p; ++k) {
-      if ((k & cnt) == 0) continue;
-      const std::size_t off = static_cast<std::size_t>(k) * block;
-      frags.push_back({off, off, block});
-    }
-    const std::size_t rbase =
-        static_cast<std::size_t>(round * p) * block;
-    const int to = (rank + cnt) % p;
-    const int from = (rank - cnt + p) % p;
-    nic.put_nbiv(to, land_desc_[static_cast<std::size_t>(to)], rbase,
-                 static_cast<std::size_t>(p) * block, tmp, frags.data(),
-                 frags.size());
-    nic.gsync();
-    put_slot(rank, to, round, seq);
-    wait_slot(rank, round, seq, from);
-    for (int k = 0; k < p; ++k) {
-      if ((k & cnt) == 0) continue;
-      std::memcpy(tmp + static_cast<std::size_t>(k) * block,
-                  land + rbase + static_cast<std::size_t>(k) * block, block);
-    }
-  }
-  std::byte* d = static_cast<std::byte*>(dst);
-  for (int k = 0; k < p; ++k) {
-    std::memcpy(d + static_cast<std::size_t>((rank - k + p) % p) * block,
-                tmp + static_cast<std::size_t>(k) * block, block);
-  }
-}
-
-void Collectives::alltoall_direct(int rank, const void* src, std::size_t block,
-                                  void* dst) {
-  const int p = nranks();
+  enter_data(rank, static_cast<std::size_t>(p) * block);
   rdma::Nic& nic = domain_.nic(rank);
   const std::byte* s = static_cast<const std::byte*>(src);
   std::byte* d = static_cast<std::byte*>(dst);
@@ -934,13 +689,11 @@ std::uint64_t Collectives::alltoallv_counts(int rank,
   // toward this rank's landing (call-N payload puts need our round-2
   // arrival; the previous call's were all counter-acknowledged before we
   // returned from it), so a requested landing regrow is safe here without
-  // any barrier — and it licenses the paired alltoallv_put to skip its
-  // leading barrier too.
+  // any barrier — and the paired alltoallv_put needs no leading barrier.
   if (esize != 0) {
-    const std::size_t need = std::max<std::size_t>(
-        static_cast<std::size_t>(total) * esize, kFlagBytes);
-    ensure_landing(rank, need);
-    st.cx_presized = need;
+    ensure_landing(rank, std::max<std::size_t>(
+                             static_cast<std::size_t>(total) * esize,
+                             kFlagBytes));
   }
 
   // Round 2: receive displacements back to the senders — after it,
@@ -984,20 +737,9 @@ void Collectives::alltoallv_put(int rank, const void* src,
                 static_cast<std::size_t>(sendcounts[0]) * esize);
     return;
   }
-  const std::uint64_t total = rdispls[p - 1] + recvcounts[p - 1];
-  const std::size_t need = std::max<std::size_t>(
-      static_cast<std::size_t>(total) * esize, kFlagBytes);
-  RankState& st = state_[static_cast<std::size_t>(rank)];
-  if (st.cx_presized >= need) {
-    // The paired alltoallv_counts already grew the landing and its two
-    // handshakes order generations (no peer can issue this call's payload
-    // puts before our round-2 arrival, which followed the previous call's
-    // copy-out): no leading barrier needed. Rank-invariant — every rank
-    // passed the same esize to the counts phase.
-    st.cx_presized = 0;
-  } else {
-    enter_data(rank, need);
-  }
+  // The paired alltoallv_counts grew the landing, and its two handshakes
+  // order generations: no peer can issue this call's payload puts before
+  // our round-2 arrival, which followed the previous call's copy-out.
   alltoallv_put_core(
       rank, src, sendcounts, sdispls, esize, dst, recvcounts, rdispls,
       put_displ_[static_cast<std::size_t>(rank)].data(), land_desc_.data(),
@@ -1092,7 +834,7 @@ std::shared_ptr<AlltoallvPlan> Collectives::plan_alltoallv(
   mine.recvcounts.resize(static_cast<std::size_t>(p));
   mine.rdispls.resize(static_cast<std::size_t>(p));
   mine.total_recv = alltoallv_counts(rank, sendcounts, mine.recvcounts.data(),
-                                     mine.rdispls.data());
+                                     mine.rdispls.data(), /*esize=*/0);
   mine.put_displ = put_displ_[static_cast<std::size_t>(rank)];
   // The landing holds two parity banks so runs can alternate without a
   // barrier. The bank stride must be uniform (senders address any

@@ -4,22 +4,23 @@
 // baselines (Sec 4.2) need Alltoall(v), Reduce_scatter and a nonblocking
 // barrier; the FFT/MILC exchange loops (Sec 4.3/4.4) need a cheap
 // re-drivable alltoallv/allreduce. foMPI layers on the host MPI's
-// collectives; here they are built from scratch:
+// collectives; here they are built from scratch, one algorithm per
+// collective for every topology:
 //   * synchronization (barrier / ibarrier) is a dissemination algorithm
 //     whose O(log p) notification rounds are real 8-byte NIC puts, so the
 //     modeled network time gives realistic collective latencies;
 //   * the data plane is RMA-native: binomial-tree bcast/reduce,
-//     recursive-doubling allreduce, Bruck allgather/alltoall, and a direct
+//     recursive-doubling allreduce, Bruck allgather, and a direct
 //     put+arrival-counter alltoall(v) — all issued as real put/AMO NIC ops
 //     (data put, gsync, then an 8-byte notify flag), charged under the
 //     Gemini model, riding doorbell batching for the fan-out rounds;
-//   * a two-tier hierarchy (DomainConfig::ranks_per_node) elects the first
-//     rank of each node leader: members gather over the intra-node
-//     transport, leaders run the inter-node tree, so round counts scale
-//     with log(nodes), not log(ranks);
-//   * on a single-node domain, tiny payloads keep the pointer-publication
-//     fallback (the moral equivalent of XPMEM attach): peers copy directly
-//     from the published source, charging a modeled intra-node copy cost;
+//   * bcast, allgather and allreduce run one two-tier tree: the first rank
+//     of each node (DomainConfig::ranks_per_node) is its leader, members
+//     gather over the intra-node transport, leaders run the inter-node
+//     tree, so round counts scale with log(nodes), not log(ranks). Any
+//     other topology (one rank per node, a single-node domain, a rank
+//     count the hierarchy does not divide) is the same tree over p
+//     one-rank nodes, with no member groups;
 //   * persistent plans (plan_alltoallv / plan_allreduce) front-load the
 //     count/displacement exchange and landing registration once; run_*
 //     re-drives only the data movement, allocation-free in steady state.
@@ -57,25 +58,6 @@ struct Combiner {
   void (*fn)(void* ctx, void* acc, const void* in, std::size_t nelems,
              bool acc_left);
   void* ctx;
-};
-
-struct CollConfig {
-  /// Per-block byte cutoff for the shared-memory flat fallback: on a
-  /// single-node domain, data collectives at or below this size copy
-  /// through published pointers (charging a modeled intra-node copy cost)
-  /// instead of running the put/notify trees. 0 disables the fallback —
-  /// every collective takes the RMA tree path (what forced-tree tests use).
-  std::size_t flat_cutoff = 64;
-  /// Alltoall protocol switch: blocks at or below kBruckCutoff (1 KiB,
-  /// collectives.cpp) take the Bruck log-p algorithm (each block forwarded
-  /// up to log p times) when there are at least this many ranks; larger
-  /// blocks, or fewer ranks, go direct (p-1 puts + an AMO arrival
-  /// counter). Below the rank floor the direct path's single batched round
-  /// (doorbell-chained puts at ~45 ns apiece) is cheaper than Bruck's
-  /// log-p *sequential* put+notify rounds, both under the Gemini model and
-  /// in host sync overhead. Lower it to 2 to force Bruck (what the
-  /// forced-Bruck tests do).
-  int bruck_min_ranks = 64;
 };
 
 class Collectives;
@@ -160,14 +142,13 @@ class Collectives {
  public:
   /// Every wait takes the domain's back-off step, whose progress hook
   /// aborts a collective when a peer has failed.
-  explicit Collectives(rdma::Domain& domain, CollConfig cfg = {});
+  explicit Collectives(rdma::Domain& domain);
   ~Collectives();
 
   int nranks() const noexcept { return domain_.nranks(); }
-  const CollConfig& config() const noexcept { return cfg_; }
-  /// True when the two-tier (intra-node gather + inter-node tree) path is
-  /// active for bcast/allreduce/allgather.
-  bool hierarchical() const noexcept { return hier_; }
+  /// True when bcast/allreduce/allgather run with more than one rank per
+  /// node (intra-node member groups around the inter-node tree).
+  bool hierarchical() const noexcept { return rpn_ > 1; }
 
   /// Dissemination barrier: O(log p) rounds of remote 8-byte puts. Runs the
   /// nonblocking barrier to completion (begin, then poll with back-off).
@@ -180,11 +161,13 @@ class Collectives {
   void ibarrier_begin(int rank);
   bool ibarrier_test(int rank);
 
-  // --- low-level data plane -------------------------------------------------
-  /// Publishes this rank's source pointer for the current data collective.
+  // --- bootstrap pointer share ---------------------------------------------
+  /// Shares a pointer among the ranks, which all live in one process: window
+  /// creation and the PGAS baseline hand rank 0's shared state to the
+  /// others this way. A reader calls peer_ptr after a barrier that follows
+  /// the publish; the publisher keeps the object alive until a second
+  /// barrier.
   void publish(int rank, const void* p);
-  /// Reads rank `r`'s published pointer (valid between the two barriers of
-  /// a flat data collective).
   const void* peer_ptr(int r) const;
 
   // --- typed data collectives ----------------------------------------------
@@ -251,7 +234,7 @@ class Collectives {
 
   // --- byte-level engine ----------------------------------------------------
   // The typed templates above are thin wrappers over these. Block/element
-  // sizes must agree across ranks (branch selection is size-derived).
+  // sizes must agree across ranks (landing offsets are size-derived).
   void bcast_bytes(int rank, int root, void* data, std::size_t nbytes);
   void reduce_bytes(int rank, int root, const void* src, void* dst,
                     std::size_t nelems, std::size_t esize, Combiner cb);
@@ -260,30 +243,10 @@ class Collectives {
   void reduce_scatter_block_bytes(int rank, const void* src, void* dst,
                                   std::size_t nelems, std::size_t esize,
                                   Combiner cb);
-  void allgather_bytes(int rank, const void* src, std::size_t block_bytes,
+  void allgather_bytes(int rank, const void* src, std::size_t block,
                        void* dst);
-  void alltoall_bytes(int rank, const void* src, std::size_t block_bytes,
+  void alltoall_bytes(int rank, const void* src, std::size_t block,
                       void* dst);
-  /// Phase 1 of alltoallv: exchanges per-peer element counts and assigns
-  /// receive displacements (prefix sums, rank order); returns the total
-  /// element count this rank will receive. Must be paired with the
-  /// alltoallv_put that follows (it also exchanges where each peer wants
-  /// this rank's data put). A nonzero `esize` additionally grows this
-  /// rank's landing to the received total between the two handshake rounds
-  /// — the only window with provably no put in flight toward it — which
-  /// lets the paired alltoallv_put skip its leading barrier entirely.
-  std::uint64_t alltoallv_counts(int rank, const std::uint64_t* sendcounts,
-                                 std::uint64_t* recvcounts,
-                                 std::uint64_t* rdispls,
-                                 std::size_t esize = 0);
-  /// Phase 2 of alltoallv: moves the payload with one put per nonzero
-  /// destination plus an AMO arrival counter; dst must hold the total
-  /// returned by the paired alltoallv_counts.
-  void alltoallv_put(int rank, const void* src,
-                     const std::uint64_t* sendcounts,
-                     const std::uint64_t* sdispls, std::size_t esize,
-                     void* dst, const std::uint64_t* recvcounts,
-                     const std::uint64_t* rdispls);
 
   // --- persistent collectives ----------------------------------------------
   /// Collective. Captures counts/displacements, exchanges landing offsets,
@@ -356,10 +319,6 @@ class Collectives {
     std::uint64_t cx_seq = 0;
     std::uint64_t cx_counts_expected = 0;
     std::uint64_t cx_displs_expected = 0;
-    /// Landing bytes pre-sized by the last alltoallv_counts(esize != 0);
-    /// consumed (and cleared) by the paired alltoallv_put, which then
-    /// skips its leading barrier.
-    std::size_t cx_presized = 0;
   };
 
   template <class T, class BinOp>
@@ -397,32 +356,15 @@ class Collectives {
   /// Tree-collective prologue: landing growth, lockstep sequence bump,
   /// leading barrier.
   std::uint64_t enter_data(int rank, std::size_t landing_bytes);
-  bool flat_path(std::size_t bytes) const noexcept;
-  /// Models `nblocks` intra-node copies of `bytes` each (the flat
-  /// fallback's data phase is never free under Injection::model).
-  void charge_copies(int rank, std::size_t bytes, std::size_t nblocks);
   std::size_t allreduce_cap(std::size_t nbytes) const noexcept;
 
-  // Tree/hierarchy cores (landing = this rank's land_mem_ unless stated).
-  void bcast_tree(int rank, int root, void* data, std::size_t nbytes,
-                  std::uint64_t seq);
-  void bcast_hier(int rank, int root, void* data, std::size_t nbytes,
-                  std::uint64_t seq);
   void reduce_tree(int rank, int root, const void* src, void* dst,
                    std::size_t nelems, std::size_t esize, Combiner cb,
                    std::uint64_t seq);
-  void allgather_bruck(int rank, const void* src, std::size_t block,
-                       void* dst, std::uint64_t seq);
-  void allgather_hier(int rank, const void* src, std::size_t block, void* dst,
-                      std::uint64_t seq);
-  void alltoall_bruck(int rank, const void* src, std::size_t block, void* dst,
-                      std::uint64_t seq);
-  void alltoall_direct(int rank, const void* src, std::size_t block,
-                       void* dst);
-  /// Shared by the ad-hoc path and run_allreduce: flat recursive doubling
-  /// or the two-tier gather/inter-RD/release, over the landing regions
-  /// described by `descs` (my data area at `my_base`, remote offset
-  /// `base_off`).
+  /// Shared by the ad-hoc path and run_allreduce: member gather, recursive
+  /// doubling over node leaders, member release (no member groups at one
+  /// rank per node), over the landing regions described by `descs` (my
+  /// data area at `my_base`, remote offset `base_off`).
   void allreduce_core(int rank, const void* src, void* dst,
                       std::size_t nelems, std::size_t esize, Combiner cb,
                       const rdma::RegionDesc* descs, std::byte* my_base,
@@ -434,7 +376,24 @@ class Collectives {
                     std::size_t nelems, std::size_t esize, Combiner cb,
                     const rdma::RegionDesc* descs, std::byte* land,
                     std::size_t land_off, std::uint64_t seq);
-  /// Shared by the ad-hoc path and run_alltoallv: batched puts, gsync,
+  /// Phase 1 of the ad-hoc alltoallv: exchanges per-peer element counts and
+  /// assigns receive displacements (prefix sums, rank order); returns the
+  /// total element count this rank will receive. A nonzero `esize` also
+  /// grows this rank's landing to the received total between the two
+  /// handshake rounds — the one window with provably no put in flight
+  /// toward it — so the paired alltoallv_put needs no leading barrier.
+  /// plan_alltoallv passes 0 (its plan owns its landing).
+  std::uint64_t alltoallv_counts(int rank, const std::uint64_t* sendcounts,
+                                 std::uint64_t* recvcounts,
+                                 std::uint64_t* rdispls, std::size_t esize);
+  /// Phase 2: one put per nonzero destination plus an AMO arrival counter;
+  /// dst holds the total the paired alltoallv_counts returned.
+  void alltoallv_put(int rank, const void* src,
+                     const std::uint64_t* sendcounts,
+                     const std::uint64_t* sdispls, std::size_t esize,
+                     void* dst, const std::uint64_t* recvcounts,
+                     const std::uint64_t* rdispls);
+  /// Shared by alltoallv_put and run_alltoallv: batched puts, gsync,
   /// batched counter AMOs, gsync, counter wait, landing -> dst copies.
   void alltoallv_put_core(int rank, const void* src,
                           const std::uint64_t* sendcounts,
@@ -449,13 +408,12 @@ class Collectives {
                           std::uint64_t* ctr_expected);
 
   rdma::Domain& domain_;
-  CollConfig cfg_;
   int log2p_;
-  // Topology (fixed at construction from DomainConfig::ranks_per_node).
-  bool single_node_ = true;
-  bool hier_ = false;
-  int rpn_ = 1;     // ranks per node when hier_, else 1
-  int nnodes_ = 1;  // nodes when hier_, else nranks
+  // Topology of the trees (fixed at construction from
+  // DomainConfig::ranks_per_node): ranks per node and node count, or 1
+  // and nranks when the hierarchy does not apply.
+  int rpn_ = 1;
+  int nnodes_ = 1;
   /// Per-rank flag block: kMaxRounds barrier slots + kDataSlots data
   /// notify slots + the arrival counter, each an 8-byte word, registered
   /// for remote puts/AMOs.
@@ -465,9 +423,9 @@ class Collectives {
   /// in enter_data, before the leading barrier).
   std::vector<AlignedBuffer> land_mem_;
   std::vector<rdma::RegionDesc> land_desc_;
-  /// Per-rank local scratch (reduce accumulator, Bruck working buffer).
+  /// Per-rank local scratch (reduce accumulator, reduce_scatter's
+  /// allreduce result).
   std::vector<AlignedBuffer> scratch_;
-  std::vector<std::vector<rdma::Frag>> frag_scratch_;
   /// Per-rank map peer -> element displacement where that peer wants this
   /// rank's alltoallv data (filled by alltoallv_counts).
   std::vector<std::vector<std::uint64_t>> put_displ_;
@@ -479,6 +437,7 @@ class Collectives {
   std::vector<AlignedBuffer> cx_mem_;
   std::vector<rdma::RegionDesc> cx_desc_;
   std::vector<RankState> state_;
+  /// Per-rank bootstrap pointer (publish / peer_ptr).
   std::vector<std::atomic<const void*>> published_;
   /// Rank 0's staging slot for collective plan creation (guarded by the
   /// surrounding barriers, not a lock).

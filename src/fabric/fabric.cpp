@@ -14,7 +14,7 @@ Fabric::Fabric(FabricOptions opts) : opts_(opts), domain_(opts.domain) {
   if (opts_.hang_timeout_ns != 0) {
     watchdog_deadline_ns_ = now_ns() + opts_.hang_timeout_ns;
   }
-  coll_ = std::make_unique<Collectives>(domain_, opts_.coll);
+  coll_ = std::make_unique<Collectives>(domain_);
   p2p_ = std::make_unique<P2P>(domain_, opts_.eager_threshold);
   // Every back-off step and the NIC's long model-time waits poll this hook,
   // so a peer failure unwinds a waiting rank instead of hanging the fleet.

@@ -38,10 +38,6 @@ struct FabricOptions {
   /// the fleet with ErrClass::timeout. Catches silently hung ranks (e.g.
   /// FaultPlan::hang_instead_of_kill) that never throw. 0 = disabled.
   std::uint64_t hang_timeout_ns = 0;
-  /// Collective-layer tuning (flat-fallback cutoff, alltoall protocol
-  /// switch); the default keeps tiny single-node payloads on the
-  /// shared-memory path and everything else on the put/notify trees.
-  CollConfig coll{};
 };
 
 class Fabric {

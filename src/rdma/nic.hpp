@@ -233,11 +233,10 @@ class alignas(kCacheLine) Nic {
 
   // --- modeled time: the one place it is charged and waited for -----------
   /// Charges `ns` of modeled busy time to this rank for work the NIC did
-  /// not perform itself: the collectives' shared-memory copy fallback (the
-  /// moral equivalent of an XPMEM attach + memcpy), the baselines' per-op
-  /// software extras, p2p's send overhead. Scaled by Domain::model_ns,
-  /// metered, folded into latest_complete_at_ and waited for; a no-op
-  /// under Injection::none.
+  /// not perform itself: MPI-2.2's per-call software layer, the UPC/CAF
+  /// baselines' per-op extras, p2p's send overhead. Scaled by
+  /// Domain::model_ns, metered, folded into latest_complete_at_ and waited
+  /// for; a no-op under Injection::none.
   void charge_model_ns(double ns);
   /// Blocks until the absolute now_ns() `deadline` under Injection::model
   /// (returns at once otherwise). A deadline at or behind the latest

@@ -80,10 +80,19 @@ FftSeries simulate_fft(int p, const FftParams& prm) {
 double simulate_msgrate_mops(const MsgRateParams& prm) {
   const int b = std::max(1, prm.batch);
   const double sw = prm.sw_issue_ns;
-  // The doorbell starts at the first post; the other b-1 posts overlap it.
+  // A chain of n descriptors: its doorbell starts at the first post, and
+  // the other n-1 posts overlap it.
+  const auto chain_ns = [&](int n) {
+    return sw + std::max(kGemini.doorbell_ns(static_cast<std::size_t>(n), true),
+                         sw * (n - 1));
+  };
+  // The NIC rings every rdma::kDoorbellDescs descriptors (Nic::batch_enqueue),
+  // so a larger batch is several full chains plus a partial one.
+  const int full = b / static_cast<int>(rdma::kDoorbellDescs);
+  const int rest = b % static_cast<int>(rdma::kDoorbellDescs);
   const double batch_ns =
-      sw + std::max(kGemini.doorbell_ns(static_cast<std::size_t>(b), true),
-                    sw * (b - 1));
+      full * chain_ns(static_cast<int>(rdma::kDoorbellDescs)) +
+      (rest != 0 ? chain_ns(rest) : 0.0);
   return b / batch_ns * 1e3;  // ns per batch -> Mops/s
 }
 

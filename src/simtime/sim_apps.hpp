@@ -81,17 +81,21 @@ FftSeries simulate_fft(int p, const FftParams& params = {});
 struct MsgRateParams {
   /// Software issue cost per descriptor (fast-path instruction veneer).
   double sw_issue_ns = 20.0;
-  int batch = 64;  ///< descriptors coalesced behind one doorbell
+  int batch = 64;  ///< descriptors posted in one batch scope
 };
 
 /// Closed-form small-op injection rate in Mops/s, with the NIC model's
-/// per-doorbell overhead (inter_overhead_ns) and chain link (chain_ns):
+/// per-doorbell overhead (inter_overhead_ns) and chain link (chain_ns).
+/// A chain of n descriptors takes
 ///
-///   rate = batch / (sw + max(overhead + chain*(batch-1), sw*(batch-1)))
+///   chain(n) = sw + max(overhead + chain*(n-1), sw*(n-1))
 ///
 /// A doorbell starts at its chain's first post (Nic::batch_flush), so
-/// posting the other batch-1 descriptors overlaps its overhead and chain,
-/// and the next batch's first post waits for whichever ends last.
+/// posting the other n-1 descriptors overlaps its overhead and chain,
+/// and the next chain's first post waits for whichever ends last. The NIC
+/// rings a doorbell every rdma::kDoorbellDescs (64) descriptors, so a
+/// batch of b is floor(b/64) full chains plus one of b mod 64, and
+/// rate = b / (sum of its chains): batch 128 reads the batch-64 rate.
 /// batch=1 reduces to the classic per-op rate 1/(overhead + sw) ~ 2.3 Mops/s,
 /// matching the Fig 5b put message-rate plateau (~2.4 Mmsgs/s for 8-byte
 /// puts); doorbell coalescing amortizes the overhead across the batch

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -380,19 +381,22 @@ TEST(Batch, ScheduledFaultInsideBatchFailsOnlyThatOp) {
 }
 
 TEST(Batch, BatchedFleetAbortsOnDeadPeerNotHangs) {
-  // Batched completion spins route through the domain progress hook
-  // (Domain::progress_check): a survivor flushing a batch scope that holds
-  // a put at a dead rank observes typed peer_dead instead of hanging the
-  // fleet (the put retires at issue and never joins the chain).
+  // A survivor's batch scope chains a put at a live rank with a put at a
+  // dead one. The dead rank's put retires peer_dead at issue and never
+  // joins the chain; the flush rings the live put's doorbell, waits for
+  // its modeled completion, and reports the typed peer_dead instead of
+  // hanging the fleet.
+  constexpr std::uint64_t kLive = 0xfeed;
   fabric::FabricOptions opts;
-  opts.domain = internode(2, Injection::model);
+  opts.domain = internode(3, Injection::model);
   opts.domain.fault.kill_rank = 1;
-  // Late enough that both ranks finish the lock_all protocol (~10 ops) before
-  // the death; rank 1 then dies inside its put/flush loop.
-  opts.domain.fault.kill_at_op = 30;
+  // Late enough that every rank finishes window creation and the lock_all
+  // protocol before the death; rank 1 then dies inside its put/flush loop.
+  opts.domain.fault.kill_at_op = 40;
   opts.errors_return = true;
+  std::atomic<bool> flushed{false};
   fabric::run_ranks(
-      2,
+      3,
       [&](RankCtx& ctx) {
         WinConfig wcfg;
         wcfg.err_mode = core::ErrMode::errors_return;
@@ -407,14 +411,24 @@ TEST(Batch, BatchedFleetAbortsOnDeadPeerNotHangs) {
           }
           FAIL() << "rank 1 must have been killed";
         }
-        while (win.peer_alive(1)) ctx.yield_check();
-        OpStatus st = OpStatus::ok;
-        for (int i = 0; i < 8 && st == OpStatus::ok; ++i) {
-          ctx.nic().batch_begin();
-          win.put(&v, 8, 1, 0);
-          st = win.flush_checked(1);
+        if (ctx.rank() == 2) {
+          while (!flushed.load()) ctx.yield_check();
+          std::uint64_t got = 0;
+          std::memcpy(&got, static_cast<const std::byte*>(win.base()) + 8, 8);
+          EXPECT_EQ(got, kLive) << "the chained put at the live rank landed";
+          return;
         }
-        EXPECT_EQ(st, OpStatus::peer_dead);
+        while (win.peer_alive(1)) ctx.yield_check();
+        Nic& nic = ctx.nic();
+        const std::uint64_t rung = nic.doorbells_rung();
+        nic.batch_begin();
+        win.put(&kLive, 8, 2, 8);
+        win.put(&v, 8, 1, 0);
+        EXPECT_EQ(nic.batch_depth(), 1u) << "only the live put joins the chain";
+        EXPECT_EQ(win.flush_checked(1), OpStatus::peer_dead);
+        EXPECT_EQ(nic.doorbells_rung(), rung + 1);
+        EXPECT_FALSE(nic.batch_active());
+        flushed.store(true);
       },
       opts);
 }

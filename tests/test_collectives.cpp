@@ -169,22 +169,21 @@ TEST(Collectives, BarrierWorksOverInterNodeModel) {
   }, opts);
 }
 
-// --- forced tree path (PR 7) -------------------------------------------------
-// flat_cutoff = 0 disables the single-node pointer-publication fallback,
-// so every collective takes the RMA put/notify trees even on tiny
-// payloads; ranks_per_node = 1 makes every rank its own node.
+// --- one rank per node -----------------------------------------------------
+// ranks_per_node = 1 makes every rank its own node, so every collective
+// runs its tree over the inter-node transport with no member groups.
 
 namespace {
 
 fabric::FabricOptions tree_opts() {
   fabric::FabricOptions opts;
   opts.domain.ranks_per_node = 1;
-  opts.coll.flat_cutoff = 0;
   return opts;
 }
 
 /// Drives every data collective once and checks the results; shared by
-/// the forced-tree, hierarchical and deferred-delivery suites.
+/// the one-rank-per-node, single-node, hierarchical and deferred-delivery
+/// suites.
 void exercise_all_collectives(RankCtx& ctx) {
   auto& coll = ctx.fabric().coll();
   const int p = ctx.nranks();
@@ -260,7 +259,7 @@ void exercise_all_collectives(RankCtx& ctx) {
                        static_cast<std::uint64_t>(p) * (p - 1) / 2);
   }
 
-  // alltoall, small (Bruck) and large (direct put + arrival counter).
+  // alltoall (direct put + arrival counter), small and large blocks.
   for (const std::size_t n : {std::size_t{2}, std::size_t{300}}) {
     std::vector<std::uint64_t> src(static_cast<std::size_t>(p) * n);
     for (int j = 0; j < p; ++j) {
@@ -329,17 +328,6 @@ TEST_P(TreeColl, AllDataCollectivesOverForcedTrees) {
                     tree_opts());
 }
 
-TEST_P(TreeColl, AllDataCollectivesWithForcedBruckAlltoall) {
-  // bruck_min_ranks = 2 routes the small alltoall blocks through the
-  // Bruck store-and-forward algorithm at every rank count here (the
-  // default keeps these counts on the direct path).
-  auto opts = tree_opts();
-  opts.coll.bruck_min_ranks = 2;
-  fabric::run_ranks(GetParam(),
-                    [](RankCtx& ctx) { exercise_all_collectives(ctx); },
-                    opts);
-}
-
 INSTANTIATE_TEST_SUITE_P(RankCounts, TreeColl,
                          ::testing::Values(2, 3, 5, 7, 12, 16));
 
@@ -348,6 +336,52 @@ TEST(TreeColl, WorksUnderGeminiModel) {
   opts.domain.inject = rdma::Injection::model;
   fabric::run_ranks(4, [](RankCtx& ctx) { exercise_all_collectives(ctx); },
                     opts);
+}
+
+TEST(TreeColl, WorksOnOneNodeUnderGeminiModel) {
+  // A single-node domain runs the same trees over the intra-node
+  // transport, tiny payloads included.
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 0;
+  opts.domain.inject = rdma::Injection::model;
+  fabric::run_ranks(4, [](RankCtx& ctx) { exercise_all_collectives(ctx); },
+                    opts);
+}
+
+TEST(TreeColl, OneRankPerNodeRunsNoMemberGroups) {
+  // At one rank per node the two-tier allgather and allreduce are the flat
+  // Bruck and recursive doubling at p = 4: a leading barrier and two
+  // rounds, each a blocking data put plus a blocking flag put (2 + 2 * 2
+  // puts), no doorbell and no gsync. An empty member gather or release
+  // group would still gsync.
+  fabric::run_ranks(
+      4,
+      [](RankCtx& ctx) {
+        auto& coll = ctx.fabric().coll();
+        const int r = ctx.rank();
+        EXPECT_FALSE(coll.hierarchical());
+        const std::uint64_t mine = static_cast<std::uint64_t>(r) + 1;
+        std::uint64_t all[4] = {};
+        OpCounters before = op_counters();
+        coll.allgather(r, &mine, 1, all);
+        OpCounters d = op_counters().since(before);
+        EXPECT_EQ(d.get(Op::transport_put), 6u) << "allgather, rank " << r;
+        EXPECT_EQ(d.get(Op::doorbell_ring), 0u) << "allgather, rank " << r;
+        EXPECT_EQ(d.get(Op::bulk_sync), 0u) << "allgather, rank " << r;
+        for (int j = 0; j < 4; ++j) {
+          EXPECT_EQ(all[j], static_cast<std::uint64_t>(j) + 1);
+        }
+        std::uint64_t sum = 0;
+        before = op_counters();
+        coll.allreduce(r, &mine, &sum, 1,
+                       [](std::uint64_t a, std::uint64_t b) { return a + b; });
+        d = op_counters().since(before);
+        EXPECT_EQ(d.get(Op::transport_put), 6u) << "allreduce, rank " << r;
+        EXPECT_EQ(d.get(Op::doorbell_ring), 0u) << "allreduce, rank " << r;
+        EXPECT_EQ(d.get(Op::bulk_sync), 0u) << "allreduce, rank " << r;
+        EXPECT_EQ(sum, 10u);
+      },
+      tree_opts());
 }
 
 TEST(TreeColl, WorksUnderShuffledDeferredDelivery) {
@@ -368,7 +402,6 @@ TEST_P(HierColl, AllDataCollectivesOverTwoTierTrees) {
   const auto [p, rpn] = GetParam();
   fabric::FabricOptions opts;
   opts.domain.ranks_per_node = rpn;
-  opts.coll.flat_cutoff = 0;
   fabric::run_ranks(p,
                     [&](RankCtx& ctx) {
                       EXPECT_TRUE(ctx.fabric().coll().hierarchical());

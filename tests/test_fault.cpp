@@ -788,7 +788,6 @@ void collective_kill_run(int nranks, int kill_rank, std::uint64_t kill_at,
   opts.domain.ranks_per_node = 1;
   opts.domain.fault.kill_rank = kill_rank;
   opts.domain.fault.kill_at_op = kill_at;
-  opts.coll.flat_cutoff = 0;  // force the put/notify trees
   opts.errors_return = true;
   opts.hang_timeout_ns = 5'000'000'000;  // 5 s
   std::atomic<int> typed_peer_dead{0};

@@ -198,6 +198,14 @@ TEST(SimMsgRate, DoorbellBatchingAmortizesOverheadAtLeast2x) {
   EXPECT_GE(b, 2.0 * u) << "batched " << b << " vs unbatched " << u;
   // The batch can never beat the pure software issue rate (1/sw_issue_ns).
   EXPECT_LT(b, 1e3 / batched.sw_issue_ns);
+  // The NIC rings every 64 descriptors: a batch of 128 is two full chains
+  // at exactly the batch-64 rate, and 65 adds a one-descriptor chain.
+  MsgRateParams two_chains;
+  two_chains.batch = 128;
+  EXPECT_EQ(simulate_msgrate_mops(two_chains), b);
+  MsgRateParams spill;
+  spill.batch = 65;
+  EXPECT_LT(simulate_msgrate_mops(spill), b);
 }
 
 // --- collectives at scale (PR 7) --------------------------------------------
